@@ -7,9 +7,23 @@ frequency follow deterministically from the same rays, which is what makes
 the uplink-to-downlink regression problem well posed: a sample pair is the
 real-stacked channel at ``f_up`` and at ``f_up + delta_f``.
 
+Every channel is a ray sum over the array manifold, and every ray sum goes
+through one kernel, :func:`_ray_sum`, over a leading batch of users or
+links with a carrier per row. It factorises the steering vector: with
+q = ceil(sqrt(M)) and antenna index m = q*a + b, the entry
+exp(-j varpi m sin theta) equals w^a z^b for z = exp(-j varpi sin theta)
+and w = z^q, so a ray costs one complex exponential and the sum over rays
+is one stacked matrix product. A single channel is the batch-of-one case;
+a dataset role builds all its uplinks and downlinks in one call; and the
+LMMSE prior keeps its user pool as stacked ray arrays, so each covariance
+takes a few batched ray sums over blocks of the pool and their Hermitian
+products.
+
 Noisy data collection is modelled as an additive complex Gaussian
 observation (pilot processing gain folded into the noise variance) followed
 by an optional LMMSE estimate against the environment's channel covariance.
+A role's noise is drawn as one block that consumes the generator in the
+same order as drawing it pair by pair, uplink before downlink.
 """
 
 from __future__ import annotations
@@ -217,6 +231,11 @@ class GeneratorConfig:
         return DEFAULT_ENTRY_AMPLITUDE / math.sqrt(2.0 * self.ray_count)
 
 
+def _check_carrier(f: float):
+    if not (f > 0 and math.isfinite(f)):
+        raise ValueError(f"carrier frequency must be positive, got {f}")
+
+
 def array_manifold(theta: float, f: float, cfg: ArrayConfig) -> np.ndarray:
     """Steering vector of the ULA toward direction ``theta`` at carrier ``f``.
 
@@ -224,8 +243,7 @@ def array_manifold(theta: float, f: float, cfg: ArrayConfig) -> np.ndarray:
     """
     if not math.isfinite(theta):
         raise ValueError(f"direction of arrival must be finite, got {theta}")
-    if not (f > 0 and math.isfinite(f)):
-        raise ValueError(f"carrier frequency must be positive, got {f}")
+    _check_carrier(f)
     varpi = 2.0 * math.pi * cfg.d * f / cfg.c
     m = np.arange(cfg.m)
     return np.exp(-1j * varpi * m * math.sin(theta))
@@ -272,24 +290,63 @@ def sample_user(env: Environment, rng: np.random.Generator,
     )
 
 
+def _stack_rays(users: Sequence[UserRays]) -> UserRays:
+    """Rays of several users of one environment as ``(len(users), P)`` arrays."""
+    return UserRays(env_id=users[0].env_id,
+                    doas=np.stack([u.doas for u in users]),
+                    amplitudes=np.stack([u.amplitudes for u in users]),
+                    phases=np.stack([u.phases for u in users]),
+                    delays=np.stack([u.delays for u in users]))
+
+
+def _ray_gains(rays: UserRays, f) -> np.ndarray:
+    """Complex ray gains |alpha_p| exp(j phi_p - j 2 pi f tau_p); ``f``
+    broadcasts against the ray arrays."""
+    return rays.amplitudes * np.exp(1j * (rays.phases - 2.0 * math.pi * f * rays.delays))
+
+
+def _ray_sum(sin_doas: np.ndarray, gains: np.ndarray, f, cfg: ArrayConfig) -> np.ndarray:
+    """Ray sums over the array manifold: h[..., m] = sum_p gains[..., p] *
+    exp(-j varpi(f) m sin_doas[..., p]), with varpi(f) = 2 pi d f / c.
+
+    The ray arrays are ``(..., P)`` over any leading batch of users or links;
+    ``f`` broadcasts against them, so each row may have its own carrier.
+    Writing the antenna index as m = q*a + b with q = ceil(sqrt(M)), the
+    steering entry of ray p factorises into w_p^a z_p^b with
+    z_p = exp(-j varpi sin theta_p) and w_p = z_p^q. So each ray needs one
+    complex exponential, the two q-long power tables come from repeated
+    multiplication, and the sum over rays is one stacked (q, P) x (P, q)
+    product; the q*q grid is cut back to the first M antennas.
+    """
+    q = math.isqrt(cfg.m - 1) + 1
+    varpi = 2.0 * math.pi * cfg.d * f / cfg.c
+    z = np.exp(-1j * varpi * sin_doas)
+    low = np.empty((q,) + z.shape, dtype=complex)  # low[b] = z^b
+    low[0] = 1.0
+    for b in range(1, q):
+        np.multiply(low[b - 1], z, out=low[b])
+    w = low[-1] * z
+    high = np.empty_like(low)  # high[a] = gains * w^a
+    high[0] = gains
+    for a in range(1, q):
+        np.multiply(high[a - 1], w, out=high[a])
+    grid = np.moveaxis(high, 0, -2) @ np.moveaxis(low, 0, -1)  # [..., a, b]
+    return np.ascontiguousarray(grid.reshape(grid.shape[:-2] + (q * q,))[..., :cfg.m])
+
+
 def channel_response(user: UserRays, f: float, cfg: ArrayConfig) -> np.ndarray:
     """Channel vector at carrier ``f``: the ray sum over the array manifold.
 
     h(f) = sum_p |alpha_p| * exp(-j 2 pi f tau_p + j phi_p) * a(theta_p)
     """
-    if not (f > 0 and math.isfinite(f)):
-        raise ValueError(f"carrier frequency must be positive, got {f}")
-    gains = user.amplitudes * np.exp(1j * (user.phases - 2.0 * math.pi * f * user.delays))
-    varpi = 2.0 * math.pi * cfg.d * f / cfg.c
-    # (P, M) manifold matrix; row p is the steering vector of ray p.
-    manifold = np.exp(-1j * varpi * np.outer(np.sin(user.doas), np.arange(cfg.m)))
-    return gains @ manifold
+    _check_carrier(f)
+    return _ray_sum(np.sin(user.doas), _ray_gains(user, f), f, cfg)
 
 
 def complex_to_real(z: np.ndarray) -> np.ndarray:
-    """Real-stacked image of a complex vector: [Re(z); Im(z)]."""
+    """Real-stacked image of a complex vector, row-wise: [Re(z); Im(z)]."""
     z = np.asarray(z)
-    return np.concatenate([z.real, z.imag]).astype(np.float64)
+    return np.concatenate([z.real, z.imag], axis=-1).astype(np.float64)
 
 
 def real_to_complex(v: np.ndarray) -> np.ndarray:
@@ -301,8 +358,9 @@ def real_to_complex(v: np.ndarray) -> np.ndarray:
     return v[..., :m] + 1j * v[..., m:]
 
 
-def noise_variance(h: np.ndarray, snr_db: float, pilot_len: int) -> float:
-    """Per-entry complex noise variance for a given observation SNR.
+def noise_variance(h: np.ndarray, snr_db: float, pilot_len: int) -> np.ndarray:
+    """Per-entry complex noise variance for a given observation SNR, one
+    value per channel vector (the last axis of ``h``).
 
     The pilot length divides the variance, modelling coherent processing
     gain over the pilot sequence.
@@ -310,17 +368,21 @@ def noise_variance(h: np.ndarray, snr_db: float, pilot_len: int) -> float:
     if pilot_len < 1:
         raise ValueError(f"pilot length must be >= 1, got {pilot_len}")
     m = h.shape[-1]
-    signal_power = float(np.vdot(h, h).real) / m
+    signal_power = np.sum(h.real ** 2 + h.imag ** 2, axis=-1) / m
     return signal_power / (10.0 ** (snr_db / 10.0) * pilot_len)
 
 
 def add_awgn(h: np.ndarray, snr_db: float, pilot_len: int,
              rng: np.random.Generator) -> np.ndarray:
-    """Observation h + n with circular complex Gaussian n."""
-    sigma2 = noise_variance(h, snr_db, pilot_len)
-    scale = math.sqrt(sigma2 / 2.0)
-    n = rng.normal(0.0, 1.0, size=h.shape) + 1j * rng.normal(0.0, 1.0, size=h.shape)
-    return h + scale * n
+    """Observation h + n with circular complex Gaussian n, row-wise.
+
+    Each channel vector draws its real noise parts, then its imaginary
+    ones, so a stack of vectors consumes the generator exactly as one call
+    per vector in row order would.
+    """
+    scale = np.sqrt(noise_variance(h, snr_db, pilot_len) / 2.0)[..., None]
+    n = rng.normal(0.0, 1.0, size=h.shape[:-1] + (2, h.shape[-1]))
+    return h + scale * (n[..., 0, :] + 1j * n[..., 1, :])
 
 
 def lmmse_estimate(y: np.ndarray, r: np.ndarray, sigma2: float) -> np.ndarray:
@@ -344,40 +406,84 @@ def lmmse_estimate(y: np.ndarray, r: np.ndarray, sigma2: float) -> np.ndarray:
     return r @ np.linalg.solve(a, y)
 
 
+# Users of the covariance pool per ray-sum call. The kernel's two power
+# tables hold 2*q*P complex entries per user (0.3 MB for 50 users of 25 rays
+# at M=64, 1.3 MB for the whole default pool of 200), so blocks keep the
+# transient memory near that of one covariance.
+_POOL_BLOCK = 50
+
+
 class EnvCovariance:
     """Regularised sample covariance of clean channels for one environment.
 
     Built once per environment from a fixed pool of users drawn from the
     environment's own seed, so the LMMSE prior does not depend on which
-    dataset is being generated. The covariance depends on the carrier, so
-    it is computed per frequency on demand.
+    dataset is being generated. The pool is kept as stacked ``(users, P)``
+    ray arrays with the sines of the directions precomputed. The covariance
+    depends on the carrier, so :meth:`at` evaluates it per frequency on
+    demand: batched ray sums over blocks of the pool (see :func:`_ray_sum`)
+    and their summed Hermitian products.
     """
 
     def __init__(self, env: Environment, cfg: ArrayConfig, n_samples: int = 200,
                  delay_max: float = DEFAULT_DELAY_MAX, ridge: float = 1e-6):
         rng = stream(env.seed, STREAM_COVARIANCE)
-        self._users = [sample_user(env, rng, delay_max) for _ in range(n_samples)]
+        self._rays = _stack_rays([sample_user(env, rng, delay_max) for _ in range(n_samples)])
+        self._sin_doas = np.sin(self._rays.doas)
         self._cfg = cfg
         self._ridge = ridge
 
     def at(self, f: float) -> np.ndarray:
-        h = np.array([channel_response(u, f, self._cfg) for u in self._users])
-        n, m = h.shape
-        r = h.T @ h.conj() / n
+        _check_carrier(f)
+        gains = _ray_gains(self._rays, f)
+        n, m = gains.shape[0], self._cfg.m
+        r = np.zeros((m, m), dtype=complex)
+        for i in range(0, n, _POOL_BLOCK):
+            h = _ray_sum(self._sin_doas[i:i + _POOL_BLOCK], gains[i:i + _POOL_BLOCK], f,
+                         self._cfg)
+            r += h.T @ h.conj()
+        r /= n
         return r + self._ridge * (np.trace(r).real / m) * np.eye(m)
 
 
-def _estimate(h: np.ndarray, f: float, noise: NoiseSpec,
-              rng: np.random.Generator, cov: EnvCovariance | None) -> np.ndarray:
-    if noise.mode == NOISE_CLEAN:
-        return h
-    y = add_awgn(h, noise.snr_db, noise.pilot_len, rng)
-    if noise.mode == NOISE_AWGN:
-        return y
-    if cov is None:
+def _collect_pairs(combos: Sequence[tuple[int, float]],
+                   users: Sequence[UserRays] | dict[int, UserRays], delta_f: float,
+                   cfg: ArrayConfig, noise: NoiseSpec, rng: np.random.Generator,
+                   cov: EnvCovariance | None) -> list[SamplePair]:
+    """Collect one pair per (user index, uplink frequency) combination, at
+    ``f_up`` and ``f_up + delta_f``; ``users[uid]`` holds the user's rays.
+
+    All 2N links go through one batched ray sum and one AWGN draw shaped
+    (N, 2 links, 2 parts, M), which consumes the generator in pair order,
+    uplink before downlink. LMMSE then runs one estimate per link against
+    the environment covariance at that link's carrier.
+    """
+    if not combos:
+        return []
+    if noise.mode == NOISE_LMMSE and cov is None:
         raise ValueError("LMMSE noise mode requires an environment covariance model")
-    sigma2 = noise_variance(h, noise.snr_db, noise.pilot_len)
-    return lmmse_estimate(y, cov.at(f), sigma2)
+    f = np.array([(f_up, f_up + delta_f) for _, f_up in combos], dtype=float)  # (N, 2 links)
+    bad = ~((f > 0) & np.isfinite(f)).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"frequencies must be positive, got f_up={f[i, 0]}, "
+                         f"f_down={f[i, 1]}")
+    # Row 2i + link holds the rays of pair i's user.
+    links = _stack_rays([users[uid] for uid, _ in combos for _ in range(2)])
+    f_links = f.reshape(-1, 1)
+    h = _ray_sum(np.sin(links.doas), _ray_gains(links, f_links), f_links,
+                 cfg).reshape(f.shape + (cfg.m,))
+    est = h
+    if noise.mode != NOISE_CLEAN:
+        est = add_awgn(h, noise.snr_db, noise.pilot_len, rng)
+    if noise.mode == NOISE_LMMSE:
+        sigma2 = noise_variance(h, noise.snr_db, noise.pilot_len)
+        for link in np.ndindex(f.shape):
+            est[link] = lmmse_estimate(est[link], cov.at(f[link]), sigma2[link])
+    x, y, y_clean = (complex_to_real(a) for a in (est[:, 0], est[:, 1], h[:, 1]))
+    return [SamplePair(x=x[i], y=y[i], f_up=f_up, f_down=f_up + delta_f,
+                       y_clean=y_clean[i], user_index=uid)
+            for i, (uid, f_up) in enumerate(combos)]
 
 
 def make_sample_pair(user: UserRays, f_up: float, delta_f: float, cfg: ArrayConfig,
@@ -390,19 +496,8 @@ def make_sample_pair(user: UserRays, f_up: float, delta_f: float, cfg: ArrayConf
     noise draws; the clean downlink is kept alongside as the ground-truth
     label.
     """
-    f_down = f_up + delta_f
-    if not (f_up > 0 and f_down > 0):
-        raise ValueError(f"frequencies must be positive, got f_up={f_up}, f_down={f_down}")
-    h_up = channel_response(user, f_up, cfg)
-    h_down = channel_response(user, f_down, cfg)
-    return SamplePair(
-        x=complex_to_real(_estimate(h_up, f_up, noise, rng, cov)),
-        y=complex_to_real(_estimate(h_down, f_down, noise, rng, cov)),
-        f_up=f_up,
-        f_down=f_down,
-        y_clean=complex_to_real(h_down),
-        user_index=user_index,
-    )
+    return _collect_pairs([(user_index, f_up)], {user_index: user}, delta_f, cfg, noise,
+                          rng, cov)[0]
 
 
 @dataclass
@@ -487,9 +582,7 @@ def collect(combo_set: ComboSet, role: str, delta_f: float, cfg: ArrayConfig,
         combos = combos[:limit]
     if noise.mode == NOISE_LMMSE and cov is None:
         cov = EnvCovariance(combo_set.env, cfg, delay_max=delay_max)
-    pairs = [make_sample_pair(combo_set.users[uid], f_up, delta_f, cfg, noise, rng,
-                              cov=cov, user_index=uid)
-             for uid, f_up in combos]
+    pairs = _collect_pairs(combos, combo_set.users, delta_f, cfg, noise, rng, cov)
     return TaskDataset(env_id=combo_set.env.id, role=role, pairs=pairs)
 
 

@@ -385,8 +385,13 @@ _IMPLS = {
 
 
 def _execute(subcommand: str, opts: dict):
+    from .store import FormatError
+
     started = _utcnow()
-    outputs = _IMPLS[subcommand](opts)
+    try:
+        outputs = _IMPLS[subcommand](opts)
+    except FormatError as exc:
+        raise click.ClickException(str(exc)) from None
     if "out" in opts:
         manifest = _write_manifest(subcommand, opts, outputs, started)
         click.echo(f"wrote {', '.join(outputs)} (manifest: {manifest})")
@@ -576,11 +581,22 @@ def gradcheck(**opts):
 def rerun(manifest):
     """Re-execute a recorded run; outputs are byte-identical."""
     with open(manifest) as f:
-        recorded = json.load(f)
+        try:
+            recorded = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise click.ClickException(f"{manifest} is not valid JSON: {exc}") from None
+    if not isinstance(recorded, dict):
+        raise click.ClickException(f"{manifest} does not hold a JSON object")
     sub = recorded.get("subcommand")
     if sub not in _IMPLS:
         raise click.ClickException(f"manifest names unknown subcommand {sub!r}")
-    _execute(sub, recorded["config"])
+    config = recorded.get("config")
+    if not isinstance(config, dict):
+        raise click.ClickException(f"{manifest} has no 'config' object")
+    missing = [p.name for p in cli.commands[sub].params if p.name not in config]
+    if missing:
+        raise click.ClickException(f"{manifest} config lacks {', '.join(missing)}")
+    _execute(sub, config)
 
 
 def main():

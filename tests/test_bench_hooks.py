@@ -1,0 +1,60 @@
+"""The benchmark's hooks into the program stay valid.
+
+``bench/spans.py`` wraps channel, net, optim, transfer, evaluate and store
+functions by attribute name, and requires by-name import sites (for
+example ``evaluate.collect``) to be the very objects it wraps; the
+benchmark workloads read ``TaskDataset`` and ``SamplePair`` fields. A
+refactor that renames or re-imports one of them fails here rather than in
+the traced benchmark run.
+"""
+
+import importlib.util
+import os
+
+import numpy as np
+
+from csitransfer import channel
+
+SPANS_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "bench", "spans.py")
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_wraps_and_restores_every_hook():
+    spans = load_spans()
+    originals = [(owner, attr, getattr(owner, attr))
+                 for _, modules, attr, _ in spans.PATCHES for owner in modules]
+    originals += [(cls, attr, getattr(cls, attr)) for _, cls, attr in spans.METHOD_PATCHES]
+    gen = channel.GeneratorConfig(array=channel.ArrayConfig(m=4), users=3,
+                                  noise=channel.NoiseSpec(mode=channel.NOISE_LMMSE))
+    env = channel.sample_environment(0, gen, 1)
+
+    tracer = spans.Tracer()
+    with tracer:  # entering checks that each import site is the defining object
+        datasets = channel.generate_task_datasets(
+            env, [(channel.ROLE_ADAPTION, 3), (channel.ROLE_TEST, 2)], gen.users,
+            (gen.f_min, gen.f_max), gen.delta_f, gen.array, gen.noise,
+            np.random.default_rng(2), gen.delay_max)
+
+    assert all(getattr(owner, attr) is fn for owner, attr, fn in originals)
+
+    summary = tracer.summary()
+    for name in ("channel.generate_task_datasets", "channel.draw_combos",
+                 "channel.collect", "channel.cov_at", "channel.lmmse_estimate"):
+        assert summary[name]["calls"] > 0, name
+    metrics = spans.layer_metrics(summary, traced_wall_s=1.0)
+    assert set(metrics) <= set(spans.PER_LAYER_UNITS)
+
+    assert [len(d) for d in datasets] == [3, 2]
+    assert not datasets[0].keys() & datasets[1].keys()
+    for d in datasets:
+        for p in d.pairs:
+            assert p.x.shape == p.y.shape == p.y_clean.shape == (2 * gen.array.m,)
+            assert gen.f_min <= p.f_up <= gen.f_max
+            assert 0 <= p.user_index < gen.users

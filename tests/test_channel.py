@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from csitransfer import channel as ch
+from csitransfer.seeding import STREAM_COVARIANCE, stream
 
 RNG = np.random.default_rng
 
@@ -291,6 +292,13 @@ def test_lmmse_beats_raw_observation():
     assert np.mean(mse_lmmse) < np.mean(mse_raw)
 
 
+@pytest.mark.parametrize("f", [0.0, -1e9, float("nan")])
+def test_covariance_rejects_bad_carrier(f):
+    cov = ch.EnvCovariance(make_env(), ch.ArrayConfig(m=4), n_samples=3)
+    with pytest.raises(ValueError, match="carrier"):
+        cov.at(f)
+
+
 def test_sample_pair_clean_matches_exact_channels():
     cfg = ch.ArrayConfig(m=8)
     env = make_env()
@@ -409,3 +417,80 @@ def test_bad_role_and_counts_rejected():
     with pytest.raises(ValueError):
         ch.generate_task_dataset(env, "test", 0, 4, (1e9, 3e9), 120e6,
                                  gcfg.array, ch.NoiseSpec(mode="clean"), RNG(27))
+
+
+# ---------------------------------------------------------------------------
+# batched collection against the per-pair generator
+
+
+def _oracle_response(user, f, cfg):
+    """One user's ray sum over the full (P, M) np.exp manifold."""
+    gains = user.amplitudes * np.exp(1j * (user.phases - 2.0 * math.pi * f * user.delays))
+    varpi = 2.0 * math.pi * cfg.d * f / cfg.c
+    manifold = np.exp(-1j * varpi * np.outer(np.sin(user.doas), np.arange(cfg.m)))
+    return gains @ manifold
+
+
+def _oracle_covariance(pool, f, cfg, ridge=1e-6):
+    h = np.array([_oracle_response(u, f, cfg) for u in pool])
+    n, m = h.shape
+    r = h.T @ h.conj() / n
+    return r + ridge * (np.trace(r).real / m) * np.eye(m)
+
+
+def _oracle_generate(env, role_counts, u, f_range, delta_f, cfg, noise, rng):
+    """Per-pair generation: each link synthesised, noised and estimated on
+    its own, uplink before downlink, with a fresh covariance per link.
+    Returns per role a list of (user_index, f_up, x, y, y_clean)."""
+    combos = ch.draw_combos(env, role_counts, u, f_range, rng)
+    cov_rng = stream(env.seed, STREAM_COVARIANCE)
+    pool = [ch.sample_user(env, cov_rng) for _ in range(200)]
+
+    def estimate(h, f):
+        if noise.mode == "clean":
+            return h
+        sigma2 = (float(np.vdot(h, h).real) / len(h)
+                  / (10.0 ** (noise.snr_db / 10.0) * noise.pilot_len))
+        n = rng.normal(0.0, 1.0, size=h.shape) + 1j * rng.normal(0.0, 1.0, size=h.shape)
+        y = h + math.sqrt(sigma2 / 2.0) * n
+        if noise.mode == "awgn":
+            return y
+        return ch.lmmse_estimate(y, _oracle_covariance(pool, f, cfg), sigma2)
+
+    def real(z):
+        return np.concatenate([z.real, z.imag])
+
+    out = []
+    for role, _ in role_counts:
+        pairs = []
+        for uid, f_up in combos.by_role[role]:
+            user = combos.users[uid]
+            f_down = f_up + delta_f
+            h_up = _oracle_response(user, f_up, cfg)
+            h_down = _oracle_response(user, f_down, cfg)
+            pairs.append((uid, f_up, real(estimate(h_up, f_up)),
+                          real(estimate(h_down, f_down)), real(h_down)))
+        out.append(pairs)
+    return out
+
+
+@pytest.mark.parametrize("mode,rtol", [("clean", 1e-12), ("awgn", 1e-12), ("lmmse", 1e-10)])
+@pytest.mark.parametrize("m", [1, 2, 5, 16, 64])
+def test_generation_matches_per_pair_oracle(m, mode, rtol):
+    """Batched collection reproduces the per-pair generator at rounding
+    level and leaves the generator in the same state (non-square M cuts
+    the factorised q*q antenna grid)."""
+    gcfg = _default_gen(m=m, users=6)
+    env = ch.sample_environment(5, gcfg, 31)
+    args = (env, [("adaption", 4), ("test", 3)], gcfg.users, (gcfg.f_min, gcfg.f_max),
+            gcfg.delta_f, gcfg.array, ch.NoiseSpec(snr_db=10.0, pilot_len=4, mode=mode))
+    rng, oracle_rng = RNG(41), RNG(41)
+    got = ch.generate_task_datasets(*args, rng)
+    expected = _oracle_generate(*args, oracle_rng)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    for ds, pairs in zip(got, expected):
+        assert [p.key() for p in ds.pairs] == [(uid, f_up) for uid, f_up, *_ in pairs]
+        for p, (_, f_up, x, y, y_clean) in zip(ds.pairs, pairs):
+            assert p.f_down == f_up + gcfg.delta_f
+            for a, b in ((p.x, x), (p.y, y), (p.y_clean, y_clean)):
+                assert np.max(np.abs(a - b)) <= rtol * np.max(np.abs(b))

@@ -126,7 +126,8 @@ def test_adapt_and_eval_roundtrip(tmp_path):
     assert ",2," in lines[1]  # two targets
 
 
-def test_eval_zero_output_checkpoint_unit_nmse(tmp_path):
+def _zero_checkpoint_and_test_set(tmp_path):
+    """Paths of a 4-antenna all-zero checkpoint and a 4-pair test dataset."""
     spec = net.LayerSpec.fnn(4, (8,))
     zero = transfer.TrainedModel(
         params=net.NetParams(
@@ -138,6 +139,11 @@ def test_eval_zero_output_checkpoint_unit_nmse(tmp_path):
     te = str(tmp_path / "te.bin")
     assert run_cli("gen", "--envs", 1, "--role", "test", "--pairs", 4,
                    *TINY_GEN, "--out", te).exit_code == 0
+    return ck, te
+
+
+def test_eval_zero_output_checkpoint_unit_nmse(tmp_path):
+    ck, te = _zero_checkpoint_and_test_set(tmp_path)
     out = str(tmp_path / "n.csv")
     assert run_cli("eval", "--checkpoint", ck, "--data", te, "--out", out).exit_code == 0
     row = open(out).read().splitlines()[1].split(",")
@@ -155,6 +161,54 @@ def test_adapt_antenna_mismatch_names_both(tmp_path):
                               "--out", str(tmp_path / "x.ck")])
     assert res.exit_code == 1
     assert "4" in res.output and "8" in res.output
+
+
+def assert_one_line_error(res, fragment):
+    assert res.exit_code == 1
+    assert "Traceback" not in res.output
+    lines = res.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: "), res.output
+    assert fragment in lines[0]
+
+
+def _truncate(path):
+    data = open(path, "rb").read()
+    open(path, "wb").write(data[:len(data) // 2])
+
+
+def test_eval_truncated_dataset_one_line_error(tmp_path):
+    ck, te = _zero_checkpoint_and_test_set(tmp_path)
+    _truncate(te)
+    res = run_cli("eval", "--checkpoint", ck, "--data", te, "--out", tmp_path / "n.csv")
+    assert_one_line_error(res, "truncated")
+
+
+def test_eval_truncated_checkpoint_one_line_error(tmp_path):
+    ck, te = _zero_checkpoint_and_test_set(tmp_path)
+    _truncate(ck)
+    res = run_cli("eval", "--checkpoint", ck, "--data", te, "--out", tmp_path / "n.csv")
+    assert_one_line_error(res, "truncated")
+
+
+def test_eval_bad_magic_one_line_error(tmp_path):
+    ck, te = _zero_checkpoint_and_test_set(tmp_path)
+    data = open(te, "rb").read()
+    open(te, "wb").write(b"XXXX" + data[4:])
+    res = run_cli("eval", "--checkpoint", ck, "--data", te, "--out", tmp_path / "n.csv")
+    assert_one_line_error(res, "bad magic")
+
+
+def test_rerun_incomplete_manifest_one_line_error(tmp_path):
+    out = str(tmp_path / "d.bin")
+    assert run_cli("gen", "--envs", 1, "--pairs", 4, *TINY_GEN, "--out", out).exit_code == 0
+    path = out + ".manifest.json"
+    manifest = json.load(open(path))
+    del manifest["config"]["antennas"]
+    json.dump(manifest, open(path, "w"))
+    assert_one_line_error(run_cli("rerun", path), "antennas")
+    del manifest["config"]
+    json.dump(manifest, open(path, "w"))
+    assert_one_line_error(run_cli("rerun", path), "config")
 
 
 def test_sweep_g_ad_emits_three_rows_per_point(tmp_path):
