@@ -28,6 +28,7 @@ from .channel import (
     ROLE_ADAPTION,
     ROLE_TEST,
     ROLE_TRAIN_SUPPORT,
+    EnvCovariance,
     Environment,
     NoiseSpec,
     TaskDataset,
@@ -161,10 +162,22 @@ def train_pair(cfg: TrainConfig) -> tuple[TrainedModel, TrainedModel]:
 
 @dataclass
 class _TargetData:
+    """One target's draws; ``cov`` is its LMMSE covariance, built on the
+    first LMMSE collection and shared by every later one."""
+
     env: Environment
     combos: object
     test_set: TaskDataset
     clean: list[np.ndarray]
+    cov: EnvCovariance | None = None
+
+
+def _covariance(env: Environment, cfg: TrainConfig, noise: NoiseSpec,
+                cov: EnvCovariance | None) -> EnvCovariance | None:
+    """``cov``, or the environment's covariance if it is needed and missing."""
+    if noise.mode != NOISE_LMMSE or cov is not None:
+        return cov
+    return EnvCovariance(env, cfg.gen.array, delay_max=cfg.gen.delay_max)
 
 
 def _target_data(env: Environment, cfg: TrainConfig, n_ad_max: int) -> _TargetData:
@@ -174,17 +187,20 @@ def _target_data(env: Environment, cfg: TrainConfig, n_ad_max: int) -> _TargetDa
     combos = draw_combos(env, [(ROLE_ADAPTION, n_ad_max), (ROLE_TEST, cfg.n_te)],
                          cfg.u, (gen.f_min, gen.f_max),
                          stream(env.seed, STREAM_TARGET_DATA, 0), gen.delay_max)
+    cov = _covariance(env, cfg, gen.noise, None)
     test_set = collect(combos, ROLE_TEST, gen.delta_f, gen.array, gen.noise,
-                       stream(env.seed, STREAM_TARGET_DATA, 1), delay_max=gen.delay_max)
+                       stream(env.seed, STREAM_TARGET_DATA, 1), cov=cov,
+                       delay_max=gen.delay_max)
     return _TargetData(env=env, combos=combos, test_set=test_set,
-                       clean=test_set.clean_downlinks())
+                       clean=test_set.clean_downlinks(), cov=cov)
 
 
 def _collect_adaption(data: _TargetData, cfg: TrainConfig, noise: NoiseSpec,
                       stream_tag: int, limit: int | None = None) -> TaskDataset:
+    data.cov = _covariance(data.env, cfg, noise, data.cov)
     return collect(data.combos, ROLE_ADAPTION, cfg.gen.delta_f, cfg.gen.array, noise,
                    stream(data.env.seed, STREAM_TARGET_DATA, 2 + stream_tag),
-                   limit=limit, delay_max=cfg.gen.delay_max)
+                   cov=data.cov, limit=limit, delay_max=cfg.gen.delay_max)
 
 
 def run_three_way(cfg: TrainConfig, sweep: tuple[str, Sequence] | None = None) -> SweepReport:

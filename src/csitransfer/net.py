@@ -15,7 +15,7 @@ are bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -303,3 +303,191 @@ def forward_param_jvp(params: NetParams, direction: NetParams, batch: Batch) -> 
             delta = g * masks[l - 1]
             tdelta = tg * masks[l - 1]
     return NetParams(hw, hb)
+
+
+# ---------------------------------------------------------------------------
+# Block kernels of the meta step.
+#
+# A block stacks B tasks whose batches have equal sizes, as (B, n, width)
+# arrays. Task weights are never formed: each task's layer weight is a base
+# matrix shared by the block (omega, or zero for a direction) plus a
+# low-rank term, so every product is one GEMM of the base against all B*n
+# rows of the block plus two thin batched products against the factors.
+
+
+@dataclass
+class BlockTerms:
+    """Per-task parameters of a block of B tasks, as low-rank weight terms.
+
+    Task t's layer-l weight is ``base + scale * p[l][t].T @ q[l][t]`` over
+    the first ``rank[l]`` rows, with ``p[l]`` shaped (B, rows, n_l) and
+    ``q[l]`` (B, rows, n_{l-1}); its bias is ``biases[l][t]``. Rows past
+    the rank are room to append to. An inner-loop iterate has base omega
+    and ``scale = -beta``, with rows the support deltas (p) and layer
+    inputs (q) of the steps taken; a direction in parameter space has base
+    zero and scale 1.
+    """
+
+    p: list[np.ndarray]
+    q: list[np.ndarray]
+    biases: list[np.ndarray]
+    rank: list[int]
+    scale: float = 1.0
+
+    @classmethod
+    def empty(cls, omega: NetParams, n_tasks: int, rows: Sequence[int],
+              scale: float = 1.0) -> "BlockTerms":
+        """Rank-zero terms with room for ``rows[l]`` rows in layer l and each
+        task's biases set to omega's."""
+        return cls(p=[np.empty((n_tasks, r, w.shape[0])) for w, r in zip(omega.weights, rows)],
+                   q=[np.empty((n_tasks, r, w.shape[1])) for w, r in zip(omega.weights, rows)],
+                   biases=[np.repeat(b[None], n_tasks, axis=0) for b in omega.biases],
+                   rank=[0] * len(rows), scale=scale)
+
+    def live(self, l: int) -> tuple[np.ndarray, np.ndarray]:
+        """Layer l's factors over the rows in use (views)."""
+        return self.p[l][:, :self.rank[l]], self.q[l][:, :self.rank[l]]
+
+    def append(self, l: int, p_rows: np.ndarray, q_rows: np.ndarray, p_scale: float = 1.0):
+        """Add ``p_scale * p_rows.T @ q_rows`` to each task's layer-l term."""
+        r, k = self.rank[l], p_rows.shape[1]
+        np.multiply(p_rows, p_scale, out=self.p[l][:, r:r + k])
+        self.q[l][:, r:r + k] = q_rows
+        self.rank[l] = r + k
+
+    def head(self, r: int) -> "BlockTerms":
+        """The terms of the first ``r`` rows of every layer (views; the
+        biases are shared, not copied)."""
+        return BlockTerms(self.p, self.q, self.biases, [r] * len(self.p), self.scale)
+
+    def tape(self, start: int, stop: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Rows ``start:stop`` of every layer as (q rows, p rows): for an
+        iterate, the layer inputs and deltas of the step that added them."""
+        return [q[:, start:stop] for q in self.q], [p[:, start:stop] for p in self.p]
+
+
+def _block_matmul(x: np.ndarray, w: np.ndarray | None, left: np.ndarray,
+                  right: np.ndarray, scale: float) -> np.ndarray:
+    """``x[t] @ (w + scale * left[t].T @ right[t])`` for every task t.
+
+    ``x`` is (B, n, k), the shared ``w`` (k, m) or None for zero, ``left``
+    (B, r, k) and ``right`` (B, r, m).
+    """
+    b, n, k = x.shape
+    shared = None if w is None else (x.reshape(b * n, k) @ w).reshape(b, n, -1)
+    if left.shape[1] == 0:
+        return shared
+    thin = x @ left.transpose(0, 2, 1)
+    if scale != 1.0:
+        thin *= scale
+    out = thin @ right
+    if shared is not None:
+        out += shared
+    return out
+
+
+def _forward(x: np.ndarray, w: np.ndarray | None, terms: BlockTerms, l: int) -> np.ndarray:
+    """Layer l's linear map (no bias) of a block's rows: ``x @ W_t.T``."""
+    p, q = terms.live(l)
+    return _block_matmul(x, None if w is None else w.T, q, p, terms.scale)
+
+
+def _reverse(d: np.ndarray, w: np.ndarray | None, terms: BlockTerms, l: int) -> np.ndarray:
+    """Layer l's transposed map of a block's deltas: ``d @ W_t``."""
+    p, q = terms.live(l)
+    return _block_matmul(d, w, p, q, terms.scale)
+
+
+def block_loss_and_grad_terms(omega: NetParams, terms: BlockTerms, xs: np.ndarray,
+                              ys: np.ndarray):
+    """Per-task loss and gradient factors of a block at ``omega + terms``.
+
+    Returns ``(losses, acts, deltas)``: ``losses`` is (B,), ``acts[l]`` the
+    input of layer l and ``deltas[l]`` its output delta, each (B, n, width).
+    Task t's gradient of layer l is ``deltas[l][t].T @ acts[l][t]`` for the
+    weight and ``deltas[l][t].sum(0)`` for the bias. Hidden ReLU masks are
+    ``acts[l + 1] > 0``, so the pair is the whole tape of the sweep.
+    """
+    n_layers = len(omega.weights)
+    n = xs.shape[1]
+    acts = [xs]
+    a = xs
+    for l in range(n_layers):
+        a = _forward(a, omega.weights[l], terms, l)
+        a += terms.biases[l][:, None, :]
+        if l < n_layers - 1:
+            a = np.maximum(a, 0.0)
+            acts.append(a)
+    diff = a - ys
+    losses = np.sum(diff * diff, axis=(1, 2)) / n
+    deltas = [None] * n_layers
+    delta = 2.0 / n * diff  # output layer is linear
+    for l in range(n_layers - 1, -1, -1):
+        deltas[l] = delta
+        if l > 0:
+            delta = _reverse(delta, omega.weights[l], terms, l) * (acts[l] > 0)
+    return losses, acts, deltas
+
+
+def block_gradients(omega: NetParams, acts: list[np.ndarray], deltas: list[np.ndarray],
+                    hvp_rows: int = 0) -> BlockTerms:
+    """The per-task gradients of a sweep of :func:`block_loss_and_grad_terms`
+    as a direction, with room for :func:`block_hvp_axpy` calls on support
+    batches of ``hvp_rows`` rows in total."""
+    n = acts[0].shape[1]
+    rows = [n + (hvp_rows if l == 0 else 2 * hvp_rows) for l in range(len(acts))]
+    v = BlockTerms.empty(omega, acts[0].shape[0], rows)
+    for l, (a, d) in enumerate(zip(acts, deltas)):
+        v.append(l, d, a)
+        v.biases[l] = d.sum(axis=1)
+    return v
+
+
+def block_hvp_axpy(alpha: float, omega: NetParams, terms: BlockTerms,
+                   acts: list[np.ndarray], deltas: list[np.ndarray], direction: BlockTerms):
+    """``direction += alpha * H direction`` per task, in place, where H is the
+    Hessian of each task's loss at ``omega + terms``.
+
+    ``acts`` and ``deltas`` are the tape of :func:`block_loss_and_grad_terms`
+    at that point. This is :func:`forward_param_jvp` with every weight kept
+    as factors: the product's layer l appends rows ``alpha * [tdelta,
+    delta]`` against ``[act, tact]`` to the direction (only ``alpha *
+    tdelta`` against the input for the first layer, whose input has no
+    tangent).
+    """
+    n_layers = len(omega.weights)
+    n = acts[0].shape[1]
+
+    # Forward sweep of the tangents; the masks are the next activations > 0.
+    tacts = [None]
+    for l in range(n_layers):
+        tz = _forward(acts[l], None, direction, l)
+        if l > 0:
+            tz += _forward(tacts[l], omega.weights[l], terms, l)
+        tz += direction.biases[l][:, None, :]
+        if l < n_layers - 1:
+            tz *= acts[l + 1] > 0
+        tacts.append(tz)
+
+    # Reverse sweep; a layer's new rows are appended once its old ones are read.
+    tdelta = 2.0 / n * tacts[-1]
+    for l in range(n_layers - 1, -1, -1):
+        direction.biases[l] += alpha * tdelta.sum(axis=1)
+        if l == 0:
+            direction.append(0, tdelta, acts[0], alpha)
+            break
+        tg = _reverse(tdelta, omega.weights[l], terms, l)
+        tg += _reverse(deltas[l], None, direction, l)
+        direction.append(l, tdelta, acts[l], alpha)
+        direction.append(l, deltas[l], tacts[l], alpha)
+        tdelta = tg * (acts[l] > 0)
+
+
+def block_sum(direction: BlockTerms) -> NetParams:
+    """The sum over a block's tasks of their directions (base zero, scale 1),
+    one product of the stacked factors per layer."""
+    weights = []
+    for l in range(len(direction.p)):
+        p, q = direction.live(l)
+        weights.append(p.reshape(-1, p.shape[2]).T @ q.reshape(-1, q.shape[2]))
+    return NetParams(weights, [b.sum(axis=0) for b in direction.biases])

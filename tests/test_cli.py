@@ -211,6 +211,19 @@ def test_rerun_incomplete_manifest_one_line_error(tmp_path):
     assert_one_line_error(run_cli("rerun", path), "config")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to inf
+def test_adapt_divergence_one_line_error(tmp_path):
+    ck = str(tmp_path / "base.ck")
+    assert run_cli("train", *TINY_GEN, *TINY_TRAIN, "--out", ck).exit_code == 0
+    ad = str(tmp_path / "ad.bin")
+    assert run_cli("gen", "--envs", 1, "--first-env-id", 100, "--role", "adaption",
+                   "--pairs", 6, *TINY_GEN, "--out", ad).exit_code == 0
+    res = run_cli("adapt", "--checkpoint", ck, "--data", ad, "--rule", "gd",
+                  "--beta", 1.0, "--g-ad", 2000, "--out", tmp_path / "x.ck")
+    assert_one_line_error(res, "adaption (gd) diverged at step")
+    assert not os.path.exists(tmp_path / "x.ck")
+
+
 def test_sweep_g_ad_emits_three_rows_per_point(tmp_path):
     out = str(tmp_path / "sweep.csv")
     res = run_cli("sweep", "--variable", "g-ad", "--grid", "0,2,4",
@@ -239,6 +252,12 @@ def test_gradcheck_pass_and_determinism():
     assert r1.exit_code == 0
     assert r1.output == r2.output
     assert "pass" in r1.output
+
+
+def test_gradcheck_passes_at_its_defaults():
+    res = run_cli("gradcheck")
+    assert res.exit_code == 0, res.output
+    assert res.output.count(" pass") == 3
 
 
 def test_gradcheck_zero_probes_usage_error():

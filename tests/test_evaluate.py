@@ -1,5 +1,7 @@
 """Metric and harness tests: NMSE, testing stages, sweep mechanics."""
 
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,6 +171,34 @@ def test_snr_sweep_runs():
     cfg = tiny_cfg(n_ad=4, n_te=4, k_t=2, g_ad=5)
     report = evaluate.run_three_way(cfg, ("snr_db", [-10.0, 20.0]))
     assert len(report.points) == 2
+
+
+def test_lmmse_sweep_builds_each_target_covariance_once(monkeypatch):
+    gen = ch.GeneratorConfig(array=ch.ArrayConfig(m=4), users=4,
+                             noise=ch.NoiseSpec(mode=ch.NOISE_LMMSE))
+    cfg = tiny_cfg(k_s=4, k_t=2, k_b=2, u=4, n_tr=4, n_ad=3, n_te=3, v=8,
+                   g_ad=3, max_steps=2, hidden=(8,), gen=gen)
+    sweep = ("snr_db", [0.0, 10.0, 20.0])
+
+    # Reference: every collection builds its own covariance.
+    collect = evaluate.collect
+    monkeypatch.setattr(evaluate, "collect", lambda *a, cov=None, **k: collect(*a, **k))
+    reference = evaluate.run_three_way(cfg, sweep)
+    monkeypatch.undo()
+
+    builds = collections.Counter()
+    init = ch.EnvCovariance.__init__
+
+    def counting_init(self, env, *args, **kwargs):
+        builds[env.id] += 1
+        init(self, env, *args, **kwargs)
+
+    monkeypatch.setattr(ch.EnvCovariance, "__init__", counting_init)
+    report = evaluate.run_three_way(cfg, sweep)
+    assert [builds[cfg.k_s + k] for k in range(cfg.k_t)] == [1] * cfg.k_t
+    for point, ref in zip(report.points, reference.points):
+        for algo in evaluate.ALGORITHMS:
+            assert point.results[algo].per_target == ref.results[algo].per_target
 
 
 def test_training_side_sweep_retrains():

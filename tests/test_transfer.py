@@ -1,5 +1,7 @@
 """Training-regime tests: pooled training, fine-tuning, meta-learning."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,43 @@ def test_meta_adapt_equals_manual_gd_steps():
         assert np.array_equal(a, b)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to inf
+def test_diverging_gd_adaption_stops_at_first_non_finite_loss():
+    cfg = tiny_cfg(beta=1.0, g_ad=2000)
+    base = _fitted_base(cfg)
+    d_ad, _ = _clean_target_sets(cfg)
+    batch = Batch(d_ad.xs(), d_ad.ys())
+    params, updates = base.params.copy(), 0
+    while np.isfinite(net.mse_loss(params, batch)):
+        params = optim.gd_step(params, net.backward(params, batch), cfg.beta)
+        updates += 1
+    assert 0 < updates < cfg.g_ad
+
+    with pytest.raises(transfer.NonFiniteLoss) as err:
+        transfer.adapt_snapshots(base, d_ad, cfg, "gd", [cfg.g_ad])
+    assert err.value.stage == "adaption (gd)"
+    assert err.value.step == updates
+    assert f"at step {updates}:" in str(err.value)
+    # The last mark before the divergence still completes.
+    snaps = transfer.adapt_snapshots(base, d_ad, cfg, "gd", [updates - 1])
+    assert np.isfinite(snaps[updates - 1].loss_history).all()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_meta_train_names_its_step():
+    cfg = tiny_cfg(beta=1.0, gamma=100.0, g_tr=3, max_steps=20)
+    envs = [ch.sample_environment(i, cfg.gen, cfg.seed) for i in range(cfg.k_s)]
+    with pytest.raises(transfer.NonFiniteLoss) as err:
+        transfer.meta_train(envs, cfg, stream(cfg.seed, STREAM_BATCH, 1))
+    assert err.value.stage == "meta-training"
+    step = err.value.step
+    assert 0 < step < cfg.max_steps
+    # The same run capped at that many steps stays finite throughout.
+    capped = transfer.meta_train(envs, replace(cfg, max_steps=step),
+                                 stream(cfg.seed, STREAM_BATCH, 1))
+    assert len(capped.loss_history) == step
+
+
 def test_empty_adaption_set_rejected():
     cfg = tiny_cfg()
     base = _fitted_base(cfg)
@@ -324,6 +363,76 @@ def test_first_order_approaches_exact_as_beta_vanishes():
 
     assert rel_gap(1e-8) < 0.05
     assert rel_gap(1e-3) > 1e-10  # the two modes genuinely differ here
+
+
+def per_task_meta_oracle(omega, tasks, g_tr, beta, mode):
+    """The meta step as a loop over tasks with dense weights: ``inner_adapt``,
+    the query ``loss_and_grad``, then reverse ``forward_param_jvp`` steps."""
+    total_loss = 0.0
+    total_grad = net.zeros_like_params(omega)
+    for sup, que in tasks:
+        adapted, iterates = transfer.inner_adapt(omega, sup, g_tr, beta)
+        loss, v = net.loss_and_grad(adapted, que)
+        total_loss += loss
+        if mode == "exact":
+            for iterate in reversed(iterates):
+                v = net.params_axpy(-beta, net.forward_param_jvp(iterate, v, sup), v)
+        total_grad = net.params_axpy(1.0, v, total_grad)
+    return total_loss, total_grad
+
+
+def random_meta_problem(m, hidden, sizes, seed):
+    """Network with nonzero biases and one (support, query) task per size pair."""
+    rng = RNG(seed)
+    omega = net.init_params(net.LayerSpec.fnn(m, hidden), rng)
+    omega.biases = [0.1 * rng.normal(size=b.shape) for b in omega.biases]
+    tasks = [(Batch(rng.normal(size=(n_s, 2 * m)), rng.normal(size=(n_s, 2 * m))),
+              Batch(rng.normal(size=(n_q, 2 * m)), rng.normal(size=(n_q, 2 * m))))
+             for n_s, n_q in sizes]
+    return omega, tasks
+
+
+def assert_matches_oracle(omega, tasks, g_tr, beta, mode, rtol=1e-10):
+    loss, grad = transfer._meta_batch_eval(omega, tasks, g_tr, beta, mode)
+    want_loss, want = per_task_meta_oracle(omega, tasks, g_tr, beta, mode)
+    assert abs(loss - want_loss) <= rtol * abs(want_loss)
+    scale = np.max(np.abs(want.ravel()))
+    assert np.max(np.abs(grad.ravel() - want.ravel())) <= rtol * scale
+
+
+@pytest.mark.parametrize("m", [1, 4, 16])
+@pytest.mark.parametrize("hidden", [(6,), (8, 5), (7, 9, 4)])
+def test_meta_batch_eval_matches_per_task_oracle(m, hidden):
+    for n_tasks in (1, 3, 4, 5, 9):  # full and partial blocks of _TASK_BLOCK = 4
+        for g_tr in (0, 1, 3):
+            omega, tasks = random_meta_problem(m, hidden, [(4, 5)] * n_tasks,
+                                               seed=100 * m + 10 * n_tasks + g_tr)
+            for mode in ("exact", "first-order"):
+                assert_matches_oracle(omega, tasks, g_tr, 1e-2, mode)
+
+
+def test_meta_batch_eval_blocks_split_on_task_sizes():
+    sizes = [(4, 5), (4, 5), (6, 5), (6, 5), (6, 5), (6, 5), (6, 5), (6, 3), (4, 5)]
+    omega, tasks = random_meta_problem(2, (6, 5), sizes, seed=7)
+    blocks = list(transfer._task_blocks(tasks))
+    assert [b[0].shape[:2] for b in blocks] == [(2, 4), (4, 6), (1, 6), (1, 6), (1, 4)]
+    assert [b[2].shape[1] for b in blocks] == [5, 5, 5, 3, 5]
+    for g_tr in (0, 1, 3):
+        for mode in ("exact", "first-order"):
+            assert_matches_oracle(omega, tasks, g_tr, 1e-2, mode)
+
+
+def test_meta_batch_eval_rejects_bad_input():
+    omega, tasks = random_meta_problem(2, (6,), [(4, 5)] * 2, seed=8)
+    with pytest.raises(ValueError, match="empty"):
+        transfer._meta_batch_eval(omega, [], 1, 1e-2, "exact")
+    with pytest.raises(ValueError, match="mode"):
+        transfer._meta_batch_eval(omega, tasks, 1, 1e-2, "second-order")
+    empty = Batch(np.empty((0, 4)), np.empty((0, 4)))
+    with pytest.raises(ValueError, match="support"):
+        transfer._meta_batch_eval(omega, [tasks[0], (empty, tasks[1][1])], 1, 1e-2, "exact")
+    loss, _ = transfer._meta_batch_eval(omega, [(empty, tasks[1][1])], 0, 1e-2, "exact")
+    assert loss == pytest.approx(net.mse_loss(omega, tasks[1][1]), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
