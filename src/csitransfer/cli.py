@@ -389,12 +389,11 @@ _IMPLS = {
 
 def _execute(subcommand: str, opts: dict):
     from .store import FormatError
-    from .transfer import NonFiniteLoss
 
     started = _utcnow()
     try:
         outputs = _IMPLS[subcommand](opts)
-    except (FormatError, NonFiniteLoss) as exc:
+    except (FormatError, ValueError) as exc:  # bad input or option values, divergence
         raise click.ClickException(str(exc)) from None
     if "out" in opts:
         manifest = _write_manifest(subcommand, opts, outputs, started)

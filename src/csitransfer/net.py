@@ -8,6 +8,10 @@ map (a Hessian-vector product, computed forward-over-reverse), which is
 what lets the meta-learner differentiate exactly through its own
 gradient-descent steps.
 
+Parameters, gradients and Hessian-vector products are :class:`NetParams`:
+one contiguous float64 buffer with per-layer weight and bias views, which
+the kernels fill layer by layer in place.
+
 All math is 64-bit. ReLU's subgradient at zero is fixed to zero so results
 are bit-reproducible.
 """
@@ -58,22 +62,59 @@ class LayerSpec:
         return len(self.sizes) - 1
 
 
-@dataclass
 class NetParams:
-    """Per-layer weight matrices (n_l x n_{l-1}) and bias vectors (n_l)."""
+    """Per-layer weight matrices (n_l x n_{l-1}) and bias vectors (n_l).
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    The parameters live in one contiguous float64 buffer, ``flat``: every
+    weight row-major, layer by layer, then every bias, which is the order of
+    :meth:`ravel`. ``weights`` and ``biases`` are read-only tuples of views
+    into it, so writing through a view writes the buffer, and
+    whole-parameter arithmetic (optimizer steps, axpy, dot products) is one
+    vector operation on ``flat``. The constructor copies its inputs into a
+    fresh buffer.
+    """
 
-    def __post_init__(self):
-        if len(self.weights) != len(self.biases):
+    __slots__ = ("flat", "_weights", "_biases")
+
+    def __init__(self, weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]):
+        if len(weights) != len(biases):
             raise ValueError("need one bias vector per weight matrix")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+        for i, (w, b) in enumerate(zip(weights, biases)):
             if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
                 raise ValueError(f"layer {i}: weight {w.shape} and bias {b.shape} mismatch")
-            if i > 0 and w.shape[1] != self.weights[i - 1].shape[0]:
+            if i > 0 and w.shape[1] != weights[i - 1].shape[0]:
                 raise ValueError(f"layer {i}: input width {w.shape[1]} does not chain "
-                                 f"with previous output {self.weights[i - 1].shape[0]}")
+                                 f"with previous output {weights[i - 1].shape[0]}")
+        self._bind(np.empty(sum(w.size + b.size for w, b in zip(weights, biases))),
+                   [w.shape for w in weights])
+        for view, a in zip(self._weights + self._biases, [*weights, *biases]):
+            view[...] = a
+
+    def _bind(self, flat: np.ndarray, shapes: Sequence[tuple[int, int]]):
+        """Take ``flat`` as the buffer and cut the per-layer views from it."""
+        self.flat = flat
+        weights, biases, at = [], [], 0
+        for n_out, n_in in shapes:
+            weights.append(flat[at:at + n_out * n_in].reshape(n_out, n_in))
+            at += n_out * n_in
+        for n_out, _ in shapes:
+            biases.append(flat[at:at + n_out])
+            at += n_out
+        self._weights, self._biases = tuple(weights), tuple(biases)
+
+    @property
+    def weights(self) -> tuple[np.ndarray, ...]:
+        return self._weights
+
+    @property
+    def biases(self) -> tuple[np.ndarray, ...]:
+        return self._biases
+
+    def like(self, flat: np.ndarray) -> "NetParams":
+        """Parameters with this layout over the buffer ``flat`` (not copied)."""
+        out = NetParams.__new__(NetParams)
+        out._bind(flat, [w.shape for w in self._weights])
+        return out
 
     def layer_spec(self, activations: tuple[str, ...] | None = None) -> LayerSpec:
         sizes = (self.weights[0].shape[1],) + tuple(w.shape[0] for w in self.weights)
@@ -82,10 +123,10 @@ class NetParams:
         return LayerSpec(sizes=sizes, activations=activations)
 
     def copy(self) -> "NetParams":
-        return NetParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return self.like(self.flat.copy())
 
     def ravel(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self.weights + self.biases])
+        return self.flat.copy()
 
 
 @dataclass
@@ -124,21 +165,24 @@ def params_map(fn: Callable[..., np.ndarray], *ps: NetParams) -> NetParams:
 
 
 def zeros_like_params(p: NetParams) -> NetParams:
-    return params_map(np.zeros_like, p)
+    return p.like(np.zeros_like(p.flat))
 
 
-def params_axpy(alpha: float, x: NetParams, y: NetParams) -> NetParams:
-    """y + alpha * x, elementwise, as a new tree."""
-    return params_map(lambda xa, ya: ya + alpha * xa, x, y)
+def params_axpy(alpha: float, x: NetParams, y: NetParams,
+                out: NetParams | None = None) -> NetParams:
+    """y + alpha * x, elementwise, as a new tree or written into ``out``."""
+    if out is None:
+        return y.like(y.flat + alpha * x.flat)
+    np.add(y.flat, alpha * x.flat, out=out.flat)
+    return out
 
 
 def params_dot(a: NetParams, b: NetParams) -> float:
-    total = 0.0
-    for wa, wb in zip(a.weights, b.weights):
-        total += float(np.sum(wa * wb))
-    for ba, bb in zip(a.biases, b.biases):
-        total += float(np.sum(ba * bb))
-    return total
+    """Sum of the elementwise products. One product over ``flat``, summed
+    per layer array and then across arrays in buffer order, which keeps the
+    rounding of a sum taken array by array."""
+    prod = a.like(a.flat * b.flat)
+    return sum(float(np.sum(x)) for x in prod.weights + prod.biases)
 
 
 def params_norm(a: NetParams) -> float:
@@ -146,12 +190,10 @@ def params_norm(a: NetParams) -> float:
 
 
 def _check_same_shape(a: NetParams, b: NetParams):
+    """Equal layouts; the weight shapes fix the bias shapes."""
     for wa, wb in zip(a.weights, b.weights):
         if wa.shape != wb.shape:
             raise ValueError(f"weight shape mismatch: {wa.shape} vs {wb.shape}")
-    for ba, bb in zip(a.biases, b.biases):
-        if ba.shape != bb.shape:
-            raise ValueError(f"bias shape mismatch: {ba.shape} vs {bb.shape}")
     if len(a.weights) != len(b.weights):
         raise ValueError("layer count mismatch")
 
@@ -228,7 +270,7 @@ def mse_loss(params: NetParams, batch: Batch) -> float:
         raise ValueError("batch must be nonempty")
     out, _, _ = _forward_matrices(params, batch.xs)
     diff = out - batch.ys
-    return float(np.sum(diff * diff) / len(batch))
+    return float((diff * diff).sum() / len(batch))
 
 
 def loss_and_grad(params: NetParams, batch: Batch) -> tuple[float, NetParams]:
@@ -238,18 +280,16 @@ def loss_and_grad(params: NetParams, batch: Batch) -> tuple[float, NetParams]:
     v = len(batch)
     out, pres, acts = _forward_matrices(params, batch.xs)
     diff = out - batch.ys
-    loss = float(np.sum(diff * diff) / v)
+    loss = float((diff * diff).sum() / v)
 
-    n_layers = len(params.weights)
-    g_weights = [None] * n_layers
-    g_biases = [None] * n_layers
+    grads = params.like(np.empty_like(params.flat))
     delta = 2.0 / v * diff  # output layer is linear
-    for l in range(n_layers - 1, -1, -1):
-        g_weights[l] = delta.T @ acts[l]
-        g_biases[l] = delta.sum(axis=0)
+    for l in range(len(params.weights) - 1, -1, -1):
+        np.matmul(delta.T, acts[l], out=grads.weights[l])
+        delta.sum(axis=0, out=grads.biases[l])
         if l > 0:
             delta = (delta @ params.weights[l]) * (pres[l - 1] > 0)
-    return loss, NetParams(g_weights, g_biases)
+    return loss, grads
 
 
 def backward(params: NetParams, batch: Batch) -> NetParams:
@@ -290,19 +330,20 @@ def forward_param_jvp(params: NetParams, direction: NetParams, batch: Batch) -> 
         tacts.append(ta)
 
     # Reverse sweep carrying (value, tangent) of each delta.
-    hw = [None] * n_layers
-    hb = [None] * n_layers
+    out = params.like(np.empty_like(params.flat))
     delta = 2.0 / v * (acts[-1] - batch.ys)
     tdelta = 2.0 / v * tacts[-1]
     for l in range(n_layers - 1, -1, -1):
-        hw[l] = tdelta.T @ acts[l] + delta.T @ tacts[l]
-        hb[l] = tdelta.sum(axis=0)
+        hw = out.weights[l]
+        np.matmul(tdelta.T, acts[l], out=hw)
+        hw += delta.T @ tacts[l]
+        tdelta.sum(axis=0, out=out.biases[l])
         if l > 0:
             g = delta @ params.weights[l]
             tg = tdelta @ params.weights[l] + delta @ direction.weights[l]
             delta = g * masks[l - 1]
             tdelta = tg * masks[l - 1]
-    return NetParams(hw, hb)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -483,11 +524,12 @@ def block_hvp_axpy(alpha: float, omega: NetParams, terms: BlockTerms,
         tdelta = tg * (acts[l] > 0)
 
 
-def block_sum(direction: BlockTerms) -> NetParams:
+def block_sum(omega: NetParams, direction: BlockTerms) -> NetParams:
     """The sum over a block's tasks of their directions (base zero, scale 1),
-    one product of the stacked factors per layer."""
-    weights = []
+    one product of the stacked factors per layer, in omega's layout."""
+    out = omega.like(np.empty_like(omega.flat))
     for l in range(len(direction.p)):
         p, q = direction.live(l)
-        weights.append(p.reshape(-1, p.shape[2]).T @ q.reshape(-1, q.shape[2]))
-    return NetParams(weights, [b.sum(axis=0) for b in direction.biases])
+        np.matmul(p.reshape(-1, p.shape[2]).T, q.reshape(-1, q.shape[2]), out=out.weights[l])
+        direction.biases[l].sum(axis=0, out=out.biases[l])
+    return out

@@ -1,8 +1,14 @@
-"""Plain gradient descent and Adam over parameter trees.
+"""Plain gradient descent and Adam over flat parameter buffers.
 
-Both updates are pure functions: they return fresh parameter (and state)
-trees and never mutate their inputs, so identical inputs give bit-identical
-outputs. Each training or adaption stage constructs its own Adam state;
+Both updates are pure in the parameters: they return a fresh parameter tree
+and never mutate the parameters or gradients passed in, so identical inputs
+give bit-identical outputs. Each works on the whole ``NetParams.flat``
+buffer at once: ``gd_step`` allocates only the returned buffer, and
+``adam_step`` that and a scratch of at most ``_CHUNK`` elements.
+
+An :class:`AdamState` is owned by the run that created it: ``adam_step``
+updates its moments in place and returns the same object, advanced by one
+step. Each training or adaption stage constructs its own Adam state;
 moments are never carried across stages.
 """
 
@@ -12,16 +18,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import NetParams, _check_same_shape, params_map, zeros_like_params
+from .net import NetParams, _check_same_shape, zeros_like_params
 
 RHO1_DEFAULT = 0.9
 RHO2_DEFAULT = 0.999
 EPS_DEFAULT = 1e-8
 
+# Elements per chunk of Adam's parameter update, whose numerator goes through
+# a scratch array of this many float64s: 128,000 bytes, under the 128 KiB at
+# which glibc's allocator maps fresh pages for a request (and unmaps them on
+# release), so the scratch is reused from the heap step after step. A
+# scratch the size of the parameters would either fault in fresh pages
+# every step or, kept in the state, add a parameter-sized buffer to every
+# run's memory.
+_CHUNK = 16_000
+
 
 @dataclass
 class AdamState:
-    """First/second gradient moments, step counter, and hyperparameters."""
+    """First/second gradient moments, step counter, and hyperparameters.
+
+    ``m`` and ``v`` are updated in place by :func:`adam_step`.
+    """
 
     m: NetParams
     v: NetParams
@@ -42,7 +60,9 @@ def gd_step(params: NetParams, grads: NetParams, beta: float) -> NetParams:
     if beta <= 0:
         raise ValueError(f"learning rate must be positive, got {beta}")
     _check_same_shape(params, grads)
-    return params_map(lambda p, g: p - beta * g, params, grads)
+    out = beta * grads.flat
+    np.subtract(params.flat, out, out=out)
+    return params.like(out)
 
 
 def adam_step(state: AdamState, params: NetParams, grads: NetParams,
@@ -51,17 +71,39 @@ def adam_step(state: AdamState, params: NetParams, grads: NetParams,
 
     m <- rho1 m + (1-rho1) g;  v <- rho2 v + (1-rho2) g^2;
     params <- params - gamma * m_hat / (sqrt(v_hat) + eps).
+
+    The moments are updated in place and ``state`` itself is returned with
+    its step counter advanced; the parameters come back as a fresh tree.
+    Every operation is applied in the order the formulas are written, so
+    the result equals the per-array expressions bit for bit.
     """
     if gamma <= 0:
         raise ValueError(f"learning rate must be positive, got {gamma}")
     _check_same_shape(params, grads)
-    t = state.t + 1
-    m = params_map(lambda ms, g: state.rho1 * ms + (1.0 - state.rho1) * g, state.m, grads)
-    v = params_map(lambda vs, g: state.rho2 * vs + (1.0 - state.rho2) * g * g, state.v, grads)
-    bc1 = 1.0 - state.rho1 ** t
-    bc2 = 1.0 - state.rho2 ** t
-    new_params = params_map(
-        lambda p, ms, vs: p - gamma * (ms / bc1) / (np.sqrt(vs / bc2) + state.eps),
-        params, m, v)
-    return new_params, AdamState(m=m, v=v, t=t, rho1=state.rho1, rho2=state.rho2,
-                                 eps=state.eps)
+    _check_same_shape(params, state.m)
+    m, v, g = state.m.flat, state.v.flat, grads.flat
+    out = np.empty_like(m)
+    state.t += 1
+    m *= state.rho1
+    np.multiply(1.0 - state.rho1, g, out=out)
+    m += out
+    v *= state.rho2
+    np.multiply(1.0 - state.rho2, g, out=out)
+    out *= g
+    v += out
+    bc1 = 1.0 - state.rho1 ** state.t
+    bc2 = 1.0 - state.rho2 ** state.t
+    # out holds the denominator, then each chunk's update and result.
+    np.divide(v, bc2, out=out)
+    np.sqrt(out, out=out)
+    out += state.eps
+    num = np.empty(min(_CHUNK, out.size))
+    for start in range(0, out.size, _CHUNK):
+        chunk = slice(start, start + _CHUNK)
+        den = out[chunk]
+        part = num[:den.size]
+        np.divide(m[chunk], bc1, out=part)
+        part *= gamma
+        np.divide(part, den, out=den)
+        np.subtract(params.flat[chunk], den, out=den)
+    return params.like(out), state

@@ -235,7 +235,8 @@ def train_no_transfer(sources: Sequence[TaskDataset], cfg: TrainConfig,
 
     Initialization comes from the config's network-init substream; the
     passed generator drives batch selection only. A non-finite loss raises
-    :class:`NonFiniteLoss` at the step where it occurs.
+    :class:`NonFiniteLoss` at the step where it occurs; numpy's overflow
+    warnings on the way there are silenced.
     """
     xs = np.concatenate([d.xs() for d in sources]) if sources else np.empty((0, 0))
     ys = np.concatenate([d.ys() for d in sources]) if sources else np.empty((0, 0))
@@ -247,16 +248,17 @@ def train_no_transfer(sources: Sequence[TaskDataset], cfg: TrainConfig,
             f"pool of {n_pool} pairs cannot fill batches of {cfg.v} without replacement")
 
     params = init_network(cfg)
-    history = [_check_finite("training", 0, net.mse_loss(params, Batch(xs, ys)))]
     state = AdamState.init(params)
-    for step in range(cfg.max_steps):
-        idx = rng.choice(n_pool, size=cfg.v, replace=cfg.sample_with_replacement)
-        loss, grads = net.loss_and_grad(params, Batch(xs[idx], ys[idx]))
-        _check_finite("training", step, loss)
-        params, state = adam_step(state, params, grads, cfg.gamma)
-        history.append(loss)
-        if _converged(history[1:], cfg.convergence_window, cfg.convergence_tol):
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        history = [_check_finite("training", 0, net.mse_loss(params, Batch(xs, ys)))]
+        for step in range(cfg.max_steps):
+            idx = rng.choice(n_pool, size=cfg.v, replace=cfg.sample_with_replacement)
+            loss, grads = net.loss_and_grad(params, Batch(xs[idx], ys[idx]))
+            _check_finite("training", step, loss)
+            params, state = adam_step(state, params, grads, cfg.gamma)
+            history.append(loss)
+            if _converged(history[1:], cfg.convergence_window, cfg.convergence_tol):
+                break
     return TrainedModel(params=params, provenance=PROVENANCE_NO_TRANSFER,
                         config=cfg.snapshot(), loss_history=history,
                         derivative_order=gradient_order("training", cfg))
@@ -269,7 +271,8 @@ def adapt_snapshots(base: TrainedModel, d_ad, cfg: TrainConfig, rule: str,
     The trajectory of a shorter adaption run is exactly the prefix of a
     longer one (both rules are deterministic), so one pass serves a whole
     grid of gradient-step budgets. A non-finite loss raises
-    :class:`NonFiniteLoss` at the first step where it occurs.
+    :class:`NonFiniteLoss` at the first step where it occurs; numpy's
+    overflow warnings on the way there are silenced.
     """
     marks = sorted(set(int(g) for g in step_marks))
     if not marks or marks[0] < 0:
@@ -292,17 +295,18 @@ def adapt_snapshots(base: TrainedModel, d_ad, cfg: TrainConfig, rule: str,
             loss_history=history[:step] + [loss],
             derivative_order=gradient_order("adaption", cfg))
 
-    if 0 in mark_set:
-        snap(0)
-    for step in range(1, marks[-1] + 1):
-        loss, grads = net.loss_and_grad(params, batch)
-        history.append(_check_finite(stage, step - 1, loss))
-        if rule == RULE_ADAM:
-            params, state = adam_step(state, params, grads, cfg.beta)
-        else:
-            params = gd_step(params, grads, cfg.beta)
-        if step in mark_set:
-            snap(step)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if 0 in mark_set:
+            snap(0)
+        for step in range(1, marks[-1] + 1):
+            loss, grads = net.loss_and_grad(params, batch)
+            history.append(_check_finite(stage, step - 1, loss))
+            if rule == RULE_ADAM:
+                params, state = adam_step(state, params, grads, cfg.beta)
+            else:
+                params = gd_step(params, grads, cfg.beta)
+            if step in mark_set:
+                snap(step)
     return out
 
 
@@ -395,7 +399,7 @@ def _meta_batch_eval(omega: NetParams, batch_tasks, g_tr: int, beta: float,
     for block in _task_blocks(batch_tasks):
         losses, grad = _meta_block(omega, block, g_tr, beta, mode == META_EXACT)
         total_loss += float(np.sum(losses))
-        total_grad = params_axpy(1.0, grad, total_grad)
+        params_axpy(1.0, grad, total_grad, out=total_grad)
     return total_loss, total_grad
 
 
@@ -419,7 +423,7 @@ def _meta_block(omega: NetParams, block, g_tr: int, beta: float,
         for j in reversed(range(g_tr)):
             acts, deltas = inner.tape(j * n_sup, (j + 1) * n_sup)
             net.block_hvp_axpy(-beta, omega, inner.head(j * n_sup), acts, deltas, v)
-    return losses, net.block_sum(v)
+    return losses, net.block_sum(omega, v)
 
 
 def meta_gradient(omega: NetParams, batch_tasks, g_tr: int, beta: float,
@@ -440,50 +444,66 @@ def _support_query(env: Environment, cfg: TrainConfig, visit: int) -> tuple[Task
 
 
 def meta_train(source_envs: Sequence[Environment], cfg: TrainConfig,
-               rng: np.random.Generator) -> TrainedModel:
+               rng: np.random.Generator,
+               first_visit: Sequence[tuple[TaskDataset, TaskDataset]] | None = None
+               ) -> TrainedModel:
     """Alternating inner-task and across-task updates until convergence.
 
     Each time step draws ``k_b`` tasks, regenerates their support/query
     sets (cached instead when ``fixed_task_data``), computes the meta
     gradient and applies one Adam step at rate ``gamma``. Initialization
     comes from the config's network-init substream; the passed generator
-    drives task selection only. A non-finite meta loss raises
-    :class:`NonFiniteLoss` at the step where it occurs.
+    drives task selection only. ``first_visit[i]``, when given, must be
+    ``_support_query(source_envs[i], cfg, 0)``: the sets of an
+    environment's first visit, which are then taken from it instead of
+    being generated again. A non-finite meta loss raises
+    :class:`NonFiniteLoss` at the step where it occurs; numpy's overflow
+    warnings on the way there are silenced.
     """
     if len(source_envs) < cfg.k_b:
         raise ValueError(f"need at least k_b={cfg.k_b} source environments, "
                          f"got {len(source_envs)}")
+    if first_visit is not None and len(first_visit) != len(source_envs):
+        raise ValueError(f"{len(first_visit)} first-visit task pairs for "
+                         f"{len(source_envs)} source environments")
     params = init_network(cfg)
     state = AdamState.init(params)
     visits: dict[int, int] = {}
     cache: dict[int, tuple[TaskDataset, TaskDataset]] = {}
     history: list[float] = []
     similarity: list[float] = []
-    for step in range(cfg.max_steps):
-        chosen = rng.choice(len(source_envs), size=cfg.k_b, replace=False)
-        tasks = []
-        for i in sorted(int(j) for j in chosen):
-            env = source_envs[i]
-            if cfg.fixed_task_data:
-                if env.id not in cache:
-                    cache[env.id] = _support_query(env, cfg, 0)
-                sup, que = cache[env.id]
-            else:
-                visit = visits.get(env.id, 0)
-                visits[env.id] = visit + 1
-                sup, que = _support_query(env, cfg, visit)
-            if sup.keys() & que.keys():
-                raise AssertionError(
-                    f"support/query overlap in environment {env.id}")
-            tasks.append((sup, que))
-        loss, grad = _meta_batch_eval(params, tasks, cfg.g_tr, cfg.beta, cfg.meta_mode)
-        _check_finite("meta-training", step, loss)
-        if cfg.track_grad_similarity:
-            similarity.append(_batch_grad_cosine(params, tasks))
-        params, state = adam_step(state, params, grad, cfg.gamma)
-        history.append(loss)
-        if _converged(history, cfg.convergence_window, cfg.convergence_tol):
-            break
+
+    def task(i: int, visit: int) -> tuple[TaskDataset, TaskDataset]:
+        if visit == 0 and first_visit is not None:
+            return first_visit[i]
+        return _support_query(source_envs[i], cfg, visit)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(cfg.max_steps):
+            chosen = rng.choice(len(source_envs), size=cfg.k_b, replace=False)
+            tasks = []
+            for i in sorted(int(j) for j in chosen):
+                env = source_envs[i]
+                if cfg.fixed_task_data:
+                    if env.id not in cache:
+                        cache[env.id] = task(i, 0)
+                    sup, que = cache[env.id]
+                else:
+                    visit = visits.get(env.id, 0)
+                    visits[env.id] = visit + 1
+                    sup, que = task(i, visit)
+                if sup.keys() & que.keys():
+                    raise AssertionError(
+                        f"support/query overlap in environment {env.id}")
+                tasks.append((sup, que))
+            loss, grad = _meta_batch_eval(params, tasks, cfg.g_tr, cfg.beta, cfg.meta_mode)
+            _check_finite("meta-training", step, loss)
+            if cfg.track_grad_similarity:
+                similarity.append(_batch_grad_cosine(params, tasks))
+            params, state = adam_step(state, params, grad, cfg.gamma)
+            history.append(loss)
+            if _converged(history, cfg.convergence_window, cfg.convergence_tol):
+                break
     return TrainedModel(params=params, provenance=PROVENANCE_META,
                         config=cfg.snapshot(), loss_history=history if history else [0.0],
                         derivative_order=gradient_order("meta-training", cfg),

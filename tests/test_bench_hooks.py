@@ -5,18 +5,23 @@ functions by attribute name, and requires by-name import sites (for
 example ``evaluate.collect``) to be the very objects it wraps; the
 benchmark workloads read ``TaskDataset`` and ``SamplePair`` fields. A
 refactor that renames or re-imports one of them fails here rather than in
-the traced benchmark run.
+the traced benchmark run. A quick traced run of each workload checks that
+the harness still completes with every gate passing.
 """
 
 import importlib.util
+import json
 import os
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 
 from csitransfer import channel
 
-SPANS_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                          "bench", "spans.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SPANS_PATH = os.path.join(ROOT, "bench", "spans.py")
 
 
 def load_spans():
@@ -58,3 +63,17 @@ def test_tracer_wraps_and_restores_every_hook():
             assert p.x.shape == p.y.shape == p.y_clean.shape == (2 * gen.array.m,)
             assert gen.f_min <= p.f_up <= gen.f_max
             assert 0 <= p.user_index < gen.users
+
+
+@pytest.mark.parametrize("workload", ["meta_m64", "three_way_m16", "collect_lmmse_m64"])
+def test_quick_traced_benchmark_run_completes(workload):
+    """The harness runs each workload end to end at tiny sizes, traced, with
+    every correctness gate passing. Only completion is checked here; the
+    harness's own tests (``python3 -m pytest bench``) check its metrics."""
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "bench", "run.py"), "--workload", workload,
+         "--quick", "--seconds", "0.2", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=170)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, proc.stdout

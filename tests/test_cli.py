@@ -13,6 +13,7 @@ from csitransfer import net, store, transfer
 from csitransfer.cli import cli
 
 RUNNER = CliRunner()
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(*args):
@@ -211,17 +212,33 @@ def test_rerun_incomplete_manifest_one_line_error(tmp_path):
     assert_one_line_error(run_cli("rerun", path), "config")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to inf
 def test_adapt_divergence_one_line_error(tmp_path):
     ck = str(tmp_path / "base.ck")
     assert run_cli("train", *TINY_GEN, *TINY_TRAIN, "--out", ck).exit_code == 0
     ad = str(tmp_path / "ad.bin")
     assert run_cli("gen", "--envs", 1, "--first-env-id", 100, "--role", "adaption",
                    "--pairs", 6, *TINY_GEN, "--out", ad).exit_code == 0
-    res = run_cli("adapt", "--checkpoint", ck, "--data", ad, "--rule", "gd",
-                  "--beta", 1.0, "--g-ad", 2000, "--out", tmp_path / "x.ck")
+    args = ["adapt", "--checkpoint", ck, "--data", ad, "--rule", "gd",
+            "--beta", "1.0", "--g-ad", "2000", "--out", str(tmp_path / "x.ck")]
+    res = run_cli(*args)
     assert_one_line_error(res, "adaption (gd) diverged at step")
     assert not os.path.exists(tmp_path / "x.ck")
+    # The real stderr of the command: numpy's overflow warnings stay silent.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "csitransfer.cli", *args],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "RuntimeWarning" not in proc.stderr
+    assert proc.stderr.strip().splitlines() == [
+        line for line in res.output.strip().splitlines()]
+
+
+def test_bad_option_value_one_line_error(tmp_path):
+    res = run_cli("meta-train", *TINY_GEN, "--k-s", 10, "--k-b", 20,
+                  "--out", tmp_path / "m.ck")
+    assert_one_line_error(res, "k_b=20 cannot exceed k_s=10")
+    assert not os.path.exists(tmp_path / "m.ck")
 
 
 def test_sweep_g_ad_emits_three_rows_per_point(tmp_path):

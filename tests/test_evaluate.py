@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from csitransfer import channel as ch
 from csitransfer import evaluate, net, transfer
+from csitransfer.seeding import STREAM_BATCH, stream
 from csitransfer.transfer import TrainConfig
 
 RNG = np.random.default_rng
@@ -199,6 +200,31 @@ def test_lmmse_sweep_builds_each_target_covariance_once(monkeypatch):
     for point, ref in zip(report.points, reference.points):
         for algo in evaluate.ALGORITHMS:
             assert point.results[algo].per_target == ref.results[algo].per_target
+
+
+@pytest.mark.parametrize("max_steps, fixed", [(1, False), (4, False), (4, True)])
+def test_train_pair_builds_each_first_visit_task_once(monkeypatch, max_steps, fixed):
+    cfg = tiny_cfg(k_s=6, k_b=4, max_steps=max_steps, fixed_task_data=fixed)
+    envs = evaluate.source_environments(cfg)
+    reference = transfer.meta_train(envs, cfg, stream(cfg.seed, STREAM_BATCH, 1))
+
+    builds = collections.Counter()
+    support_query = transfer._support_query
+
+    def counting(env, cfg, visit):
+        builds[env.id, visit] += 1
+        return support_query(env, cfg, visit)
+
+    monkeypatch.setattr(transfer, "_support_query", counting)
+    _, mt = evaluate.train_pair(cfg)
+    assert max(builds.values()) == 1
+    assert sorted(env for env, visit in builds if visit == 0) == list(range(cfg.k_s))
+    if max_steps == 1 or fixed:
+        assert sum(builds.values()) == cfg.k_s
+    else:
+        assert sum(builds.values()) > cfg.k_s  # later visits are still generated
+    assert np.array_equal(mt.params.flat, reference.params.flat)
+    assert mt.loss_history == reference.loss_history
 
 
 def test_training_side_sweep_retrains():

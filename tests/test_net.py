@@ -308,3 +308,119 @@ def test_hvp_symmetry(seed):
     s1 = net.params_dot(d2, net.forward_param_jvp(params, d1, batch))
     s2 = net.params_dot(d1, net.forward_param_jvp(params, d2, batch))
     assert abs(s1 - s2) / max(abs(s1), abs(s2)) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# Flat parameter buffer
+
+
+def per_layer_loss_and_grad(weights, biases, xs, ys):
+    """The reverse sweep with one fresh array per layer gradient."""
+    n_layers = len(weights)
+    acts, pres, a = [xs], [], xs
+    for l, (w, b) in enumerate(zip(weights, biases)):
+        z = a @ w.T + b
+        pres.append(z)
+        a = np.maximum(z, 0.0) if l < n_layers - 1 else z
+        acts.append(a)
+    diff = a - ys
+    loss = float(np.sum(diff * diff) / len(xs))
+    g_weights, g_biases = [None] * n_layers, [None] * n_layers
+    delta = 2.0 / len(xs) * diff
+    for l in range(n_layers - 1, -1, -1):
+        g_weights[l] = delta.T @ acts[l]
+        g_biases[l] = delta.sum(axis=0)
+        if l > 0:
+            delta = (delta @ weights[l]) * (pres[l - 1] > 0)
+    return loss, g_weights, g_biases
+
+
+def test_params_views_alias_one_flat_buffer():
+    spec = net.LayerSpec.fnn(3, (5, 4))
+    params = random_params(spec, seed=60)
+    assert params.flat.dtype == np.float64 and params.flat.flags.c_contiguous
+    assert params.flat.size == sum(w.size + b.size
+                                   for w, b in zip(params.weights, params.biases))
+    for a in params.weights + params.biases:
+        assert np.shares_memory(a, params.flat)
+    params.weights[1][2, 3] = 7.5
+    params.biases[2][0] = -1.25
+    assert 7.5 in params.flat and -1.25 in params.flat
+    assert np.array_equal(params.ravel(), params.flat)
+
+
+def test_params_constructor_copies_its_inputs():
+    rng = RNG(61)
+    ws, bs = [rng.normal(size=(4, 3)), rng.normal(size=(3, 4))], [np.zeros(4), np.ones(3)]
+    params = net.NetParams(ws, bs)
+    ws[0][0, 0] += 1.0
+    bs[1][:] = 5.0
+    assert params.weights[0][0, 0] == ws[0][0, 0] - 1.0
+    assert np.all(params.biases[1] == 1.0)
+    assert not any(np.shares_memory(a, b) for a in ws + bs
+                   for b in params.weights + params.biases)
+
+
+def test_params_views_cannot_be_replaced():
+    spec = net.LayerSpec.fnn(2, (6,))
+    params = random_params(spec, seed=62)
+    with pytest.raises(AttributeError):
+        params.biases = [np.zeros_like(b) for b in params.biases]
+    with pytest.raises(TypeError):
+        params.weights[0] = np.zeros_like(params.weights[0])
+    assert all(np.shares_memory(a, params.flat) for a in params.weights + params.biases)
+
+
+def test_params_copy_is_independent():
+    spec = net.LayerSpec.fnn(2, (6, 5))
+    params = random_params(spec, seed=63)
+    before = params.ravel()
+    dup = params.copy()
+    assert not np.shares_memory(dup.flat, params.flat)
+    dup.weights[0][:] = 0.0
+    dup.biases[-1][:] = 3.0
+    assert np.array_equal(params.ravel(), before)
+    params.flat[:] = 1.0
+    assert np.all(dup.weights[0] == 0.0)
+
+
+def test_ravel_order_is_weights_then_biases():
+    spec = net.LayerSpec.fnn(2, (6, 5))
+    params = random_params(spec, seed=64)
+    want = np.concatenate([a.ravel() for a in list(params.weights) + list(params.biases)])
+    got = params.ravel()
+    assert np.array_equal(got, want)
+    got[0] += 1.0  # a copy, not the buffer
+    assert params.flat[0] == want[0]
+
+
+def test_vector_ops_bit_equal_to_per_array_formulas():
+    spec = net.LayerSpec.fnn(3, (7, 5))
+    a, b = random_params(spec, seed=65), random_params(spec, seed=66)
+    pairs = list(zip(a.weights + a.biases, b.weights + b.biases))
+    axpy = net.params_axpy(-0.3, a, b)
+    assert all(np.array_equal(got, y + -0.3 * x)
+               for got, (x, y) in zip(axpy.weights + axpy.biases, pairs))
+    into = b.copy()
+    assert net.params_axpy(-0.3, a, into, out=into) is into
+    assert np.array_equal(into.flat, axpy.flat)
+    dot = 0.0
+    for x, y in pairs:
+        dot += float(np.sum(x * y))
+    assert net.params_dot(a, b) == dot
+    zeros = net.zeros_like_params(a)
+    assert not np.shares_memory(zeros.flat, a.flat) and not np.any(zeros.flat)
+
+
+@pytest.mark.parametrize("hidden", [(6,), (8, 5), (7, 9, 4)])
+def test_loss_and_grad_bit_equal_to_per_layer_formulas(hidden):
+    spec = net.LayerSpec.fnn(3, hidden)
+    params = random_params(spec, seed=67)
+    batch = random_batch(spec, 11, seed=68)
+    loss, grads = net.loss_and_grad(params, batch)
+    want_loss, want_w, want_b = per_layer_loss_and_grad(
+        params.weights, params.biases, batch.xs, batch.ys)
+    assert loss == want_loss
+    assert all(np.array_equal(g, w) for g, w in zip(grads.weights, want_w))
+    assert all(np.array_equal(g, w) for g, w in zip(grads.biases, want_b))
+    assert all(np.shares_memory(g, grads.flat) for g in grads.weights + grads.biases)

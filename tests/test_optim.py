@@ -157,3 +157,75 @@ def test_adam_state_moments_nonnegative_v():
         p, state = optim.adam_step(state, p, g, 1e-3)
         assert np.all(state.v.weights[0] >= 0)
     assert state.t == 50
+
+
+# ---------------------------------------------------------------------------
+# Flat-buffer updates against the per-array formulas
+
+
+def per_array_adam(m, v, t, params, grads, gamma, rho1=0.9, rho2=0.999, eps=1e-8):
+    """One Adam step over lists of arrays, one fresh array per expression."""
+    m = [rho1 * ms + (1.0 - rho1) * g for ms, g in zip(m, grads)]
+    v = [rho2 * vs + (1.0 - rho2) * g * g for vs, g in zip(v, grads)]
+    bc1, bc2 = 1.0 - rho1 ** t, 1.0 - rho2 ** t
+    params = [p - gamma * (ms / bc1) / (np.sqrt(vs / bc2) + eps)
+              for p, ms, vs in zip(params, m, v)]
+    return params, m, v
+
+
+def two_layer(rng, n_in=4, n_hidden=5):
+    return net.NetParams(
+        [rng.normal(size=(n_hidden, n_in)), rng.normal(size=(n_in, n_hidden))],
+        [rng.normal(size=n_hidden), rng.normal(size=n_in)])
+
+
+def arrays(p):
+    return list(p.weights + p.biases)
+
+
+@pytest.mark.parametrize("n_in, n_hidden", [(4, 5), (120, 150)])
+def test_adam_bit_equal_to_per_array_formulas(n_in, n_hidden):
+    rng = np.random.default_rng(5)
+    p = two_layer(rng, n_in, n_hidden)
+    # one partial chunk of the update, or two full chunks and a partial one
+    assert p.flat.size < optim._CHUNK or p.flat.size > 2 * optim._CHUNK
+    state = optim.AdamState.init(p)
+    want = arrays(p)
+    m = [np.zeros_like(a) for a in want]
+    v = [np.zeros_like(a) for a in want]
+    for t in range(1, 31):
+        g = two_layer(rng, n_in, n_hidden)
+        g.flat[:] *= 10.0 ** float(rng.integers(-4, 3))
+        p, state = optim.adam_step(state, p, g, 3e-2)
+        want, m, v = per_array_adam(m, v, t, want, arrays(g), 3e-2)
+        assert all(np.array_equal(a, b) for a, b in zip(arrays(p), want))
+        assert all(np.array_equal(a, b) for a, b in zip(arrays(state.m), m))
+        assert all(np.array_equal(a, b) for a, b in zip(arrays(state.v), v))
+
+
+def test_adam_advances_its_state_in_place():
+    rng = np.random.default_rng(6)
+    p, g = two_layer(rng), two_layer(rng)
+    p_before, g_before = p.ravel(), g.ravel()
+    state = optim.AdamState.init(p)
+    m_buf, v_buf = state.m.flat, state.v.flat
+    new_p, returned = optim.adam_step(state, p, g, 1e-3)
+    assert returned is state and state.t == 1
+    assert state.m.flat is m_buf and state.v.flat is v_buf
+    assert np.array_equal(m_buf, (1.0 - 0.9) * g.flat) and np.any(v_buf)
+    # pure in the parameters: inputs untouched, result a fresh buffer
+    assert np.array_equal(p.ravel(), p_before) and np.array_equal(g.ravel(), g_before)
+    assert not np.shares_memory(new_p.flat, p.flat)
+    _, again = optim.adam_step(state, new_p, g, 1e-3)
+    assert again is state and state.t == 2
+
+
+def test_gd_leaves_its_inputs_untouched():
+    rng = np.random.default_rng(7)
+    p, g = two_layer(rng), two_layer(rng)
+    p_before, g_before = p.ravel(), g.ravel()
+    out = optim.gd_step(p, g, 0.25)
+    assert np.array_equal(p.ravel(), p_before) and np.array_equal(g.ravel(), g_before)
+    assert not np.shares_memory(out.flat, p.flat) and not np.shares_memory(out.flat, g.flat)
+    assert all(np.array_equal(a, b - 0.25 * c)
+               for a, b, c in zip(arrays(out), arrays(p), arrays(g)))

@@ -197,6 +197,64 @@ def test_meta_adapt_equals_manual_gd_steps():
         assert np.array_equal(a, b)
 
 
+def per_layer_adaption(params, batch, rule, beta, steps):
+    """Full-batch adaption as a loop over lists of per-layer arrays, one
+    fresh array per expression: the parameter iterates and step losses."""
+    ws, bs = [w.copy() for w in params.weights], [b.copy() for b in params.biases]
+    m = [np.zeros_like(a) for a in ws + bs]
+    v = [np.zeros_like(a) for a in ws + bs]
+    iterates, losses = [ws + bs], []
+    for t in range(1, steps + 1):
+        acts, pres, a = [batch.xs], [], batch.xs
+        for l, (w, b) in enumerate(zip(ws, bs)):
+            z = a @ w.T + b
+            pres.append(z)
+            a = np.maximum(z, 0.0) if l < len(ws) - 1 else z
+            acts.append(a)
+        diff = a - batch.ys
+        losses.append(float(np.sum(diff * diff) / len(batch)))
+        gw, gb = [None] * len(ws), [None] * len(ws)
+        delta = 2.0 / len(batch) * diff
+        for l in range(len(ws) - 1, -1, -1):
+            gw[l], gb[l] = delta.T @ acts[l], delta.sum(axis=0)
+            if l > 0:
+                delta = (delta @ ws[l]) * (pres[l - 1] > 0)
+        ps, gs = ws + bs, gw + gb
+        if rule == "gd":
+            ps = [p - beta * g for p, g in zip(ps, gs)]
+        else:
+            m = [0.9 * ms + (1.0 - 0.9) * g for ms, g in zip(m, gs)]
+            v = [0.999 * vs + (1.0 - 0.999) * g * g for vs, g in zip(v, gs)]
+            bc1, bc2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+            ps = [p - beta * (ms / bc1) / (np.sqrt(vs / bc2) + 1e-8)
+                  for p, ms, vs in zip(ps, m, v)]
+        ws, bs = ps[:len(ws)], ps[len(ws):]
+        iterates.append(ps)
+    return iterates, losses
+
+
+@pytest.mark.parametrize("rule", ["adam", "gd"])
+def test_adapt_snapshots_bit_equal_to_per_layer_loop(rule):
+    cfg = tiny_cfg(beta=3e-3)
+    rng = RNG(12)
+    spec = net.LayerSpec.fnn(3, (9, 7))
+    params = net.init_params(spec, rng)
+    for b in params.biases:
+        b[...] = 0.1 * rng.normal(size=b.shape)
+    base = transfer.TrainedModel(params=params, provenance="meta", config=None,
+                                 loss_history=[0.0])
+    batch = Batch(rng.normal(size=(10, 6)), rng.normal(size=(10, 6)))
+    marks = [0, 1, 17, 50]
+    snaps = transfer.adapt_snapshots(base, batch, cfg, rule, marks)
+    iterates, losses = per_layer_adaption(params, batch, rule, cfg.beta, 50)
+    assert losses[-1] < losses[0]
+    for g in marks:
+        got = snaps[g].params
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(got.weights + got.biases, iterates[g]))
+        assert snaps[g].loss_history[:g] == losses[:g]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to inf
 def test_diverging_gd_adaption_stops_at_first_non_finite_loss():
     cfg = tiny_cfg(beta=1.0, g_ad=2000)
@@ -385,7 +443,8 @@ def random_meta_problem(m, hidden, sizes, seed):
     """Network with nonzero biases and one (support, query) task per size pair."""
     rng = RNG(seed)
     omega = net.init_params(net.LayerSpec.fnn(m, hidden), rng)
-    omega.biases = [0.1 * rng.normal(size=b.shape) for b in omega.biases]
+    for b in omega.biases:
+        b[...] = 0.1 * rng.normal(size=b.shape)
     tasks = [(Batch(rng.normal(size=(n_s, 2 * m)), rng.normal(size=(n_s, 2 * m))),
               Batch(rng.normal(size=(n_q, 2 * m)), rng.normal(size=(n_q, 2 * m))))
              for n_s, n_q in sizes]
