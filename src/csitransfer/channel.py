@@ -19,6 +19,13 @@ LMMSE prior keeps its user pool as stacked ray arrays, so each covariance
 takes a few batched ray sums over blocks of the pool and their Hermitian
 products.
 
+Users are drawn the same way, stacked: :func:`_draw_users` fills one
+``(users, P)`` set of ray arrays with a few generator calls per user, in
+the order that drawing the users one by one would take, and a role's links
+gather their rays from it by index. A :class:`TaskDataset` is a struct of
+arrays, one row per sample pair, so the training code reads its inputs and
+labels without copying; :class:`SamplePair` survives as a row view.
+
 Noisy data collection is modelled as an additive complex Gaussian
 observation (pilot processing gain folded into the noise variance) followed
 by an optional LMMSE estimate against the environment's channel covariance.
@@ -107,7 +114,8 @@ class Environment:
 
 @dataclass(frozen=True)
 class UserRays:
-    """Discretized propagation state of one user: equal-length ray arrays."""
+    """Discretized propagation state of one user (``(P,)`` ray arrays) or of
+    several users of one environment (``(users, P)`` arrays, one row each)."""
 
     env_id: int
     doas: np.ndarray
@@ -160,32 +168,63 @@ class SamplePair:
         return (self.user_index, self.f_up)
 
 
-@dataclass
 class TaskDataset:
-    """Sample pairs of one environment under one role tag."""
+    """Sample pairs of one environment under one role tag, as arrays.
 
-    env_id: int
-    role: str
-    pairs: list[SamplePair]
+    Row i of ``xs``, ``ys`` and ``y_clean`` (each ``(N, 2M)`` real-stacked)
+    and entry i of ``f_up``, ``f_down`` and ``user_index`` (each ``(N,)``)
+    describe pair i. :meth:`xs` and :meth:`ys` return the stored arrays
+    without copying; :attr:`pairs` views the rows as :class:`SamplePair`.
+    """
 
-    def __post_init__(self):
-        if self.role not in ROLES:
-            raise ValueError(f"unknown role {self.role!r}, expected one of {ROLES}")
+    def __init__(self, env_id: int, role: str, xs: np.ndarray, ys: np.ndarray,
+                 y_clean: np.ndarray, f_up: np.ndarray, f_down: np.ndarray,
+                 user_index: np.ndarray):
+        if role not in ROLES:
+            raise ValueError(f"unknown role {role!r}, expected one of {ROLES}")
+        self.env_id = env_id
+        self.role = role
+        self._xs, self._ys, self.y_clean, self.f_up, self.f_down = (
+            np.asarray(a, dtype=np.float64) for a in (xs, ys, y_clean, f_up, f_down))
+        self.user_index = np.asarray(user_index, dtype=np.int64)
+        if self._xs.ndim != 2:
+            raise ValueError(f"xs must be an (N, 2M) array, got shape {self._xs.shape}")
+        n, width = self._xs.shape
+        if width == 0 or width % 2:
+            raise ValueError(f"real-stacked rows must have a positive even width, "
+                             f"got {width}")
+        for name, a, shape in (("ys", self._ys, (n, width)),
+                               ("y_clean", self.y_clean, (n, width)),
+                               ("f_up", self.f_up, (n,)), ("f_down", self.f_down, (n,)),
+                               ("user_index", self.user_index, (n,))):
+            if a.shape != shape:
+                raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.f_up)
 
     def xs(self) -> np.ndarray:
-        return np.array([p.x for p in self.pairs])
+        return self._xs
 
     def ys(self) -> np.ndarray:
-        return np.array([p.y for p in self.pairs])
+        return self._ys
 
-    def clean_downlinks(self) -> list[np.ndarray]:
-        return [real_to_complex(p.y_clean) for p in self.pairs]
+    @property
+    def pairs(self) -> tuple[SamplePair, ...]:
+        """The pairs as :class:`SamplePair` objects whose arrays are views of
+        this dataset's rows."""
+        return tuple(SamplePair(x=x, y=y, f_up=f_up, f_down=f_down, y_clean=yc,
+                                user_index=uid)
+                     for x, y, yc, f_up, f_down, uid in zip(
+                         self._xs, self._ys, self.y_clean, self.f_up.tolist(),
+                         self.f_down.tolist(), self.user_index.tolist()))
+
+    def clean_downlinks(self) -> np.ndarray:
+        """Complex clean downlinks, one row per pair."""
+        return real_to_complex(self.y_clean)
 
     def keys(self) -> set[tuple[int, float]]:
-        return {p.key() for p in self.pairs}
+        return set(zip(self.user_index.tolist(), self.f_up.tolist()))
 
 
 @dataclass(frozen=True)
@@ -272,31 +311,41 @@ def sample_environment(env_id: int, gcfg: GeneratorConfig, master_seed: int) -> 
     )
 
 
-def sample_user(env: Environment, rng: np.random.Generator,
+def _draw_users(env: Environment, rng: np.random.Generator, u: int,
                 delay_max: float = DEFAULT_DELAY_MAX) -> UserRays:
-    """Draw one user's rays inside the environment's angle spread.
+    """Draw ``u`` users' rays inside the environment's angle spread, stacked
+    as ``(u, P)`` arrays.
 
     Directions are uniform over the spread, amplitudes Rayleigh with the
     environment's scale, phases uniform on [0, 2 pi), delays uniform on
-    [0, delay_max].
+    [0, delay_max]. The generator is consumed user by user exactly as by
+    ``rng.uniform``, ``rng.rayleigh``, ``rng.uniform``, ``rng.uniform``
+    (P draws each) per user, in three calls: P doubles for the directions,
+    P standard exponentials, and 2P doubles for the phases and delays. numpy
+    draws a uniform on [lo, hi) as lo + (hi - lo) * U and a Rayleigh(1)
+    variate as sqrt(2 E), and the same operations on the stacked draws give
+    the same bits.
     """
     p = env.ray_count
-    return UserRays(
-        env_id=env.id,
-        doas=rng.uniform(env.as_lower, env.as_upper, size=p),
-        amplitudes=env.amplitude_scale * rng.rayleigh(1.0, size=p),
-        phases=rng.uniform(0.0, 2.0 * math.pi, size=p),
-        delays=rng.uniform(0.0, delay_max, size=p),
-    )
+    doas, expo, phase_delay = np.empty((u, p)), np.empty((u, p)), np.empty((u, 2 * p))
+    for i in range(u):
+        rng.random(out=doas[i])
+        rng.standard_exponential(out=expo[i])
+        rng.random(out=phase_delay[i])
+    doas *= env.as_upper - env.as_lower
+    doas += env.as_lower
+    return UserRays(env_id=env.id, doas=doas,
+                    amplitudes=env.amplitude_scale * np.sqrt(2.0 * expo),
+                    phases=(2.0 * math.pi) * phase_delay[:, :p],
+                    delays=delay_max * phase_delay[:, p:])
 
 
-def _stack_rays(users: Sequence[UserRays]) -> UserRays:
-    """Rays of several users of one environment as ``(len(users), P)`` arrays."""
-    return UserRays(env_id=users[0].env_id,
-                    doas=np.stack([u.doas for u in users]),
-                    amplitudes=np.stack([u.amplitudes for u in users]),
-                    phases=np.stack([u.phases for u in users]),
-                    delays=np.stack([u.delays for u in users]))
+def sample_user(env: Environment, rng: np.random.Generator,
+                delay_max: float = DEFAULT_DELAY_MAX) -> UserRays:
+    """Draw one user's rays: the one-user case of :func:`_draw_users`."""
+    rays = _draw_users(env, rng, 1, delay_max)
+    return UserRays(env_id=env.id, doas=rays.doas[0], amplitudes=rays.amplitudes[0],
+                    phases=rays.phases[0], delays=rays.delays[0])
 
 
 def _ray_gains(rays: UserRays, f) -> np.ndarray:
@@ -330,7 +379,9 @@ def _ray_sum(sin_doas: np.ndarray, gains: np.ndarray, f, cfg: ArrayConfig) -> np
     high[0] = gains
     for a in range(1, q):
         np.multiply(high[a - 1], w, out=high[a])
-    grid = np.moveaxis(high, 0, -2) @ np.moveaxis(low, 0, -1)  # [..., a, b]
+    last = low.ndim - 1
+    lead = tuple(range(1, last))  # the batch axes
+    grid = high.transpose(lead + (0, last)) @ low.transpose(lead + (last, 0))  # [..., a, b]
     return np.ascontiguousarray(grid.reshape(grid.shape[:-2] + (q * q,))[..., :cfg.m])
 
 
@@ -346,7 +397,7 @@ def channel_response(user: UserRays, f: float, cfg: ArrayConfig) -> np.ndarray:
 def complex_to_real(z: np.ndarray) -> np.ndarray:
     """Real-stacked image of a complex vector, row-wise: [Re(z); Im(z)]."""
     z = np.asarray(z)
-    return np.concatenate([z.real, z.imag], axis=-1).astype(np.float64)
+    return np.concatenate([z.real, z.imag], axis=-1).astype(np.float64, copy=False)
 
 
 def real_to_complex(v: np.ndarray) -> np.ndarray:
@@ -427,8 +478,8 @@ class EnvCovariance:
 
     def __init__(self, env: Environment, cfg: ArrayConfig, n_samples: int = 200,
                  delay_max: float = DEFAULT_DELAY_MAX, ridge: float = 1e-6):
-        rng = stream(env.seed, STREAM_COVARIANCE)
-        self._rays = _stack_rays([sample_user(env, rng, delay_max) for _ in range(n_samples)])
+        self._rays = _draw_users(env, stream(env.seed, STREAM_COVARIANCE), n_samples,
+                                 delay_max)
         self._sin_doas = np.sin(self._rays.doas)
         self._cfg = cfg
         self._ridge = ridge
@@ -446,30 +497,31 @@ class EnvCovariance:
         return r + self._ridge * (np.trace(r).real / m) * np.eye(m)
 
 
-def _collect_pairs(combos: Sequence[tuple[int, float]],
-                   users: Sequence[UserRays] | dict[int, UserRays], delta_f: float,
+def _collect_pairs(rays: UserRays, uids: np.ndarray, f_up: np.ndarray, delta_f: float,
                    cfg: ArrayConfig, noise: NoiseSpec, rng: np.random.Generator,
-                   cov: EnvCovariance | None) -> list[SamplePair]:
-    """Collect one pair per (user index, uplink frequency) combination, at
-    ``f_up`` and ``f_up + delta_f``; ``users[uid]`` holds the user's rays.
+                   cov: EnvCovariance | None) -> tuple[np.ndarray, ...]:
+    """Collect pair i from user ``uids[i]`` (a row of the stacked ``rays``)
+    at ``f_up[i]`` and ``f_up[i] + delta_f``.
 
     All 2N links go through one batched ray sum and one AWGN draw shaped
     (N, 2 links, 2 parts, M), which consumes the generator in pair order,
     uplink before downlink. LMMSE then runs one estimate per link against
-    the environment covariance at that link's carrier.
+    the environment covariance at that link's carrier. Returns the arrays
+    of :class:`TaskDataset` in its constructor order, from ``xs`` on.
     """
-    if not combos:
-        return []
     if noise.mode == NOISE_LMMSE and cov is None:
         raise ValueError("LMMSE noise mode requires an environment covariance model")
-    f = np.array([(f_up, f_up + delta_f) for _, f_up in combos], dtype=float)  # (N, 2 links)
+    f = np.stack([f_up, f_up + delta_f], axis=1)  # (N, 2 links)
     bad = ~((f > 0) & np.isfinite(f)).all(axis=1)
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(f"frequencies must be positive, got f_up={f[i, 0]}, "
                          f"f_down={f[i, 1]}")
     # Row 2i + link holds the rays of pair i's user.
-    links = _stack_rays([users[uid] for uid, _ in combos for _ in range(2)])
+    rows = np.repeat(uids, 2)
+    links = UserRays(env_id=rays.env_id, doas=rays.doas[rows],
+                     amplitudes=rays.amplitudes[rows], phases=rays.phases[rows],
+                     delays=rays.delays[rows])
     f_links = f.reshape(-1, 1)
     h = _ray_sum(np.sin(links.doas), _ray_gains(links, f_links), f_links,
                  cfg).reshape(f.shape + (cfg.m,))
@@ -481,9 +533,7 @@ def _collect_pairs(combos: Sequence[tuple[int, float]],
         for link in np.ndindex(f.shape):
             est[link] = lmmse_estimate(est[link], cov.at(f[link]), sigma2[link])
     x, y, y_clean = (complex_to_real(a) for a in (est[:, 0], est[:, 1], h[:, 1]))
-    return [SamplePair(x=x[i], y=y[i], f_up=f_up, f_down=f_up + delta_f,
-                       y_clean=y_clean[i], user_index=uid)
-            for i, (uid, f_up) in enumerate(combos)]
+    return x, y, y_clean, f[:, 0], f[:, 1], uids
 
 
 def make_sample_pair(user: UserRays, f_up: float, delta_f: float, cfg: ArrayConfig,
@@ -496,8 +546,14 @@ def make_sample_pair(user: UserRays, f_up: float, delta_f: float, cfg: ArrayConf
     noise draws; the clean downlink is kept alongside as the ground-truth
     label.
     """
-    return _collect_pairs([(user_index, f_up)], {user_index: user}, delta_f, cfg, noise,
-                          rng, cov)[0]
+    rays = UserRays(env_id=user.env_id, doas=user.doas[None],
+                    amplitudes=user.amplitudes[None], phases=user.phases[None],
+                    delays=user.delays[None])
+    x, y, y_clean, f_ups, f_downs, _ = _collect_pairs(
+        rays, np.zeros(1, dtype=np.int64), np.array([f_up], dtype=float), delta_f, cfg,
+        noise, rng, cov)
+    return SamplePair(x=x[0], y=y[0], f_up=float(f_ups[0]), f_down=float(f_downs[0]),
+                      y_clean=y_clean[0], user_index=user_index)
 
 
 @dataclass
@@ -511,7 +567,7 @@ class ComboSet:
     """
 
     env: Environment
-    users: list[UserRays]
+    users: UserRays  # (u, P) ray arrays, row ``uid`` for user ``uid``
     by_role: dict[str, list[tuple[int, float]]]
 
 
@@ -537,11 +593,12 @@ def draw_combos(env: Environment, role_counts: Sequence[tuple[str, int]], u: int
         seen_roles.add(role)
         if n < 1:
             raise ValueError(f"pair count for role {role!r} must be >= 1, got {n}")
-    f_lo, f_hi = f_range
+    f_lo, f_hi = float(f_range[0]), float(f_range[1])
     if not (0 < f_lo <= f_hi):
         raise ValueError(f"invalid frequency range [{f_lo}, {f_hi}]")
+    f_span = f_hi - f_lo
 
-    users = [sample_user(env, rng, delay_max) for _ in range(u)]
+    users = _draw_users(env, rng, u, delay_max)
     total = sum(n for _, n in role_counts)
     max_attempts = 1000 * total
     attempts = 0
@@ -557,7 +614,7 @@ def draw_combos(env: Environment, role_counts: Sequence[tuple[str, int]], u: int
                     f"cannot draw {total} combinations across disjoint roles: the "
                     f"environment only yields {len(taken)} distinct (user, frequency) keys")
             uid = int(rng.integers(0, u))
-            f_up = float(rng.uniform(f_lo, f_hi))
+            f_up = f_lo + f_span * rng.random()  # rng.uniform(f_lo, f_hi), drawn faster
             key = (uid, f_up)
             if key in taken:
                 continue
@@ -582,8 +639,10 @@ def collect(combo_set: ComboSet, role: str, delta_f: float, cfg: ArrayConfig,
         combos = combos[:limit]
     if noise.mode == NOISE_LMMSE and cov is None:
         cov = EnvCovariance(combo_set.env, cfg, delay_max=delay_max)
-    pairs = _collect_pairs(combos, combo_set.users, delta_f, cfg, noise, rng, cov)
-    return TaskDataset(env_id=combo_set.env.id, role=role, pairs=pairs)
+    uids = np.array([uid for uid, _ in combos], dtype=np.int64)
+    f_up = np.array([f for _, f in combos], dtype=float)
+    return TaskDataset(combo_set.env.id, role, *_collect_pairs(
+        combo_set.users, uids, f_up, delta_f, cfg, noise, rng, cov))
 
 
 def generate_task_datasets(env: Environment, role_counts: Sequence[tuple[str, int]],

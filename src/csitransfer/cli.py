@@ -5,7 +5,8 @@ and writes a JSON manifest next to its primary output recording the
 subcommand, the resolved config, the master seed, build information,
 timestamps, and the produced files. ``rerun MANIFEST`` re-executes the
 recorded subcommand with the recorded config; all outputs are then
-byte-identical (timestamps live only in the manifest).
+byte-identical (timestamps live only in the manifest), except the stage
+wall-clock times in a sweep's ``.report.json``.
 
 Flags can be overridden through environment variables with the ``CSIT_``
 prefix. Exit codes: 0 success, 1 runtime or verification failure, 2 usage
@@ -269,6 +270,22 @@ def sweep_report_rows(report, seed: int) -> list[list]:
     return rows
 
 
+def sweep_report_record(report) -> dict:
+    """What a sweep measured beyond its CSV rows: the stage wall-clock
+    times in seconds and, per grid point, the pre-adaption NMSE of each
+    transfer algorithm's starting network on every target."""
+    return {
+        "variable": report.variable,
+        "wall_clock": report.wall_clock,
+        "points": [{"value": point.value,
+                    "baselines": {algo: {"per_target": r.per_target,
+                                         "nmse_linear": r.mean_linear,
+                                         "nmse_db": r.mean_db}
+                                  for algo, r in point.baselines.items()}}
+                   for point in report.points],
+    }
+
+
 def _impl_sweep(opts: dict) -> list[str]:
     from .evaluate import run_three_way
 
@@ -281,7 +298,10 @@ def _impl_sweep(opts: dict) -> list[str]:
                ["sweep_value", "algorithm", "nmse_linear", "nmse_db",
                 "k_targets", "seed"],
                sweep_report_rows(report, opts["seed"]))
-    return [opts["out"]]
+    report_path = opts["out"] + ".report.json"
+    with open(report_path, "w") as f:
+        json.dump(sweep_report_record(report), f, indent=2, sort_keys=True)
+    return [opts["out"], report_path]
 
 
 def _impl_gradcheck(opts: dict) -> list[str]:

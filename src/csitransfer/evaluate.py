@@ -168,7 +168,7 @@ class _TargetData:
     env: Environment
     combos: object
     test_set: TaskDataset
-    clean: list[np.ndarray]
+    clean: np.ndarray
     cov: EnvCovariance | None = None
 
 

@@ -14,6 +14,10 @@ Dataset file (magic ``FMCD``, version 1)::
         then per pair: f_up:f64 user_index:u32 x[2m]:f64 y[2m]:f64
                        (y_clean[2m]:f64 when has_clean)
 
+A dataset's pairs are one packed record array (numpy structured dtype with
+exactly these fields), written with one ``tobytes`` and read with one
+``frombuffer``.
+
 Checkpoint file (magic ``FMCK``, version 1)::
 
     magic[4] version:u32 provenance:u8 derivative_order:u32
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import NOISE_MODES, ROLES, NoiseSpec, SamplePair, TaskDataset
+from .channel import NOISE_MODES, ROLES, NoiseSpec, TaskDataset
 from .net import LayerSpec, NetParams, LINEAR, RELU
 from .transfer import (
     PROVENANCE_ADAPTED,
@@ -107,15 +111,19 @@ class _Reader:
         self.pos += size
         return out
 
-    def take_floats(self, count: int) -> np.ndarray:
-        size = 8 * count
+    def take_records(self, dtype, count: int) -> np.ndarray:
+        """``count`` items of ``dtype`` as a read-only view of the data."""
+        size = np.dtype(dtype).itemsize * count
         if self.pos + size > len(self.data):
             raise FormatError(
                 f"{self.path}: truncated at byte {self.pos}: expected {size} more "
                 f"bytes, file has {len(self.data) - self.pos}")
-        out = np.frombuffer(self.data, dtype="<f8", count=count, offset=self.pos).copy()
+        out = np.frombuffer(self.data, dtype=dtype, count=count, offset=self.pos)
         self.pos += size
         return out
+
+    def take_floats(self, count: int) -> np.ndarray:
+        return self.take_records("<f8", count).copy()
 
     def expect_end(self):
         if self.pos != len(self.data):
@@ -134,33 +142,55 @@ def _check_magic_version(r: _Reader, magic: bytes, kind: str):
                           f"this build reads version {FORMAT_VERSION}")
 
 
+# Largest antenna count a dataset file may declare: a pair record of 2**20
+# antennas takes 48 MiB, and numpy's record sizes overflow a C int from
+# 2**26 antennas on.
+_MAX_ANTENNAS = 2 ** 20
+
+
+def _pair_dtype(m: int, has_clean: bool) -> np.dtype:
+    """One pair record of a dataset file, packed as the format lays it out."""
+    fields = [("f_up", "<f8"), ("user_index", "<u4"), ("x", "<f8", (2 * m,)),
+              ("y", "<f8", (2 * m,))]
+    if has_clean:
+        fields.append(("y_clean", "<f8", (2 * m,)))
+    return np.dtype(fields)
+
+
 def write_dataset(path: str, datasets: list[TaskDataset], noise: NoiseSpec,
                   delta_f: float | None = None, store_clean: bool = True):
-    """Serialise task datasets of one generation run into one file."""
+    """Serialise task datasets of one generation run into one file.
+
+    Each dataset's pairs are packed into one record array and written as
+    one block of bytes.
+    """
     if not datasets:
         raise ValueError("need at least one dataset to write")
-    first = datasets[0].pairs[0]
-    m = len(first.x) // 2
+    first = datasets[0]
+    m = first.xs().shape[1] // 2
     if delta_f is None:
-        delta_f = first.f_down - first.f_up
+        delta_f = float(first.f_down[0] - first.f_up[0])
     for d in datasets:
-        for p in d.pairs:
-            if len(p.x) != 2 * m or len(p.y) != 2 * m:
-                raise ValueError("all pairs must share the antenna count")
+        if d.xs().shape[1] != 2 * m:
+            raise ValueError("all pairs must share the antenna count")
+        if len(d) and not (0 <= d.user_index.min() and d.user_index.max() < 2 ** 32):
+            raise ValueError("user indices must fit an unsigned 32-bit field")
 
+    dtype = _pair_dtype(m, store_clean)
     chunks = [struct.pack("<4sIIIddIBB", DATASET_MAGIC, FORMAT_VERSION, m,
                           len(datasets), float(delta_f), float(noise.snr_db),
                           int(noise.pilot_len), NOISE_MODES.index(noise.mode),
                           1 if store_clean else 0)]
     for d in datasets:
-        chunks.append(struct.pack("<qBI", int(d.env_id), ROLES.index(d.role),
-                                  len(d.pairs)))
-        for p in d.pairs:
-            chunks.append(struct.pack("<dI", p.f_up, int(p.user_index)))
-            chunks.append(np.asarray(p.x, dtype="<f8").tobytes())
-            chunks.append(np.asarray(p.y, dtype="<f8").tobytes())
-            if store_clean:
-                chunks.append(np.asarray(p.y_clean, dtype="<f8").tobytes())
+        chunks.append(struct.pack("<qBI", int(d.env_id), ROLES.index(d.role), len(d)))
+        records = np.empty(len(d), dtype=dtype)
+        records["f_up"] = d.f_up
+        records["user_index"] = d.user_index
+        records["x"] = d.xs()
+        records["y"] = d.ys()
+        if store_clean:
+            records["y_clean"] = d.y_clean
+        chunks.append(records.tobytes())
     _atomic_write(path, b"".join(chunks))
     _write_sidecar(path, {
         "format": "dataset", "magic": DATASET_MAGIC.decode(),
@@ -169,7 +199,7 @@ def write_dataset(path: str, datasets: list[TaskDataset], noise: NoiseSpec,
                                              "pilot_len": int(noise.pilot_len),
                                              "mode": noise.mode},
         "has_clean": bool(store_clean),
-        "datasets": [{"env_id": int(d.env_id), "role": d.role, "n_pairs": len(d.pairs)}
+        "datasets": [{"env_id": int(d.env_id), "role": d.role, "n_pairs": len(d)}
                      for d in datasets],
     })
 
@@ -183,22 +213,24 @@ def read_dataset(path: str) -> DatasetFile:
         r.take("<IIddIBB")
     if mode_code >= len(NOISE_MODES):
         raise FormatError(f"{path}: unknown noise mode code {mode_code}")
+    if not 1 <= m <= _MAX_ANTENNAS:
+        raise FormatError(f"{path}: implausible antenna count {m}")
     noise = NoiseSpec(snr_db=snr_db, pilot_len=pilot_len, mode=NOISE_MODES[mode_code])
+    dtype = _pair_dtype(m, bool(has_clean))
     datasets = []
     for _ in range(n_datasets):
         env_id, role_code, n_pairs = r.take("<qBI")
         if role_code >= len(ROLES):
             raise FormatError(f"{path}: unknown role code {role_code} "
                               f"at byte {r.pos - 5}")
-        pairs = []
-        for _ in range(n_pairs):
-            f_up, user_index = r.take("<dI")
-            x = r.take_floats(2 * m)
-            y = r.take_floats(2 * m)
-            y_clean = r.take_floats(2 * m) if has_clean else y.copy()
-            pairs.append(SamplePair(x=x, y=y, f_up=f_up, f_down=f_up + delta_f,
-                                    y_clean=y_clean, user_index=user_index))
-        datasets.append(TaskDataset(env_id=env_id, role=ROLES[role_code], pairs=pairs))
+        records = r.take_records(dtype, n_pairs)
+        ys = records["y"].copy()
+        f_up = records["f_up"].copy()
+        datasets.append(TaskDataset(
+            env_id, ROLES[role_code], xs=records["x"].copy(), ys=ys,
+            y_clean=records["y_clean"].copy() if has_clean else ys.copy(),
+            f_up=f_up, f_down=f_up + delta_f,
+            user_index=records["user_index"].astype(np.int64)))
     r.expect_end()
     return DatasetFile(datasets=datasets, m=m, delta_f=delta_f, noise=noise,
                        has_clean=bool(has_clean))

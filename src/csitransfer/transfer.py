@@ -358,8 +358,8 @@ def inner_adapt(omega: NetParams, d_sup, g_tr: int,
 def _task_blocks(tasks):
     """Consecutive runs of at most ``_TASK_BLOCK`` tasks with equal support
     sizes and equal query sizes, as stacked (B, n, width) arrays
-    ``(support xs, support ys, query xs, query ys)``. Only one block's
-    samples are held as arrays at a time."""
+    ``(support xs, support ys, query xs, query ys)``, stacked from the
+    tasks' own arrays one block at a time."""
     for _, run in itertools.groupby(tasks, key=lambda t: (len(t[0]), len(t[1]))):
         run = list(run)
         for i in range(0, len(run), _TASK_BLOCK):

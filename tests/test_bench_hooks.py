@@ -18,7 +18,7 @@ import sys
 import numpy as np
 import pytest
 
-from csitransfer import channel
+from csitransfer import channel, evaluate, transfer
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SPANS_PATH = os.path.join(ROOT, "bench", "spans.py")
@@ -63,6 +63,39 @@ def test_tracer_wraps_and_restores_every_hook():
             assert p.x.shape == p.y.shape == p.y_clean.shape == (2 * gen.array.m,)
             assert gen.f_min <= p.f_up <= gen.f_max
             assert 0 <= p.user_index < gen.users
+
+
+def test_pairs_are_views_of_the_dataset_rows():
+    """The store round-trip gate corrupts ``pairs[0].x`` in place and must
+    see the change through the dataset."""
+    gen = channel.GeneratorConfig(array=channel.ArrayConfig(m=4), users=3)
+    env = channel.sample_environment(0, gen, 1)
+    d = channel.generate_task_dataset(env, channel.ROLE_TEST, 3, gen.users,
+                                      (gen.f_min, gen.f_max), gen.delta_f, gen.array,
+                                      gen.noise, np.random.default_rng(0))
+    before = d.xs()[0, 0]
+    d.pairs[0].x[0] += 1e-12
+    assert d.xs()[0, 0] == before + 1e-12
+    assert d.pairs[0].x[0] == d.xs()[0, 0]
+
+
+def test_traced_meta_train_counts_one_generation_per_task():
+    """Task generation stays per task: a traced ``meta_train`` records one
+    ``transfer.support_query`` and one ``channel.draw_combos`` per
+    regenerated task."""
+    spans = load_spans()
+    gen = channel.GeneratorConfig(array=channel.ArrayConfig(m=4), users=4)
+    cfg = transfer.TrainConfig(k_s=6, k_b=3, n_tr=6, u=4, v=8, hidden=(8,), max_steps=4,
+                               gen=gen)
+    envs = evaluate.source_environments(cfg)
+    tracer = spans.Tracer()
+    with tracer:
+        transfer.meta_train(envs, cfg, np.random.default_rng(5))
+    summary = tracer.summary()
+    tasks = cfg.k_b * cfg.max_steps
+    for name in ("transfer.support_query", "channel.generate_task_datasets",
+                 "channel.draw_combos"):
+        assert summary[name]["calls"] == tasks, name
 
 
 @pytest.mark.parametrize("workload", ["meta_m64", "three_way_m16", "collect_lmmse_m64"])

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from csitransfer import channel as ch
-from csitransfer.seeding import STREAM_COVARIANCE, stream
+from csitransfer import transfer
+from csitransfer.seeding import STREAM_COVARIANCE, STREAM_TASK_DATA, stream
 
 RNG = np.random.default_rng
 
@@ -419,6 +420,46 @@ def test_bad_role_and_counts_rejected():
                                  gcfg.array, ch.NoiseSpec(mode="clean"), RNG(27))
 
 
+def _dataset(role="test", **overrides):
+    """Three pairs of four antennas, with any column replaced."""
+    rng = RNG(0)
+    columns = dict(xs=rng.normal(size=(3, 8)), ys=rng.normal(size=(3, 8)),
+                   y_clean=rng.normal(size=(3, 8)), f_up=np.full(3, 2e9),
+                   f_down=np.full(3, 2.12e9), user_index=np.arange(3))
+    columns.update(overrides)
+    return ch.TaskDataset(0, role, **columns)
+
+
+def test_task_dataset_holds_arrays_without_copying():
+    xs = RNG(1).normal(size=(3, 8))
+    d = _dataset(xs=xs)
+    assert d.xs() is xs and len(d) == 3
+    assert d.keys() == {(0, 2e9), (1, 2e9), (2, 2e9)}
+    p = d.pairs[1]
+    assert p.key() == (1, 2e9) and p.f_down == 2.12e9
+    assert isinstance(p.user_index, int) and isinstance(p.f_up, float)
+    p.y[0] = 7.0  # pairs are views of the rows
+    assert d.ys()[1, 0] == 7.0
+    assert np.array_equal(d.clean_downlinks(), ch.real_to_complex(d.y_clean))
+
+
+@pytest.mark.parametrize("overrides,match", [
+    (dict(ys=np.zeros((2, 8))), "ys has shape"),
+    (dict(y_clean=np.zeros((4, 8))), "y_clean has shape"),
+    (dict(f_up=np.zeros(2)), "f_up has shape"),
+    (dict(user_index=np.zeros(4, dtype=int)), "user_index has shape"),
+    (dict(xs=np.zeros((3, 7)), ys=np.zeros((3, 7)), y_clean=np.zeros((3, 7))),
+     "even width"),
+    (dict(ys=np.zeros((3, 6))), "ys has shape"),
+    (dict(xs=np.zeros(8)), "xs must be an"),
+    (dict(role="bogus"), "unknown role"),
+])
+def test_task_dataset_rejects_bad_shapes(overrides, match):
+    with pytest.raises(ValueError, match=match) as info:
+        _dataset(**overrides)
+    assert "\n" not in str(info.value)
+
+
 # ---------------------------------------------------------------------------
 # batched collection against the per-pair generator
 
@@ -438,13 +479,55 @@ def _oracle_covariance(pool, f, cfg, ridge=1e-6):
     return r + ridge * (np.trace(r).real / m) * np.eye(m)
 
 
+def _oracle_users(env, rng, u, delay_max=ch.DEFAULT_DELAY_MAX):
+    """``u`` users drawn one at a time, four generator calls each."""
+    p = env.ray_count
+    return [ch.UserRays(env_id=env.id,
+                        doas=rng.uniform(env.as_lower, env.as_upper, size=p),
+                        amplitudes=env.amplitude_scale * rng.rayleigh(1.0, size=p),
+                        phases=rng.uniform(0.0, 2.0 * math.pi, size=p),
+                        delays=rng.uniform(0.0, delay_max, size=p))
+            for _ in range(u)]
+
+
+def _oracle_combos(role_counts, u, f_range, rng):
+    """Per role, (user, uplink frequency) draws until it holds its count,
+    redrawing keys that an earlier role holds."""
+    taken, by_role = set(), {}
+    for role, n in role_counts:
+        combos = []
+        while len(combos) < n:
+            key = (int(rng.integers(0, u)), float(rng.uniform(*f_range)))
+            if key not in taken:
+                combos.append(key)
+        taken |= set(combos)
+        by_role[role] = combos
+    return by_role
+
+
+def _assert_rays_equal(stacked, users):
+    for name in ("doas", "amplitudes", "phases", "delays"):
+        assert np.array_equal(getattr(stacked, name),
+                              np.stack([getattr(u, name) for u in users])), name
+
+
+def _recording(make_stream, made):
+    """``make_stream`` that also records each generator it returns."""
+    def wrapped(*args):
+        rng = make_stream(*args)
+        made.append(rng)
+        return rng
+    return wrapped
+
+
 def _oracle_generate(env, role_counts, u, f_range, delta_f, cfg, noise, rng):
-    """Per-pair generation: each link synthesised, noised and estimated on
-    its own, uplink before downlink, with a fresh covariance per link.
-    Returns per role a list of (user_index, f_up, x, y, y_clean)."""
-    combos = ch.draw_combos(env, role_counts, u, f_range, rng)
-    cov_rng = stream(env.seed, STREAM_COVARIANCE)
-    pool = [ch.sample_user(env, cov_rng) for _ in range(200)]
+    """Per-pair generation: users drawn one at a time, then each link
+    synthesised, noised and estimated on its own, uplink before downlink,
+    with a fresh covariance per link. Returns the users, the covariance pool
+    and per role a list of (user_index, f_up, x, y, y_clean)."""
+    users = _oracle_users(env, rng, u)
+    by_role = _oracle_combos(role_counts, u, f_range, rng)
+    pool = _oracle_users(env, stream(env.seed, STREAM_COVARIANCE), 200)
 
     def estimate(h, f):
         if noise.mode == "clean":
@@ -463,34 +546,83 @@ def _oracle_generate(env, role_counts, u, f_range, delta_f, cfg, noise, rng):
     out = []
     for role, _ in role_counts:
         pairs = []
-        for uid, f_up in combos.by_role[role]:
-            user = combos.users[uid]
+        for uid, f_up in by_role[role]:
+            user = users[uid]
             f_down = f_up + delta_f
             h_up = _oracle_response(user, f_up, cfg)
             h_down = _oracle_response(user, f_down, cfg)
             pairs.append((uid, f_up, real(estimate(h_up, f_up)),
                           real(estimate(h_down, f_down)), real(h_down)))
         out.append(pairs)
-    return out
+    return users, pool, out
 
 
 @pytest.mark.parametrize("mode,rtol", [("clean", 1e-12), ("awgn", 1e-12), ("lmmse", 1e-10)])
 @pytest.mark.parametrize("m", [1, 2, 5, 16, 64])
-def test_generation_matches_per_pair_oracle(m, mode, rtol):
+def test_generation_matches_per_pair_oracle(m, mode, rtol, monkeypatch):
     """Batched collection reproduces the per-pair generator at rounding
     level and leaves the generator in the same state (non-square M cuts
-    the factorised q*q antenna grid)."""
+    the factorised q*q antenna grid). The stacked user draws of the
+    combination set and of the covariance pool, and the keys, frequencies
+    and user indices, equal the one-user-at-a-time draws exactly."""
     gcfg = _default_gen(m=m, users=6)
     env = ch.sample_environment(5, gcfg, 31)
-    args = (env, [("adaption", 4), ("test", 3)], gcfg.users, (gcfg.f_min, gcfg.f_max),
-            gcfg.delta_f, gcfg.array, ch.NoiseSpec(snr_db=10.0, pilot_len=4, mode=mode))
+    role_counts = [("adaption", 4), ("test", 3)]
+    f_range = (gcfg.f_min, gcfg.f_max)
+    args = (env, role_counts, gcfg.users, f_range, gcfg.delta_f, gcfg.array,
+            ch.NoiseSpec(snr_db=10.0, pilot_len=4, mode=mode))
+    pool_streams = []
+    monkeypatch.setattr(ch, "stream", _recording(ch.stream, pool_streams))
     rng, oracle_rng = RNG(41), RNG(41)
     got = ch.generate_task_datasets(*args, rng)
-    expected = _oracle_generate(*args, oracle_rng)
+    users, pool, expected = _oracle_generate(*args, oracle_rng)
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    combos = ch.draw_combos(env, role_counts, gcfg.users, f_range, RNG(41))
+    _assert_rays_equal(combos.users, users)
+    if mode == "lmmse":
+        oracle_pool_rng = stream(env.seed, STREAM_COVARIANCE)
+        _oracle_users(env, oracle_pool_rng, 200)
+        assert [g.bit_generator.state for g in pool_streams] == \
+            [oracle_pool_rng.bit_generator.state]
+    _assert_rays_equal(ch.EnvCovariance(env, gcfg.array)._rays, pool)
+
     for ds, pairs in zip(got, expected):
         assert [p.key() for p in ds.pairs] == [(uid, f_up) for uid, f_up, *_ in pairs]
+        assert np.array_equal(ds.user_index, [uid for uid, *_ in pairs])
+        assert np.array_equal(ds.f_up, [f_up for _, f_up, *_ in pairs])
+        assert np.array_equal(ds.f_down, ds.f_up + gcfg.delta_f)
         for p, (_, f_up, x, y, y_clean) in zip(ds.pairs, pairs):
             assert p.f_down == f_up + gcfg.delta_f
             for a, b in ((p.x, x), (p.y, y), (p.y_clean, y_clean)):
                 assert np.max(np.abs(a - b)) <= rtol * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("mode", ["clean", "awgn", "lmmse"])
+def test_support_query_matches_per_user_oracle(mode, monkeypatch):
+    """``transfer._support_query`` equals, bit for bit, users drawn one at a
+    time and pairs collected one at a time through ``make_sample_pair``,
+    and leaves its generator where that per-pair order leaves it."""
+    gen = ch.GeneratorConfig(array=ch.ArrayConfig(m=8), users=5,
+                             noise=ch.NoiseSpec(snr_db=10.0, pilot_len=4, mode=mode))
+    cfg = transfer.TrainConfig(k_s=3, k_b=1, n_tr=7, u=5, gen=gen)
+    env = ch.sample_environment(2, gen, 13)
+    made = []
+    monkeypatch.setattr(transfer, "stream", _recording(transfer.stream, made))
+    got = transfer._support_query(env, cfg, 4)
+
+    rng = stream(env.seed, STREAM_TASK_DATA, 4)
+    users = _oracle_users(env, rng, cfg.u)
+    role_counts = [(ch.ROLE_TRAIN_SUPPORT, cfg.n_support),
+                   (ch.ROLE_TRAIN_QUERY, cfg.n_query)]
+    by_role = _oracle_combos(role_counts, cfg.u, (gen.f_min, gen.f_max), rng)
+    cov = ch.EnvCovariance(env, gen.array) if mode == "lmmse" else None
+    for ds, (role, _) in zip(got, role_counts):
+        pairs = [ch.make_sample_pair(users[uid], f_up, gen.delta_f, gen.array, gen.noise,
+                                     rng, cov, uid) for uid, f_up in by_role[role]]
+        assert ds.role == role and ds.env_id == env.id
+        columns = {"x": ds.xs(), "y": ds.ys(), "y_clean": ds.y_clean, "f_up": ds.f_up,
+                   "f_down": ds.f_down, "user_index": ds.user_index}
+        for name, column in columns.items():
+            assert np.array_equal(column, [getattr(p, name) for p in pairs]), name
+    assert [g.bit_generator.state for g in made] == [rng.bit_generator.state]

@@ -255,6 +255,36 @@ def test_sweep_g_ad_emits_three_rows_per_point(tmp_path):
     assert manifest["config"]["variable"] == "g-ad"
 
 
+def test_sweep_writes_stage_times_and_baselines(tmp_path):
+    """``<out>.report.json`` holds the stage wall-clock times and the
+    pre-adaption baselines; at g_ad=0 the adapted networks are the
+    starting ones, so their CSV means equal the baselines."""
+    out = str(tmp_path / "sweep.csv")
+    res = run_cli("sweep", "--variable", "g-ad", "--grid", "0,3",
+                  "--k-s", 4, "--k-t", 2, "--k-b", 2, "--users", 3,
+                  "--antennas", 2, "--n-tr", 4, "--n-ad", 4, "--n-te", 3,
+                  "--v", 8, "--max-steps", 2, "--hidden", "4", "--g-tr", 1,
+                  "--out", out)
+    assert res.exit_code == 0
+    report_path = out + ".report.json"
+    manifest = json.load(open(out + ".manifest.json"))
+    assert manifest["outputs"] == [out, report_path]
+    record = json.load(open(report_path))
+    assert record["variable"] == "g_ad"
+    assert set(record["wall_clock"]) == {"training", "adaption", "testing"}
+    assert all(t >= 0 for t in record["wall_clock"].values())
+    assert [p["value"] for p in record["points"]] == [0, 3]
+    rows = [line.split(",") for line in open(out).read().splitlines()[1:]]
+    for point in record["points"]:
+        baselines = point["baselines"]
+        assert set(baselines) == {"direct-transfer", "meta-learning"}
+        for algo, b in baselines.items():
+            assert len(b["per_target"]) == 2
+            assert b["nmse_linear"] == float(np.mean(b["per_target"]))
+            at_zero = [r for r in rows if r[0] == "0" and r[1] == algo]
+            assert float(at_zero[0][2]) == b["nmse_linear"]
+
+
 def test_sweep_requires_grid(tmp_path):
     res = RUNNER.invoke(cli, ["sweep", "--variable", "g-ad",
                               "--out", str(tmp_path / "x.csv")])

@@ -94,9 +94,9 @@ def test_identity_task_converged_model_low_nmse():
         array=ch.ArrayConfig(m=4), users=5, delta_f=0.0))
     rng = RNG(2)
     xs = rng.normal(size=(64, 8))
-    pairs = [ch.SamplePair(x=x, y=x.copy(), f_up=1e9, f_down=1e9, y_clean=x.copy(),
-                           user_index=0) for x in xs]
-    sources = [ch.TaskDataset(env_id=0, role="train-support", pairs=pairs)]
+    sources = [ch.TaskDataset(0, "train-support", xs=xs, ys=xs.copy(), y_clean=xs.copy(),
+                              f_up=np.full(64, 1e9), f_down=np.full(64, 1e9),
+                              user_index=np.zeros(64, dtype=int))]
     model = transfer.train_no_transfer(
         sources, tiny_cfg(hidden=(), v=32, max_steps=3000, gamma=1e-2,
                           convergence_window=3000),

@@ -15,15 +15,17 @@ def random_datasets(seed=0, m=6, n_envs=2, n_pairs=7):
     rng = RNG(seed)
     datasets = []
     for e in range(n_envs):
-        pairs = []
+        f_up, x, y, y_clean, user_index = [], [], [], [], []
         for _ in range(n_pairs):
-            f_up = float(rng.uniform(1e9, 3e9))
-            pairs.append(ch.SamplePair(
-                x=rng.normal(size=2 * m), y=rng.normal(size=2 * m),
-                f_up=f_up, f_down=f_up + 120e6,
-                y_clean=rng.normal(size=2 * m),
-                user_index=int(rng.integers(0, 25))))
-        datasets.append(ch.TaskDataset(env_id=e, role="adaption", pairs=pairs))
+            f_up.append(float(rng.uniform(1e9, 3e9)))
+            x.append(rng.normal(size=2 * m))
+            y.append(rng.normal(size=2 * m))
+            y_clean.append(rng.normal(size=2 * m))
+            user_index.append(int(rng.integers(0, 25)))
+        f_up = np.array(f_up)
+        datasets.append(ch.TaskDataset(
+            e, "adaption", xs=np.array(x), ys=np.array(y), y_clean=np.array(y_clean),
+            f_up=f_up, f_down=f_up + 120e6, user_index=np.array(user_index)))
     return datasets
 
 
@@ -94,6 +96,76 @@ def test_dataset_without_clean_block(tmp_path):
     assert not blob.has_clean
     p = blob.datasets[0].pairs[0]
     assert np.array_equal(p.y_clean, p.y)  # falls back to the stored label
+
+
+def _per_pair_file(datasets, noise, delta_f, store_clean):
+    """The dataset format packed pair by pair with ``struct``, field by
+    field as the module docstring lays it out."""
+    m = datasets[0].xs().shape[1] // 2
+    chunks = [struct.pack("<4sIIIddIBB", b"FMCD", 1, m, len(datasets), delta_f,
+                          noise.snr_db, noise.pilot_len, ch.NOISE_MODES.index(noise.mode),
+                          int(store_clean))]
+    for d in datasets:
+        chunks.append(struct.pack("<qBI", d.env_id, ch.ROLES.index(d.role), len(d)))
+        for p in d.pairs:
+            chunks.append(struct.pack("<dI", p.f_up, p.user_index))
+            for a in (p.x, p.y, p.y_clean) if store_clean else (p.x, p.y):
+                chunks.append(struct.pack(f"<{len(a)}d", *a))
+    return b"".join(chunks)
+
+
+@pytest.mark.parametrize("store_clean", [True, False])
+def test_dataset_file_matches_per_pair_packing(tmp_path, store_clean):
+    """The record-array writer produces the per-pair byte layout exactly,
+    and the reader restores every column bit for bit."""
+    path = str(tmp_path / "r.bin")
+    empty = ch.TaskDataset(9, "test", xs=np.empty((0, 12)), ys=np.empty((0, 12)),
+                           y_clean=np.empty((0, 12)), f_up=np.empty(0), f_down=np.empty(0),
+                           user_index=np.empty(0, dtype=int))
+    datasets = random_datasets(seed=4) + [empty]
+    noise = ch.NoiseSpec(snr_db=12.5, pilot_len=16, mode="awgn")
+    store.write_dataset(path, datasets, noise, 120e6, store_clean=store_clean)
+    assert open(path, "rb").read() == _per_pair_file(datasets, noise, 120e6, store_clean)
+
+    back = store.read_dataset(path).datasets
+    assert [(d.env_id, d.role, len(d)) for d in back] == \
+        [(d.env_id, d.role, len(d)) for d in datasets]
+    for orig, got in zip(datasets, back):
+        assert got.xs().tobytes() == orig.xs().tobytes()
+        assert got.ys().tobytes() == orig.ys().tobytes()
+        clean = orig.y_clean if store_clean else orig.ys()
+        assert got.y_clean.tobytes() == clean.tobytes()
+        assert got.f_up.tobytes() == orig.f_up.tobytes()
+        assert np.array_equal(got.f_down, orig.f_up + 120e6)
+        assert np.array_equal(got.user_index, orig.user_index)
+        got.xs()[:1] += 1.0  # read datasets own writable arrays
+
+
+@pytest.mark.parametrize("m", [0, 2 ** 26])
+def test_dataset_implausible_antenna_count_rejected(tmp_path, m):
+    path = str(tmp_path / "m.bin")
+    store.write_dataset(path, random_datasets(), ch.NoiseSpec(mode="clean"))
+    data = bytearray(open(path, "rb").read())
+    struct.pack_into("<I", data, 8, m)  # header: magic[4] version:u32 m:u32
+    open(path, "wb").write(bytes(data))
+    with pytest.raises(store.FormatError, match=f"implausible antenna count {m}"):
+        store.read_dataset(path)
+
+
+def test_dataset_trailing_bytes_rejected(tmp_path):
+    path = str(tmp_path / "x.bin")
+    store.write_dataset(path, random_datasets(), ch.NoiseSpec(mode="clean"))
+    with open(path, "ab") as f:
+        f.write(b"\0" * 5)
+    with pytest.raises(store.FormatError, match="5 trailing bytes"):
+        store.read_dataset(path)
+
+
+def test_dataset_user_index_must_fit_its_field(tmp_path):
+    d = random_datasets(n_envs=1)[0]
+    d.user_index[0] = -1
+    with pytest.raises(ValueError, match="32-bit"):
+        store.write_dataset(str(tmp_path / "u.bin"), [d], ch.NoiseSpec(mode="clean"))
 
 
 def test_dataset_sidecar_written(tmp_path):

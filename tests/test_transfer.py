@@ -28,9 +28,9 @@ def identity_sources(m=2, n=64, seed=0):
     """A task whose labels equal its inputs (fittable by a linear net)."""
     rng = RNG(seed)
     xs = rng.normal(size=(n, 2 * m))
-    pairs = [ch.SamplePair(x=x, y=x.copy(), f_up=1e9, f_down=1e9,
-                           y_clean=x.copy(), user_index=0) for x in xs]
-    return [ch.TaskDataset(env_id=0, role="train-support", pairs=pairs)]
+    return [ch.TaskDataset(0, "train-support", xs=xs, ys=xs.copy(), y_clean=xs.copy(),
+                           f_up=np.full(n, 1e9), f_down=np.full(n, 1e9),
+                           user_index=np.zeros(n, dtype=int))]
 
 
 def quadratic_batch(target):
