@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .seeding import STREAM_COVARIANCE, STREAM_ENV, seed_for, stream
+from .seeding import STREAM_COVARIANCE, STREAM_ENV, stream, stream_and_seed
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -297,7 +297,7 @@ def sample_environment(env_id: int, gcfg: GeneratorConfig, master_seed: int) -> 
     """
     if gcfg.as_width_min > gcfg.as_width_max:
         raise ValueError("empty angle-spread width range")
-    rng = stream(master_seed, STREAM_ENV, env_id)
+    rng, seed = stream_and_seed(master_seed, STREAM_ENV, env_id)
     width = rng.uniform(gcfg.as_width_min, gcfg.as_width_max)
     half = width / 2.0
     center = rng.uniform(-math.pi / 2 + half, math.pi / 2 - half)
@@ -307,7 +307,7 @@ def sample_environment(env_id: int, gcfg: GeneratorConfig, master_seed: int) -> 
         as_upper=center + half,
         ray_count=gcfg.ray_count,
         amplitude_scale=gcfg.resolved_amplitude_scale(),
-        seed=seed_for(master_seed, STREAM_ENV, env_id),
+        seed=seed,
     )
 
 

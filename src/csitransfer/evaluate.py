@@ -22,7 +22,10 @@ from typing import Sequence
 import numpy as np
 
 from . import net, transfer
-from .optim import AdamState, adam_step
+# bench/spans.py wraps adam_step where this module looks it up and refuses to
+# start if it is missing, so it stays imported by name although the width
+# probe steps in place with adam_update.
+from .optim import AdamState, adam_step, adam_update  # noqa: F401
 from .channel import (
     NOISE_LMMSE,
     ROLE_ADAPTION,
@@ -318,11 +321,11 @@ def proposition_probe(widths: Sequence[int], cfg: TrainConfig) -> dict[int, floa
         params = net.init_params(spec, stream(cfg.seed, STREAM_PROBE, width),
                                  fan=cfg.init_fan)
         state = AdamState.init(params)
+        run = net.Workspace(params, batch.xs, batch.ys)
         history = []
         for _ in range(cfg.max_steps):
-            loss, grads = net.loss_and_grad(params, batch)
-            params, state = adam_step(state, params, grads, cfg.gamma)
-            history.append(loss)
+            history.append(run.loss_and_grad())
+            adam_update(state, params, run.grads, cfg.gamma, run.work)
             if transfer._converged(history, cfg.convergence_window, cfg.convergence_tol):
                 break
         window = min(len(history), cfg.convergence_window)

@@ -12,6 +12,14 @@ Parameters, gradients and Hessian-vector products are :class:`NetParams`:
 one contiguous float64 buffer with per-layer weight and bias views, which
 the kernels fill layer by layer in place.
 
+Every dense forward pass and gradient sweep runs on a :class:`Workspace`,
+the in-place engine of the training loops: it owns one run's activation,
+delta and gradient buffers, sized from the layer shapes and the row count,
+and reads the parameters afresh at each call, so a loop that steps them in
+place allocates nothing per step. The functional :func:`forward_batch`,
+:func:`mse_loss` and :func:`loss_and_grad` run the same code on a fresh
+workspace. The meta step's Hessian-vector and block kernels are separate.
+
 All math is 64-bit. ReLU's subgradient at zero is fixed to zero so results
 are bit-reproducible.
 """
@@ -149,10 +157,10 @@ class Batch:
 
 @dataclass
 class GradTape:
-    """Forward-pass cache: input, per-layer pre-activations and activations."""
+    """Forward-pass cache: the input and every layer's activation, input
+    first and output last."""
 
     x: np.ndarray
-    pre_activations: list[np.ndarray]
     activations: list[np.ndarray]
 
 
@@ -225,71 +233,99 @@ def init_params(spec: LayerSpec, rng: np.random.Generator, fan: str = "in") -> N
     return NetParams(weights, biases)
 
 
-def _forward_matrices(params: NetParams, xs: np.ndarray,
-                      activations: tuple[str, ...] | None = None):
-    """Batched forward pass; returns (output, pre-activations, activations).
+class Workspace:
+    """The in-place engine of every dense training loop: one network's
+    forward pass and gradient sweep over a fixed set of rows.
 
-    ``activations[l]`` lists the post-affine activation per layer; layer
-    activations include the input as entry 0.
+    ``params`` is read afresh at every call, so a loop that updates it in
+    place (the ``*_update`` functions of :mod:`csitransfer.optim`) trains
+    through the workspace. ``xs`` and ``ys`` are the input and label rows,
+    held by reference: a minibatch loop gathers each batch into them. Every
+    other buffer is sized once, from the layer shapes and the row count:
+    per layer the activations (ReLU applied in place), the ReLU masks
+    (activation > 0) and the deltas, plus the gradient ``grads`` (in
+    ``params``' layout) and ``work``, a parameter-sized scratch for the
+    optimizer updates. A call allocates nothing, and each call overwrites
+    what the last one left in the buffers.
     """
-    n_layers = len(params.weights)
-    if activations is None:
-        activations = (RELU,) * (n_layers - 1) + (LINEAR,)
-    if xs.shape[1] != params.weights[0].shape[1]:
-        raise ValueError(f"input width {xs.shape[1]} does not match first layer "
-                         f"({params.weights[0].shape[1]})")
-    acts = [xs]
-    pres = []
-    a = xs
-    for l in range(n_layers):
-        z = a @ params.weights[l].T + params.biases[l]
-        pres.append(z)
-        a = np.maximum(z, 0.0) if activations[l] == RELU else z
-        acts.append(a)
-    return a, pres, acts
+
+    def __init__(self, params: NetParams, xs: np.ndarray, ys: np.ndarray | None = None):
+        if xs.shape[1] != params.weights[0].shape[1]:
+            raise ValueError(f"input width {xs.shape[1]} does not match first layer "
+                             f"({params.weights[0].shape[1]})")
+        rows = xs.shape[0]
+        self.params, self.xs, self.ys = params, xs, ys
+        # acts[l] is layer l's input and acts[-1] the output.
+        self.acts = [xs, *(np.empty((rows, w.shape[0])) for w in params.weights)]
+        self.masks = [np.empty(a.shape, dtype=bool) for a in self.acts[1:-1]]
+        self.deltas = [np.empty_like(a) for a in self.acts[1:]]
+        self.grads = params.like(np.empty_like(params.flat))
+        self.work = np.empty_like(params.flat)
+
+    def forward(self) -> np.ndarray:
+        """The network's output on ``xs`` (a view of a buffer the next call
+        overwrites)."""
+        a = self.xs
+        last = len(self.deltas) - 1
+        for l, (w, b) in enumerate(zip(self.params.weights, self.params.biases)):
+            a = np.matmul(a, w.T, out=self.acts[l + 1])
+            a += b
+            if l < last:
+                np.maximum(a, 0.0, out=a)
+        return a
+
+    def loss(self) -> float:
+        """Per-sample sum of squared errors on the rows, averaged over them.
+        Leaves the residual ``output - ys`` in the output layer's delta."""
+        out = self.forward()
+        diff = np.subtract(out, self.ys, out=self.deltas[-1])
+        np.multiply(diff, diff, out=out)
+        return float(out.sum() / len(self.xs))
+
+    def loss_and_grad(self) -> float:
+        """The loss, with its exact gradient written into ``grads`` by one
+        reverse sweep."""
+        loss = self.loss()
+        weights, grads = self.params.weights, self.grads
+        delta = self.deltas[-1]
+        delta *= 2.0 / len(self.xs)  # output layer is linear
+        for l in range(len(weights) - 1, -1, -1):
+            np.matmul(delta.T, self.acts[l], out=grads.weights[l])
+            delta.sum(axis=0, out=grads.biases[l])
+            if l > 0:
+                below = np.matmul(delta, weights[l], out=self.deltas[l - 1])
+                below *= np.greater(self.acts[l], 0.0, out=self.masks[l - 1])
+                delta = below
+        return loss
 
 
 def forward(params: NetParams, x: np.ndarray) -> tuple[np.ndarray, GradTape]:
     """Single-input forward pass with its tape."""
     x = np.asarray(x, dtype=np.float64)
-    out, pres, acts = _forward_matrices(params, x[None, :])
-    tape = GradTape(x=x, pre_activations=[z[0] for z in pres],
-                    activations=[a[0] for a in acts])
-    return out[0], tape
+    ws = Workspace(params, x[None, :])
+    out = ws.forward()
+    return out[0], GradTape(x=x, activations=[a[0] for a in ws.acts])
 
 
 def forward_batch(params: NetParams, xs: np.ndarray) -> np.ndarray:
     """Batched prediction (no tape)."""
-    out, _, _ = _forward_matrices(params, np.atleast_2d(np.asarray(xs, dtype=np.float64)))
-    return out
+    return Workspace(params, np.atleast_2d(np.asarray(xs, dtype=np.float64))).forward()
 
 
 def mse_loss(params: NetParams, batch: Batch) -> float:
     """Per-sample sum of squared errors, averaged over the batch."""
     if len(batch) == 0:
         raise ValueError("batch must be nonempty")
-    out, _, _ = _forward_matrices(params, batch.xs)
-    diff = out - batch.ys
-    return float((diff * diff).sum() / len(batch))
+    return Workspace(params, batch.xs, batch.ys).loss()
 
 
 def loss_and_grad(params: NetParams, batch: Batch) -> tuple[float, NetParams]:
-    """Loss and its exact gradient in one reverse sweep."""
+    """Loss and its exact gradient in one reverse sweep, on a fresh
+    :class:`Workspace` whose gradient buffer the caller then owns."""
     if len(batch) == 0:
         raise ValueError("batch must be nonempty")
-    v = len(batch)
-    out, pres, acts = _forward_matrices(params, batch.xs)
-    diff = out - batch.ys
-    loss = float((diff * diff).sum() / v)
-
-    grads = params.like(np.empty_like(params.flat))
-    delta = 2.0 / v * diff  # output layer is linear
-    for l in range(len(params.weights) - 1, -1, -1):
-        np.matmul(delta.T, acts[l], out=grads.weights[l])
-        delta.sum(axis=0, out=grads.biases[l])
-        if l > 0:
-            delta = (delta @ params.weights[l]) * (pres[l - 1] > 0)
-    return loss, grads
+    ws = Workspace(params, batch.xs, batch.ys)
+    return ws.loss_and_grad(), ws.grads
 
 
 def backward(params: NetParams, batch: Batch) -> NetParams:

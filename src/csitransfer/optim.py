@@ -1,19 +1,37 @@
 """Plain gradient descent and Adam over flat parameter buffers.
 
-Both updates are pure in the parameters: they return a fresh parameter tree
-and never mutate the parameters or gradients passed in, so identical inputs
-give bit-identical outputs. Each works on the whole ``NetParams.flat``
-buffer at once: ``gd_step`` allocates only the returned buffer, and
-``adam_step`` that and a scratch of at most ``_CHUNK`` elements.
+Each rule comes in two forms. The in-place updates, :func:`gd_update` and
+:func:`adam_update`, overwrite the parameters and take a caller-owned
+scratch buffer of the parameter size (a :class:`~csitransfer.net.Workspace`
+owns one per run), so a training loop allocates nothing per step. The pure
+steps, :func:`gd_step` and :func:`adam_step`, are thin wrappers that run the
+same update on a fresh copy: they never mutate the parameters or gradients
+passed in, and give the same bits as the in-place form.
 
-An :class:`AdamState` is owned by the run that created it: ``adam_step``
-updates its moments in place and returns the same object, advanced by one
-step. Each training or adaption stage constructs its own Adam state;
-moments are never carried across stages.
+Adam folds both bias corrections into its step size (Kingma & Ba, arXiv
+1412.6980, section 2): with ``c1 = 1 - rho1^t`` and ``c2 = 1 - rho2^t``,
+
+    params <- params - alpha_t * m / (sqrt(v) + eps_hat),
+    alpha_t = gamma * sqrt(c2) / c1,  eps_hat = eps * sqrt(c2),
+
+which is the textbook ``gamma * (m / c1) / (sqrt(v / c2) + eps)`` with one
+array division where the textbook form has three. The two orders differ by
+rounding only. Over 1,000 adaption steps of the M=16 and M=64 prediction
+networks on 20 rows, the parameters stayed within 4.1e-15 of their largest
+entry, and every step's loss within 4.1e-16 relative at rate 1e-6 (within
+2e-16 of the largest loss at rate 1e-3, where the losses fall towards
+zero); the tests bound both at 1e-14. The moment updates are unchanged,
+operation for operation.
+
+An :class:`AdamState` is owned by the run that created it: both forms
+update its moments in place and advance its step counter. Each training or
+adaption stage constructs its own Adam state; moments are never carried
+across stages, and the state holds no scratch.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,21 +42,12 @@ RHO1_DEFAULT = 0.9
 RHO2_DEFAULT = 0.999
 EPS_DEFAULT = 1e-8
 
-# Elements per chunk of Adam's parameter update, whose numerator goes through
-# a scratch array of this many float64s: 128,000 bytes, under the 128 KiB at
-# which glibc's allocator maps fresh pages for a request (and unmaps them on
-# release), so the scratch is reused from the heap step after step. A
-# scratch the size of the parameters would either fault in fresh pages
-# every step or, kept in the state, add a parameter-sized buffer to every
-# run's memory.
-_CHUNK = 16_000
-
 
 @dataclass
 class AdamState:
     """First/second gradient moments, step counter, and hyperparameters.
 
-    ``m`` and ``v`` are updated in place by :func:`adam_step`.
+    ``m`` and ``v`` are updated in place by :func:`adam_update`.
     """
 
     m: NetParams
@@ -55,55 +64,63 @@ class AdamState:
                    t=0, rho1=rho1, rho2=rho2, eps=eps)
 
 
-def gd_step(params: NetParams, grads: NetParams, beta: float) -> NetParams:
-    """One plain gradient-descent step: params - beta * grads."""
+def gd_update(params: NetParams, grads: NetParams, beta: float, work: np.ndarray):
+    """params <- params - beta * grads, in place. ``work`` is overwritten
+    and may be ``grads.flat`` when the gradient is not needed afterwards."""
     if beta <= 0:
         raise ValueError(f"learning rate must be positive, got {beta}")
     _check_same_shape(params, grads)
-    out = beta * grads.flat
-    np.subtract(params.flat, out, out=out)
-    return params.like(out)
+    np.multiply(grads.flat, beta, out=work)
+    np.subtract(params.flat, work, out=params.flat)
 
 
-def adam_step(state: AdamState, params: NetParams, grads: NetParams,
-              gamma: float) -> tuple[NetParams, AdamState]:
-    """One Adam step with bias-corrected moments.
+def gd_step(params: NetParams, grads: NetParams, beta: float) -> NetParams:
+    """One plain gradient-descent step, params - beta * grads, as a fresh tree."""
+    out = params.copy()
+    gd_update(out, grads, beta, np.empty_like(out.flat))
+    return out
+
+
+def adam_update(state: AdamState, params: NetParams, grads: NetParams, gamma: float,
+                work: np.ndarray):
+    """One Adam step, in place on ``params`` and ``state``.
 
     m <- rho1 m + (1-rho1) g;  v <- rho2 v + (1-rho2) g^2;
-    params <- params - gamma * m_hat / (sqrt(v_hat) + eps).
+    params <- params - alpha_t * m / (sqrt(v) + eps_hat), with the bias
+    corrections folded into alpha_t and eps_hat (module docstring).
 
-    The moments are updated in place and ``state`` itself is returned with
-    its step counter advanced; the parameters come back as a fresh tree.
-    Every operation is applied in the order the formulas are written, so
-    the result equals the per-array expressions bit for bit.
+    ``work`` (parameter-sized, not ``grads.flat``) is overwritten; the
+    gradients are only read.
     """
     if gamma <= 0:
         raise ValueError(f"learning rate must be positive, got {gamma}")
     _check_same_shape(params, grads)
     _check_same_shape(params, state.m)
     m, v, g = state.m.flat, state.v.flat, grads.flat
-    out = np.empty_like(m)
     state.t += 1
     m *= state.rho1
-    np.multiply(1.0 - state.rho1, g, out=out)
-    m += out
+    np.multiply(1.0 - state.rho1, g, out=work)
+    m += work
     v *= state.rho2
-    np.multiply(1.0 - state.rho2, g, out=out)
-    out *= g
-    v += out
-    bc1 = 1.0 - state.rho1 ** state.t
-    bc2 = 1.0 - state.rho2 ** state.t
-    # out holds the denominator, then each chunk's update and result.
-    np.divide(v, bc2, out=out)
-    np.sqrt(out, out=out)
-    out += state.eps
-    num = np.empty(min(_CHUNK, out.size))
-    for start in range(0, out.size, _CHUNK):
-        chunk = slice(start, start + _CHUNK)
-        den = out[chunk]
-        part = num[:den.size]
-        np.divide(m[chunk], bc1, out=part)
-        part *= gamma
-        np.divide(part, den, out=den)
-        np.subtract(params.flat[chunk], den, out=den)
-    return params.like(out), state
+    np.multiply(1.0 - state.rho2, g, out=work)
+    work *= g
+    v += work
+    root_c2 = math.sqrt(1.0 - state.rho2 ** state.t)
+    alpha = gamma * root_c2 / (1.0 - state.rho1 ** state.t)
+    np.sqrt(v, out=work)
+    work += state.eps * root_c2
+    np.divide(m, work, out=work)
+    work *= alpha
+    np.subtract(params.flat, work, out=params.flat)
+
+
+def adam_step(state: AdamState, params: NetParams, grads: NetParams,
+              gamma: float) -> tuple[NetParams, AdamState]:
+    """One Adam step (:func:`adam_update`) on a fresh copy of the parameters.
+
+    The moments are updated in place and ``state`` itself is returned with
+    its step counter advanced; ``params`` and ``grads`` are left untouched.
+    """
+    out = params.copy()
+    adam_update(state, out, grads, gamma, np.empty_like(out.flat))
+    return out, state

@@ -22,15 +22,18 @@ STREAM_TARGET_DATA = 6
 STREAM_PROBE = 7
 
 
-def seed_for(master_seed: int, *key: int) -> int:
-    """Stable 64-bit child seed for the (master_seed, *key) substream."""
-    ss = np.random.SeedSequence(entropy=int(master_seed),
-                                spawn_key=tuple(int(k) for k in key))
-    return int(ss.generate_state(1, np.uint64)[0])
+def _sequence(master_seed: int, key: tuple[int, ...]) -> np.random.SeedSequence:
+    return np.random.SeedSequence(entropy=int(master_seed),
+                                  spawn_key=tuple(int(k) for k in key))
 
 
 def stream(master_seed: int, *key: int) -> np.random.Generator:
     """Fresh generator for the (master_seed, *key) substream."""
-    ss = np.random.SeedSequence(entropy=int(master_seed),
-                                spawn_key=tuple(int(k) for k in key))
-    return np.random.default_rng(ss)
+    return np.random.default_rng(_sequence(master_seed, key))
+
+
+def stream_and_seed(master_seed: int, *key: int) -> tuple[np.random.Generator, int]:
+    """:func:`stream` of the (master_seed, *key) substream plus a stable
+    64-bit child seed from the same sequence, which is hashed once."""
+    ss = _sequence(master_seed, key)
+    return np.random.default_rng(ss), int(ss.generate_state(1, np.uint64)[0])

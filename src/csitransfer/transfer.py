@@ -6,6 +6,14 @@
   gradient-descent updates and across-task Adam updates, adapted per target
   with plain gradient descent.
 
+Pooled training, every adaption run and the width probe of
+:mod:`csitransfer.evaluate` are dense training loops: each owns one
+:class:`net.Workspace` and steps its parameters in place with
+:func:`optim.adam_update` or :func:`optim.gd_update`. A minibatch is
+gathered into the workspace's input rows; an adaption snapshot is a copy.
+GD adaption is bit-identical to the pure ``gd_step`` loop; Adam differs
+from the textbook bias correction by rounding only (see :mod:`optim`).
+
 The meta-gradient is available in two modes: ``exact`` differentiates
 through the unrolled inner loop (reverse accumulation with Hessian-vector
 products at every recorded iterate), ``first-order`` treats the inner-loop
@@ -41,8 +49,11 @@ from .channel import (
     TaskDataset,
     generate_task_datasets,
 )
+# bench/spans.py wraps params_axpy, adam_step and gd_step where this module
+# looks them up and refuses to start if one is missing, so they stay imported
+# by name; the dense training loops step in place with the *_update forms.
 from .net import Batch, NetParams, params_axpy
-from .optim import AdamState, adam_step, gd_step
+from .optim import AdamState, adam_step, adam_update, gd_step, gd_update
 from .seeding import STREAM_BATCH, STREAM_NET_INIT, STREAM_TASK_DATA, stream
 
 PROVENANCE_NO_TRANSFER = "no-transfer"
@@ -99,7 +110,6 @@ class TrainConfig:
     sample_with_replacement: bool = False
     convergence_window: int = 200
     convergence_tol: float = 0.005
-    track_grad_similarity: bool = False
 
     def __post_init__(self):
         for name in ("v", "k_s", "k_t", "k_b", "n_tr", "n_ad", "n_te", "u"):
@@ -184,7 +194,6 @@ class TrainedModel:
     config: dict | None
     loss_history: list[float]
     derivative_order: int = 1
-    grad_similarity: list[float] = field(default_factory=list)
 
     def __post_init__(self):
         if not all(math.isfinite(x) for x in self.loss_history):
@@ -249,13 +258,15 @@ def train_no_transfer(sources: Sequence[TaskDataset], cfg: TrainConfig,
 
     params = init_network(cfg)
     state = AdamState.init(params)
+    run = net.Workspace(params, np.empty((cfg.v, xs.shape[1])), np.empty((cfg.v, ys.shape[1])))
     with np.errstate(over="ignore", invalid="ignore"):
         history = [_check_finite("training", 0, net.mse_loss(params, Batch(xs, ys)))]
         for step in range(cfg.max_steps):
             idx = rng.choice(n_pool, size=cfg.v, replace=cfg.sample_with_replacement)
-            loss, grads = net.loss_and_grad(params, Batch(xs[idx], ys[idx]))
-            _check_finite("training", step, loss)
-            params, state = adam_step(state, params, grads, cfg.gamma)
+            np.take(xs, idx, axis=0, out=run.xs)
+            np.take(ys, idx, axis=0, out=run.ys)
+            loss = _check_finite("training", step, run.loss_and_grad())
+            adam_update(state, params, run.grads, cfg.gamma, run.work)
             history.append(loss)
             if _converged(history[1:], cfg.convergence_window, cfg.convergence_tol):
                 break
@@ -270,10 +281,13 @@ def adapt_snapshots(base: TrainedModel, d_ad, cfg: TrainConfig, rule: str,
 
     The trajectory of a shorter adaption run is exactly the prefix of a
     longer one (both rules are deterministic), so one pass serves a whole
-    grid of gradient-step budgets. A non-finite loss raises
-    :class:`NonFiniteLoss` at the first step where it occurs; numpy's
-    overflow warnings on the way there are silenced.
+    grid of gradient-step budgets. The run steps one copy of the base
+    parameters in place on a :class:`net.Workspace`; each snapshot is a copy.
+    A non-finite loss raises :class:`NonFiniteLoss` at the first step where
+    it occurs; numpy's overflow warnings on the way there are silenced.
     """
+    if rule not in (RULE_ADAM, RULE_GD):
+        raise ValueError(f"unknown adaption rule {rule!r}, expected 'adam' or 'gd'")
     marks = sorted(set(int(g) for g in step_marks))
     if not marks or marks[0] < 0:
         raise ValueError(f"step marks must be nonnegative, got {step_marks}")
@@ -281,6 +295,7 @@ def adapt_snapshots(base: TrainedModel, d_ad, cfg: TrainConfig, rule: str,
     if len(batch) == 0:
         raise ValueError("adaption set is empty")
     params = base.params.copy()
+    run = net.Workspace(params, batch.xs, batch.ys)
     # history[g] is the loss after g adaption steps.
     history: list[float] = []
     state = AdamState.init(params) if rule == RULE_ADAM else None
@@ -289,7 +304,7 @@ def adapt_snapshots(base: TrainedModel, d_ad, cfg: TrainConfig, rule: str,
     stage = f"adaption ({rule})"
 
     def snap(step):
-        loss = _check_finite(stage, step, net.mse_loss(params, batch))
+        loss = _check_finite(stage, step, run.loss())
         out[step] = TrainedModel(
             params=params.copy(), provenance=PROVENANCE_ADAPTED, config=base.config,
             loss_history=history[:step] + [loss],
@@ -299,12 +314,11 @@ def adapt_snapshots(base: TrainedModel, d_ad, cfg: TrainConfig, rule: str,
         if 0 in mark_set:
             snap(0)
         for step in range(1, marks[-1] + 1):
-            loss, grads = net.loss_and_grad(params, batch)
-            history.append(_check_finite(stage, step - 1, loss))
+            history.append(_check_finite(stage, step - 1, run.loss_and_grad()))
             if rule == RULE_ADAM:
-                params, state = adam_step(state, params, grads, cfg.beta)
+                adam_update(state, params, run.grads, cfg.beta, run.work)
             else:
-                params = gd_step(params, grads, cfg.beta)
+                gd_update(params, run.grads, cfg.beta, run.work)
             if step in mark_set:
                 snap(step)
     return out
@@ -471,7 +485,6 @@ def meta_train(source_envs: Sequence[Environment], cfg: TrainConfig,
     visits: dict[int, int] = {}
     cache: dict[int, tuple[TaskDataset, TaskDataset]] = {}
     history: list[float] = []
-    similarity: list[float] = []
 
     def task(i: int, visit: int) -> tuple[TaskDataset, TaskDataset]:
         if visit == 0 and first_visit is not None:
@@ -498,28 +511,13 @@ def meta_train(source_envs: Sequence[Environment], cfg: TrainConfig,
                 tasks.append((sup, que))
             loss, grad = _meta_batch_eval(params, tasks, cfg.g_tr, cfg.beta, cfg.meta_mode)
             _check_finite("meta-training", step, loss)
-            if cfg.track_grad_similarity:
-                similarity.append(_batch_grad_cosine(params, tasks))
             params, state = adam_step(state, params, grad, cfg.gamma)
             history.append(loss)
             if _converged(history, cfg.convergence_window, cfg.convergence_tol):
                 break
     return TrainedModel(params=params, provenance=PROVENANCE_META,
                         config=cfg.snapshot(), loss_history=history if history else [0.0],
-                        derivative_order=gradient_order("meta-training", cfg),
-                        grad_similarity=similarity)
-
-
-def _batch_grad_cosine(omega: NetParams, tasks) -> float:
-    """Mean cosine similarity between support and query gradients at omega."""
-    sims = []
-    for d_sup, d_que in tasks:
-        gs = net.backward(omega, _as_batch(d_sup))
-        gq = net.backward(omega, _as_batch(d_que))
-        denom = net.params_norm(gs) * net.params_norm(gq)
-        if denom > 0:
-            sims.append(net.params_dot(gs, gq) / denom)
-    return float(np.mean(sims)) if sims else 0.0
+                        derivative_order=gradient_order("meta-training", cfg))
 
 
 def taylor_residual(omega: NetParams, d_sup, d_que,

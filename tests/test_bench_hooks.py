@@ -98,6 +98,22 @@ def test_traced_meta_train_counts_one_generation_per_task():
         assert summary[name]["calls"] == tasks, name
 
 
+def test_traced_three_way_reaches_adam_and_every_adaption():
+    """The benchmark's reach check for ``three_way_m16``: the meta-learner's
+    outer steps go through ``optim.adam_step``, and each target runs one
+    adaption per transfer algorithm through ``transfer.adapt_snapshots``."""
+    spans = load_spans()
+    gen = channel.GeneratorConfig(array=channel.ArrayConfig(m=4), users=4)
+    cfg = transfer.TrainConfig.desk_profile(k_s=8, k_t=2, k_b=4, n_tr=6, u=4, v=8, g_ad=5,
+                                            max_steps=2, hidden=(8, 8), gen=gen)
+    tracer = spans.Tracer()
+    with tracer:
+        evaluate.run_three_way(cfg)
+    summary = tracer.summary()
+    assert summary["optim.adam_step"]["calls"] > 0
+    assert summary["transfer.adapt_snapshots"]["calls"] == 2 * cfg.k_t
+
+
 @pytest.mark.parametrize("workload", ["meta_m64", "three_way_m16", "collect_lmmse_m64"])
 def test_quick_traced_benchmark_run_completes(workload):
     """The harness runs each workload end to end at tiny sizes, traced, with

@@ -10,7 +10,7 @@ from scipy import stats
 
 from csitransfer import channel as ch
 from csitransfer import transfer
-from csitransfer.seeding import STREAM_COVARIANCE, STREAM_TASK_DATA, stream
+from csitransfer.seeding import STREAM_COVARIANCE, STREAM_ENV, STREAM_TASK_DATA, stream
 
 RNG = np.random.default_rng
 
@@ -75,6 +75,23 @@ def test_environment_deterministic():
     assert ch.sample_environment(3, gcfg, 11) == ch.sample_environment(3, gcfg, 11)
     assert ch.sample_environment(3, gcfg, 11) != ch.sample_environment(4, gcfg, 11)
     assert ch.sample_environment(3, gcfg, 11) != ch.sample_environment(3, gcfg, 12)
+
+
+@pytest.mark.parametrize("master_seed", [0, 7, 12345, 2**40 + 3])
+def test_environment_equals_two_sequence_oracle(master_seed):
+    """One hashed seed sequence gives what building it twice gave: the
+    generator's draws from one copy and the stored seed from the other."""
+    gcfg = ch.GeneratorConfig()
+    for env_id in (0, 1, 59, 1499):
+        key = dict(entropy=master_seed, spawn_key=(STREAM_ENV, env_id))
+        rng = np.random.default_rng(np.random.SeedSequence(**key))
+        width = rng.uniform(gcfg.as_width_min, gcfg.as_width_max)
+        center = rng.uniform(-math.pi / 2 + width / 2, math.pi / 2 - width / 2)
+        want = ch.Environment(
+            id=env_id, as_lower=center - width / 2, as_upper=center + width / 2,
+            ray_count=gcfg.ray_count, amplitude_scale=gcfg.resolved_amplitude_scale(),
+            seed=int(np.random.SeedSequence(**key).generate_state(1, np.uint64)[0]))
+        assert ch.sample_environment(env_id, gcfg, master_seed) == want
 
 
 def test_environment_width_mean_matches_uniform_law():

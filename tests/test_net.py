@@ -424,3 +424,28 @@ def test_loss_and_grad_bit_equal_to_per_layer_formulas(hidden):
     assert all(np.array_equal(g, w) for g, w in zip(grads.weights, want_w))
     assert all(np.array_equal(g, w) for g, w in zip(grads.biases, want_b))
     assert all(np.shares_memory(g, grads.flat) for g in grads.weights + grads.biases)
+
+
+def test_workspace_reuses_its_buffers_and_reads_params_afresh():
+    """A run updates its parameters and input rows in place between calls;
+    every call sees both and matches the per-layer formulas bit for bit,
+    in the same gradient buffer."""
+    spec = net.LayerSpec.fnn(3, (8, 5))
+    params = random_params(spec, seed=69)
+    batch = random_batch(spec, 9, seed=70)
+    ws = net.Workspace(params, batch.xs.copy(), batch.ys.copy())
+    grads = ws.grads.flat
+    rng = RNG(71)
+    for _ in range(3):
+        want_loss, want_w, want_b = per_layer_loss_and_grad(
+            params.weights, params.biases, ws.xs, ws.ys)
+        assert ws.loss() == want_loss
+        assert ws.loss_and_grad() == want_loss
+        assert ws.grads.flat is grads
+        assert all(np.array_equal(g, w) for g, w in zip(ws.grads.weights, want_w))
+        assert all(np.array_equal(g, w) for g, w in zip(ws.grads.biases, want_b))
+        assert np.array_equal(ws.forward(), net.forward_batch(params, ws.xs))
+        params.flat *= 0.9
+        ws.xs[...] = rng.normal(size=ws.xs.shape)
+    with pytest.raises(ValueError, match="input width"):
+        net.Workspace(params, np.ones((2, 5)))

@@ -164,11 +164,13 @@ def test_adam_state_moments_nonnegative_v():
 
 
 def per_array_adam(m, v, t, params, grads, gamma, rho1=0.9, rho2=0.999, eps=1e-8):
-    """One Adam step over lists of arrays, one fresh array per expression."""
+    """One Adam step over lists of arrays, one fresh array per expression,
+    with both bias corrections folded into the step size and epsilon."""
     m = [rho1 * ms + (1.0 - rho1) * g for ms, g in zip(m, grads)]
     v = [rho2 * vs + (1.0 - rho2) * g * g for vs, g in zip(v, grads)]
-    bc1, bc2 = 1.0 - rho1 ** t, 1.0 - rho2 ** t
-    params = [p - gamma * (ms / bc1) / (np.sqrt(vs / bc2) + eps)
+    root_c2 = math.sqrt(1.0 - rho2 ** t)
+    alpha, eps_hat = gamma * root_c2 / (1.0 - rho1 ** t), eps * root_c2
+    params = [p - alpha * (ms / (np.sqrt(vs) + eps_hat))
               for p, ms, vs in zip(params, m, v)]
     return params, m, v
 
@@ -187,8 +189,6 @@ def arrays(p):
 def test_adam_bit_equal_to_per_array_formulas(n_in, n_hidden):
     rng = np.random.default_rng(5)
     p = two_layer(rng, n_in, n_hidden)
-    # one partial chunk of the update, or two full chunks and a partial one
-    assert p.flat.size < optim._CHUNK or p.flat.size > 2 * optim._CHUNK
     state = optim.AdamState.init(p)
     want = arrays(p)
     m = [np.zeros_like(a) for a in want]
@@ -229,3 +229,21 @@ def test_gd_leaves_its_inputs_untouched():
     assert not np.shares_memory(out.flat, p.flat) and not np.shares_memory(out.flat, g.flat)
     assert all(np.array_equal(a, b - 0.25 * c)
                for a, b, c in zip(arrays(out), arrays(p), arrays(g)))
+
+
+def test_in_place_updates_equal_the_pure_steps():
+    """The in-place forms write the pure steps' bits into the parameters;
+    GD may take the gradient buffer itself as its scratch."""
+    rng = np.random.default_rng(8)
+    p = two_layer(rng)
+    state, pure_state = optim.AdamState.init(p), optim.AdamState.init(p)
+    pure, live, work = p, p.copy(), np.empty_like(p.flat)
+    for _ in range(5):
+        g = two_layer(rng)
+        pure, _ = optim.adam_step(pure_state, pure, g, 1e-2)
+        optim.adam_update(state, live, g, 1e-2, work)
+        assert np.array_equal(live.flat, pure.flat)
+        assert np.array_equal(state.v.flat, pure_state.v.flat) and state.t == pure_state.t
+    want = optim.gd_step(live, g, 0.25)
+    optim.gd_update(live, g, 0.25, g.flat)
+    assert np.array_equal(live.flat, want.flat)

@@ -104,6 +104,33 @@ def test_no_transfer_bit_identical_given_seed():
     assert m1.loss_history == m2.loss_history
 
 
+def test_no_transfer_bit_equal_to_written_out_minibatch_loop():
+    """Each step gathers its minibatch rows into the run's input buffers;
+    the result equals a loop over fresh per-layer arrays bit for bit."""
+    sources = identity_sources() + identity_sources(seed=1)
+    cfg = tiny_cfg(hidden=(8, 6), v=16, max_steps=30, gamma=1e-2,
+                   gen=ch.GeneratorConfig(array=ch.ArrayConfig(m=2), users=5))
+    model = transfer.train_no_transfer(sources, cfg, stream(0, STREAM_BATCH))
+
+    xs = np.concatenate([d.xs() for d in sources])
+    ys = np.concatenate([d.ys() for d in sources])
+    init = transfer.init_network(cfg)
+    n_layers = len(init.weights)
+    ps = [a.copy() for a in init.weights + init.biases]
+    m = [np.zeros_like(a) for a in ps]
+    v = [np.zeros_like(a) for a in ps]
+    rng = stream(0, STREAM_BATCH)
+    history = [per_layer_loss_and_grad(ps[:n_layers], ps[n_layers:], xs, ys)[0]]
+    for t in range(1, cfg.max_steps + 1):
+        idx = rng.choice(len(xs), size=cfg.v, replace=False)
+        loss, gw, gb = per_layer_loss_and_grad(ps[:n_layers], ps[n_layers:], xs[idx], ys[idx])
+        ps, m, v = per_layer_adam(m, v, t, ps, gw + gb, cfg.gamma)
+        history.append(loss)
+    assert model.loss_history == history
+    got = model.params
+    assert all(np.array_equal(a, b) for a, b in zip(got.weights + got.biases, ps))
+
+
 def test_no_transfer_rejects_empty_or_small_pool():
     cfg = tiny_cfg(v=500)
     with pytest.raises(ValueError):
@@ -197,7 +224,43 @@ def test_meta_adapt_equals_manual_gd_steps():
         assert np.array_equal(a, b)
 
 
-def per_layer_adaption(params, batch, rule, beta, steps):
+def per_layer_loss_and_grad(ws, bs, xs, ys):
+    """Loss and per-layer weight and bias gradients, one fresh array per
+    expression."""
+    acts, pres, a = [xs], [], xs
+    for l, (w, b) in enumerate(zip(ws, bs)):
+        z = a @ w.T + b
+        pres.append(z)
+        a = np.maximum(z, 0.0) if l < len(ws) - 1 else z
+        acts.append(a)
+    diff = a - ys
+    loss = float(np.sum(diff * diff) / len(xs))
+    gw, gb = [None] * len(ws), [None] * len(ws)
+    delta = 2.0 / len(xs) * diff
+    for l in range(len(ws) - 1, -1, -1):
+        gw[l], gb[l] = delta.T @ acts[l], delta.sum(axis=0)
+        if l > 0:
+            delta = (delta @ ws[l]) * (pres[l - 1] > 0)
+    return loss, gw, gb
+
+
+def per_layer_adam(m, v, t, ps, gs, rate, textbook=False):
+    """One Adam step over lists of arrays. The optimizer's form folds both
+    bias corrections into the step size and epsilon; ``textbook`` divides
+    each moment by its correction instead."""
+    m = [0.9 * ms + (1.0 - 0.9) * g for ms, g in zip(m, gs)]
+    v = [0.999 * vs + (1.0 - 0.999) * g * g for vs, g in zip(v, gs)]
+    bc1, bc2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+    if textbook:
+        ps = [p - rate * (ms / bc1) / (np.sqrt(vs / bc2) + 1e-8)
+              for p, ms, vs in zip(ps, m, v)]
+    else:
+        alpha, eps_hat = rate * np.sqrt(bc2) / bc1, 1e-8 * np.sqrt(bc2)
+        ps = [p - alpha * (ms / (np.sqrt(vs) + eps_hat)) for p, ms, vs in zip(ps, m, v)]
+    return ps, m, v
+
+
+def per_layer_adaption(params, batch, rule, beta, steps, textbook=False):
     """Full-batch adaption as a loop over lists of per-layer arrays, one
     fresh array per expression: the parameter iterates and step losses."""
     ws, bs = [w.copy() for w in params.weights], [b.copy() for b in params.biases]
@@ -205,29 +268,13 @@ def per_layer_adaption(params, batch, rule, beta, steps):
     v = [np.zeros_like(a) for a in ws + bs]
     iterates, losses = [ws + bs], []
     for t in range(1, steps + 1):
-        acts, pres, a = [batch.xs], [], batch.xs
-        for l, (w, b) in enumerate(zip(ws, bs)):
-            z = a @ w.T + b
-            pres.append(z)
-            a = np.maximum(z, 0.0) if l < len(ws) - 1 else z
-            acts.append(a)
-        diff = a - batch.ys
-        losses.append(float(np.sum(diff * diff) / len(batch)))
-        gw, gb = [None] * len(ws), [None] * len(ws)
-        delta = 2.0 / len(batch) * diff
-        for l in range(len(ws) - 1, -1, -1):
-            gw[l], gb[l] = delta.T @ acts[l], delta.sum(axis=0)
-            if l > 0:
-                delta = (delta @ ws[l]) * (pres[l - 1] > 0)
+        loss, gw, gb = per_layer_loss_and_grad(ws, bs, batch.xs, batch.ys)
+        losses.append(loss)
         ps, gs = ws + bs, gw + gb
         if rule == "gd":
             ps = [p - beta * g for p, g in zip(ps, gs)]
         else:
-            m = [0.9 * ms + (1.0 - 0.9) * g for ms, g in zip(m, gs)]
-            v = [0.999 * vs + (1.0 - 0.999) * g * g for vs, g in zip(v, gs)]
-            bc1, bc2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
-            ps = [p - beta * (ms / bc1) / (np.sqrt(vs / bc2) + 1e-8)
-                  for p, ms, vs in zip(ps, m, v)]
+            ps, m, v = per_layer_adam(m, v, t, ps, gs, beta, textbook)
         ws, bs = ps[:len(ws)], ps[len(ws):]
         iterates.append(ps)
     return iterates, losses
@@ -253,6 +300,79 @@ def test_adapt_snapshots_bit_equal_to_per_layer_loop(rule):
         assert all(np.array_equal(a, b)
                    for a, b in zip(got.weights + got.biases, iterates[g]))
         assert snaps[g].loss_history[:g] == losses[:g]
+
+
+def test_folded_adam_adaption_tracks_textbook_formula():
+    """Folding Adam's bias corrections into the step size changes an
+    adaption only by rounding: after 1,000 steps the parameters and every
+    step's loss are within 1e-14 (relative) of the textbook update's."""
+    cfg = tiny_cfg(beta=1e-3)
+    rng = RNG(13)
+    params = net.init_params(net.LayerSpec.fnn(3, (9, 7)), rng)
+    base = transfer.TrainedModel(params=params, provenance="no-transfer", config=None,
+                                 loss_history=[0.0])
+    batch = Batch(rng.normal(size=(10, 6)), rng.normal(size=(10, 6)))
+    got = transfer.adapt_snapshots(base, batch, cfg, "adam", [1000])[1000]
+    iterates, losses = per_layer_adaption(params, batch, "adam", cfg.beta, 1000,
+                                          textbook=True)
+    want = np.concatenate([a.ravel() for a in iterates[1000]])
+    assert losses[-1] < 0.5 * losses[0]
+    assert np.max(np.abs(got.params.flat - want)) <= 1e-14 * np.max(np.abs(want))
+    history = np.array(got.loss_history[:1000])
+    assert np.max(np.abs(history - losses)) <= 1e-14 * max(losses)
+
+
+def test_adapt_snapshots_never_alias_the_run(monkeypatch):
+    """The run steps one set of buffers in place; each snapshot is its own
+    copy, and the base model is left untouched."""
+    runs = []
+
+    class Recorded(net.Workspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            runs.append(self)
+
+    monkeypatch.setattr(net, "Workspace", Recorded)
+    cfg = tiny_cfg(beta=1e-3)
+    base = _fitted_base(cfg)
+    before = base.params.ravel()
+    d_ad, _ = _clean_target_sets(cfg)
+    snaps = transfer.adapt_snapshots(base, d_ad, cfg, "adam", [0, 3, 7])
+    (run,) = runs
+    buffers = [run.params.flat, run.grads.flat, run.work, run.xs, run.ys,
+               *run.acts, *run.deltas]
+    flats = [base.params.flat] + [snap.params.flat for snap in snaps.values()]
+    for i, a in enumerate(flats):
+        assert not any(np.shares_memory(a, b) for b in buffers + flats[i + 1:])
+    assert np.array_equal(base.params.flat, before)
+    assert np.array_equal(snaps[7].params.flat, run.params.flat)
+    assert not np.array_equal(snaps[3].params.flat, snaps[7].params.flat)
+
+
+def test_adapt_snapshots_rejects_unknown_rule():
+    cfg = tiny_cfg()
+    d_ad, _ = _clean_target_sets(cfg)
+    with pytest.raises(ValueError, match="unknown adaption rule 'adamw'"):
+        transfer.adapt_snapshots(_fitted_base(cfg), d_ad, cfg, "adamw", [1])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to inf
+def test_diverging_adam_adaption_stops_at_first_non_finite_loss():
+    cfg = tiny_cfg(beta=1e100, g_ad=100)
+    base = _fitted_base(cfg)
+    d_ad, _ = _clean_target_sets(cfg)
+    batch = Batch(d_ad.xs(), d_ad.ys())
+    params, state = base.params.copy(), optim.AdamState.init(base.params)
+    for updates in range(cfg.g_ad):
+        if not np.isfinite(net.mse_loss(params, batch)):
+            break
+        params, state = optim.adam_step(state, params, net.backward(params, batch), cfg.beta)
+    assert 0 < updates < cfg.g_ad - 1
+
+    with pytest.raises(transfer.NonFiniteLoss) as err:
+        transfer.adapt_snapshots(base, d_ad, cfg, "adam", [cfg.g_ad])
+    assert err.value.stage == "adaption (adam)"
+    assert err.value.step == updates
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to inf
