@@ -164,9 +164,6 @@ class SamplePair:
     y_clean: np.ndarray
     user_index: int
 
-    def key(self) -> tuple[int, float]:
-        return (self.user_index, self.f_up)
-
 
 class TaskDataset:
     """Sample pairs of one environment under one role tag, as arrays.
@@ -275,19 +272,6 @@ def _check_carrier(f: float):
         raise ValueError(f"carrier frequency must be positive, got {f}")
 
 
-def array_manifold(theta: float, f: float, cfg: ArrayConfig) -> np.ndarray:
-    """Steering vector of the ULA toward direction ``theta`` at carrier ``f``.
-
-    Entry m equals exp(-j * (2 pi d f / c) * m * sin theta); entry 0 is 1.
-    """
-    if not math.isfinite(theta):
-        raise ValueError(f"direction of arrival must be finite, got {theta}")
-    _check_carrier(f)
-    varpi = 2.0 * math.pi * cfg.d * f / cfg.c
-    m = np.arange(cfg.m)
-    return np.exp(-1j * varpi * m * math.sin(theta))
-
-
 def sample_environment(env_id: int, gcfg: GeneratorConfig, master_seed: int) -> Environment:
     """Draw one environment, deterministically from (env_id, master_seed).
 
@@ -338,14 +322,6 @@ def _draw_users(env: Environment, rng: np.random.Generator, u: int,
                     amplitudes=env.amplitude_scale * np.sqrt(2.0 * expo),
                     phases=(2.0 * math.pi) * phase_delay[:, :p],
                     delays=delay_max * phase_delay[:, p:])
-
-
-def sample_user(env: Environment, rng: np.random.Generator,
-                delay_max: float = DEFAULT_DELAY_MAX) -> UserRays:
-    """Draw one user's rays: the one-user case of :func:`_draw_users`."""
-    rays = _draw_users(env, rng, 1, delay_max)
-    return UserRays(env_id=env.id, doas=rays.doas[0], amplitudes=rays.amplitudes[0],
-                    phases=rays.phases[0], delays=rays.delays[0])
 
 
 def _ray_gains(rays: UserRays, f) -> np.ndarray:
@@ -457,9 +433,15 @@ def lmmse_estimate(y: np.ndarray, r: np.ndarray, sigma2: float) -> np.ndarray:
     return r @ np.linalg.solve(a, y)
 
 
+# Users in an environment's covariance pool, and the ridge added to the
+# sample covariance relative to its mean diagonal. Both fix the bits of every
+# LMMSE dataset.
+_POOL_USERS = 200
+_RIDGE = 1e-6
+
 # Users of the covariance pool per ray-sum call. The kernel's two power
 # tables hold 2*q*P complex entries per user (0.3 MB for 50 users of 25 rays
-# at M=64, 1.3 MB for the whole default pool of 200), so blocks keep the
+# at M=64, 1.3 MB for the whole pool), so blocks keep the
 # transient memory near that of one covariance.
 _POOL_BLOCK = 50
 
@@ -476,13 +458,12 @@ class EnvCovariance:
     and their summed Hermitian products.
     """
 
-    def __init__(self, env: Environment, cfg: ArrayConfig, n_samples: int = 200,
-                 delay_max: float = DEFAULT_DELAY_MAX, ridge: float = 1e-6):
-        self._rays = _draw_users(env, stream(env.seed, STREAM_COVARIANCE), n_samples,
+    def __init__(self, env: Environment, cfg: ArrayConfig,
+                 delay_max: float = DEFAULT_DELAY_MAX):
+        self._rays = _draw_users(env, stream(env.seed, STREAM_COVARIANCE), _POOL_USERS,
                                  delay_max)
         self._sin_doas = np.sin(self._rays.doas)
         self._cfg = cfg
-        self._ridge = ridge
 
     def at(self, f: float) -> np.ndarray:
         _check_carrier(f)
@@ -494,7 +475,7 @@ class EnvCovariance:
                          self._cfg)
             r += h.T @ h.conj()
         r /= n
-        return r + self._ridge * (np.trace(r).real / m) * np.eye(m)
+        return r + _RIDGE * (np.trace(r).real / m) * np.eye(m)
 
 
 def _collect_pairs(rays: UserRays, uids: np.ndarray, f_up: np.ndarray, delta_f: float,
@@ -661,17 +642,6 @@ def generate_task_datasets(env: Environment, role_counts: Sequence[tuple[str, in
     return [collect(combo_set, role, delta_f, cfg, noise, rng, cov=cov,
                     delay_max=delay_max)
             for role, _ in role_counts]
-
-
-def generate_task_dataset(env: Environment, role: str, n_pairs: int, u: int,
-                          f_range: tuple[float, float], delta_f: float,
-                          cfg: ArrayConfig, noise: NoiseSpec,
-                          rng: np.random.Generator,
-                          delay_max: float = DEFAULT_DELAY_MAX) -> TaskDataset:
-    """Single-role convenience wrapper around :func:`generate_task_datasets`."""
-    return generate_task_datasets(env, [(role, n_pairs)], u, f_range, delta_f,
-                                  cfg, noise, rng, delay_max)[0]
-
 
 def with_array(gcfg: GeneratorConfig, m: int) -> GeneratorConfig:
     """Copy of the generator config with a different antenna count."""

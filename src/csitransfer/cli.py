@@ -6,11 +6,14 @@ subcommand, the resolved config, the master seed, build information,
 timestamps, and the produced files. ``rerun MANIFEST`` re-executes the
 recorded subcommand with the recorded config; all outputs are then
 byte-identical (timestamps live only in the manifest), except the stage
-wall-clock times in a sweep's ``.report.json``.
+wall-clock times in a sweep's ``.report.json``. The recorded values go
+through the subcommand's own option declarations, so a malformed one is a
+one-line error, and no environment variable overrides them.
 
 Flags can be overridden through environment variables with the ``CSIT_``
-prefix. Exit codes: 0 success, 1 runtime or verification failure, 2 usage
-error.
+prefix. ``sweep`` shares its options with ``gen``, ``train`` and
+``meta-train`` but defaults to the desk profile (``SWEEP_DESK_DEFAULTS``).
+Exit codes: 0 success, 1 runtime or verification failure, 2 usage error.
 
 Heavy imports happen inside the commands so that ``--threads`` can cap the
 linear-algebra thread pools before they are initialised.
@@ -22,7 +25,6 @@ import csv
 import json
 import os
 import subprocess
-import sys
 from datetime import datetime, timezone
 
 import click
@@ -144,7 +146,7 @@ def _train_config(opts: dict):
 
 def _impl_gen(opts: dict) -> list[str]:
     from . import store
-    from .channel import generate_task_dataset, sample_environment
+    from .channel import generate_task_datasets, sample_environment
     from .seeding import stream
 
     gcfg = _generator_config(opts)
@@ -153,16 +155,22 @@ def _impl_gen(opts: dict) -> list[str]:
     for env_id in range(opts["first_env_id"], opts["first_env_id"] + opts["envs"]):
         env = sample_environment(env_id, gcfg, opts["seed"])
         rng = stream(env.seed, STREAM_CLI_GEN, role_code)
-        datasets.append(generate_task_dataset(
-            env, opts["role"], opts["pairs"], gcfg.users,
+        datasets.append(generate_task_datasets(
+            env, [(opts["role"], opts["pairs"])], gcfg.users,
             (gcfg.f_min, gcfg.f_max), gcfg.delta_f, gcfg.array, gcfg.noise,
-            rng, gcfg.delay_max))
+            rng, gcfg.delay_max)[0])
     store.write_dataset(opts["out"], datasets, gcfg.noise, gcfg.delta_f)
     return [opts["out"], opts["out"] + ".meta.json"]
 
 
-def _loss_csv(path: str, history: list[float]):
-    _write_csv(path, ["step", "loss"], [[i, repr(x)] for i, x in enumerate(history)])
+def _write_model(path: str, model) -> list[str]:
+    """Write a trained model's checkpoint, sidecar and per-step loss CSV."""
+    from . import store
+
+    store.write_checkpoint(path, model)
+    _write_csv(path + ".loss.csv", ["step", "loss"],
+               [[i, repr(x)] for i, x in enumerate(model.loss_history)])
+    return [path, path + ".meta.json", path + ".loss.csv"]
 
 
 def _impl_train(opts: dict) -> list[str]:
@@ -172,34 +180,26 @@ def _impl_train(opts: dict) -> list[str]:
     from .transfer import _support_query, train_no_transfer
 
     cfg = _train_config(opts)
+    pool = []
     if opts.get("sources"):
-        pool = []
         for path in opts["sources"]:
             pool.extend(store.read_dataset(path).datasets)
     else:
-        pool = []
         for env in source_environments(cfg):
             sup, que = _support_query(env, cfg, 0)
             pool.extend([sup, que])
     model = train_no_transfer(pool, cfg, stream(cfg.seed, STREAM_BATCH, 0))
-    store.write_checkpoint(opts["out"], model)
-    loss_path = opts["out"] + ".loss.csv"
-    _loss_csv(loss_path, model.loss_history)
-    return [opts["out"], opts["out"] + ".meta.json", loss_path]
+    return _write_model(opts["out"], model)
 
 
 def _impl_meta_train(opts: dict) -> list[str]:
-    from . import store
     from .evaluate import source_environments
     from .seeding import STREAM_BATCH, stream
     from .transfer import meta_train
 
     cfg = _train_config(opts)
     model = meta_train(source_environments(cfg), cfg, stream(cfg.seed, STREAM_BATCH, 1))
-    store.write_checkpoint(opts["out"], model)
-    loss_path = opts["out"] + ".loss.csv"
-    _loss_csv(loss_path, model.loss_history)
-    return [opts["out"], opts["out"] + ".meta.json", loss_path]
+    return _write_model(opts["out"], model)
 
 
 def _load_adaption_set(opts: dict):
@@ -231,10 +231,7 @@ def _impl_adapt(opts: dict) -> list[str]:
         rule = RULE_GD if model.provenance == PROVENANCE_META else RULE_ADAM
     cfg = TrainConfig(beta=opts["beta"], g_ad=opts["g_ad"], seed=opts["seed"])
     adapted = adapt_snapshots(model, d_ad, cfg, rule, [opts["g_ad"]])[opts["g_ad"]]
-    store.write_checkpoint(opts["out"], adapted)
-    loss_path = opts["out"] + ".loss.csv"
-    _loss_csv(loss_path, adapted.loss_history)
-    return [opts["out"], opts["out"] + ".meta.json", loss_path]
+    return _write_model(opts["out"], adapted)
 
 
 def _impl_eval(opts: dict) -> list[str]:
@@ -305,8 +302,6 @@ def _impl_sweep(opts: dict) -> list[str]:
 
 
 def _impl_gradcheck(opts: dict) -> list[str]:
-    import numpy as np
-
     from . import net, transfer
     from .seeding import stream
 
@@ -328,7 +323,7 @@ def _impl_gradcheck(opts: dict) -> list[str]:
         params = net.init_params(spec, rng)
         batch = net.Batch(rng.normal(size=(8, spec.sizes[0])),
                           rng.normal(size=(8, spec.sizes[0])))
-        grads = net.backward(params, batch)
+        grads = net.loss_and_grad(params, batch)[1]
         for _ in range(probes // 5 + 1):
             li = int(rng.integers(0, len(params.weights)))
             w = params.weights[li]
@@ -369,7 +364,7 @@ def _impl_gradcheck(opts: dict) -> list[str]:
                   net.Batch(rng.normal(size=(4, 4)), rng.normal(size=(4, 4))))
                  for _ in range(2)]
         beta = 1e-3
-        mg = transfer.meta_gradient(params, tasks, g_tr, beta, "exact")
+        mg = transfer._meta_batch_eval(params, tasks, g_tr, beta, "exact")[1]
 
         def meta_loss(p):
             total = 0.0
@@ -436,46 +431,59 @@ def cli(threads: int):
             os.environ[var] = str(threads)
 
 
-def _gen_options(fn):
-    for deco in reversed([
-        click.option("--users", type=click.IntRange(min=1), default=25, show_default=True,
-                     help="Users drawn per environment."),
-        click.option("--antennas", type=click.IntRange(min=1), default=64,
-                     show_default=True),
-        click.option("--delta-f-hz", type=float, default=120e6, show_default=True,
-                     help="Downlink minus uplink frequency."),
-        click.option("--f-min-hz", type=float, default=1e9, show_default=True),
-        click.option("--f-max-hz", type=float, default=3e9, show_default=True),
-        click.option("--snr-db", type=float, default=20.0, show_default=True),
-        click.option("--pilot-len", type=click.IntRange(min=1), default=64,
-                     show_default=True),
-        click.option("--noise-mode", type=click.Choice(NOISE_CHOICES), default="lmmse",
-                     show_default=True),
-        click.option("--seed", type=int, default=0, show_default=True),
-    ]):
-        fn = deco(fn)
-    return fn
+def _option_set(*options):
+    """One decorator that applies ``options`` in the order listed."""
+    def apply(fn):
+        for option in reversed(options):
+            fn = option(fn)
+        return fn
+    return apply
 
 
-def _train_options(fn):
-    for deco in reversed([
-        click.option("--gamma", type=float, default=1e-3, show_default=True,
-                     help="Across-task / Adam learning rate."),
-        click.option("--beta", type=float, default=1e-6, show_default=True,
-                     help="Inner-task / adaption learning rate."),
-        click.option("--v", type=click.IntRange(min=1), default=128, show_default=True,
-                     help="Training batch size."),
-        click.option("--k-s", type=click.IntRange(min=1), default=1500,
-                     show_default=True, help="Source task count."),
-        click.option("--n-tr", type=click.IntRange(min=1), default=20,
-                     show_default=True, help="Samples per source task."),
-        click.option("--max-steps", type=click.IntRange(min=0), default=20000,
-                     show_default=True),
-        click.option("--hidden", type=str, default="128,128", show_default=True,
-                     help="Comma-separated hidden-layer widths."),
-    ]):
-        fn = deco(fn)
-    return fn
+_gen_options = _option_set(
+    click.option("--users", type=click.IntRange(min=1), default=25, show_default=True,
+                 help="Users drawn per environment."),
+    click.option("--antennas", type=click.IntRange(min=1), default=64, show_default=True),
+    click.option("--delta-f-hz", type=float, default=120e6, show_default=True,
+                 help="Downlink minus uplink frequency."),
+    click.option("--f-min-hz", type=float, default=1e9, show_default=True),
+    click.option("--f-max-hz", type=float, default=3e9, show_default=True),
+    click.option("--snr-db", type=float, default=20.0, show_default=True),
+    click.option("--pilot-len", type=click.IntRange(min=1), default=64, show_default=True),
+    click.option("--noise-mode", type=click.Choice(NOISE_CHOICES), default="lmmse",
+                 show_default=True),
+    click.option("--seed", type=int, default=0, show_default=True),
+)
+
+_train_options = _option_set(
+    click.option("--gamma", type=float, default=1e-3, show_default=True,
+                 help="Across-task / Adam learning rate."),
+    click.option("--beta", type=float, default=1e-6, show_default=True,
+                 help="Inner-task / adaption learning rate."),
+    click.option("--v", type=click.IntRange(min=1), default=128, show_default=True,
+                 help="Training batch size."),
+    click.option("--k-s", type=click.IntRange(min=1), default=1500, show_default=True,
+                 help="Source task count."),
+    click.option("--n-tr", type=click.IntRange(min=1), default=20, show_default=True,
+                 help="Samples per source task."),
+    click.option("--max-steps", type=click.IntRange(min=0), default=20000,
+                 show_default=True),
+    click.option("--hidden", type=str, default="128,128", show_default=True,
+                 help="Comma-separated hidden-layer widths."),
+)
+
+_meta_options = _option_set(
+    click.option("--g-tr", type=click.IntRange(min=0), default=3, show_default=True,
+                 help="Inner-task gradient steps."),
+    click.option("--k-b", type=click.IntRange(min=1), default=80, show_default=True,
+                 help="Tasks per across-task update."),
+    click.option("--meta-mode", type=click.Choice(["exact", "first-order"]),
+                 default="exact", show_default=True),
+)
+
+# TrainConfig.desk_profile with clean collection: small enough that `sweep`
+# runs the full three-way comparison in minutes on one CPU.
+SWEEP_DESK_DEFAULTS = {"users": 10, "antennas": 16, "noise_mode": "clean", "k_s": 200}
 
 
 @cli.command()
@@ -506,12 +514,7 @@ def train(**opts):
 @cli.command("meta-train")
 @_gen_options
 @_train_options
-@click.option("--g-tr", type=click.IntRange(min=0), default=3, show_default=True,
-              help="Inner-task gradient steps.")
-@click.option("--k-b", type=click.IntRange(min=1), default=80, show_default=True,
-              help="Tasks per across-task update.")
-@click.option("--meta-mode", type=click.Choice(["exact", "first-order"]),
-              default="exact", show_default=True)
+@_meta_options
 @click.option("--fixed-task-data", is_flag=True, default=False,
               help="Freeze each task's support/query sets instead of "
                    "regenerating them per visit.")
@@ -548,38 +551,17 @@ def eval_cmd(**opts):
     _execute("eval", opts)
 
 
-@cli.command()
+@cli.command(context_settings={"default_map": SWEEP_DESK_DEFAULTS})
 @click.option("--variable", type=click.Choice(SWEEP_CHOICES), default="none",
               show_default=True)
 @click.option("--grid", type=str, default="", help="Comma-separated grid values.")
 @click.option("--k-t", type=click.IntRange(min=1), default=50, show_default=True)
-@click.option("--k-b", type=click.IntRange(min=1), default=80, show_default=True)
-@click.option("--g-tr", type=click.IntRange(min=0), default=3, show_default=True)
 @click.option("--g-ad", type=click.IntRange(min=0), default=1000, show_default=True)
 @click.option("--n-ad", type=click.IntRange(min=1), default=20, show_default=True)
 @click.option("--n-te", type=click.IntRange(min=1), default=20, show_default=True)
-@click.option("--meta-mode", type=click.Choice(["exact", "first-order"]),
-              default="exact", show_default=True)
-# Desk-profile defaults: small enough that the full three-way comparison
-# runs in minutes on one CPU.
-@click.option("--users", type=click.IntRange(min=1), default=10, show_default=True)
-@click.option("--antennas", type=click.IntRange(min=1), default=16, show_default=True)
-@click.option("--delta-f-hz", type=float, default=120e6, show_default=True)
-@click.option("--f-min-hz", type=float, default=1e9, show_default=True)
-@click.option("--f-max-hz", type=float, default=3e9, show_default=True)
-@click.option("--snr-db", type=float, default=20.0, show_default=True)
-@click.option("--pilot-len", type=click.IntRange(min=1), default=64, show_default=True)
-@click.option("--noise-mode", type=click.Choice(NOISE_CHOICES), default="clean",
-              show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--k-s", type=click.IntRange(min=1), default=200, show_default=True)
-@click.option("--n-tr", type=click.IntRange(min=1), default=20, show_default=True)
-@click.option("--gamma", type=float, default=1e-3, show_default=True)
-@click.option("--beta", type=float, default=1e-6, show_default=True)
-@click.option("--v", type=click.IntRange(min=1), default=128, show_default=True)
-@click.option("--max-steps", type=click.IntRange(min=0), default=20000,
-              show_default=True)
-@click.option("--hidden", type=str, default="128,128", show_default=True)
+@_meta_options
+@_gen_options
+@_train_options
 @click.option("--out", type=click.Path(), required=True)
 def sweep(**opts):
     """Three-way comparison at desk scale, optionally sweeping one variable."""
@@ -599,6 +581,21 @@ def gradcheck(**opts):
     _execute("gradcheck", opts)
 
 
+def _recorded_command_line(cmd: click.Command, config: dict) -> list[str]:
+    """The flags that give each of ``cmd``'s parameters its recorded value.
+    A null value is left out, so it reads as the default."""
+    args = []
+    for p in cmd.params:
+        value = config[p.name]
+        if p.is_flag:
+            if value is True:
+                args.append(p.opts[0])
+        elif value is not None:
+            for item in value if p.multiple and isinstance(value, list) else [value]:
+                args.append(f"{p.opts[0]}={item}")
+    return args
+
+
 @cli.command()
 @click.argument("manifest", type=click.Path(exists=True))
 def rerun(manifest):
@@ -616,10 +613,24 @@ def rerun(manifest):
     config = recorded.get("config")
     if not isinstance(config, dict):
         raise click.ClickException(f"{manifest} has no 'config' object")
-    missing = [p.name for p in cli.commands[sub].params if p.name not in config]
+    cmd = cli.commands[sub]
+    missing = [p.name for p in cmd.params if p.name not in config]
     if missing:
         raise click.ClickException(f"{manifest} config lacks {', '.join(missing)}")
-    _execute(sub, config)
+    # The subcommand's own declarations check every recorded value. The
+    # context has no parent, so no CSIT_* variable overrides one.
+    try:
+        ctx = cmd.make_context(sub, _recorded_command_line(cmd, config))
+    except click.UsageError as exc:
+        raise click.ClickException(f"{manifest}: {exc.format_message()}") from None
+    for p in cmd.params:
+        parsed = ctx.params[p.name]
+        if (list(parsed) if p.multiple else parsed) != config[p.name]:
+            raise click.ClickException(
+                f"{manifest}: config field {p.name!r} holds {config[p.name]!r}, "
+                f"which {p.opts[0]} reads as {parsed!r}")
+    with ctx:
+        cmd.invoke(ctx)
 
 
 def main():

@@ -23,26 +23,24 @@ import numpy as np
 
 from . import net, transfer
 # bench/spans.py wraps adam_step where this module looks it up and refuses to
-# start if it is missing, so it stays imported by name although the width
-# probe steps in place with adam_update.
-from .optim import AdamState, adam_step, adam_update  # noqa: F401
+# start if it is missing, so it stays imported by name although nothing here
+# calls it.
+from .optim import adam_step  # noqa: F401
 from .channel import (
     NOISE_LMMSE,
     ROLE_ADAPTION,
     ROLE_TEST,
-    ROLE_TRAIN_SUPPORT,
     EnvCovariance,
     Environment,
     NoiseSpec,
     TaskDataset,
     collect,
     draw_combos,
-    generate_task_dataset,
     real_to_complex,
     sample_environment,
     with_array,
 )
-from .seeding import STREAM_BATCH, STREAM_PROBE, STREAM_TARGET_DATA, stream
+from .seeding import STREAM_BATCH, STREAM_TARGET_DATA, stream
 from .transfer import TrainConfig, TrainedModel
 
 ALGO_NO_TRANSFER = "no-transfer"
@@ -52,8 +50,6 @@ ALGORITHMS = (ALGO_NO_TRANSFER, ALGO_DIRECT, ALGO_META)
 
 SWEEP_VARIABLES = ("g_ad", "n_ad", "delta_f", "m", "snr_db", "none")
 _ADAPTION_SIDE = ("g_ad", "n_ad", "snr_db", "none")
-
-PROBE_PAIRS = 200
 
 
 def nmse(h_true: np.ndarray, h_hat: np.ndarray) -> float:
@@ -260,8 +256,8 @@ def _adaption_side_points(cfg: TrainConfig, nt: TrainedModel, mt: TrainedModel,
             d_ad = _collect_adaption(data, cfg, cfg.gen.noise, 0)
             marks = [int(v) for v in grid]
             t0 = time.perf_counter()
-            snaps_dt = transfer.adapt_snapshots(nt, d_ad, cfg, cfg.direct_adapt_rule, marks)
-            snaps_mt = transfer.adapt_snapshots(mt, d_ad, cfg, cfg.meta_adapt_rule, marks)
+            snaps_dt = transfer.adapt_snapshots(nt, d_ad, cfg, transfer.RULE_ADAM, marks)
+            snaps_mt = transfer.adapt_snapshots(mt, d_ad, cfg, transfer.RULE_GD, marks)
             clock["adaption"] += time.perf_counter() - t0
             for v in grid:
                 per_value_nt[v].append(nmse_nt)
@@ -297,37 +293,3 @@ def _adaption_side_points(cfg: TrainConfig, nt: TrainedModel, mt: TrainedModel,
                  ALGO_META: NmseResult(ALGO_META, per_value_mt[v])},
         baselines=baselines) for v in grid]
 
-
-def proposition_probe(widths: Sequence[int], cfg: TrainConfig) -> dict[int, float]:
-    """Converged training loss of single-hidden-layer networks versus width.
-
-    Empirical echo of the approximation guarantee: on one clean
-    environment's mapping task, wider networks should fit at least as well.
-    """
-    widths = list(widths)
-    if any(b <= a for a, b in zip(widths, widths[1:])) or not widths:
-        raise ValueError(f"widths must be strictly increasing, got {widths}")
-    gen = cfg.gen
-    env = sample_environment(0, gen, cfg.seed)
-    data = generate_task_dataset(env, ROLE_TRAIN_SUPPORT, PROBE_PAIRS, cfg.u,
-                                 (gen.f_min, gen.f_max), gen.delta_f, gen.array,
-                                 NoiseSpec(mode="clean"),
-                                 stream(cfg.seed, STREAM_PROBE), gen.delay_max)
-    batch = net.Batch(data.xs(), data.ys())
-
-    out: dict[int, float] = {}
-    for width in widths:
-        spec = net.LayerSpec.fnn(gen.array.m, (width,))
-        params = net.init_params(spec, stream(cfg.seed, STREAM_PROBE, width),
-                                 fan=cfg.init_fan)
-        state = AdamState.init(params)
-        run = net.Workspace(params, batch.xs, batch.ys)
-        history = []
-        for _ in range(cfg.max_steps):
-            history.append(run.loss_and_grad())
-            adam_update(state, params, run.grads, cfg.gamma, run.work)
-            if transfer._converged(history, cfg.convergence_window, cfg.convergence_tol):
-                break
-        window = min(len(history), cfg.convergence_window)
-        out[width] = float(np.mean(history[-window:]))
-    return out

@@ -74,12 +74,11 @@ class NetParams:
     """Per-layer weight matrices (n_l x n_{l-1}) and bias vectors (n_l).
 
     The parameters live in one contiguous float64 buffer, ``flat``: every
-    weight row-major, layer by layer, then every bias, which is the order of
-    :meth:`ravel`. ``weights`` and ``biases`` are read-only tuples of views
-    into it, so writing through a view writes the buffer, and
-    whole-parameter arithmetic (optimizer steps, axpy, dot products) is one
-    vector operation on ``flat``. The constructor copies its inputs into a
-    fresh buffer.
+    weight row-major, layer by layer, then every bias. ``weights`` and
+    ``biases`` are read-only tuples of views into it, so writing through a
+    view writes the buffer, and whole-parameter arithmetic (optimizer steps,
+    axpy, dot products) is one vector operation on ``flat``. The
+    constructor copies its inputs into a fresh buffer.
     """
 
     __slots__ = ("flat", "_weights", "_biases")
@@ -124,17 +123,12 @@ class NetParams:
         out._bind(flat, [w.shape for w in self._weights])
         return out
 
-    def layer_spec(self, activations: tuple[str, ...] | None = None) -> LayerSpec:
+    def layer_spec(self) -> LayerSpec:
         sizes = (self.weights[0].shape[1],) + tuple(w.shape[0] for w in self.weights)
-        if activations is None:
-            activations = (RELU,) * (len(self.weights) - 1) + (LINEAR,)
-        return LayerSpec(sizes=sizes, activations=activations)
+        return LayerSpec(sizes=sizes, activations=(RELU,) * (len(sizes) - 2) + (LINEAR,))
 
     def copy(self) -> "NetParams":
         return self.like(self.flat.copy())
-
-    def ravel(self) -> np.ndarray:
-        return self.flat.copy()
 
 
 @dataclass
@@ -153,15 +147,6 @@ class Batch:
 
     def __len__(self) -> int:
         return self.xs.shape[0]
-
-
-@dataclass
-class GradTape:
-    """Forward-pass cache: the input and every layer's activation, input
-    first and output last."""
-
-    x: np.ndarray
-    activations: list[np.ndarray]
 
 
 def params_map(fn: Callable[..., np.ndarray], *ps: NetParams) -> NetParams:
@@ -193,10 +178,6 @@ def params_dot(a: NetParams, b: NetParams) -> float:
     return sum(float(np.sum(x)) for x in prod.weights + prod.biases)
 
 
-def params_norm(a: NetParams) -> float:
-    return float(np.sqrt(params_dot(a, a)))
-
-
 def _check_same_shape(a: NetParams, b: NetParams):
     """Equal layouts; the weight shapes fix the bias shapes."""
     for wa, wb in zip(a.weights, b.weights):
@@ -216,18 +197,12 @@ def _truncated_normal(rng: np.random.Generator, sigma: float, shape) -> np.ndarr
     return sigma * out
 
 
-def init_params(spec: LayerSpec, rng: np.random.Generator, fan: str = "in") -> NetParams:
-    """Truncated-normal weights with variance 1/fan, zero biases.
-
-    ``fan`` selects whether the normalising width is the layer's input
-    (``"in"``, the default) or its own output width (``"out"``).
-    """
-    if fan not in ("in", "out"):
-        raise ValueError(f"fan must be 'in' or 'out', got {fan!r}")
+def init_params(spec: LayerSpec, rng: np.random.Generator) -> NetParams:
+    """Truncated-normal weights with variance 1/fan-in, zero biases."""
     weights, biases = [], []
     for l in range(spec.n_layers):
         n_in, n_out = spec.sizes[l], spec.sizes[l + 1]
-        sigma = 1.0 / np.sqrt(n_in if fan == "in" else n_out)
+        sigma = 1.0 / np.sqrt(n_in)
         weights.append(_truncated_normal(rng, sigma, (n_out, n_in)))
         biases.append(np.zeros(n_out))
     return NetParams(weights, biases)
@@ -299,16 +274,8 @@ class Workspace:
         return loss
 
 
-def forward(params: NetParams, x: np.ndarray) -> tuple[np.ndarray, GradTape]:
-    """Single-input forward pass with its tape."""
-    x = np.asarray(x, dtype=np.float64)
-    ws = Workspace(params, x[None, :])
-    out = ws.forward()
-    return out[0], GradTape(x=x, activations=[a[0] for a in ws.acts])
-
-
 def forward_batch(params: NetParams, xs: np.ndarray) -> np.ndarray:
-    """Batched prediction (no tape)."""
+    """Batched prediction, one output row per input row."""
     return Workspace(params, np.atleast_2d(np.asarray(xs, dtype=np.float64))).forward()
 
 
@@ -326,11 +293,6 @@ def loss_and_grad(params: NetParams, batch: Batch) -> tuple[float, NetParams]:
         raise ValueError("batch must be nonempty")
     ws = Workspace(params, batch.xs, batch.ys)
     return ws.loss_and_grad(), ws.grads
-
-
-def backward(params: NetParams, batch: Batch) -> NetParams:
-    """Exact gradient of :func:`mse_loss` at ``params``."""
-    return loss_and_grad(params, batch)[1]
 
 
 def forward_param_jvp(params: NetParams, direction: NetParams, batch: Batch) -> NetParams:

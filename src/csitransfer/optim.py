@@ -38,14 +38,15 @@ import numpy as np
 
 from .net import NetParams, _check_same_shape, zeros_like_params
 
-RHO1_DEFAULT = 0.9
-RHO2_DEFAULT = 0.999
-EPS_DEFAULT = 1e-8
+# Adam's moment decay rates and denominator offset.
+RHO1 = 0.9
+RHO2 = 0.999
+EPS = 1e-8
 
 
 @dataclass
 class AdamState:
-    """First/second gradient moments, step counter, and hyperparameters.
+    """First/second gradient moments and the step counter.
 
     ``m`` and ``v`` are updated in place by :func:`adam_update`.
     """
@@ -53,15 +54,10 @@ class AdamState:
     m: NetParams
     v: NetParams
     t: int = 0
-    rho1: float = RHO1_DEFAULT
-    rho2: float = RHO2_DEFAULT
-    eps: float = EPS_DEFAULT
 
     @classmethod
-    def init(cls, params: NetParams, rho1: float = RHO1_DEFAULT,
-             rho2: float = RHO2_DEFAULT, eps: float = EPS_DEFAULT) -> "AdamState":
-        return cls(m=zeros_like_params(params), v=zeros_like_params(params),
-                   t=0, rho1=rho1, rho2=rho2, eps=eps)
+    def init(cls, params: NetParams) -> "AdamState":
+        return cls(m=zeros_like_params(params), v=zeros_like_params(params))
 
 
 def gd_update(params: NetParams, grads: NetParams, beta: float, work: np.ndarray):
@@ -98,17 +94,17 @@ def adam_update(state: AdamState, params: NetParams, grads: NetParams, gamma: fl
     _check_same_shape(params, state.m)
     m, v, g = state.m.flat, state.v.flat, grads.flat
     state.t += 1
-    m *= state.rho1
-    np.multiply(1.0 - state.rho1, g, out=work)
+    m *= RHO1
+    np.multiply(1.0 - RHO1, g, out=work)
     m += work
-    v *= state.rho2
-    np.multiply(1.0 - state.rho2, g, out=work)
+    v *= RHO2
+    np.multiply(1.0 - RHO2, g, out=work)
     work *= g
     v += work
-    root_c2 = math.sqrt(1.0 - state.rho2 ** state.t)
-    alpha = gamma * root_c2 / (1.0 - state.rho1 ** state.t)
+    root_c2 = math.sqrt(1.0 - RHO2 ** state.t)
+    alpha = gamma * root_c2 / (1.0 - RHO1 ** state.t)
     np.sqrt(v, out=work)
-    work += state.eps * root_c2
+    work += EPS * root_c2
     np.divide(m, work, out=work)
     work *= alpha
     np.subtract(params.flat, work, out=params.flat)

@@ -14,6 +14,12 @@ Dataset file (magic ``FMCD``, version 1)::
         then per pair: f_up:f64 user_index:u32 x[2m]:f64 y[2m]:f64
                        (y_clean[2m]:f64 when has_clean)
 
+The writer sets ``has_clean`` to 0 exactly when the noise mode is
+``clean``: such a label already is the clean downlink, so it is stored once,
+and the reader takes ``y_clean`` from ``y`` and reports clean labels
+present. A file of another noise mode with ``has_clean`` 0 carries no clean
+labels.
+
 A dataset's pairs are one packed record array (numpy structured dtype with
 exactly these fields), written with one ``tobytes`` and read with one
 ``frombuffer``.
@@ -40,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import NOISE_MODES, ROLES, NoiseSpec, TaskDataset
+from .channel import NOISE_CLEAN, NOISE_MODES, ROLES, NoiseSpec, TaskDataset
 from .net import LayerSpec, NetParams, LINEAR, RELU
 from .transfer import (
     PROVENANCE_ADAPTED,
@@ -69,7 +75,7 @@ class DatasetFile:
     m: int
     delta_f: float
     noise: NoiseSpec
-    has_clean: bool = True
+    has_clean: bool = True  # clean labels present, stored or (clean noise) the labels
 
 
 def _atomic_write(path: str, payload: bytes):
@@ -158,7 +164,7 @@ def _pair_dtype(m: int, has_clean: bool) -> np.dtype:
 
 
 def write_dataset(path: str, datasets: list[TaskDataset], noise: NoiseSpec,
-                  delta_f: float | None = None, store_clean: bool = True):
+                  delta_f: float | None = None):
     """Serialise task datasets of one generation run into one file.
 
     Each dataset's pairs are packed into one record array and written as
@@ -176,11 +182,12 @@ def write_dataset(path: str, datasets: list[TaskDataset], noise: NoiseSpec,
         if len(d) and not (0 <= d.user_index.min() and d.user_index.max() < 2 ** 32):
             raise ValueError("user indices must fit an unsigned 32-bit field")
 
-    dtype = _pair_dtype(m, store_clean)
+    has_clean = noise.mode != NOISE_CLEAN
+    dtype = _pair_dtype(m, has_clean)
     chunks = [struct.pack("<4sIIIddIBB", DATASET_MAGIC, FORMAT_VERSION, m,
                           len(datasets), float(delta_f), float(noise.snr_db),
                           int(noise.pilot_len), NOISE_MODES.index(noise.mode),
-                          1 if store_clean else 0)]
+                          1 if has_clean else 0)]
     for d in datasets:
         chunks.append(struct.pack("<qBI", int(d.env_id), ROLES.index(d.role), len(d)))
         records = np.empty(len(d), dtype=dtype)
@@ -188,7 +195,7 @@ def write_dataset(path: str, datasets: list[TaskDataset], noise: NoiseSpec,
         records["user_index"] = d.user_index
         records["x"] = d.xs()
         records["y"] = d.ys()
-        if store_clean:
+        if has_clean:
             records["y_clean"] = d.y_clean
         chunks.append(records.tobytes())
     _atomic_write(path, b"".join(chunks))
@@ -198,7 +205,7 @@ def write_dataset(path: str, datasets: list[TaskDataset], noise: NoiseSpec,
         "delta_f": float(delta_f), "noise": {"snr_db": float(noise.snr_db),
                                              "pilot_len": int(noise.pilot_len),
                                              "mode": noise.mode},
-        "has_clean": bool(store_clean),
+        "has_clean": has_clean,
         "datasets": [{"env_id": int(d.env_id), "role": d.role, "n_pairs": len(d)}
                      for d in datasets],
     })
@@ -209,14 +216,14 @@ def read_dataset(path: str) -> DatasetFile:
     with open(path, "rb") as f:
         r = _Reader(f.read(), path)
     _check_magic_version(r, DATASET_MAGIC, "dataset")
-    m, n_datasets, delta_f, snr_db, pilot_len, mode_code, has_clean = \
+    m, n_datasets, delta_f, snr_db, pilot_len, mode_code, stored_clean = \
         r.take("<IIddIBB")
     if mode_code >= len(NOISE_MODES):
         raise FormatError(f"{path}: unknown noise mode code {mode_code}")
     if not 1 <= m <= _MAX_ANTENNAS:
         raise FormatError(f"{path}: implausible antenna count {m}")
     noise = NoiseSpec(snr_db=snr_db, pilot_len=pilot_len, mode=NOISE_MODES[mode_code])
-    dtype = _pair_dtype(m, bool(has_clean))
+    dtype = _pair_dtype(m, bool(stored_clean))
     datasets = []
     for _ in range(n_datasets):
         env_id, role_code, n_pairs = r.take("<qBI")
@@ -228,12 +235,12 @@ def read_dataset(path: str) -> DatasetFile:
         f_up = records["f_up"].copy()
         datasets.append(TaskDataset(
             env_id, ROLES[role_code], xs=records["x"].copy(), ys=ys,
-            y_clean=records["y_clean"].copy() if has_clean else ys.copy(),
+            y_clean=records["y_clean"].copy() if stored_clean else ys.copy(),
             f_up=f_up, f_down=f_up + delta_f,
             user_index=records["user_index"].astype(np.int64)))
     r.expect_end()
     return DatasetFile(datasets=datasets, m=m, delta_f=delta_f, noise=noise,
-                       has_clean=bool(has_clean))
+                       has_clean=bool(stored_clean) or noise.mode == NOISE_CLEAN)
 
 
 def config_digest(config: dict | None) -> bytes:

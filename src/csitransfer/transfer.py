@@ -6,9 +6,8 @@
   gradient-descent updates and across-task Adam updates, adapted per target
   with plain gradient descent.
 
-Pooled training, every adaption run and the width probe of
-:mod:`csitransfer.evaluate` are dense training loops: each owns one
-:class:`net.Workspace` and steps its parameters in place with
+Pooled training and every adaption run are dense training loops: each
+owns one :class:`net.Workspace` and steps its parameters in place with
 :func:`optim.adam_update` or :func:`optim.gd_update`. A minibatch is
 gathered into the workspace's input rows; an adaption snapshot is a copy.
 GD adaption is bit-identical to the pure ``gd_step`` loop; Adam differs
@@ -35,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -44,6 +43,7 @@ from . import net
 from .channel import (
     ROLE_TRAIN_QUERY,
     ROLE_TRAIN_SUPPORT,
+    ArrayConfig,
     Environment,
     GeneratorConfig,
     TaskDataset,
@@ -54,7 +54,7 @@ from .channel import (
 # by name; the dense training loops step in place with the *_update forms.
 from .net import Batch, NetParams, params_axpy
 from .optim import AdamState, adam_step, adam_update, gd_step, gd_update
-from .seeding import STREAM_BATCH, STREAM_NET_INIT, STREAM_TASK_DATA, stream
+from .seeding import STREAM_NET_INIT, STREAM_TASK_DATA, stream
 
 PROVENANCE_NO_TRANSFER = "no-transfer"
 PROVENANCE_META = "meta"
@@ -103,11 +103,7 @@ class TrainConfig:
     seed: int = 0
     gen: GeneratorConfig = field(default_factory=GeneratorConfig)
     hidden: tuple[int, ...] = (128, 128)
-    init_fan: str = "in"
-    direct_adapt_rule: str = RULE_ADAM  # fine-tuning uses Adam
-    meta_adapt_rule: str = RULE_GD      # meta-adaption uses plain GD
-    fixed_task_data: bool = False       # regenerate support/query per visit when False
-    sample_with_replacement: bool = False
+    fixed_task_data: bool = False  # regenerate support/query per visit when False
     convergence_window: int = 200
     convergence_tol: float = 0.005
 
@@ -124,9 +120,6 @@ class TrainConfig:
             raise ValueError("learning rates must be positive")
         if self.meta_mode not in (META_EXACT, META_FIRST_ORDER):
             raise ValueError(f"unknown meta mode {self.meta_mode!r}")
-        for name in ("direct_adapt_rule", "meta_adapt_rule"):
-            if getattr(self, name) not in (RULE_ADAM, RULE_GD):
-                raise ValueError(f"{name} must be 'adam' or 'gd'")
 
     @property
     def n_support(self) -> int:
@@ -149,8 +142,6 @@ class TrainConfig:
     @classmethod
     def desk_profile(cls, **overrides) -> "TrainConfig":
         """Reduced profile that runs the full three-way comparison in minutes."""
-        from .channel import ArrayConfig  # local to avoid import noise at module top
-
         base = dict(
             k_s=200, k_t=50, u=10, max_steps=20000,
             gen=GeneratorConfig(array=ArrayConfig(m=16), users=10),
@@ -252,7 +243,7 @@ def train_no_transfer(sources: Sequence[TaskDataset], cfg: TrainConfig,
     n_pool = xs.shape[0]
     if n_pool == 0:
         raise ValueError("source pool is empty")
-    if n_pool < cfg.v and not cfg.sample_with_replacement:
+    if n_pool < cfg.v:
         raise ValueError(
             f"pool of {n_pool} pairs cannot fill batches of {cfg.v} without replacement")
 
@@ -262,7 +253,7 @@ def train_no_transfer(sources: Sequence[TaskDataset], cfg: TrainConfig,
     with np.errstate(over="ignore", invalid="ignore"):
         history = [_check_finite("training", 0, net.mse_loss(params, Batch(xs, ys)))]
         for step in range(cfg.max_steps):
-            idx = rng.choice(n_pool, size=cfg.v, replace=cfg.sample_with_replacement)
+            idx = rng.choice(n_pool, size=cfg.v, replace=False)
             np.take(xs, idx, axis=0, out=run.xs)
             np.take(ys, idx, axis=0, out=run.ys)
             loss = _check_finite("training", step, run.loss_and_grad())
@@ -324,28 +315,22 @@ def adapt_snapshots(base: TrainedModel, d_ad, cfg: TrainConfig, rule: str,
     return out
 
 
-def _adapt(base: TrainedModel, d_ad, cfg: TrainConfig, rule: str,
-           g_ad: int | None = None) -> TrainedModel:
-    steps = cfg.g_ad if g_ad is None else g_ad
-    return adapt_snapshots(base, d_ad, cfg, rule, [steps])[steps]
-
-
 def direct_adapt(base: TrainedModel, d_ad, cfg: TrainConfig) -> TrainedModel:
-    """Fine-tune a trained network on one target's adaption set.
+    """Fine-tune a trained network with Adam on one target's adaption set.
 
     Always starts from the stage-output parameters, never from a previous
     target's adapted copy.
     """
     if base.provenance not in (PROVENANCE_NO_TRANSFER, PROVENANCE_META):
         raise ValueError(f"can only adapt a trained base model, got {base.provenance!r}")
-    return _adapt(base, d_ad, cfg, cfg.direct_adapt_rule)
+    return adapt_snapshots(base, d_ad, cfg, RULE_ADAM, [cfg.g_ad])[cfg.g_ad]
 
 
 def meta_adapt(base: TrainedModel, d_ad, cfg: TrainConfig) -> TrainedModel:
     """Plain-GD adaption of the meta-trained initialization."""
     if base.provenance != PROVENANCE_META:
         raise ValueError(f"meta_adapt requires a meta-trained base, got {base.provenance!r}")
-    return _adapt(base, d_ad, cfg, cfg.meta_adapt_rule)
+    return adapt_snapshots(base, d_ad, cfg, RULE_GD, [cfg.g_ad])[cfg.g_ad]
 
 
 def inner_adapt(omega: NetParams, d_sup, g_tr: int,
@@ -364,8 +349,7 @@ def inner_adapt(omega: NetParams, d_sup, g_tr: int,
     iterates = []
     for _ in range(g_tr):
         iterates.append(params)
-        grads = net.backward(params, batch)
-        params = gd_step(params, grads, beta)
+        params = gd_step(params, net.loss_and_grad(params, batch)[1], beta)
     return params, iterates
 
 
@@ -438,13 +422,6 @@ def _meta_block(omega: NetParams, block, g_tr: int, beta: float,
             acts, deltas = inner.tape(j * n_sup, (j + 1) * n_sup)
             net.block_hvp_axpy(-beta, omega, inner.head(j * n_sup), acts, deltas, v)
     return losses, net.block_sum(omega, v)
-
-
-def meta_gradient(omega: NetParams, batch_tasks, g_tr: int, beta: float,
-                  mode: str = META_EXACT) -> NetParams:
-    """Gradient of the summed post-adaption query loss with respect to the
-    shared initialization."""
-    return _meta_batch_eval(omega, batch_tasks, g_tr, beta, mode)[1]
 
 
 def _support_query(env: Environment, cfg: TrainConfig, visit: int) -> tuple[TaskDataset, TaskDataset]:
@@ -520,32 +497,6 @@ def meta_train(source_envs: Sequence[Environment], cfg: TrainConfig,
                         derivative_order=gradient_order("meta-training", cfg))
 
 
-def taylor_residual(omega: NetParams, d_sup, d_que,
-                    beta: float) -> tuple[float, float, float]:
-    """How far the one-step meta objective is from its linearisation.
-
-    exact  = L_que(omega - beta * grad L_sup(omega))
-    approx = L_que(omega) - beta * <grad L_sup(omega), grad L_que(omega)>
-
-    The gap shrinks quadratically in beta; its sign tracks the curvature of
-    the query loss along the support gradient.
-    """
-    sup = _as_batch(d_sup)
-    que = _as_batch(d_que)
-    g_sup = net.backward(omega, sup)
-    loss_que, g_que = net.loss_and_grad(omega, que)
-    stepped = gd_step(omega, g_sup, beta) if beta > 0 else omega
-    exact = net.mse_loss(stepped, que)
-    approx = loss_que - beta * net.params_dot(g_sup, g_que)
-    return exact, approx, abs(exact - approx)
-
-
 def init_network(cfg: TrainConfig) -> NetParams:
     """Fresh parameters from the run's network-init substream."""
-    return net.init_params(cfg.layer_spec(), stream(cfg.seed, STREAM_NET_INIT),
-                           fan=cfg.init_fan)
-
-
-def training_rng(cfg: TrainConfig) -> np.random.Generator:
-    """Substream that drives init and batch selection during training."""
-    return stream(cfg.seed, STREAM_BATCH)
+    return net.init_params(cfg.layer_spec(), stream(cfg.seed, STREAM_NET_INIT))

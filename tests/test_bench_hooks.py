@@ -70,9 +70,9 @@ def test_pairs_are_views_of_the_dataset_rows():
     see the change through the dataset."""
     gen = channel.GeneratorConfig(array=channel.ArrayConfig(m=4), users=3)
     env = channel.sample_environment(0, gen, 1)
-    d = channel.generate_task_dataset(env, channel.ROLE_TEST, 3, gen.users,
-                                      (gen.f_min, gen.f_max), gen.delta_f, gen.array,
-                                      gen.noise, np.random.default_rng(0))
+    (d,) = channel.generate_task_datasets(env, [(channel.ROLE_TEST, 3)], gen.users,
+                                          (gen.f_min, gen.f_max), gen.delta_f, gen.array,
+                                          gen.noise, np.random.default_rng(0))
     before = d.xs()[0, 0]
     d.pairs[0].x[0] += 1e-12
     assert d.xs()[0, 0] == before + 1e-12

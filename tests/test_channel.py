@@ -23,25 +23,48 @@ def make_env(as_lower=-0.1, as_upper=0.1, ray_count=25, amplitude_scale=1.0,
 
 
 # ---------------------------------------------------------------------------
-# array_manifold
+# Oracles: one user's draws and the array manifold
+
+
+def sample_user(env, rng, delay_max=ch.DEFAULT_DELAY_MAX):
+    """One user's rays, drawn with numpy's own uniform and Rayleigh calls."""
+    return _oracle_users(env, rng, 1, delay_max)[0]
+
+
+def array_manifold(theta, f, cfg):
+    """Steering vector of the array toward ``theta`` at carrier ``f``: entry
+    m is exp(-j (2 pi d f / c) m sin theta)."""
+    varpi = 2.0 * math.pi * cfg.d * f / cfg.c
+    return np.exp(-1j * varpi * np.arange(cfg.m) * math.sin(theta))
+
+
+def unit_ray(theta):
+    """One ray of unit amplitude, zero phase and zero delay toward
+    ``theta``, whose channel is the array manifold."""
+    return ch.UserRays(env_id=0, doas=np.array([theta]), amplitudes=np.array([1.0]),
+                       phases=np.array([0.0]), delays=np.array([0.0]))
+
+
+# ---------------------------------------------------------------------------
+# the array manifold, as the channel of a unit ray
 
 
 def test_manifold_broadside_is_all_ones():
     cfg = ch.ArrayConfig(m=4)
-    assert np.allclose(ch.array_manifold(0.0, 2e9, cfg), np.ones(4), atol=0)
+    assert np.allclose(ch.channel_response(unit_ray(0.0), 2e9, cfg), np.ones(4), atol=0)
 
 
 def test_manifold_endfire_half_wavelength():
     f = 2e9
     cfg = ch.ArrayConfig(m=2, d=ch.SPEED_OF_LIGHT / (2 * f))
-    v = ch.array_manifold(math.pi / 2, f, cfg)
+    v = ch.channel_response(unit_ray(math.pi / 2), f, cfg)
     assert np.allclose(v, [1.0, -1.0], atol=1e-12)
 
 
 def test_manifold_matches_scalar_oracle():
     theta, f = 0.3, 2e9
     cfg = ch.ArrayConfig(m=8, d=0.05)
-    got = ch.array_manifold(theta, f, cfg)
+    got = ch.channel_response(unit_ray(theta), f, cfg)
     varpi = 2 * math.pi * cfg.d * f / cfg.c
     for m in range(8):
         expected = complex(math.cos(-varpi * m * math.sin(theta)),
@@ -51,12 +74,10 @@ def test_manifold_matches_scalar_oracle():
 
 def test_manifold_rejects_bad_arguments():
     cfg = ch.ArrayConfig(m=4)
-    with pytest.raises(ValueError):
-        ch.array_manifold(float("nan"), 2e9, cfg)
-    with pytest.raises(ValueError):
-        ch.array_manifold(0.0, 0.0, cfg)
-    with pytest.raises(ValueError):
-        ch.array_manifold(0.0, -1e9, cfg)
+    with pytest.raises(ValueError, match="carrier"):
+        ch.channel_response(unit_ray(0.0), 0.0, cfg)
+    with pytest.raises(ValueError, match="carrier"):
+        ch.channel_response(unit_ray(0.0), -1e9, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -109,18 +130,18 @@ def test_environment_empty_width_range_rejected():
 
 
 # ---------------------------------------------------------------------------
-# sample_user
+# user draws
 
 
 def test_user_degenerate_angle_spread():
     env = make_env(as_lower=0.2, as_upper=0.2 + 1e-9)
-    user = ch.sample_user(env, RNG(0))
+    user = sample_user(env, RNG(0))
     assert np.all(np.abs(user.doas - 0.2) <= 1e-9)
 
 
 def test_user_zero_amplitude_gives_zero_channel():
     env = make_env(ray_count=1, amplitude_scale=0.0)
-    user = ch.sample_user(env, RNG(0))
+    user = sample_user(env, RNG(0))
     for f in (1e9, 2.2e9):
         h = ch.channel_response(user, f, ch.ArrayConfig(m=6))
         assert np.all(h == 0)
@@ -129,7 +150,7 @@ def test_user_zero_amplitude_gives_zero_channel():
 def test_user_doa_distribution_kolmogorov_smirnov():
     env = make_env(as_lower=-0.3, as_upper=0.1)
     rng = RNG(42)
-    doas = np.concatenate([ch.sample_user(env, rng).doas for _ in range(400)])
+    doas = np.concatenate([sample_user(env, rng).doas for _ in range(400)])
     n = doas.size
     assert n == 10000
     stat = stats.kstest(doas, stats.uniform(loc=-0.3, scale=0.4).cdf).statistic
@@ -139,7 +160,7 @@ def test_user_doa_distribution_kolmogorov_smirnov():
 
 def test_user_delays_within_bound():
     env = make_env()
-    user = ch.sample_user(env, RNG(1), delay_max=3e-9)
+    user = sample_user(env, RNG(1), delay_max=3e-9)
     assert np.all((user.delays >= 0) & (user.delays <= 3e-9))
 
 
@@ -150,10 +171,8 @@ def test_user_delays_within_bound():
 def test_single_unit_ray_equals_manifold():
     cfg = ch.ArrayConfig(m=5)
     theta = 0.4
-    user = ch.UserRays(env_id=0, doas=np.array([theta]), amplitudes=np.array([1.0]),
-                       phases=np.array([0.0]), delays=np.array([0.0]))
-    h = ch.channel_response(user, 1.7e9, cfg)
-    assert np.allclose(h, ch.array_manifold(theta, 1.7e9, cfg), atol=1e-14)
+    h = ch.channel_response(unit_ray(theta), 1.7e9, cfg)
+    assert np.allclose(h, array_manifold(theta, 1.7e9, cfg), atol=1e-14)
 
 
 def test_opposite_phases_cancel():
@@ -169,7 +188,7 @@ def test_opposite_phases_cancel():
 def test_response_matches_double_loop_oracle():
     cfg = ch.ArrayConfig(m=16)
     env = make_env(ray_count=25)
-    user = ch.sample_user(env, RNG(3))
+    user = sample_user(env, RNG(3))
     f = 2.4e9
     got = ch.channel_response(user, f, cfg)
     varpi = 2 * math.pi * cfg.d * f / cfg.c
@@ -184,7 +203,7 @@ def test_response_matches_double_loop_oracle():
 
 def test_response_homogeneous_in_amplitudes():
     cfg = ch.ArrayConfig(m=8)
-    user = ch.sample_user(make_env(), RNG(4))
+    user = sample_user(make_env(), RNG(4))
     scaled = ch.UserRays(env_id=0, doas=user.doas, amplitudes=2.5 * user.amplitudes,
                          phases=user.phases, delays=user.delays)
     h1 = ch.channel_response(user, 1.3e9, cfg)
@@ -195,7 +214,7 @@ def test_response_homogeneous_in_amplitudes():
 def test_response_triangle_inequality_bound():
     cfg = ch.ArrayConfig(m=12)
     for seed in range(5):
-        user = ch.sample_user(make_env(), RNG(seed))
+        user = sample_user(make_env(), RNG(seed))
         for f in (1e9, 2e9, 3e9):
             h = ch.channel_response(user, f, cfg)
             bound = math.sqrt(cfg.m) * user.amplitudes.sum()
@@ -233,14 +252,14 @@ def test_odd_length_rejected():
 
 
 def test_awgn_vanishes_at_high_snr():
-    h = ch.channel_response(ch.sample_user(make_env(), RNG(5)), 2e9, ch.ArrayConfig(m=8))
+    h = ch.channel_response(sample_user(make_env(), RNG(5)), 2e9, ch.ArrayConfig(m=8))
     out = ch.add_awgn(h, 300.0, 64, RNG(6))
     assert np.max(np.abs(out - h)) / np.max(np.abs(h)) < 1e-10
 
 
 def test_awgn_empirical_snr():
     cfg = ch.ArrayConfig(m=8)
-    h = ch.channel_response(ch.sample_user(make_env(), RNG(7)), 2e9, cfg)
+    h = ch.channel_response(sample_user(make_env(), RNG(7)), 2e9, cfg)
     rng = RNG(8)
     sig = float(np.vdot(h, h).real)
     noise_power = np.mean([np.sum(np.abs(ch.add_awgn(h, 20.0, 1, rng) - h) ** 2)
@@ -251,7 +270,7 @@ def test_awgn_empirical_snr():
 
 def test_awgn_pilot_gain():
     cfg = ch.ArrayConfig(m=8)
-    h = ch.channel_response(ch.sample_user(make_env(), RNG(9)), 2e9, cfg)
+    h = ch.channel_response(sample_user(make_env(), RNG(9)), 2e9, cfg)
     rng = RNG(10)
     p1 = np.mean([np.sum(np.abs(ch.add_awgn(h, 20.0, 1, rng) - h) ** 2)
                   for _ in range(10_000)])
@@ -298,7 +317,7 @@ def test_lmmse_beats_raw_observation():
     rng = RNG(16)
     mse_raw, mse_lmmse = [], []
     for _ in range(1000):
-        user = ch.sample_user(env, rng)
+        user = sample_user(env, rng)
         h = ch.channel_response(user, 2e9, cfg)
         if np.vdot(h, h).real == 0:
             continue
@@ -312,7 +331,7 @@ def test_lmmse_beats_raw_observation():
 
 @pytest.mark.parametrize("f", [0.0, -1e9, float("nan")])
 def test_covariance_rejects_bad_carrier(f):
-    cov = ch.EnvCovariance(make_env(), ch.ArrayConfig(m=4), n_samples=3)
+    cov = ch.EnvCovariance(make_env(), ch.ArrayConfig(m=4))
     with pytest.raises(ValueError, match="carrier"):
         cov.at(f)
 
@@ -320,7 +339,7 @@ def test_covariance_rejects_bad_carrier(f):
 def test_sample_pair_clean_matches_exact_channels():
     cfg = ch.ArrayConfig(m=8)
     env = make_env()
-    user = ch.sample_user(env, RNG(17))
+    user = sample_user(env, RNG(17))
     pair = ch.make_sample_pair(user, 1.5e9, 120e6, cfg, ch.NoiseSpec(mode="clean"),
                                RNG(18))
     assert np.array_equal(pair.x, ch.complex_to_real(ch.channel_response(user, 1.5e9, cfg)))
@@ -331,7 +350,7 @@ def test_sample_pair_clean_matches_exact_channels():
 
 def test_sample_pair_zero_offset_clean_x_equals_y():
     cfg = ch.ArrayConfig(m=4)
-    user = ch.sample_user(make_env(), RNG(19))
+    user = sample_user(make_env(), RNG(19))
     pair = ch.make_sample_pair(user, 2e9, 0.0, cfg, ch.NoiseSpec(mode="clean"), RNG(20))
     assert np.array_equal(pair.x, pair.y)
 
@@ -346,7 +365,7 @@ def test_sample_pair_lmmse_beats_awgn():
     spec_awgn = ch.NoiseSpec(snr_db=20.0, pilot_len=64, mode="awgn")
     spec_lmmse = ch.NoiseSpec(snr_db=20.0, pilot_len=64, mode="lmmse")
     for i in range(1000):
-        user = ch.sample_user(env, rng)
+        user = sample_user(env, rng)
         f_up = rng.uniform(1e9, 3e9)
         state = rng.bit_generator.state
         pa = ch.make_sample_pair(user, f_up, 120e6, cfg, spec_awgn, rng, cov=cov)
@@ -382,8 +401,8 @@ def test_degenerate_single_combo_dataset():
     gcfg = ch.GeneratorConfig(array=ch.ArrayConfig(m=4), users=1,
                               f_min=2e9, f_max=2e9, delta_f=0.0)
     env = ch.sample_environment(0, gcfg, 1)
-    ds = ch.generate_task_dataset(env, "test", 5, 1, (2e9, 2e9), 0.0, gcfg.array,
-                                  ch.NoiseSpec(mode="clean"), RNG(23))
+    (ds,) = ch.generate_task_datasets(env, [("test", 5)], 1, (2e9, 2e9), 0.0, gcfg.array,
+                                      ch.NoiseSpec(mode="clean"), RNG(23))
     first = ds.pairs[0]
     for p in ds.pairs:
         assert np.array_equal(p.x, first.x)
@@ -403,9 +422,9 @@ def test_degenerate_disjoint_roles_impossible():
 def test_stock_configuration_sizes():
     gcfg = _default_gen(users=25)
     env = ch.sample_environment(7, gcfg, 0)
-    ds = ch.generate_task_dataset(env, "train-support", 20, 25,
-                                  (gcfg.f_min, gcfg.f_max), gcfg.delta_f,
-                                  gcfg.array, ch.NoiseSpec(mode="clean"), RNG(25))
+    (ds,) = ch.generate_task_datasets(env, [("train-support", 20)], 25,
+                                      (gcfg.f_min, gcfg.f_max), gcfg.delta_f,
+                                      gcfg.array, ch.NoiseSpec(mode="clean"), RNG(25))
     assert len(ds) == 20
     assert all(0 <= p.user_index < 25 for p in ds.pairs)
 
@@ -430,11 +449,11 @@ def test_bad_role_and_counts_rejected():
     gcfg = _default_gen()
     env = ch.sample_environment(0, gcfg, 0)
     with pytest.raises(ValueError):
-        ch.generate_task_dataset(env, "bogus", 5, 4, (1e9, 3e9), 120e6,
-                                 gcfg.array, ch.NoiseSpec(mode="clean"), RNG(26))
+        ch.generate_task_datasets(env, [("bogus", 5)], 4, (1e9, 3e9), 120e6,
+                                  gcfg.array, ch.NoiseSpec(mode="clean"), RNG(26))
     with pytest.raises(ValueError):
-        ch.generate_task_dataset(env, "test", 0, 4, (1e9, 3e9), 120e6,
-                                 gcfg.array, ch.NoiseSpec(mode="clean"), RNG(27))
+        ch.generate_task_datasets(env, [("test", 0)], 4, (1e9, 3e9), 120e6,
+                                  gcfg.array, ch.NoiseSpec(mode="clean"), RNG(27))
 
 
 def _dataset(role="test", **overrides):
@@ -453,7 +472,7 @@ def test_task_dataset_holds_arrays_without_copying():
     assert d.xs() is xs and len(d) == 3
     assert d.keys() == {(0, 2e9), (1, 2e9), (2, 2e9)}
     p = d.pairs[1]
-    assert p.key() == (1, 2e9) and p.f_down == 2.12e9
+    assert (p.user_index, p.f_up) == (1, 2e9) and p.f_down == 2.12e9
     assert isinstance(p.user_index, int) and isinstance(p.f_up, float)
     p.y[0] = 7.0  # pairs are views of the rows
     assert d.ys()[1, 0] == 7.0
@@ -605,7 +624,8 @@ def test_generation_matches_per_pair_oracle(m, mode, rtol, monkeypatch):
     _assert_rays_equal(ch.EnvCovariance(env, gcfg.array)._rays, pool)
 
     for ds, pairs in zip(got, expected):
-        assert [p.key() for p in ds.pairs] == [(uid, f_up) for uid, f_up, *_ in pairs]
+        assert [(p.user_index, p.f_up) for p in ds.pairs] == \
+            [(uid, f_up) for uid, f_up, *_ in pairs]
         assert np.array_equal(ds.user_index, [uid for uid, *_ in pairs])
         assert np.array_equal(ds.f_up, [f_up for _, f_up, *_ in pairs])
         assert np.array_equal(ds.f_down, ds.f_up + gcfg.delta_f)

@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from csitransfer import net, store, transfer
-from csitransfer.cli import cli
+from csitransfer.cli import _train_config, cli
 
 RUNNER = CliRunner()
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -212,6 +212,70 @@ def test_rerun_incomplete_manifest_one_line_error(tmp_path):
     assert_one_line_error(run_cli("rerun", path), "config")
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("pairs", "two", "'--pairs': 'two' is not a valid integer"),
+    ("antennas", None, "'antennas' holds None"),
+    ("out", 5, "'out' holds 5"),
+], ids=["pairs", "antennas", "out"])
+def test_rerun_malformed_config_one_line_error(tmp_path, field, value, message):
+    """A recorded value that the subcommand's own option would not record
+    (wrong type, null, or not a path string) is a one-line error."""
+    out = str(tmp_path / "d.bin")
+    assert run_cli("gen", "--envs", 1, "--pairs", 4, *TINY_GEN, "--out", out).exit_code == 0
+    path = out + ".manifest.json"
+    manifest = json.load(open(path))
+    manifest["config"][field] = value
+    json.dump(manifest, open(path, "w"))
+    assert_one_line_error(run_cli("rerun", path), message)
+
+
+def test_rerun_restores_flags_and_repeated_options(tmp_path):
+    """``--fixed-task-data`` and repeated ``--sources`` rerun as recorded."""
+    sources = []
+    for i in range(2):
+        sources += ["--sources", str(tmp_path / f"s{i}.bin")]
+        assert run_cli("gen", "--envs", 2, "--first-env-id", 2 * i, "--pairs", 8, *TINY_GEN,
+                       "--out", sources[-1]).exit_code == 0
+    runs = [("train", sources, "sources", sources[1::2]),
+            ("meta-train", ["--fixed-task-data", "--k-b", 2], "fixed_task_data", True)]
+    for sub, extra, field, recorded in runs:
+        out = str(tmp_path / f"{sub}.ck")
+        assert run_cli(sub, *TINY_GEN, *TINY_TRAIN, *extra, "--out", out).exit_code == 0
+        original = open(out, "rb").read()
+        os.unlink(out)
+        assert run_cli("rerun", out + ".manifest.json").exit_code == 0
+        assert open(out, "rb").read() == original
+        assert json.load(open(out + ".manifest.json"))["config"][field] == recorded
+
+
+def test_rerun_ignores_environment_overrides(tmp_path):
+    out = str(tmp_path / "d.bin")
+    assert run_cli("gen", "--envs", 1, "--pairs", 4, "--seed", 3, *TINY_GEN,
+                   "--out", out).exit_code == 0
+    original = open(out, "rb").read()
+    os.unlink(out)
+    res = RUNNER.invoke(cli, ["rerun", out + ".manifest.json"],
+                        env={"CSIT_GEN_SEED": "123", "CSIT_GEN_PAIRS": "9"},
+                        auto_envvar_prefix="CSIT", catch_exceptions=False)
+    assert res.exit_code == 0
+    assert open(out, "rb").read() == original
+    assert json.load(open(out + ".manifest.json"))["config"]["seed"] == 3
+
+
+def test_eval_refuses_noisy_file_without_clean_labels(tmp_path):
+    """A clean file is accepted (its labels are clean); a file of another
+    noise mode that stores no clean labels is refused."""
+    ck, te = _zero_checkpoint_and_test_set(tmp_path)
+    out = tmp_path / "n.csv"
+    assert run_cli("eval", "--checkpoint", ck, "--data", te, "--out", out).exit_code == 0
+    data = bytearray(open(te, "rb").read())
+    assert data[37] == 0  # clean: the labels are stored once
+    data[36] = 1  # the header's noise mode byte: awgn
+    open(te, "wb").write(bytes(data))
+    res = run_cli("eval", "--checkpoint", ck, "--data", te, "--out", out)
+    assert_one_line_error(res, "stores no clean labels")
+
+
 def test_adapt_divergence_one_line_error(tmp_path):
     ck = str(tmp_path / "base.ck")
     assert run_cli("train", *TINY_GEN, *TINY_TRAIN, "--out", ck).exit_code == 0
@@ -340,3 +404,80 @@ def test_env_var_override(tmp_path):
     assert res.exit_code == 0
     manifest = json.load(open(out + ".manifest.json"))
     assert manifest["config"]["seed"] == 123
+
+
+# ---------------------------------------------------------------------------
+# The rerun contract: `rerun` rejects a manifest that lacks a parameter, so
+# every subcommand keeps its parameter names, and the defaults they resolve
+# to, across releases.
+
+REQUIRED = object()
+_GEN = {"users": 25, "antennas": 64, "delta_f_hz": 120e6, "f_min_hz": 1e9, "f_max_hz": 3e9,
+        "snr_db": 20.0, "pilot_len": 64, "noise_mode": "lmmse", "seed": 0}
+_TRAIN = {"gamma": 1e-3, "beta": 1e-6, "v": 128, "k_s": 1500, "n_tr": 20,
+          "max_steps": 20000, "hidden": "128,128"}
+_META = {"g_tr": 3, "k_b": 80, "meta_mode": "exact"}
+PARAMETERS = {
+    "gen": {"envs": 1, "first_env_id": 0, "role": "test", "pairs": 20, **_GEN,
+            "out": REQUIRED},
+    "train": {"sources": (), **_GEN, **_TRAIN, "out": REQUIRED},
+    "meta-train": {**_GEN, **_TRAIN, **_META, "fixed_task_data": False, "out": REQUIRED},
+    "adapt": {"checkpoint": REQUIRED, "data": REQUIRED, "g_ad": 1000, "beta": 1e-6,
+              "rule": "auto", "seed": 0, "out": REQUIRED},
+    "eval": {"checkpoint": REQUIRED, "data": REQUIRED, "seed": 0, "out": REQUIRED},
+    "sweep": {"variable": "none", "grid": "", "k_t": 50, "g_ad": 1000, "n_ad": 20,
+              "n_te": 20, **_META, **_GEN, **_TRAIN,
+              "users": 10, "antennas": 16, "noise_mode": "clean", "k_s": 200,
+              "out": REQUIRED},
+    "gradcheck": {"probe_count": 100, "seed": 0, "antennas": 16, "hidden": "128,128"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARAMETERS))
+def test_subcommand_keeps_its_parameters_and_defaults(name):
+    cmd = cli.commands[name]
+    want = PARAMETERS[name]
+    required = [k for k, v in want.items() if v is REQUIRED]
+    assert sorted(p.name for p in cmd.params if p.required) == sorted(required)
+    args = [f"--{k.replace('_', '-')}={__file__}" for k in required]
+    resolved = cmd.make_context(name, args).params
+    assert sorted(resolved) == sorted(want)
+    for k, v in want.items():
+        if v is not REQUIRED:
+            assert resolved[k] == v and type(resolved[k]) is type(v), k
+
+
+def test_sweep_defaults_are_the_desk_profile(monkeypatch):
+    """Flags unset, `sweep` runs TrainConfig.desk_profile() with clean
+    collection; its help shows those defaults, and CSIT_* variables still
+    override them."""
+    resolved = cli.commands["sweep"].make_context("sweep", ["--out=x"]).params
+    desk = transfer.TrainConfig.desk_profile()
+    assert desk.gen.noise.mode == "clean"
+    assert _train_config(resolved) == desk
+    help_text = " ".join(run_cli("sweep", "--help").output.split())
+    entries = {entry.split()[0]: entry for entry in help_text.split(" --")[1:]}
+    for flag, shown in (("antennas", "16"), ("users", "10"), ("k-s", "200"),
+                        ("noise-mode", "clean")):
+        assert f"[default: {shown}" in entries[flag], entries[flag]
+    monkeypatch.setenv("CSIT_SWEEP_ANTENNAS", "8")
+    ctx = cli.commands["sweep"].make_context("sweep", ["--out=x"],
+                                             auto_envvar_prefix="CSIT_SWEEP")
+    assert ctx.params["antennas"] == 8
+
+
+def test_rerun_of_a_sweep_manifest_reproduces_the_csv(tmp_path):
+    """A manifest holding exactly the sweep's recorded parameter set reruns
+    to the CSV that the same flags write."""
+    tiny = {"variable": "g-ad", "grid": "0,3", "k_s": 4, "k_t": 2, "k_b": 2, "users": 3,
+            "antennas": 2, "n_tr": 4, "n_ad": 4, "n_te": 3, "v": 8, "max_steps": 2,
+            "hidden": "4", "g_tr": 1}
+    direct = str(tmp_path / "direct.csv")
+    flags = [a for k, v in tiny.items() for a in (f"--{k.replace('_', '-')}", v)]
+    assert run_cli("sweep", *flags, "--out", direct).exit_code == 0
+    rerun = str(tmp_path / "rerun.csv")
+    config = {**PARAMETERS["sweep"], **tiny, "out": rerun}
+    path = str(tmp_path / "sweep.manifest.json")
+    json.dump({"subcommand": "sweep", "config": config}, open(path, "w"))
+    assert run_cli("rerun", path).exit_code == 0
+    assert open(rerun, "rb").read() == open(direct, "rb").read()

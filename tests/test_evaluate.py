@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csitransfer import channel as ch
-from csitransfer import evaluate, net, transfer
-from csitransfer.seeding import STREAM_BATCH, stream
+from csitransfer import evaluate, net, optim, transfer
+from csitransfer.seeding import STREAM_BATCH, STREAM_PROBE, stream
 from csitransfer.transfer import TrainConfig
 
 RNG = np.random.default_rng
@@ -76,9 +76,9 @@ def _zero_model(m, hidden=(8,)):
 
 def _clean_test_set(cfg, env_id=50):
     env = ch.sample_environment(env_id, cfg.gen, cfg.seed)
-    return ch.generate_task_dataset(env, "test", cfg.n_te, cfg.u,
-                                    (cfg.gen.f_min, cfg.gen.f_max), cfg.gen.delta_f,
-                                    cfg.gen.array, ch.NoiseSpec(mode="clean"), RNG(1))
+    return ch.generate_task_datasets(env, [("test", cfg.n_te)], cfg.u,
+                                     (cfg.gen.f_min, cfg.gen.f_max), cfg.gen.delta_f,
+                                     cfg.gen.array, ch.NoiseSpec(mode="clean"), RNG(1))[0]
 
 
 def test_zero_output_model_has_unit_nmse():
@@ -102,8 +102,8 @@ def test_identity_task_converged_model_low_nmse():
                           convergence_window=3000),
         RNG(3))
     env = ch.sample_environment(50, cfg.gen, cfg.seed)
-    d_te = ch.generate_task_dataset(env, "test", 6, 5, (1e9, 3e9), 0.0,
-                                    cfg.gen.array, ch.NoiseSpec(mode="clean"), RNG(4))
+    (d_te,) = ch.generate_task_datasets(env, [("test", 6)], 5, (1e9, 3e9), 0.0,
+                                        cfg.gen.array, ch.NoiseSpec(mode="clean"), RNG(4))
     got = evaluate.test_model(model, d_te, d_te.clean_downlinks())
     assert got < 1e-4
 
@@ -239,10 +239,44 @@ def test_training_side_sweep_retrains():
 # ---------------------------------------------------------------------------
 # width probe
 
+PROBE_PAIRS = 200
+
+
+def proposition_probe(widths, cfg):
+    """Converged training loss of single-hidden-layer networks versus width.
+
+    Empirical echo of the approximation guarantee: on one clean
+    environment's mapping task, wider networks should fit at least as well.
+    """
+    widths = list(widths)
+    if any(b <= a for a, b in zip(widths, widths[1:])) or not widths:
+        raise ValueError(f"widths must be strictly increasing, got {widths}")
+    gen = cfg.gen
+    env = ch.sample_environment(0, gen, cfg.seed)
+    (data,) = ch.generate_task_datasets(env, [(ch.ROLE_TRAIN_SUPPORT, PROBE_PAIRS)], cfg.u,
+                                        (gen.f_min, gen.f_max), gen.delta_f, gen.array,
+                                        ch.NoiseSpec(mode="clean"),
+                                        stream(cfg.seed, STREAM_PROBE), gen.delay_max)
+    out = {}
+    for width in widths:
+        spec = net.LayerSpec.fnn(gen.array.m, (width,))
+        params = net.init_params(spec, stream(cfg.seed, STREAM_PROBE, width))
+        state = optim.AdamState.init(params)
+        run = net.Workspace(params, data.xs(), data.ys())
+        history = []
+        for _ in range(cfg.max_steps):
+            history.append(run.loss_and_grad())
+            optim.adam_update(state, params, run.grads, cfg.gamma, run.work)
+            if transfer._converged(history, cfg.convergence_window, cfg.convergence_tol):
+                break
+        window = min(len(history), cfg.convergence_window)
+        out[width] = float(np.mean(history[-window:]))
+    return out
+
 
 def test_width_probe_single_row():
     cfg = tiny_cfg(max_steps=50)
-    out = evaluate.proposition_probe([8], cfg)
+    out = proposition_probe([8], cfg)
     assert list(out) == [8]
     assert out[8] > 0
 
@@ -250,14 +284,14 @@ def test_width_probe_single_row():
 def test_width_probe_rejects_non_increasing():
     cfg = tiny_cfg()
     with pytest.raises(ValueError):
-        evaluate.proposition_probe([8, 8], cfg)
+        proposition_probe([8, 8], cfg)
     with pytest.raises(ValueError):
-        evaluate.proposition_probe([32, 8], cfg)
+        proposition_probe([32, 8], cfg)
     with pytest.raises(ValueError):
-        evaluate.proposition_probe([], cfg)
+        proposition_probe([], cfg)
 
 
 def test_width_probe_wider_fits_better():
     cfg = tiny_cfg(max_steps=4000, convergence_tol=0.001)
-    out = evaluate.proposition_probe([4, 64], cfg)
+    out = proposition_probe([4, 64], cfg)
     assert out[64] <= out[4] * 1.05

@@ -100,39 +100,34 @@ def test_init_deterministic():
         assert np.array_equal(wa, wb)
 
 
-def test_init_fan_out_switch():
-    spec = net.LayerSpec(sizes=(10000, 4, 10000), activations=("relu", "linear"))
-    params = net.init_params(spec, RNG(8), fan="out")
-    w = params.weights[0]  # fan-out 4 -> sigma = 0.5
-    assert np.max(np.abs(w)) > 0.1  # clearly not the 1e-2 fan-in scale
-    assert np.all(np.abs(w) <= 1.0 + 1e-15)
-
-
 # ---------------------------------------------------------------------------
 # forward
+
+
+def forward(params, x):
+    """The network's output on one input vector."""
+    return net.forward_batch(params, x)[0]
 
 
 def test_forward_zero_params_outputs_zero():
     spec = net.LayerSpec.fnn(3, (8,))
     params = net.NetParams([np.zeros((8, 6)), np.zeros((6, 8))],
                            [np.zeros(8), np.zeros(6)])
-    y, _ = net.forward(params, np.ones(6))
+    y = forward(params, np.ones(6))
     assert np.array_equal(y, np.zeros(6))
 
 
 def test_forward_identity_network():
     params = net.NetParams([np.eye(4)], [np.zeros(4)])
     x = RNG(9).normal(size=4)
-    y, tape = net.forward(params, x)
-    assert np.array_equal(y, x)
-    assert np.array_equal(tape.activations[0], x)
+    assert np.array_equal(forward(params, x), x)
 
 
 def test_forward_matches_scalar_oracle():
     spec = net.LayerSpec.fnn(2, (5, 7))
     params = random_params(spec, seed=10)
     x = RNG(11).normal(size=4)
-    got, _ = net.forward(params, x)
+    got = forward(params, x)
 
     a = x.copy()
     for l in range(3):
@@ -145,7 +140,7 @@ def test_forward_matches_scalar_oracle():
 def test_forward_shape_mismatch():
     params = net.NetParams([np.eye(4)], [np.zeros(4)])
     with pytest.raises(ValueError):
-        net.forward(params, np.ones(5))
+        forward(params, np.ones(5))
 
 
 def test_forward_positive_homogeneity_without_biases():
@@ -153,8 +148,8 @@ def test_forward_positive_homogeneity_without_biases():
     params = random_params(spec, seed=12)
     params = net.NetParams(params.weights, [np.zeros_like(b) for b in params.biases])
     x = RNG(13).normal(size=6)
-    y1, _ = net.forward(params, x)
-    y2, _ = net.forward(params, 3.7 * x)
+    y1 = forward(params, x)
+    y2 = forward(params, 3.7 * x)
     assert np.allclose(y2, 3.7 * y1, rtol=1e-12, atol=1e-12)
 
 
@@ -183,7 +178,7 @@ def test_loss_matches_scalar_accumulation():
     got = net.mse_loss(params, batch)
     total = 0.0
     for v in range(7):
-        y, _ = net.forward(params, batch.xs[v])
+        y = forward(params, batch.xs[v])
         for i in range(4):
             total += (y[i] - batch.ys[v, i]) ** 2
     assert got == pytest.approx(total / 7, rel=1e-12)
@@ -200,11 +195,20 @@ def test_loss_empty_batch_rejected():
 # backward
 
 
+def gradient(params, batch):
+    """The exact gradient of the batch loss."""
+    return net.loss_and_grad(params, batch)[1]
+
+
+def norm(p):
+    return float(np.linalg.norm(p.flat))
+
+
 def test_backward_zero_at_global_minimum():
     params = net.NetParams([np.eye(4)], [np.zeros(4)])
     xs = RNG(17).normal(size=(5, 4))
-    grads = net.backward(params, net.Batch(xs, xs))
-    assert net.params_norm(grads) == 0.0
+    grads = gradient(params, net.Batch(xs, xs))
+    assert norm(grads) == 0.0
 
 
 def test_backward_linear_closed_form():
@@ -214,7 +218,7 @@ def test_backward_linear_closed_form():
     params = net.NetParams([w], [b])
     x = rng.normal(size=3)
     y = rng.normal(size=3)
-    grads = net.backward(params, net.Batch(x[None, :], y[None, :]))
+    grads = gradient(params, net.Batch(x[None, :], y[None, :]))
     resid = w @ x + b - y
     assert np.allclose(grads.weights[0], 2 * np.outer(resid, x), atol=1e-12)
     assert np.allclose(grads.biases[0], 2 * resid, atol=1e-12)
@@ -225,7 +229,7 @@ def test_backward_matches_finite_differences(seed):
     spec = net.LayerSpec.fnn(2, (8, 8))
     params = random_params(spec, seed=seed, scale=0.6)
     batch = random_batch(spec, 6, seed=seed + 100)
-    grads = net.backward(params, batch)
+    grads = gradient(params, batch)
     rng = RNG(seed + 200)
     eps = 1e-5
     for probe in flat_index_probe(params, rng, 100):
@@ -240,7 +244,7 @@ def test_backward_affine_in_labels_for_linear_net():
     params = net.NetParams([rng.normal(size=(3, 3))], [rng.normal(size=3)])
     xs = rng.normal(size=(4, 3))
     y1, y2 = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-    g = lambda ys: net.backward(params, net.Batch(xs, ys))
+    g = lambda ys: gradient(params, net.Batch(xs, ys))
     ga, gb = g(y1), g(y2)
     gmid = g(0.5 * y1 + 0.5 * y2)
     mixed = net.params_map(lambda a, b: 0.5 * a + 0.5 * b, ga, gb)
@@ -257,7 +261,7 @@ def test_jvp_zero_direction():
     params = random_params(spec, seed=20)
     batch = random_batch(spec, 5, seed=21)
     out = net.forward_param_jvp(params, net.zeros_like_params(params), batch)
-    assert net.params_norm(out) == 0.0
+    assert norm(out) == 0.0
 
 
 def test_jvp_constant_for_quadratic_loss():
@@ -282,11 +286,11 @@ def test_jvp_matches_finite_difference_of_gradients():
     d = net.params_map(lambda w: rng.normal(size=w.shape), params)
     hvp = net.forward_param_jvp(params, d, batch)
     eps = 1e-4
-    gp = net.backward(net.params_axpy(eps, d, params), batch)
-    gm = net.backward(net.params_axpy(-eps, d, params), batch)
+    gp = gradient(net.params_axpy(eps, d, params), batch)
+    gm = gradient(net.params_axpy(-eps, d, params), batch)
     fd = net.params_map(lambda a, b: (a - b) / (2 * eps), gp, gm)
-    num = net.params_norm(net.params_map(lambda a, b: a - b, hvp, fd))
-    assert num / net.params_norm(fd) < 1e-5
+    num = norm(net.params_map(lambda a, b: a - b, hvp, fd))
+    assert num / norm(fd) < 1e-5
 
 
 def test_jvp_shape_mismatch_rejected():
@@ -346,7 +350,6 @@ def test_params_views_alias_one_flat_buffer():
     params.weights[1][2, 3] = 7.5
     params.biases[2][0] = -1.25
     assert 7.5 in params.flat and -1.25 in params.flat
-    assert np.array_equal(params.ravel(), params.flat)
 
 
 def test_params_constructor_copies_its_inputs():
@@ -374,24 +377,22 @@ def test_params_views_cannot_be_replaced():
 def test_params_copy_is_independent():
     spec = net.LayerSpec.fnn(2, (6, 5))
     params = random_params(spec, seed=63)
-    before = params.ravel()
+    before = params.flat.copy()
     dup = params.copy()
     assert not np.shares_memory(dup.flat, params.flat)
     dup.weights[0][:] = 0.0
     dup.biases[-1][:] = 3.0
-    assert np.array_equal(params.ravel(), before)
+    assert np.array_equal(params.flat, before)
     params.flat[:] = 1.0
     assert np.all(dup.weights[0] == 0.0)
 
 
 def test_ravel_order_is_weights_then_biases():
+    """The flat buffer holds every weight row-major, then every bias."""
     spec = net.LayerSpec.fnn(2, (6, 5))
     params = random_params(spec, seed=64)
     want = np.concatenate([a.ravel() for a in list(params.weights) + list(params.biases)])
-    got = params.ravel()
-    assert np.array_equal(got, want)
-    got[0] += 1.0  # a copy, not the buffer
-    assert params.flat[0] == want[0]
+    assert np.array_equal(params.flat, want)
 
 
 def test_vector_ops_bit_equal_to_per_array_formulas():

@@ -206,7 +206,7 @@ def test_adam_bit_equal_to_per_array_formulas(n_in, n_hidden):
 def test_adam_advances_its_state_in_place():
     rng = np.random.default_rng(6)
     p, g = two_layer(rng), two_layer(rng)
-    p_before, g_before = p.ravel(), g.ravel()
+    p_before, g_before = p.flat.copy(), g.flat.copy()
     state = optim.AdamState.init(p)
     m_buf, v_buf = state.m.flat, state.v.flat
     new_p, returned = optim.adam_step(state, p, g, 1e-3)
@@ -214,7 +214,7 @@ def test_adam_advances_its_state_in_place():
     assert state.m.flat is m_buf and state.v.flat is v_buf
     assert np.array_equal(m_buf, (1.0 - 0.9) * g.flat) and np.any(v_buf)
     # pure in the parameters: inputs untouched, result a fresh buffer
-    assert np.array_equal(p.ravel(), p_before) and np.array_equal(g.ravel(), g_before)
+    assert np.array_equal(p.flat, p_before) and np.array_equal(g.flat, g_before)
     assert not np.shares_memory(new_p.flat, p.flat)
     _, again = optim.adam_step(state, new_p, g, 1e-3)
     assert again is state and state.t == 2
@@ -223,9 +223,9 @@ def test_adam_advances_its_state_in_place():
 def test_gd_leaves_its_inputs_untouched():
     rng = np.random.default_rng(7)
     p, g = two_layer(rng), two_layer(rng)
-    p_before, g_before = p.ravel(), g.ravel()
+    p_before, g_before = p.flat.copy(), g.flat.copy()
     out = optim.gd_step(p, g, 0.25)
-    assert np.array_equal(p.ravel(), p_before) and np.array_equal(g.ravel(), g_before)
+    assert np.array_equal(p.flat, p_before) and np.array_equal(g.flat, g_before)
     assert not np.shares_memory(out.flat, p.flat) and not np.shares_memory(out.flat, g.flat)
     assert all(np.array_equal(a, b - 0.25 * c)
                for a, b, c in zip(arrays(out), arrays(p), arrays(g)))

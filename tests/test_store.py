@@ -89,43 +89,61 @@ def test_dataset_future_version_rejected(tmp_path):
 
 
 def test_dataset_without_clean_block(tmp_path):
+    """A clean file stores each label once, and its labels read back as its
+    clean labels; a file of another mode without the block has none."""
     path = str(tmp_path / "nc.bin")
-    store.write_dataset(path, random_datasets(), ch.NoiseSpec(mode="clean"),
-                        store_clean=False)
+    datasets = random_datasets()
+    store.write_dataset(path, datasets, ch.NoiseSpec(mode="clean"))
+    assert open(path, "rb").read()[37] == 0  # the header's has_clean byte
     blob = store.read_dataset(path)
-    assert not blob.has_clean
+    assert blob.has_clean
     p = blob.datasets[0].pairs[0]
     assert np.array_equal(p.y_clean, p.y)  # falls back to the stored label
 
+    noisy = _per_pair_file(datasets, ch.NoiseSpec(mode="awgn"), 120e6, has_clean=False)
+    open(path, "wb").write(noisy)
+    blob = store.read_dataset(path)
+    assert not blob.has_clean
+    assert np.array_equal(blob.datasets[0].y_clean, datasets[0].ys())
 
-def _per_pair_file(datasets, noise, delta_f, store_clean):
+    # Format v1 also lets a clean file store the block; it reads back as stored.
+    open(path, "wb").write(_per_pair_file(datasets, ch.NoiseSpec(mode="clean"), 120e6,
+                                          has_clean=True))
+    blob = store.read_dataset(path)
+    assert blob.has_clean
+    assert np.array_equal(blob.datasets[0].y_clean, datasets[0].y_clean)
+
+
+def _per_pair_file(datasets, noise, delta_f, has_clean):
     """The dataset format packed pair by pair with ``struct``, field by
     field as the module docstring lays it out."""
     m = datasets[0].xs().shape[1] // 2
     chunks = [struct.pack("<4sIIIddIBB", b"FMCD", 1, m, len(datasets), delta_f,
                           noise.snr_db, noise.pilot_len, ch.NOISE_MODES.index(noise.mode),
-                          int(store_clean))]
+                          int(has_clean))]
     for d in datasets:
         chunks.append(struct.pack("<qBI", d.env_id, ch.ROLES.index(d.role), len(d)))
         for p in d.pairs:
             chunks.append(struct.pack("<dI", p.f_up, p.user_index))
-            for a in (p.x, p.y, p.y_clean) if store_clean else (p.x, p.y):
+            for a in (p.x, p.y, p.y_clean) if has_clean else (p.x, p.y):
                 chunks.append(struct.pack(f"<{len(a)}d", *a))
     return b"".join(chunks)
 
 
-@pytest.mark.parametrize("store_clean", [True, False])
-def test_dataset_file_matches_per_pair_packing(tmp_path, store_clean):
+@pytest.mark.parametrize("mode", ["awgn", "lmmse", "clean"])
+def test_dataset_file_matches_per_pair_packing(tmp_path, mode):
     """The record-array writer produces the per-pair byte layout exactly,
-    and the reader restores every column bit for bit."""
+    with the clean labels stored unless the noise mode is clean, and the
+    reader restores every column bit for bit."""
     path = str(tmp_path / "r.bin")
     empty = ch.TaskDataset(9, "test", xs=np.empty((0, 12)), ys=np.empty((0, 12)),
                            y_clean=np.empty((0, 12)), f_up=np.empty(0), f_down=np.empty(0),
                            user_index=np.empty(0, dtype=int))
     datasets = random_datasets(seed=4) + [empty]
-    noise = ch.NoiseSpec(snr_db=12.5, pilot_len=16, mode="awgn")
-    store.write_dataset(path, datasets, noise, 120e6, store_clean=store_clean)
-    assert open(path, "rb").read() == _per_pair_file(datasets, noise, 120e6, store_clean)
+    noise = ch.NoiseSpec(snr_db=12.5, pilot_len=16, mode=mode)
+    has_clean = mode != "clean"
+    store.write_dataset(path, datasets, noise, 120e6)
+    assert open(path, "rb").read() == _per_pair_file(datasets, noise, 120e6, has_clean)
 
     back = store.read_dataset(path).datasets
     assert [(d.env_id, d.role, len(d)) for d in back] == \
@@ -133,7 +151,7 @@ def test_dataset_file_matches_per_pair_packing(tmp_path, store_clean):
     for orig, got in zip(datasets, back):
         assert got.xs().tobytes() == orig.xs().tobytes()
         assert got.ys().tobytes() == orig.ys().tobytes()
-        clean = orig.y_clean if store_clean else orig.ys()
+        clean = orig.y_clean if has_clean else orig.ys()
         assert got.y_clean.tobytes() == clean.tobytes()
         assert got.f_up.tobytes() == orig.f_up.tobytes()
         assert np.array_equal(got.f_down, orig.f_up + 120e6)
