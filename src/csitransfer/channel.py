@@ -172,6 +172,10 @@ class TaskDataset:
     and entry i of ``f_up``, ``f_down`` and ``user_index`` (each ``(N,)``)
     describe pair i. :meth:`xs` and :meth:`ys` return the stored arrays
     without copying; :attr:`pairs` views the rows as :class:`SamplePair`.
+
+    A dataset collected or read under clean noise keeps one label array:
+    ``ys()`` and ``y_clean`` are the same object. The arrays are read-only
+    by contract, so a caller that wants to change them copies them first.
     """
 
     def __init__(self, env_id: int, role: str, xs: np.ndarray, ys: np.ndarray,
@@ -367,6 +371,9 @@ def channel_response(user: UserRays, f: float, cfg: ArrayConfig) -> np.ndarray:
     h(f) = sum_p |alpha_p| * exp(-j 2 pi f tau_p + j phi_p) * a(theta_p)
     """
     _check_carrier(f)
+    for name in ("doas", "amplitudes", "phases", "delays"):
+        if not np.isfinite(getattr(user, name)).all():
+            raise ValueError(f"ray {name} must be finite")
     return _ray_sum(np.sin(user.doas), _ray_gains(user, f), f, cfg)
 
 
@@ -488,7 +495,8 @@ def _collect_pairs(rays: UserRays, uids: np.ndarray, f_up: np.ndarray, delta_f: 
     (N, 2 links, 2 parts, M), which consumes the generator in pair order,
     uplink before downlink. LMMSE then runs one estimate per link against
     the environment covariance at that link's carrier. Returns the arrays
-    of :class:`TaskDataset` in its constructor order, from ``xs`` on.
+    of :class:`TaskDataset` in its constructor order, from ``xs`` on; under
+    clean noise ``y_clean`` is ``ys`` itself.
     """
     if noise.mode == NOISE_LMMSE and cov is None:
         raise ValueError("LMMSE noise mode requires an environment covariance model")
@@ -513,7 +521,8 @@ def _collect_pairs(rays: UserRays, uids: np.ndarray, f_up: np.ndarray, delta_f: 
         sigma2 = noise_variance(h, noise.snr_db, noise.pilot_len)
         for link in np.ndindex(f.shape):
             est[link] = lmmse_estimate(est[link], cov.at(f[link]), sigma2[link])
-    x, y, y_clean = (complex_to_real(a) for a in (est[:, 0], est[:, 1], h[:, 1]))
+    x, y = complex_to_real(est[:, 0]), complex_to_real(est[:, 1])
+    y_clean = y if noise.mode == NOISE_CLEAN else complex_to_real(h[:, 1])
     return x, y, y_clean, f[:, 0], f[:, 1], uids
 
 

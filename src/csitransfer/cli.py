@@ -3,10 +3,12 @@
 Every subcommand resolves its flags into a plain config dictionary, runs,
 and writes a JSON manifest next to its primary output recording the
 subcommand, the resolved config, the master seed, build information,
-timestamps, and the produced files. ``rerun MANIFEST`` re-executes the
-recorded subcommand with the recorded config; all outputs are then
-byte-identical (timestamps live only in the manifest), except the stage
-wall-clock times in a sweep's ``.report.json``. The recorded values go
+timestamps, the process's peak resident memory (``peak_rss_mb``, in MiB)
+and the produced files. ``rerun MANIFEST`` re-executes the recorded
+subcommand with the recorded config and ignores every other field; all
+outputs are then byte-identical (timestamps and peak memory live only in
+the manifest), except the stage wall-clock times in a sweep's
+``.report.json``. The recorded values go
 through the subcommand's own option declarations, so a malformed one is a
 one-line error, and no environment variable overrides them.
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import resource
 import subprocess
 from datetime import datetime, timezone
 
@@ -66,6 +69,8 @@ def _write_manifest(subcommand: str, opts: dict, outputs: list[str],
         "build": _build_info(),
         "started_at": started,
         "finished_at": _utcnow(),
+        # Linux reports ru_maxrss in KiB.
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "outputs": outputs,
     }
     path = opts["out"] + ".manifest.json"

@@ -222,6 +222,9 @@ class Workspace:
     ``params``' layout) and ``work``, a parameter-sized scratch for the
     optimizer updates. A call allocates nothing, and each call overwrites
     what the last one left in the buffers.
+
+    A workspace built without labels is forward-only: it holds the
+    activations alone, and :meth:`loss` and :meth:`loss_and_grad` refuse.
     """
 
     def __init__(self, params: NetParams, xs: np.ndarray, ys: np.ndarray | None = None):
@@ -232,6 +235,8 @@ class Workspace:
         self.params, self.xs, self.ys = params, xs, ys
         # acts[l] is layer l's input and acts[-1] the output.
         self.acts = [xs, *(np.empty((rows, w.shape[0])) for w in params.weights)]
+        if ys is None:
+            return
         self.masks = [np.empty(a.shape, dtype=bool) for a in self.acts[1:-1]]
         self.deltas = [np.empty_like(a) for a in self.acts[1:]]
         self.grads = params.like(np.empty_like(params.flat))
@@ -241,7 +246,7 @@ class Workspace:
         """The network's output on ``xs`` (a view of a buffer the next call
         overwrites)."""
         a = self.xs
-        last = len(self.deltas) - 1
+        last = len(self.params.weights) - 1
         for l, (w, b) in enumerate(zip(self.params.weights, self.params.biases)):
             a = np.matmul(a, w.T, out=self.acts[l + 1])
             a += b
@@ -252,6 +257,8 @@ class Workspace:
     def loss(self) -> float:
         """Per-sample sum of squared errors on the rows, averaged over them.
         Leaves the residual ``output - ys`` in the output layer's delta."""
+        if self.ys is None:
+            raise ValueError("a forward-only workspace has no labels to score")
         out = self.forward()
         diff = np.subtract(out, self.ys, out=self.deltas[-1])
         np.multiply(diff, diff, out=out)

@@ -14,11 +14,15 @@ Dataset file (magic ``FMCD``, version 1)::
         then per pair: f_up:f64 user_index:u32 x[2m]:f64 y[2m]:f64
                        (y_clean[2m]:f64 when has_clean)
 
-The writer sets ``has_clean`` to 0 exactly when the noise mode is
-``clean``: such a label already is the clean downlink, so it is stored once,
-and the reader takes ``y_clean`` from ``y`` and reports clean labels
-present. A file of another noise mode with ``has_clean`` 0 carries no clean
-labels.
+The header's ``has_clean`` byte means "clean-label block stored". The
+writer sets it to 0 exactly when the noise mode is ``clean``: such a label
+already is the clean downlink, so it is stored once, and the writer refuses
+a clean-mode dataset whose ``y_clean`` differs from its labels. Reading a
+file without the block, the reader sets each dataset's ``y_clean`` to its
+label array itself, and it reports clean labels present only for a clean
+file: a file of another noise mode with ``has_clean`` 0 carries none. The
+``.meta.json`` sidecar's ``has_clean`` says what
+:attr:`DatasetFile.has_clean` reports: clean labels present.
 
 A dataset's pairs are one packed record array (numpy structured dtype with
 exactly these fields), written with one ``tobytes`` and read with one
@@ -181,6 +185,10 @@ def write_dataset(path: str, datasets: list[TaskDataset], noise: NoiseSpec,
             raise ValueError("all pairs must share the antenna count")
         if len(d) and not (0 <= d.user_index.min() and d.user_index.max() < 2 ** 32):
             raise ValueError("user indices must fit an unsigned 32-bit field")
+        if (noise.mode == NOISE_CLEAN and d.y_clean is not d.ys()
+                and not np.array_equal(d.y_clean, d.ys())):
+            raise ValueError(f"environment {d.env_id} ({d.role}): clean labels differ "
+                             f"from the labels, which a clean file stores once")
 
     has_clean = noise.mode != NOISE_CLEAN
     dtype = _pair_dtype(m, has_clean)
@@ -205,7 +213,7 @@ def write_dataset(path: str, datasets: list[TaskDataset], noise: NoiseSpec,
         "delta_f": float(delta_f), "noise": {"snr_db": float(noise.snr_db),
                                              "pilot_len": int(noise.pilot_len),
                                              "mode": noise.mode},
-        "has_clean": has_clean,
+        "has_clean": True,  # stored, or (clean noise) the labels themselves
         "datasets": [{"env_id": int(d.env_id), "role": d.role, "n_pairs": len(d)}
                      for d in datasets],
     })
@@ -235,7 +243,7 @@ def read_dataset(path: str) -> DatasetFile:
         f_up = records["f_up"].copy()
         datasets.append(TaskDataset(
             env_id, ROLES[role_code], xs=records["x"].copy(), ys=ys,
-            y_clean=records["y_clean"].copy() if stored_clean else ys.copy(),
+            y_clean=records["y_clean"].copy() if stored_clean else ys,
             f_up=f_up, f_down=f_up + delta_f,
             user_index=records["user_index"].astype(np.int64)))
     r.expect_end()

@@ -228,15 +228,34 @@ def _converged(history: list[float], window: int, tol: float) -> bool:
     return (prev - cur) / prev < tol
 
 
+def _pooled_loss(run: net.Workspace, xs: np.ndarray, ys: np.ndarray) -> float:
+    """The loss over every row of ``xs`` and ``ys``, streamed through the
+    rows of ``run``: the row-weighted mean of the per-chunk losses, summed
+    exactly. A tail shorter than ``run`` gets one small workspace of its
+    own, so no buffer grows with the pool."""
+    v, n = len(run.xs), len(xs)
+    full = n - n % v
+    sums = []
+    for i in range(0, full, v):
+        np.copyto(run.xs, xs[i:i + v])
+        np.copyto(run.ys, ys[i:i + v])
+        sums.append(run.loss() * v)
+    if full < n:
+        sums.append(net.Workspace(run.params, xs[full:], ys[full:]).loss() * (n - full))
+    return math.fsum(sums) / n
+
+
 def train_no_transfer(sources: Sequence[TaskDataset], cfg: TrainConfig,
                       rng: np.random.Generator) -> TrainedModel:
     """Classical training: pool every source pair, minibatch Adam until the
     loss converges or the step cap is reached.
 
     Initialization comes from the config's network-init substream; the
-    passed generator drives batch selection only. A non-finite loss raises
-    :class:`NonFiniteLoss` at the step where it occurs; numpy's overflow
-    warnings on the way there are silenced.
+    passed generator drives batch selection only. The step-0 loss over the
+    whole pool streams through the minibatch workspace, so the run's
+    buffers other than the pool itself do not grow with the pool. A
+    non-finite loss raises :class:`NonFiniteLoss` at the step where it
+    occurs; numpy's overflow warnings on the way there are silenced.
     """
     xs = np.concatenate([d.xs() for d in sources]) if sources else np.empty((0, 0))
     ys = np.concatenate([d.ys() for d in sources]) if sources else np.empty((0, 0))
@@ -251,7 +270,7 @@ def train_no_transfer(sources: Sequence[TaskDataset], cfg: TrainConfig,
     state = AdamState.init(params)
     run = net.Workspace(params, np.empty((cfg.v, xs.shape[1])), np.empty((cfg.v, ys.shape[1])))
     with np.errstate(over="ignore", invalid="ignore"):
-        history = [_check_finite("training", 0, net.mse_loss(params, Batch(xs, ys)))]
+        history = [_check_finite("training", 0, _pooled_loss(run, xs, ys))]
         for step in range(cfg.max_steps):
             idx = rng.choice(n_pool, size=cfg.v, replace=False)
             np.take(xs, idx, axis=0, out=run.xs)

@@ -1,6 +1,7 @@
 """Channel simulator tests: manifold, ray sums, noise pipeline, datasets."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -78,6 +79,10 @@ def test_manifold_rejects_bad_arguments():
         ch.channel_response(unit_ray(0.0), 0.0, cfg)
     with pytest.raises(ValueError, match="carrier"):
         ch.channel_response(unit_ray(0.0), -1e9, cfg)
+    with pytest.raises(ValueError, match="ray doas must be finite"):
+        ch.channel_response(unit_ray(math.nan), 2e9, cfg)
+    with pytest.raises(ValueError, match="ray delays must be finite"):
+        ch.channel_response(replace(unit_ray(0.0), delays=np.array([math.inf])), 2e9, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -662,4 +667,6 @@ def test_support_query_matches_per_user_oracle(mode, monkeypatch):
                    "f_down": ds.f_down, "user_index": ds.user_index}
         for name, column in columns.items():
             assert np.array_equal(column, [getattr(p, name) for p in pairs]), name
+        # A clean dataset keeps its label once.
+        assert np.shares_memory(ds.ys(), ds.y_clean) == (mode == "clean")
     assert [g.bit_generator.state for g in made] == [rng.bit_generator.state]

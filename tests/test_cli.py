@@ -35,6 +35,8 @@ def test_gen_writes_dataset_and_manifest(tmp_path):
     assert manifest["subcommand"] == "gen"
     assert manifest["config"]["pairs"] == 5
     assert manifest["outputs"][0] == out
+    assert manifest["peak_rss_mb"] > 0
+    assert json.load(open(out + ".meta.json"))["has_clean"] is True
 
 
 def test_gen_zero_pairs_is_usage_error(tmp_path):

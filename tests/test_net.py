@@ -450,3 +450,18 @@ def test_workspace_reuses_its_buffers_and_reads_params_afresh():
         ws.xs[...] = rng.normal(size=ws.xs.shape)
     with pytest.raises(ValueError, match="input width"):
         net.Workspace(params, np.ones((2, 5)))
+
+
+def test_forward_only_workspace_holds_activations_only():
+    """Without labels a workspace allocates the activations alone, predicts
+    as a full one does, and refuses to score or differentiate."""
+    spec = net.LayerSpec.fnn(3, (8, 5))
+    params = random_params(spec, seed=72)
+    batch = random_batch(spec, 9, seed=73)
+    ws = net.Workspace(params, batch.xs)
+    assert [a.shape for a in ws.acts] == [(9, 6), (9, 8), (9, 5), (9, 6)]
+    assert not any(hasattr(ws, name) for name in ("masks", "deltas", "grads", "work"))
+    assert np.array_equal(ws.forward(), net.Workspace(params, batch.xs, batch.ys).forward())
+    for call in (ws.loss, ws.loss_and_grad):
+        with pytest.raises(ValueError, match="forward-only workspace has no labels"):
+            call()

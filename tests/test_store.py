@@ -11,7 +11,9 @@ from csitransfer import net, store, transfer
 RNG = np.random.default_rng
 
 
-def random_datasets(seed=0, m=6, n_envs=2, n_pairs=7):
+def random_datasets(seed=0, m=6, n_envs=2, n_pairs=7, clean=False):
+    """Random datasets; with ``clean`` their clean labels are their labels,
+    as clean collection makes them."""
     rng = RNG(seed)
     datasets = []
     for e in range(n_envs):
@@ -22,9 +24,9 @@ def random_datasets(seed=0, m=6, n_envs=2, n_pairs=7):
             y.append(rng.normal(size=2 * m))
             y_clean.append(rng.normal(size=2 * m))
             user_index.append(int(rng.integers(0, 25)))
-        f_up = np.array(f_up)
+        f_up, ys = np.array(f_up), np.array(y)
         datasets.append(ch.TaskDataset(
-            e, "adaption", xs=np.array(x), ys=np.array(y), y_clean=np.array(y_clean),
+            e, "adaption", xs=np.array(x), ys=ys, y_clean=ys if clean else np.array(y_clean),
             f_up=f_up, f_down=f_up + 120e6, user_index=np.array(user_index)))
     return datasets
 
@@ -62,7 +64,7 @@ def test_dataset_roundtrip_bit_identical(tmp_path):
 
 def test_dataset_write_canonical(tmp_path):
     p1, p2 = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
-    datasets = random_datasets(seed=3)
+    datasets = random_datasets(seed=3, clean=True)
     noise = ch.NoiseSpec(mode="clean")
     store.write_dataset(p1, datasets, noise)
     store.write_dataset(p2, datasets, noise)
@@ -71,7 +73,7 @@ def test_dataset_write_canonical(tmp_path):
 
 def test_dataset_truncation_reports_lengths(tmp_path):
     path = str(tmp_path / "t.bin")
-    store.write_dataset(path, random_datasets(), ch.NoiseSpec(mode="clean"))
+    store.write_dataset(path, random_datasets(clean=True), ch.NoiseSpec(mode="clean"))
     data = open(path, "rb").read()
     open(path, "wb").write(data[:len(data) - 40])
     with pytest.raises(store.FormatError, match=r"expected .* bytes"):
@@ -80,7 +82,7 @@ def test_dataset_truncation_reports_lengths(tmp_path):
 
 def test_dataset_future_version_rejected(tmp_path):
     path = str(tmp_path / "v.bin")
-    store.write_dataset(path, random_datasets(), ch.NoiseSpec(mode="clean"))
+    store.write_dataset(path, random_datasets(clean=True), ch.NoiseSpec(mode="clean"))
     data = bytearray(open(path, "rb").read())
     struct.pack_into("<I", data, 4, store.FORMAT_VERSION + 1)
     open(path, "wb").write(bytes(data))
@@ -90,16 +92,16 @@ def test_dataset_future_version_rejected(tmp_path):
 
 def test_dataset_without_clean_block(tmp_path):
     """A clean file stores each label once, and its labels read back as its
-    clean labels; a file of another mode without the block has none."""
+    clean labels, one array for both; a file of another mode without the
+    block has none."""
     path = str(tmp_path / "nc.bin")
-    datasets = random_datasets()
-    store.write_dataset(path, datasets, ch.NoiseSpec(mode="clean"))
+    store.write_dataset(path, random_datasets(clean=True), ch.NoiseSpec(mode="clean"))
     assert open(path, "rb").read()[37] == 0  # the header's has_clean byte
     blob = store.read_dataset(path)
     assert blob.has_clean
-    p = blob.datasets[0].pairs[0]
-    assert np.array_equal(p.y_clean, p.y)  # falls back to the stored label
+    assert all(d.y_clean is d.ys() for d in blob.datasets)
 
+    datasets = random_datasets()
     noisy = _per_pair_file(datasets, ch.NoiseSpec(mode="awgn"), 120e6, has_clean=False)
     open(path, "wb").write(noisy)
     blob = store.read_dataset(path)
@@ -139,9 +141,9 @@ def test_dataset_file_matches_per_pair_packing(tmp_path, mode):
     empty = ch.TaskDataset(9, "test", xs=np.empty((0, 12)), ys=np.empty((0, 12)),
                            y_clean=np.empty((0, 12)), f_up=np.empty(0), f_down=np.empty(0),
                            user_index=np.empty(0, dtype=int))
-    datasets = random_datasets(seed=4) + [empty]
-    noise = ch.NoiseSpec(snr_db=12.5, pilot_len=16, mode=mode)
     has_clean = mode != "clean"
+    datasets = random_datasets(seed=4, clean=not has_clean) + [empty]
+    noise = ch.NoiseSpec(snr_db=12.5, pilot_len=16, mode=mode)
     store.write_dataset(path, datasets, noise, 120e6)
     assert open(path, "rb").read() == _per_pair_file(datasets, noise, 120e6, has_clean)
 
@@ -151,8 +153,8 @@ def test_dataset_file_matches_per_pair_packing(tmp_path, mode):
     for orig, got in zip(datasets, back):
         assert got.xs().tobytes() == orig.xs().tobytes()
         assert got.ys().tobytes() == orig.ys().tobytes()
-        clean = orig.y_clean if has_clean else orig.ys()
-        assert got.y_clean.tobytes() == clean.tobytes()
+        assert got.y_clean.tobytes() == orig.y_clean.tobytes()
+        assert (got.y_clean is got.ys()) == (not has_clean)
         assert got.f_up.tobytes() == orig.f_up.tobytes()
         assert np.array_equal(got.f_down, orig.f_up + 120e6)
         assert np.array_equal(got.user_index, orig.user_index)
@@ -162,7 +164,7 @@ def test_dataset_file_matches_per_pair_packing(tmp_path, mode):
 @pytest.mark.parametrize("m", [0, 2 ** 26])
 def test_dataset_implausible_antenna_count_rejected(tmp_path, m):
     path = str(tmp_path / "m.bin")
-    store.write_dataset(path, random_datasets(), ch.NoiseSpec(mode="clean"))
+    store.write_dataset(path, random_datasets(clean=True), ch.NoiseSpec(mode="clean"))
     data = bytearray(open(path, "rb").read())
     struct.pack_into("<I", data, 8, m)  # header: magic[4] version:u32 m:u32
     open(path, "wb").write(bytes(data))
@@ -172,7 +174,7 @@ def test_dataset_implausible_antenna_count_rejected(tmp_path, m):
 
 def test_dataset_trailing_bytes_rejected(tmp_path):
     path = str(tmp_path / "x.bin")
-    store.write_dataset(path, random_datasets(), ch.NoiseSpec(mode="clean"))
+    store.write_dataset(path, random_datasets(clean=True), ch.NoiseSpec(mode="clean"))
     with open(path, "ab") as f:
         f.write(b"\0" * 5)
     with pytest.raises(store.FormatError, match="5 trailing bytes"):
@@ -180,20 +182,37 @@ def test_dataset_trailing_bytes_rejected(tmp_path):
 
 
 def test_dataset_user_index_must_fit_its_field(tmp_path):
-    d = random_datasets(n_envs=1)[0]
+    d = random_datasets(n_envs=1, clean=True)[0]
     d.user_index[0] = -1
     with pytest.raises(ValueError, match="32-bit"):
         store.write_dataset(str(tmp_path / "u.bin"), [d], ch.NoiseSpec(mode="clean"))
 
 
 def test_dataset_sidecar_written(tmp_path):
-    path = str(tmp_path / "s.bin")
-    store.write_dataset(path, random_datasets(), ch.NoiseSpec(mode="awgn"))
+    """The sidecar's ``has_clean`` says what the reader reports: clean
+    labels present, whether stored or (clean noise) the labels themselves."""
     import json
 
-    meta = json.load(open(path + ".meta.json"))
-    assert meta["magic"] == "FMCD" and meta["noise"]["mode"] == "awgn"
-    assert meta["datasets"][0]["n_pairs"] == 7
+    for mode in ("awgn", "clean"):
+        path = str(tmp_path / f"{mode}.bin")
+        store.write_dataset(path, random_datasets(clean=mode == "clean"),
+                            ch.NoiseSpec(mode=mode))
+        meta = json.load(open(path + ".meta.json"))
+        assert meta["magic"] == "FMCD" and meta["noise"]["mode"] == mode
+        assert meta["datasets"][0]["n_pairs"] == 7
+        assert meta["has_clean"] is store.read_dataset(path).has_clean is True
+
+
+def test_clean_write_refuses_differing_clean_labels(tmp_path):
+    """A clean file stores each label once, so clean labels that differ from
+    the labels would be lost: the writer refuses them, naming the dataset."""
+    datasets = random_datasets(clean=True)
+    datasets[1].y_clean = datasets[1].ys().copy()  # equal, not the same array
+    path = str(tmp_path / "c.bin")
+    store.write_dataset(path, datasets, ch.NoiseSpec(mode="clean"))
+    datasets[1].y_clean[2, 0] += 1.0
+    with pytest.raises(ValueError, match=r"^environment 1 \(adaption\): clean labels differ"):
+        store.write_dataset(path, datasets, ch.NoiseSpec(mode="clean"))
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +252,7 @@ def test_checkpoint_shape_payload_mismatch(tmp_path):
 
 def test_reading_dataset_as_checkpoint_fails_on_magic(tmp_path):
     path = str(tmp_path / "x.bin")
-    store.write_dataset(path, random_datasets(), ch.NoiseSpec(mode="clean"))
+    store.write_dataset(path, random_datasets(clean=True), ch.NoiseSpec(mode="clean"))
     with pytest.raises(store.FormatError, match="magic"):
         store.read_checkpoint(path)
     cpath = str(tmp_path / "x.ck")

@@ -1,5 +1,7 @@
 """Training-regime tests: pooled training, fine-tuning, meta-learning."""
 
+import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -134,7 +136,11 @@ def test_no_transfer_bit_equal_to_written_out_minibatch_loop():
     m = [np.zeros_like(a) for a in ps]
     v = [np.zeros_like(a) for a in ps]
     rng = stream(0, STREAM_BATCH)
-    history = [per_layer_loss_and_grad(ps[:n_layers], ps[n_layers:], xs, ys)[0]]
+    # The step-0 loss streams the pool in chunks of v rows: the row-weighted
+    # mean of the chunk losses, summed exactly.
+    chunks = [(xs[i:i + cfg.v], ys[i:i + cfg.v]) for i in range(0, len(xs), cfg.v)]
+    history = [math.fsum(per_layer_loss_and_grad(ps[:n_layers], ps[n_layers:], x, y)[0]
+                         * len(x) for x, y in chunks) / len(xs)]
     for t in range(1, cfg.max_steps + 1):
         idx = rng.choice(len(xs), size=cfg.v, replace=False)
         loss, gw, gb = per_layer_loss_and_grad(ps[:n_layers], ps[n_layers:], xs[idx], ys[idx])
@@ -143,6 +149,39 @@ def test_no_transfer_bit_equal_to_written_out_minibatch_loop():
     assert model.loss_history == history
     got = model.params
     assert all(np.array_equal(a, b) for a, b in zip(got.weights + got.biases, ps))
+
+
+def _desk_pool_cfg(**overrides):
+    """Pooled training at desk width: M=16, hidden 128,128, batches of 128."""
+    return tiny_cfg(hidden=(128, 128), v=128,
+                    gen=ch.GeneratorConfig(array=ch.ArrayConfig(m=16), users=5), **overrides)
+
+
+@pytest.mark.parametrize("n", [512, 500])
+def test_no_transfer_streamed_step0_loss_matches_full_pool_loss(n):
+    """The step-0 loss, streamed through the minibatch workspace (with a
+    short tail when v does not divide the pool), equals the loss of one
+    pass over the pool to rounding."""
+    sources = identity_sources(m=16, n=n)
+    cfg = _desk_pool_cfg(max_steps=0)
+    model = transfer.train_no_transfer(sources, cfg, stream(0, STREAM_BATCH))
+    want = net.mse_loss(transfer.init_network(cfg), Batch(sources[0].xs(), sources[0].ys()))
+    assert model.loss_history[0] == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def test_no_transfer_memory_does_not_grow_with_pool_activations():
+    """Only the pooled rows themselves (2 MB here) grow with the pool: one
+    forward pass over all 4,000 rows would add its activation, mask and
+    delta buffers and take the traced peak past 20 MB."""
+    sources = identity_sources(m=16, n=4000)
+    cfg = _desk_pool_cfg(max_steps=2)
+    tracemalloc.start()
+    try:
+        transfer.train_no_transfer(sources, cfg, stream(0, STREAM_BATCH))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_no_transfer_rejects_empty_or_small_pool():
