@@ -23,20 +23,22 @@ Users are drawn the same way, stacked: :func:`_draw_users` fills one
 ``(users, P)`` set of ray arrays with a few generator calls per user, in
 the order that drawing the users one by one would take, and a role's links
 gather their rays from it by index. A :class:`TaskDataset` is a struct of
-arrays, one row per sample pair, so the training code reads its inputs and
-labels without copying; :class:`SamplePair` survives as a row view.
+arrays, one row per sample pair, that every layer reads as it is: it goes
+wherever a ``net.Batch`` goes, and testing scores against its own clean
+labels. :class:`SamplePair` survives as a row view.
 
 Noisy data collection is modelled as an additive complex Gaussian
 observation (pilot processing gain folded into the noise variance) followed
-by an optional LMMSE estimate against the environment's channel covariance.
-A role's noise is drawn as one block that consumes the generator in the
-same order as drawing it pair by pair, uplink before downlink.
+by an optional LMMSE estimate against the environment's channel covariance,
+which the collected :class:`ComboSet` builds once and owns. A role's noise
+is drawn as one block that consumes the generator in the same order as
+drawing it pair by pair, uplink before downlink.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -62,6 +64,12 @@ DEFAULT_DELAY_MAX = 2.0e-9
 # progress on desk-scale runs (loss curvature grows with the square of this
 # number while Adam's effective step does not depend on it).
 DEFAULT_ENTRY_AMPLITUDE = 30.0
+
+# Rays per user, and the range of an environment's angle-spread width in
+# radians.
+RAY_COUNT = 25
+AS_WIDTH_MIN = 0.05
+AS_WIDTH_MAX = 0.2
 
 ROLE_TRAIN_SUPPORT = "train-support"
 ROLE_TRAIN_QUERY = "train-query"
@@ -170,11 +178,12 @@ class TaskDataset:
 
     Row i of ``xs``, ``ys`` and ``y_clean`` (each ``(N, 2M)`` real-stacked)
     and entry i of ``f_up``, ``f_down`` and ``user_index`` (each ``(N,)``)
-    describe pair i. :meth:`xs` and :meth:`ys` return the stored arrays
-    without copying; :attr:`pairs` views the rows as :class:`SamplePair`.
+    describe pair i. Every array is a plain attribute, so the dataset goes
+    wherever a ``net.Batch`` goes; :attr:`pairs` views the rows as
+    :class:`SamplePair`.
 
     A dataset collected or read under clean noise keeps one label array:
-    ``ys()`` and ``y_clean`` are the same object. The arrays are read-only
+    ``ys`` and ``y_clean`` are the same object. The arrays are read-only
     by contract, so a caller that wants to change them copies them first.
     """
 
@@ -185,16 +194,16 @@ class TaskDataset:
             raise ValueError(f"unknown role {role!r}, expected one of {ROLES}")
         self.env_id = env_id
         self.role = role
-        self._xs, self._ys, self.y_clean, self.f_up, self.f_down = (
+        self.xs, self.ys, self.y_clean, self.f_up, self.f_down = (
             np.asarray(a, dtype=np.float64) for a in (xs, ys, y_clean, f_up, f_down))
         self.user_index = np.asarray(user_index, dtype=np.int64)
-        if self._xs.ndim != 2:
-            raise ValueError(f"xs must be an (N, 2M) array, got shape {self._xs.shape}")
-        n, width = self._xs.shape
+        if self.xs.ndim != 2:
+            raise ValueError(f"xs must be an (N, 2M) array, got shape {self.xs.shape}")
+        n, width = self.xs.shape
         if width == 0 or width % 2:
             raise ValueError(f"real-stacked rows must have a positive even width, "
                              f"got {width}")
-        for name, a, shape in (("ys", self._ys, (n, width)),
+        for name, a, shape in (("ys", self.ys, (n, width)),
                                ("y_clean", self.y_clean, (n, width)),
                                ("f_up", self.f_up, (n,)), ("f_down", self.f_down, (n,)),
                                ("user_index", self.user_index, (n,))):
@@ -204,12 +213,6 @@ class TaskDataset:
     def __len__(self) -> int:
         return len(self.f_up)
 
-    def xs(self) -> np.ndarray:
-        return self._xs
-
-    def ys(self) -> np.ndarray:
-        return self._ys
-
     @property
     def pairs(self) -> tuple[SamplePair, ...]:
         """The pairs as :class:`SamplePair` objects whose arrays are views of
@@ -217,7 +220,7 @@ class TaskDataset:
         return tuple(SamplePair(x=x, y=y, f_up=f_up, f_down=f_down, y_clean=yc,
                                 user_index=uid)
                      for x, y, yc, f_up, f_down, uid in zip(
-                         self._xs, self._ys, self.y_clean, self.f_up.tolist(),
+                         self.xs, self.ys, self.y_clean, self.f_up.tolist(),
                          self.f_down.tolist(), self.user_index.tolist()))
 
     def clean_downlinks(self) -> np.ndarray:
@@ -233,10 +236,6 @@ class GeneratorConfig:
     """Everything needed to synthesise environments and their datasets."""
 
     array: ArrayConfig = field(default_factory=ArrayConfig)
-    ray_count: int = 25
-    as_width_min: float = 0.05
-    as_width_max: float = 0.2
-    amplitude_scale: float | None = None  # None: normalise per-entry power
     delay_max: float = DEFAULT_DELAY_MAX
     f_min: float = 1.0e9
     f_max: float = 3.0e9
@@ -245,11 +244,6 @@ class GeneratorConfig:
     noise: NoiseSpec = CLEAN_SPEC
 
     def __post_init__(self):
-        if self.ray_count < 1:
-            raise ValueError("ray count must be >= 1")
-        if not (0 < self.as_width_min <= self.as_width_max <= math.pi):
-            raise ValueError(
-                f"invalid angle-spread width range [{self.as_width_min}, {self.as_width_max}]")
         if not (0 < self.f_min <= self.f_max):
             raise ValueError("frequency range must satisfy 0 < f_min <= f_max")
         if self.f_min + self.delta_f <= 0:
@@ -258,17 +252,6 @@ class GeneratorConfig:
             raise ValueError("delay_max must be nonnegative")
         if self.users < 1:
             raise ValueError("users per environment must be >= 1")
-
-    def resolved_amplitude_scale(self) -> float:
-        """Rayleigh scale per ray; defaults to unit-normalised entry power.
-
-        With P rays of Rayleigh(sigma) amplitude and uniform phases the
-        expected squared magnitude of one channel entry is 2*sigma^2*P, so
-        sigma = A/sqrt(2P) gives per-entry RMS amplitude A.
-        """
-        if self.amplitude_scale is not None:
-            return self.amplitude_scale
-        return DEFAULT_ENTRY_AMPLITUDE / math.sqrt(2.0 * self.ray_count)
 
 
 def _check_carrier(f: float):
@@ -279,22 +262,23 @@ def _check_carrier(f: float):
 def sample_environment(env_id: int, gcfg: GeneratorConfig, master_seed: int) -> Environment:
     """Draw one environment, deterministically from (env_id, master_seed).
 
-    The angle-spread width is uniform in the configured range and the
+    The angle-spread width is uniform on [AS_WIDTH_MIN, AS_WIDTH_MAX] and the
     interval centre is uniform over the positions where the interval still
-    fits inside [-pi/2, pi/2].
+    fits inside [-pi/2, pi/2]. With P = RAY_COUNT rays of Rayleigh(sigma)
+    amplitude and uniform phase, an entry's expected squared magnitude is
+    2*sigma^2*P, so sigma = A/sqrt(2P) gives per-entry RMS amplitude
+    A = DEFAULT_ENTRY_AMPLITUDE. No field of ``gcfg`` changes the result.
     """
-    if gcfg.as_width_min > gcfg.as_width_max:
-        raise ValueError("empty angle-spread width range")
     rng, seed = stream_and_seed(master_seed, STREAM_ENV, env_id)
-    width = rng.uniform(gcfg.as_width_min, gcfg.as_width_max)
+    width = rng.uniform(AS_WIDTH_MIN, AS_WIDTH_MAX)
     half = width / 2.0
     center = rng.uniform(-math.pi / 2 + half, math.pi / 2 - half)
     return Environment(
         id=env_id,
         as_lower=center - half,
         as_upper=center + half,
-        ray_count=gcfg.ray_count,
-        amplitude_scale=gcfg.resolved_amplitude_scale(),
+        ray_count=RAY_COUNT,
+        amplitude_scale=DEFAULT_ENTRY_AMPLITUDE / math.sqrt(2.0 * RAY_COUNT),
         seed=seed,
     )
 
@@ -462,7 +446,7 @@ class EnvCovariance:
     ray arrays with the sines of the directions precomputed. The covariance
     depends on the carrier, so :meth:`at` evaluates it per frequency on
     demand: batched ray sums over blocks of the pool (see :func:`_ray_sum`)
-    and their summed Hermitian products.
+    and their summed Hermitian products. ``cfg`` is the array it was built for.
     """
 
     def __init__(self, env: Environment, cfg: ArrayConfig,
@@ -470,16 +454,16 @@ class EnvCovariance:
         self._rays = _draw_users(env, stream(env.seed, STREAM_COVARIANCE), _POOL_USERS,
                                  delay_max)
         self._sin_doas = np.sin(self._rays.doas)
-        self._cfg = cfg
+        self.cfg = cfg
 
     def at(self, f: float) -> np.ndarray:
         _check_carrier(f)
         gains = _ray_gains(self._rays, f)
-        n, m = gains.shape[0], self._cfg.m
+        n, m = gains.shape[0], self.cfg.m
         r = np.zeros((m, m), dtype=complex)
         for i in range(0, n, _POOL_BLOCK):
             h = _ray_sum(self._sin_doas[i:i + _POOL_BLOCK], gains[i:i + _POOL_BLOCK], f,
-                         self._cfg)
+                         self.cfg)
             r += h.T @ h.conj()
         r /= n
         return r + _RIDGE * (np.trace(r).real / m) * np.eye(m)
@@ -548,17 +532,33 @@ def make_sample_pair(user: UserRays, f_up: float, delta_f: float, cfg: ArrayConf
 
 @dataclass
 class ComboSet:
-    """A user pool and per-role (user, uplink frequency) assignments.
+    """A user pool, per-role (user, uplink frequency) assignments, and the
+    environment's LMMSE prior.
 
     Drawing combinations is separated from collecting the samples so that
     the same combinations can be re-collected under different noise
     specifications (the SNR sweep does exactly that), keeping role
-    disjointness intact.
+    disjointness intact. ``cov`` is built by :meth:`covariance` on the
+    first LMMSE collection, with the users' ``delay_max``, and reused.
     """
 
     env: Environment
     users: UserRays  # (u, P) ray arrays, row ``uid`` for user ``uid``
     by_role: dict[str, list[tuple[int, float]]]
+    delay_max: float = DEFAULT_DELAY_MAX
+    cov: EnvCovariance | None = None
+
+    def covariance(self, cfg: ArrayConfig) -> EnvCovariance:
+        """The environment's covariance for array ``cfg``, built on first use.
+
+        One combination set serves one array: asking for another is an error.
+        """
+        if self.cov is None:
+            self.cov = EnvCovariance(self.env, cfg, delay_max=self.delay_max)
+        elif self.cov.cfg != cfg:
+            raise ValueError(f"environment {self.env.id}: combinations collected under "
+                             f"{self.cov.cfg}, not {cfg}")
+        return self.cov
 
 
 def draw_combos(env: Environment, role_counts: Sequence[tuple[str, int]], u: int,
@@ -612,23 +612,23 @@ def draw_combos(env: Environment, role_counts: Sequence[tuple[str, int]], u: int
             combos.append(key)
         taken |= own
         by_role[role] = combos
-    return ComboSet(env=env, users=users, by_role=by_role)
+    return ComboSet(env=env, users=users, by_role=by_role, delay_max=delay_max)
 
 
 def collect(combo_set: ComboSet, role: str, delta_f: float, cfg: ArrayConfig,
             noise: NoiseSpec, rng: np.random.Generator,
-            cov: EnvCovariance | None = None, limit: int | None = None,
-            delay_max: float = DEFAULT_DELAY_MAX) -> TaskDataset:
+            limit: int | None = None) -> TaskDataset:
     """Collect the sample pairs for one role of a drawn combination set.
 
-    ``limit`` truncates to the first combinations (nested subsets share
-    their prefix exactly, which keeps sample-count sweeps paired).
+    LMMSE collection estimates against the combination set's own covariance
+    (:meth:`ComboSet.covariance`). ``limit`` truncates to the first
+    combinations (nested subsets share their prefix exactly, which keeps
+    sample-count sweeps paired).
     """
     combos = combo_set.by_role[role]
     if limit is not None:
         combos = combos[:limit]
-    if noise.mode == NOISE_LMMSE and cov is None:
-        cov = EnvCovariance(combo_set.env, cfg, delay_max=delay_max)
+    cov = combo_set.covariance(cfg) if noise.mode == NOISE_LMMSE else None
     uids = np.array([uid for uid, _ in combos], dtype=np.int64)
     f_up = np.array([f for _, f in combos], dtype=float)
     return TaskDataset(combo_set.env.id, role, *_collect_pairs(
@@ -643,15 +643,7 @@ def generate_task_datasets(env: Environment, role_counts: Sequence[tuple[str, in
     """Generate datasets for several roles of one environment at once.
 
     Roles drawn together are disjoint in their (user, uplink frequency)
-    keys; see :func:`draw_combos`.
+    keys (see :func:`draw_combos`) and share one LMMSE covariance.
     """
     combo_set = draw_combos(env, role_counts, u, f_range, rng, delay_max)
-    cov = (EnvCovariance(env, cfg, delay_max=delay_max)
-           if noise.mode == NOISE_LMMSE else None)
-    return [collect(combo_set, role, delta_f, cfg, noise, rng, cov=cov,
-                    delay_max=delay_max)
-            for role, _ in role_counts]
-
-def with_array(gcfg: GeneratorConfig, m: int) -> GeneratorConfig:
-    """Copy of the generator config with a different antenna count."""
-    return replace(gcfg, array=replace(gcfg.array, m=m))
+    return [collect(combo_set, role, delta_f, cfg, noise, rng) for role, _ in role_counts]

@@ -106,6 +106,9 @@ def _parse_grid(text: str, variable: str) -> list:
     if not values:
         raise click.UsageError("--grid must contain at least one value")
     if variable in ("g-ad", "n-ad", "m"):
+        if not all(v.is_integer() for v in values):
+            raise click.UsageError(f"--grid for --variable {variable} expects integers, "
+                                   f"got {text!r}")
         return [int(v) for v in values]
     return values
 
@@ -250,7 +253,7 @@ def _impl_eval(opts: dict) -> list[str]:
         raise click.ClickException(
             f"{opts['data']} stores no clean labels; NMSE is measured against "
             f"the clean downlink channel")
-    per_target = [test_model(model, d, d.clean_downlinks()) for d in blob.datasets]
+    per_target = [test_model(model, d) for d in blob.datasets]
     result = NmseResult(model.provenance, per_target)
     _write_csv(opts["out"],
                ["sweep_value", "algorithm", "nmse_linear", "nmse_db",
@@ -352,8 +355,8 @@ def _impl_gradcheck(opts: dict) -> list[str]:
         params = net.init_params(spec, rng)
         batch = net.Batch(rng.normal(size=(8, spec.sizes[0])),
                           rng.normal(size=(8, spec.sizes[0])))
-        d1 = net.params_map(lambda w: rng.normal(size=w.shape), params)
-        d2 = net.params_map(lambda w: rng.normal(size=w.shape), params)
+        d1 = params.like(rng.normal(size=params.flat.shape))
+        d2 = params.like(rng.normal(size=params.flat.shape))
         s1 = net.params_dot(d2, net.forward_param_jvp(params, d1, batch))
         s2 = net.params_dot(d1, net.forward_param_jvp(params, d2, batch))
         worst = max(worst, abs(s1 - s2) / max(abs(s1), abs(s2), 1e-12))

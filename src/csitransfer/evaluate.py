@@ -10,7 +10,10 @@ on held-out target environments, optionally sweeping one variable:
 * training-side variables (``delta_f``, ``m``) retrain per grid point.
 
 Prediction error is always measured against the clean downlink channel,
-never against a noisy estimate of it.
+never against a noisy estimate of it: a test set carries its own clean
+labels. A target's draws are one :class:`channel.ComboSet`, which also
+owns the target's LMMSE covariance, so every collection for the target
+shares one.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .channel import (
     NOISE_LMMSE,
     ROLE_ADAPTION,
     ROLE_TEST,
-    EnvCovariance,
+    ComboSet,
     Environment,
     NoiseSpec,
     TaskDataset,
@@ -38,7 +41,6 @@ from .channel import (
     draw_combos,
     real_to_complex,
     sample_environment,
-    with_array,
 )
 from .seeding import STREAM_BATCH, STREAM_TARGET_DATA, stream
 from .transfer import TrainConfig, TrainedModel
@@ -65,16 +67,14 @@ def nmse(h_true: np.ndarray, h_hat: np.ndarray) -> float:
     return float(np.vdot(diff, diff).real) / denom
 
 
-def test_model(model: TrainedModel, d_te: TaskDataset,
-               clean_labels: Sequence[np.ndarray]) -> float:
-    """Mean NMSE of the model's downlink predictions on one test set."""
+def test_model(model: TrainedModel, d_te: TaskDataset) -> float:
+    """Mean NMSE of the model's downlink predictions on one test set,
+    against its clean downlinks."""
     if len(d_te) == 0:
         raise ValueError("test set is empty")
-    if len(clean_labels) != len(d_te):
-        raise ValueError(f"{len(clean_labels)} labels for {len(d_te)} test pairs")
-    preds = net.forward_batch(model.params, d_te.xs())
-    h_hat = real_to_complex(preds)
-    return float(np.mean([nmse(clean_labels[i], h_hat[i]) for i in range(len(d_te))]))
+    clean = d_te.clean_downlinks()
+    h_hat = real_to_complex(net.forward_batch(model.params, d_te.xs))
+    return float(np.mean([nmse(clean[i], h_hat[i]) for i in range(len(d_te))]))
 
 
 @dataclass
@@ -126,13 +126,11 @@ class SweepReport:
 
 
 def _apply_variable(cfg: TrainConfig, variable: str, value) -> TrainConfig:
-    if variable in ("none", "g_ad", "n_ad", "snr_db") or value is None:
-        return cfg
+    """``cfg`` with the training-side variable (``delta_f`` or ``m``) at ``value``."""
+    gen = cfg.gen
     if variable == "delta_f":
-        return replace(cfg, gen=replace(cfg.gen, delta_f=float(value)))
-    if variable == "m":
-        return replace(cfg, gen=with_array(cfg.gen, int(value)))
-    raise ValueError(f"unknown sweep variable {variable!r}")
+        return replace(cfg, gen=replace(gen, delta_f=float(value)))
+    return replace(cfg, gen=replace(gen, array=replace(gen.array, m=int(value))))
 
 
 def source_environments(cfg: TrainConfig) -> list[Environment]:
@@ -159,47 +157,23 @@ def train_pair(cfg: TrainConfig) -> tuple[TrainedModel, TrainedModel]:
     return nt, mt
 
 
-@dataclass
-class _TargetData:
-    """One target's draws; ``cov`` is its LMMSE covariance, built on the
-    first LMMSE collection and shared by every later one."""
-
-    env: Environment
-    combos: object
-    test_set: TaskDataset
-    clean: np.ndarray
-    cov: EnvCovariance | None = None
-
-
-def _covariance(env: Environment, cfg: TrainConfig, noise: NoiseSpec,
-                cov: EnvCovariance | None) -> EnvCovariance | None:
-    """``cov``, or the environment's covariance if it is needed and missing."""
-    if noise.mode != NOISE_LMMSE or cov is not None:
-        return cov
-    return EnvCovariance(env, cfg.gen.array, delay_max=cfg.gen.delay_max)
-
-
-def _target_data(env: Environment, cfg: TrainConfig, n_ad_max: int) -> _TargetData:
+def _target_data(env: Environment, cfg: TrainConfig,
+                 n_ad_max: int) -> tuple[ComboSet, TaskDataset]:
     """Draw one target's users and disjoint adaption/test combinations, and
     collect the test set under the run's collection noise."""
     gen = cfg.gen
     combos = draw_combos(env, [(ROLE_ADAPTION, n_ad_max), (ROLE_TEST, cfg.n_te)],
                          cfg.u, (gen.f_min, gen.f_max),
                          stream(env.seed, STREAM_TARGET_DATA, 0), gen.delay_max)
-    cov = _covariance(env, cfg, gen.noise, None)
     test_set = collect(combos, ROLE_TEST, gen.delta_f, gen.array, gen.noise,
-                       stream(env.seed, STREAM_TARGET_DATA, 1), cov=cov,
-                       delay_max=gen.delay_max)
-    return _TargetData(env=env, combos=combos, test_set=test_set,
-                       clean=test_set.clean_downlinks(), cov=cov)
+                       stream(env.seed, STREAM_TARGET_DATA, 1))
+    return combos, test_set
 
 
-def _collect_adaption(data: _TargetData, cfg: TrainConfig, noise: NoiseSpec,
+def _collect_adaption(combos: ComboSet, cfg: TrainConfig, noise: NoiseSpec,
                       stream_tag: int, limit: int | None = None) -> TaskDataset:
-    data.cov = _covariance(data.env, cfg, noise, data.cov)
-    return collect(data.combos, ROLE_ADAPTION, cfg.gen.delta_f, cfg.gen.array, noise,
-                   stream(data.env.seed, STREAM_TARGET_DATA, 2 + stream_tag),
-                   cov=data.cov, limit=limit, delay_max=cfg.gen.delay_max)
+    return collect(combos, ROLE_ADAPTION, cfg.gen.delta_f, cfg.gen.array, noise,
+                   stream(combos.env.seed, STREAM_TARGET_DATA, 2 + stream_tag), limit=limit)
 
 
 def run_three_way(cfg: TrainConfig, sweep: tuple[str, Sequence] | None = None) -> SweepReport:
@@ -210,6 +184,8 @@ def run_three_way(cfg: TrainConfig, sweep: tuple[str, Sequence] | None = None) -
                          f"expected one of {SWEEP_VARIABLES}")
     if not grid:
         raise ValueError("sweep grid is empty")
+    if len(set(grid)) != len(grid):
+        raise ValueError(f"sweep grid {grid} repeats a value")
     clock = {"training": 0.0, "adaption": 0.0, "testing": 0.0}
 
     if variable in _ADAPTION_SIDE:
@@ -225,8 +201,7 @@ def run_three_way(cfg: TrainConfig, sweep: tuple[str, Sequence] | None = None) -
             nt, mt = train_pair(cfgp)
             clock["training"] += time.perf_counter() - t0
             point = _adaption_side_points(cfgp, nt, mt, "none", [None], clock)[0]
-            points.append(SweepPoint(value=value, results=point.results,
-                                     baselines=point.baselines))
+            points.append(replace(point, value=value))
 
     return SweepReport(variable=variable, grid=grid, points=points,
                        config=cfg.snapshot(), wall_clock=clock)
@@ -238,58 +213,49 @@ def _adaption_side_points(cfg: TrainConfig, nt: TrainedModel, mt: TrainedModel,
     if variable == "n_ad" and min(int(v) for v in grid) < 1:
         raise ValueError("adaption sample counts must be positive")
 
-    per_value_nt = {v: [] for v in grid}
-    per_value_dt = {v: [] for v in grid}
-    per_value_mt = {v: [] for v in grid}
+    per_point = [{algo: [] for algo in ALGORITHMS} for _ in grid]
     base_dt, base_mt = [], []
 
     for env in target_environments(cfg):
-        data = _target_data(env, cfg, max(n_ad_max, 1))
+        combos, d_te = _target_data(env, cfg, max(n_ad_max, 1))
 
         t0 = time.perf_counter()
-        nmse_nt = test_model(nt, data.test_set, data.clean)
+        nmse_nt = test_model(nt, d_te)
         base_dt.append(nmse_nt)  # direct transfer starts from the trained network
-        base_mt.append(test_model(mt, data.test_set, data.clean))
+        base_mt.append(test_model(mt, d_te))
         clock["testing"] += time.perf_counter() - t0
 
+        # (direct, meta) adapted networks, one pair per grid value.
         if variable == "g_ad":
-            d_ad = _collect_adaption(data, cfg, cfg.gen.noise, 0)
+            d_ad = _collect_adaption(combos, cfg, cfg.gen.noise, 0)
             marks = [int(v) for v in grid]
             t0 = time.perf_counter()
             snaps_dt = transfer.adapt_snapshots(nt, d_ad, cfg, transfer.RULE_ADAM, marks)
             snaps_mt = transfer.adapt_snapshots(mt, d_ad, cfg, transfer.RULE_GD, marks)
             clock["adaption"] += time.perf_counter() - t0
-            for v in grid:
-                per_value_nt[v].append(nmse_nt)
-                t0 = time.perf_counter()
-                per_value_dt[v].append(test_model(snaps_dt[int(v)], data.test_set, data.clean))
-                per_value_mt[v].append(test_model(snaps_mt[int(v)], data.test_set, data.clean))
-                clock["testing"] += time.perf_counter() - t0
+            adapted = [(snaps_dt[g], snaps_mt[g]) for g in marks]
         else:
+            adapted = []
             for i, v in enumerate(grid):
                 if variable == "snr_db":
                     noise = replace(cfg.gen.noise, snr_db=float(v), mode=NOISE_LMMSE)
-                    d_ad = _collect_adaption(data, cfg, noise, i)
-                elif variable == "n_ad":
-                    d_ad = _collect_adaption(data, cfg, cfg.gen.noise, 0, limit=int(v))
+                    d_ad = _collect_adaption(combos, cfg, noise, i)
                 else:
-                    d_ad = _collect_adaption(data, cfg, cfg.gen.noise, 0)
+                    limit = int(v) if variable == "n_ad" else None
+                    d_ad = _collect_adaption(combos, cfg, cfg.gen.noise, 0, limit=limit)
                 t0 = time.perf_counter()
-                adapted_dt = transfer.direct_adapt(nt, d_ad, cfg)
-                adapted_mt = transfer.meta_adapt(mt, d_ad, cfg)
+                adapted.append((transfer.direct_adapt(nt, d_ad, cfg),
+                                transfer.meta_adapt(mt, d_ad, cfg)))
                 clock["adaption"] += time.perf_counter() - t0
-                per_value_nt[v].append(nmse_nt)
-                t0 = time.perf_counter()
-                per_value_dt[v].append(test_model(adapted_dt, data.test_set, data.clean))
-                per_value_mt[v].append(test_model(adapted_mt, data.test_set, data.clean))
-                clock["testing"] += time.perf_counter() - t0
+
+        t0 = time.perf_counter()
+        for results, (adapted_dt, adapted_mt) in zip(per_point, adapted):
+            results[ALGO_NO_TRANSFER].append(nmse_nt)
+            results[ALGO_DIRECT].append(test_model(adapted_dt, d_te))
+            results[ALGO_META].append(test_model(adapted_mt, d_te))
+        clock["testing"] += time.perf_counter() - t0
 
     baselines = {ALGO_DIRECT: NmseResult(ALGO_DIRECT, base_dt),
                  ALGO_META: NmseResult(ALGO_META, base_mt)}
-    return [SweepPoint(
-        value=v,
-        results={ALGO_NO_TRANSFER: NmseResult(ALGO_NO_TRANSFER, per_value_nt[v]),
-                 ALGO_DIRECT: NmseResult(ALGO_DIRECT, per_value_dt[v]),
-                 ALGO_META: NmseResult(ALGO_META, per_value_mt[v])},
-        baselines=baselines) for v in grid]
-
+    return [SweepPoint(value=v, results={a: NmseResult(a, r) for a, r in results.items()},
+                       baselines=baselines) for v, results in zip(grid, per_point)]

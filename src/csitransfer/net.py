@@ -27,7 +27,7 @@ are bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -133,7 +133,11 @@ class NetParams:
 
 @dataclass
 class Batch:
-    """Input/label matrices, one row per sample."""
+    """Input/label matrices, one row per sample.
+
+    Every function that takes a batch reads only ``len(batch)``, ``xs`` and
+    ``ys``, so a ``channel.TaskDataset`` goes in its place as it is.
+    """
 
     xs: np.ndarray
     ys: np.ndarray
@@ -147,14 +151,6 @@ class Batch:
 
     def __len__(self) -> int:
         return self.xs.shape[0]
-
-
-def params_map(fn: Callable[..., np.ndarray], *ps: NetParams) -> NetParams:
-    """Structural elementwise map over one or more parameter trees."""
-    return NetParams(
-        [fn(*(p.weights[i] for p in ps)) for i in range(len(ps[0].weights))],
-        [fn(*(p.biases[i] for p in ps)) for i in range(len(ps[0].biases))],
-    )
 
 
 def zeros_like_params(p: NetParams) -> NetParams:

@@ -177,16 +177,16 @@ def write_dataset(path: str, datasets: list[TaskDataset], noise: NoiseSpec,
     if not datasets:
         raise ValueError("need at least one dataset to write")
     first = datasets[0]
-    m = first.xs().shape[1] // 2
+    m = first.xs.shape[1] // 2
     if delta_f is None:
         delta_f = float(first.f_down[0] - first.f_up[0])
     for d in datasets:
-        if d.xs().shape[1] != 2 * m:
+        if d.xs.shape[1] != 2 * m:
             raise ValueError("all pairs must share the antenna count")
         if len(d) and not (0 <= d.user_index.min() and d.user_index.max() < 2 ** 32):
             raise ValueError("user indices must fit an unsigned 32-bit field")
-        if (noise.mode == NOISE_CLEAN and d.y_clean is not d.ys()
-                and not np.array_equal(d.y_clean, d.ys())):
+        if (noise.mode == NOISE_CLEAN and d.y_clean is not d.ys
+                and not np.array_equal(d.y_clean, d.ys)):
             raise ValueError(f"environment {d.env_id} ({d.role}): clean labels differ "
                              f"from the labels, which a clean file stores once")
 
@@ -201,8 +201,8 @@ def write_dataset(path: str, datasets: list[TaskDataset], noise: NoiseSpec,
         records = np.empty(len(d), dtype=dtype)
         records["f_up"] = d.f_up
         records["user_index"] = d.user_index
-        records["x"] = d.xs()
-        records["y"] = d.ys()
+        records["x"] = d.xs
+        records["y"] = d.ys
         if has_clean:
             records["y_clean"] = d.y_clean
         chunks.append(records.tobytes())

@@ -12,6 +12,8 @@ owns one :class:`net.Workspace` and steps its parameters in place with
 gathered into the workspace's input rows; an adaption snapshot is a copy.
 GD adaption is bit-identical to the pure ``gd_step`` loop; Adam differs
 from the textbook bias correction by rounding only (see :mod:`optim`).
+Training data is read from :class:`channel.TaskDataset` rows as they are;
+wherever a task dataset goes, a ``net.Batch`` goes too.
 
 The meta-gradient is available in two modes: ``exact`` differentiates
 through the unrolled inner loop (reverse accumulation with Hessian-vector
@@ -52,7 +54,7 @@ from .channel import (
 # bench/spans.py wraps params_axpy, adam_step and gd_step where this module
 # looks them up and refuses to start if one is missing, so they stay imported
 # by name; the dense training loops step in place with the *_update forms.
-from .net import Batch, NetParams, params_axpy
+from .net import NetParams, params_axpy
 from .optim import AdamState, adam_step, adam_update, gd_step, gd_update
 from .seeding import STREAM_NET_INIT, STREAM_TASK_DATA, stream
 
@@ -72,6 +74,10 @@ RULE_GD = "gd"
 # (hidden 128,128, 10-row batches) a block of 8 ran no faster than a block
 # of 4 and held 2.5 MB more at peak; a block of 80 held 50 MB more.
 _TASK_BLOCK = 4
+
+# Moving-average stopping rule of both training stages (see _converged).
+CONVERGENCE_WINDOW = 200
+CONVERGENCE_TOL = 0.005
 
 
 @dataclass(frozen=True)
@@ -104,8 +110,6 @@ class TrainConfig:
     gen: GeneratorConfig = field(default_factory=GeneratorConfig)
     hidden: tuple[int, ...] = (128, 128)
     fixed_task_data: bool = False  # regenerate support/query per visit when False
-    convergence_window: int = 200
-    convergence_tol: float = 0.005
 
     def __post_init__(self):
         for name in ("v", "k_s", "k_t", "k_b", "n_tr", "n_ad", "n_te", "u"):
@@ -177,7 +181,7 @@ class TrainedModel:
     ``derivative_order`` records the highest derivative order the producing
     stage actually computed (meta training in exact mode differentiates
     through ``g_tr`` gradient steps, hence order ``g_tr + 1``; every other
-    training or adaption stage is first-order; testing is order zero).
+    training or adaption stage is first-order).
     """
 
     params: NetParams
@@ -191,41 +195,18 @@ class TrainedModel:
             raise ValueError("loss history contains non-finite values")
 
 
-def gradient_order(stage: str, cfg: TrainConfig) -> int:
-    """Highest derivative order each stage needs.
-
-    ``training``: 1 for pooled training, ``g_tr + 1`` for exact-mode meta
-    training (1 in first-order mode). ``adaption``: 1. ``testing``: 0.
-    """
-    if stage == "training":
-        return 1
-    if stage == "meta-training":
-        if cfg.meta_mode == META_EXACT and cfg.g_tr > 0:
-            return cfg.g_tr + 1
-        return 1
-    if stage == "adaption":
-        return 1
-    if stage == "testing":
-        return 0
-    raise ValueError(f"unknown stage {stage!r}")
-
-
-def _as_batch(d) -> Batch:
-    if isinstance(d, Batch):
-        return d
-    return Batch(d.xs(), d.ys())
-
-
-def _converged(history: list[float], window: int, tol: float) -> bool:
-    """Moving-average stopping rule: the last window improved on the
-    previous one by less than ``tol`` (relative)."""
+def _converged(history: list[float]) -> bool:
+    """Moving-average stopping rule: the last ``CONVERGENCE_WINDOW`` losses
+    improved on the window before them by less than ``CONVERGENCE_TOL``
+    (relative)."""
+    window = CONVERGENCE_WINDOW
     if len(history) < 2 * window:
         return False
     prev = float(np.mean(history[-2 * window:-window]))
     cur = float(np.mean(history[-window:]))
     if prev <= 0:
         return True
-    return (prev - cur) / prev < tol
+    return (prev - cur) / prev < CONVERGENCE_TOL
 
 
 def _pooled_loss(run: net.Workspace, xs: np.ndarray, ys: np.ndarray) -> float:
@@ -257,8 +238,8 @@ def train_no_transfer(sources: Sequence[TaskDataset], cfg: TrainConfig,
     non-finite loss raises :class:`NonFiniteLoss` at the step where it
     occurs; numpy's overflow warnings on the way there are silenced.
     """
-    xs = np.concatenate([d.xs() for d in sources]) if sources else np.empty((0, 0))
-    ys = np.concatenate([d.ys() for d in sources]) if sources else np.empty((0, 0))
+    xs = np.concatenate([d.xs for d in sources]) if sources else np.empty((0, 0))
+    ys = np.concatenate([d.ys for d in sources]) if sources else np.empty((0, 0))
     n_pool = xs.shape[0]
     if n_pool == 0:
         raise ValueError("source pool is empty")
@@ -278,11 +259,10 @@ def train_no_transfer(sources: Sequence[TaskDataset], cfg: TrainConfig,
             loss = _check_finite("training", step, run.loss_and_grad())
             adam_update(state, params, run.grads, cfg.gamma, run.work)
             history.append(loss)
-            if _converged(history[1:], cfg.convergence_window, cfg.convergence_tol):
+            if _converged(history[1:]):
                 break
     return TrainedModel(params=params, provenance=PROVENANCE_NO_TRANSFER,
-                        config=cfg.snapshot(), loss_history=history,
-                        derivative_order=gradient_order("training", cfg))
+                        config=cfg.snapshot(), loss_history=history)
 
 
 def adapt_snapshots(base: TrainedModel, d_ad, cfg: TrainConfig, rule: str,
@@ -301,11 +281,10 @@ def adapt_snapshots(base: TrainedModel, d_ad, cfg: TrainConfig, rule: str,
     marks = sorted(set(int(g) for g in step_marks))
     if not marks or marks[0] < 0:
         raise ValueError(f"step marks must be nonnegative, got {step_marks}")
-    batch = _as_batch(d_ad)
-    if len(batch) == 0:
+    if len(d_ad) == 0:
         raise ValueError("adaption set is empty")
     params = base.params.copy()
-    run = net.Workspace(params, batch.xs, batch.ys)
+    run = net.Workspace(params, d_ad.xs, d_ad.ys)
     # history[g] is the loss after g adaption steps.
     history: list[float] = []
     state = AdamState.init(params) if rule == RULE_ADAM else None
@@ -317,8 +296,7 @@ def adapt_snapshots(base: TrainedModel, d_ad, cfg: TrainConfig, rule: str,
         loss = _check_finite(stage, step, run.loss())
         out[step] = TrainedModel(
             params=params.copy(), provenance=PROVENANCE_ADAPTED, config=base.config,
-            loss_history=history[:step] + [loss],
-            derivative_order=gradient_order("adaption", cfg))
+            loss_history=history[:step] + [loss])
 
     with np.errstate(over="ignore", invalid="ignore"):
         if 0 in mark_set:
@@ -361,14 +339,13 @@ def inner_adapt(omega: NetParams, d_sup, g_tr: int,
     """
     if g_tr < 0:
         raise ValueError("gradient step count must be nonnegative")
-    batch = _as_batch(d_sup)
-    if len(batch) == 0 and g_tr > 0:
+    if len(d_sup) == 0 and g_tr > 0:
         raise ValueError("support set is empty but inner updates were requested")
     params = omega.copy()
     iterates = []
     for _ in range(g_tr):
         iterates.append(params)
-        params = gd_step(params, net.loss_and_grad(params, batch)[1], beta)
+        params = gd_step(params, net.loss_and_grad(params, d_sup)[1], beta)
     return params, iterates
 
 
@@ -380,7 +357,7 @@ def _task_blocks(tasks):
     for _, run in itertools.groupby(tasks, key=lambda t: (len(t[0]), len(t[1]))):
         run = list(run)
         for i in range(0, len(run), _TASK_BLOCK):
-            block = [(_as_batch(s), _as_batch(q)) for s, q in run[i:i + _TASK_BLOCK]]
+            block = run[i:i + _TASK_BLOCK]
             yield (np.stack([s.xs for s, _ in block]), np.stack([s.ys for s, _ in block]),
                    np.stack([q.xs for _, q in block]), np.stack([q.ys for _, q in block]))
 
@@ -509,11 +486,12 @@ def meta_train(source_envs: Sequence[Environment], cfg: TrainConfig,
             _check_finite("meta-training", step, loss)
             params, state = adam_step(state, params, grad, cfg.gamma)
             history.append(loss)
-            if _converged(history, cfg.convergence_window, cfg.convergence_tol):
+            if _converged(history):
                 break
+    exact = cfg.meta_mode == META_EXACT and cfg.g_tr > 0
     return TrainedModel(params=params, provenance=PROVENANCE_META,
                         config=cfg.snapshot(), loss_history=history if history else [0.0],
-                        derivative_order=gradient_order("meta-training", cfg))
+                        derivative_order=cfg.g_tr + 1 if exact else 1)
 
 
 def init_network(cfg: TrainConfig) -> NetParams:

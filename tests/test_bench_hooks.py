@@ -73,10 +73,10 @@ def test_pairs_are_views_of_the_dataset_rows():
     (d,) = channel.generate_task_datasets(env, [(channel.ROLE_TEST, 3)], gen.users,
                                           (gen.f_min, gen.f_max), gen.delta_f, gen.array,
                                           gen.noise, np.random.default_rng(0))
-    before = d.xs()[0, 0]
+    before = d.xs[0, 0]
     d.pairs[0].x[0] += 1e-12
-    assert d.xs()[0, 0] == before + 1e-12
-    assert d.pairs[0].x[0] == d.xs()[0, 0]
+    assert d.xs[0, 0] == before + 1e-12
+    assert d.pairs[0].x[0] == d.xs[0, 0]
 
 
 def test_traced_meta_train_counts_one_generation_per_task():

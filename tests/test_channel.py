@@ -89,13 +89,6 @@ def test_manifold_rejects_bad_arguments():
 # sample_environment
 
 
-def test_environment_degenerate_width_range():
-    gcfg = ch.GeneratorConfig(as_width_min=0.1, as_width_max=0.1)
-    for i in range(20):
-        env = ch.sample_environment(i, gcfg, 7)
-        assert env.as_upper - env.as_lower == pytest.approx(0.1, abs=1e-12)
-
-
 def test_environment_deterministic():
     gcfg = ch.GeneratorConfig()
     assert ch.sample_environment(3, gcfg, 11) == ch.sample_environment(3, gcfg, 11)
@@ -111,27 +104,22 @@ def test_environment_equals_two_sequence_oracle(master_seed):
     for env_id in (0, 1, 59, 1499):
         key = dict(entropy=master_seed, spawn_key=(STREAM_ENV, env_id))
         rng = np.random.default_rng(np.random.SeedSequence(**key))
-        width = rng.uniform(gcfg.as_width_min, gcfg.as_width_max)
+        width = rng.uniform(0.05, 0.2)
         center = rng.uniform(-math.pi / 2 + width / 2, math.pi / 2 - width / 2)
         want = ch.Environment(
             id=env_id, as_lower=center - width / 2, as_upper=center + width / 2,
-            ray_count=gcfg.ray_count, amplitude_scale=gcfg.resolved_amplitude_scale(),
+            ray_count=25, amplitude_scale=30.0 / math.sqrt(50.0),
             seed=int(np.random.SeedSequence(**key).generate_state(1, np.uint64)[0]))
         assert ch.sample_environment(env_id, gcfg, master_seed) == want
 
 
 def test_environment_width_mean_matches_uniform_law():
-    gcfg = ch.GeneratorConfig(as_width_min=0.05, as_width_max=0.2)
+    gcfg = ch.GeneratorConfig()
     widths = np.array([ch.sample_environment(i, gcfg, 99).as_upper
                        - ch.sample_environment(i, gcfg, 99).as_lower
                        for i in range(1000)])
     se = (0.15 / math.sqrt(12)) / math.sqrt(len(widths))
     assert abs(widths.mean() - 0.125) < 3 * se
-
-
-def test_environment_empty_width_range_rejected():
-    with pytest.raises(ValueError):
-        ch.GeneratorConfig(as_width_min=0.2, as_width_max=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +422,25 @@ def test_stock_configuration_sizes():
     assert all(0 <= p.user_index < 25 for p in ds.pairs)
 
 
+def test_combo_set_owns_one_covariance_per_array():
+    """The first LMMSE collection builds the combination set's covariance,
+    later collections reuse it, and collecting under another array is an
+    error."""
+    gcfg = _default_gen(m=4, users=4)
+    env = ch.sample_environment(3, gcfg, 5)
+    combos = ch.draw_combos(env, [("adaption", 3), ("test", 3)], gcfg.users,
+                            (gcfg.f_min, gcfg.f_max), RNG(30), gcfg.delay_max)
+    lmmse = ch.NoiseSpec(mode="lmmse")
+    assert combos.cov is None
+    ch.collect(combos, "test", gcfg.delta_f, gcfg.array, lmmse, RNG(31))
+    cov = combos.cov
+    assert cov is not None and cov.cfg == gcfg.array
+    ch.collect(combos, "adaption", gcfg.delta_f, gcfg.array, lmmse, RNG(32))
+    assert combos.cov is cov
+    with pytest.raises(ValueError, match="collected under"):
+        ch.collect(combos, "adaption", gcfg.delta_f, ch.ArrayConfig(m=8), lmmse, RNG(33))
+
+
 def test_generation_bit_identical():
     gcfg = _default_gen()
     env = ch.sample_environment(2, gcfg, 9)
@@ -474,13 +481,13 @@ def _dataset(role="test", **overrides):
 def test_task_dataset_holds_arrays_without_copying():
     xs = RNG(1).normal(size=(3, 8))
     d = _dataset(xs=xs)
-    assert d.xs() is xs and len(d) == 3
+    assert d.xs is xs and len(d) == 3
     assert d.keys() == {(0, 2e9), (1, 2e9), (2, 2e9)}
     p = d.pairs[1]
     assert (p.user_index, p.f_up) == (1, 2e9) and p.f_down == 2.12e9
     assert isinstance(p.user_index, int) and isinstance(p.f_up, float)
     p.y[0] = 7.0  # pairs are views of the rows
-    assert d.ys()[1, 0] == 7.0
+    assert d.ys[1, 0] == 7.0
     assert np.array_equal(d.clean_downlinks(), ch.real_to_complex(d.y_clean))
 
 
@@ -663,10 +670,10 @@ def test_support_query_matches_per_user_oracle(mode, monkeypatch):
         pairs = [ch.make_sample_pair(users[uid], f_up, gen.delta_f, gen.array, gen.noise,
                                      rng, cov, uid) for uid, f_up in by_role[role]]
         assert ds.role == role and ds.env_id == env.id
-        columns = {"x": ds.xs(), "y": ds.ys(), "y_clean": ds.y_clean, "f_up": ds.f_up,
+        columns = {"x": ds.xs, "y": ds.ys, "y_clean": ds.y_clean, "f_up": ds.f_up,
                    "f_down": ds.f_down, "user_index": ds.user_index}
         for name, column in columns.items():
             assert np.array_equal(column, [getattr(p, name) for p in pairs]), name
         # A clean dataset keeps its label once.
-        assert np.shares_memory(ds.ys(), ds.y_clean) == (mode == "clean")
+        assert np.shares_memory(ds.ys, ds.y_clean) == (mode == "clean")
     assert [g.bit_generator.state for g in made] == [rng.bit_generator.state]

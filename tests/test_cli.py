@@ -357,6 +357,24 @@ def test_sweep_requires_grid(tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("variable", ["g-ad", "n-ad", "m"])
+def test_sweep_fractional_integer_grid_is_usage_error(tmp_path, variable):
+    res = RUNNER.invoke(cli, ["sweep", "--variable", variable, "--grid", "2,2.5",
+                              "--out", str(tmp_path / "x.csv")])
+    assert res.exit_code == 2
+    assert "expects integers" in res.output
+    assert not os.path.exists(tmp_path / "x.csv")
+
+
+@pytest.mark.parametrize("variable, grid", [("g-ad", "3,3"), ("snr-db", "10,10.0"),
+                                            ("n-ad", "2,2")])
+def test_sweep_repeated_grid_value_one_line_error(tmp_path, variable, grid):
+    res = run_cli("sweep", "--variable", variable, "--grid", grid,
+                  "--out", tmp_path / "x.csv")
+    assert_one_line_error(res, "repeats a value")
+    assert not os.path.exists(tmp_path / "x.csv")
+
+
 def test_gradcheck_pass_and_determinism():
     r1 = run_cli("gradcheck", "--probe-count", 20, "--antennas", 4,
                  "--hidden", "8,8", "--seed", 5)

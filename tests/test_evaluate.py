@@ -84,12 +84,13 @@ def _clean_test_set(cfg, env_id=50):
 def test_zero_output_model_has_unit_nmse():
     cfg = tiny_cfg()
     d_te = _clean_test_set(cfg)
-    got = evaluate.test_model(_zero_model(4), d_te, d_te.clean_downlinks())
+    got = evaluate.test_model(_zero_model(4), d_te)
     assert got == pytest.approx(1.0, rel=1e-12)
 
 
-def test_identity_task_converged_model_low_nmse():
+def test_identity_task_converged_model_low_nmse(monkeypatch):
     """A network trained to reproduce its input nails a zero-offset task."""
+    monkeypatch.setattr(transfer, "CONVERGENCE_WINDOW", 3000)  # disable early stop
     cfg = tiny_cfg(hidden=(), gen=ch.GeneratorConfig(
         array=ch.ArrayConfig(m=4), users=5, delta_f=0.0))
     rng = RNG(2)
@@ -98,30 +99,42 @@ def test_identity_task_converged_model_low_nmse():
                               f_up=np.full(64, 1e9), f_down=np.full(64, 1e9),
                               user_index=np.zeros(64, dtype=int))]
     model = transfer.train_no_transfer(
-        sources, tiny_cfg(hidden=(), v=32, max_steps=3000, gamma=1e-2,
-                          convergence_window=3000),
-        RNG(3))
+        sources, tiny_cfg(hidden=(), v=32, max_steps=3000, gamma=1e-2), RNG(3))
     env = ch.sample_environment(50, cfg.gen, cfg.seed)
     (d_te,) = ch.generate_task_datasets(env, [("test", 6)], 5, (1e9, 3e9), 0.0,
                                         cfg.gen.array, ch.NoiseSpec(mode="clean"), RNG(4))
-    got = evaluate.test_model(model, d_te, d_te.clean_downlinks())
+    got = evaluate.test_model(model, d_te)
     assert got < 1e-4
+
+
+def test_model_scores_lmmse_test_set_against_clean_labels():
+    """Under LMMSE collection the labels are noisy estimates; the NMSE is
+    taken against the clean downlinks all the same."""
+    cfg = tiny_cfg()
+    env = ch.sample_environment(50, cfg.gen, cfg.seed)
+    noise = ch.NoiseSpec(snr_db=-10.0, pilot_len=1, mode=ch.NOISE_LMMSE)
+    (d_te,) = ch.generate_task_datasets(env, [("test", 6)], 5, (1e9, 3e9), 120e6,
+                                        cfg.gen.array, noise, RNG(4))
+    model = transfer.TrainedModel(params=transfer.init_network(cfg), provenance="no-transfer",
+                                  config=None, loss_history=[1.0])
+    h_hat = ch.real_to_complex(net.forward_batch(model.params, d_te.xs))
+
+    def mean_nmse(labels):
+        h = ch.real_to_complex(labels)
+        return float(np.mean([evaluate.nmse(h[i], h_hat[i]) for i in range(len(d_te))]))
+
+    got = evaluate.test_model(model, d_te)
+    assert got == mean_nmse(d_te.y_clean)
+    assert got != mean_nmse(d_te.ys)
 
 
 def test_mean_equals_mean_of_parts():
     cfg = tiny_cfg()
-    per_target = [evaluate.test_model(_zero_model(4), d, d.clean_downlinks())
+    per_target = [evaluate.test_model(_zero_model(4), d)
                   for d in (_clean_test_set(cfg, 50), _clean_test_set(cfg, 51))]
     result = evaluate.NmseResult("no-transfer", per_target)
     assert result.mean_linear == pytest.approx(np.mean(per_target), rel=1e-12)
     assert result.mean_db == pytest.approx(10 * np.log10(result.mean_linear), rel=1e-12)
-
-
-def test_model_label_count_mismatch():
-    cfg = tiny_cfg()
-    d_te = _clean_test_set(cfg)
-    with pytest.raises(ValueError):
-        evaluate.test_model(_zero_model(4), d_te, d_te.clean_downlinks()[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +157,14 @@ def test_three_way_single_point():
 def test_three_way_rejects_unknown_variable():
     with pytest.raises(ValueError):
         evaluate.run_three_way(tiny_cfg(), ("bandwidth", [1, 2]))
+
+
+@pytest.mark.parametrize("sweep", [("g_ad", [3, 3]), ("snr_db", [10.0, 10]),
+                                   ("n_ad", [2, 2]), ("delta_f", [1e8, 1e8])])
+def test_three_way_rejects_repeated_grid_value(sweep):
+    """A repeated value would merge two points' per-target lists into one."""
+    with pytest.raises(ValueError, match="repeats"):
+        evaluate.run_three_way(tiny_cfg(), sweep)
 
 
 def test_g_ad_zero_equals_baseline():
@@ -180,13 +201,7 @@ def test_lmmse_sweep_builds_each_target_covariance_once(monkeypatch):
     cfg = tiny_cfg(k_s=4, k_t=2, k_b=2, u=4, n_tr=4, n_ad=3, n_te=3, v=8,
                    g_ad=3, max_steps=2, hidden=(8,), gen=gen)
     sweep = ("snr_db", [0.0, 10.0, 20.0])
-
-    # Reference: every collection builds its own covariance.
-    collect = evaluate.collect
-    monkeypatch.setattr(evaluate, "collect", lambda *a, cov=None, **k: collect(*a, **k))
-    reference = evaluate.run_three_way(cfg, sweep)
-    monkeypatch.undo()
-
+    targets = [cfg.k_s + k for k in range(cfg.k_t)]
     builds = collections.Counter()
     init = ch.EnvCovariance.__init__
 
@@ -195,11 +210,28 @@ def test_lmmse_sweep_builds_each_target_covariance_once(monkeypatch):
         init(self, env, *args, **kwargs)
 
     monkeypatch.setattr(ch.EnvCovariance, "__init__", counting_init)
+
+    # Reference: every collection builds its own covariance, so each target
+    # builds one for its test set and one per SNR.
+    collect = evaluate.collect
+
+    def collect_with_fresh_covariance(combos, *args, **kwargs):
+        combos.cov = None
+        return collect(combos, *args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "collect", collect_with_fresh_covariance)
+    reference = evaluate.run_three_way(cfg, sweep)
+    assert [builds[t] for t in targets] == [4] * cfg.k_t
+    monkeypatch.setattr(evaluate, "collect", collect)
+
+    builds.clear()
     report = evaluate.run_three_way(cfg, sweep)
-    assert [builds[cfg.k_s + k] for k in range(cfg.k_t)] == [1] * cfg.k_t
+    assert [builds[t] for t in targets] == [1] * cfg.k_t
     for point, ref in zip(report.points, reference.points):
         for algo in evaluate.ALGORITHMS:
             assert point.results[algo].per_target == ref.results[algo].per_target
+        for algo in point.baselines:
+            assert point.baselines[algo].per_target == ref.baselines[algo].per_target
 
 
 @pytest.mark.parametrize("max_steps, fixed", [(1, False), (4, False), (4, True)])
@@ -262,14 +294,14 @@ def proposition_probe(widths, cfg):
         spec = net.LayerSpec.fnn(gen.array.m, (width,))
         params = net.init_params(spec, stream(cfg.seed, STREAM_PROBE, width))
         state = optim.AdamState.init(params)
-        run = net.Workspace(params, data.xs(), data.ys())
+        run = net.Workspace(params, data.xs, data.ys)
         history = []
         for _ in range(cfg.max_steps):
             history.append(run.loss_and_grad())
             optim.adam_update(state, params, run.grads, cfg.gamma, run.work)
-            if transfer._converged(history, cfg.convergence_window, cfg.convergence_tol):
+            if transfer._converged(history):
                 break
-        window = min(len(history), cfg.convergence_window)
+        window = min(len(history), transfer.CONVERGENCE_WINDOW)
         out[width] = float(np.mean(history[-window:]))
     return out
 
@@ -291,7 +323,8 @@ def test_width_probe_rejects_non_increasing():
         proposition_probe([], cfg)
 
 
-def test_width_probe_wider_fits_better():
-    cfg = tiny_cfg(max_steps=4000, convergence_tol=0.001)
+def test_width_probe_wider_fits_better(monkeypatch):
+    monkeypatch.setattr(transfer, "CONVERGENCE_TOL", 0.001)
+    cfg = tiny_cfg(max_steps=4000)
     out = proposition_probe([4, 64], cfg)
     assert out[64] <= out[4] * 1.05

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from csitransfer import channel as ch
 from csitransfer import net
 
 RNG = np.random.default_rng
@@ -239,6 +240,21 @@ def test_backward_matches_finite_differences(seed):
         assert abs(fd - an) / max(abs(fd), abs(an), 1e-10) < 1e-6
 
 
+def test_task_dataset_goes_where_a_batch_goes():
+    """The network reads a task dataset's rows as they are: loss and
+    gradient on it are bit-equal to those on a Batch of its arrays."""
+    gcfg = ch.GeneratorConfig(array=ch.ArrayConfig(m=2), users=4)
+    env = ch.sample_environment(0, gcfg, 1)
+    (d,) = ch.generate_task_datasets(env, [("train-support", 6)], gcfg.users,
+                                     (gcfg.f_min, gcfg.f_max), gcfg.delta_f, gcfg.array,
+                                     ch.NoiseSpec(mode="awgn"), RNG(2))
+    params = random_params(net.LayerSpec.fnn(2, (8, 8)), seed=3)
+    loss_d, grad_d = net.loss_and_grad(params, d)
+    loss_b, grad_b = net.loss_and_grad(params, net.Batch(d.xs, d.ys))
+    assert loss_d == loss_b
+    assert grad_d.flat.tobytes() == grad_b.flat.tobytes()
+
+
 def test_backward_affine_in_labels_for_linear_net():
     rng = RNG(19)
     params = net.NetParams([rng.normal(size=(3, 3))], [rng.normal(size=3)])
@@ -247,7 +263,7 @@ def test_backward_affine_in_labels_for_linear_net():
     g = lambda ys: gradient(params, net.Batch(xs, ys))
     ga, gb = g(y1), g(y2)
     gmid = g(0.5 * y1 + 0.5 * y2)
-    mixed = net.params_map(lambda a, b: 0.5 * a + 0.5 * b, ga, gb)
+    mixed = ga.like(0.5 * ga.flat + 0.5 * gb.flat)
     assert np.allclose(gmid.weights[0], mixed.weights[0], atol=1e-12)
     assert np.allclose(gmid.biases[0], mixed.biases[0], atol=1e-12)
 
@@ -283,13 +299,13 @@ def test_jvp_matches_finite_difference_of_gradients():
     params = random_params(spec, seed=23, scale=0.6)
     batch = random_batch(spec, 6, seed=24)
     rng = RNG(25)
-    d = net.params_map(lambda w: rng.normal(size=w.shape), params)
+    d = params.like(rng.normal(size=params.flat.shape))
     hvp = net.forward_param_jvp(params, d, batch)
     eps = 1e-4
     gp = gradient(net.params_axpy(eps, d, params), batch)
     gm = gradient(net.params_axpy(-eps, d, params), batch)
-    fd = net.params_map(lambda a, b: (a - b) / (2 * eps), gp, gm)
-    num = norm(net.params_map(lambda a, b: a - b, hvp, fd))
+    fd = gp.like((gp.flat - gm.flat) / (2 * eps))
+    num = float(np.linalg.norm(hvp.flat - fd.flat))
     assert num / norm(fd) < 1e-5
 
 
@@ -307,8 +323,8 @@ def test_hvp_symmetry(seed):
     params = random_params(spec, seed=seed + 30, scale=0.6)
     batch = random_batch(spec, 5, seed=seed + 40)
     rng = RNG(seed + 50)
-    d1 = net.params_map(lambda w: rng.normal(size=w.shape), params)
-    d2 = net.params_map(lambda w: rng.normal(size=w.shape), params)
+    d1 = params.like(rng.normal(size=params.flat.shape))
+    d2 = params.like(rng.normal(size=params.flat.shape))
     s1 = net.params_dot(d2, net.forward_param_jvp(params, d1, batch))
     s2 = net.params_dot(d1, net.forward_param_jvp(params, d2, batch))
     assert abs(s1 - s2) / max(abs(s1), abs(s2)) < 1e-8

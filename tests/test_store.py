@@ -34,7 +34,7 @@ def random_datasets(seed=0, m=6, n_envs=2, n_pairs=7, clean=False):
 def random_model(seed=0, provenance="meta"):
     spec = net.LayerSpec.fnn(3, (8, 5))
     params = net.init_params(spec, RNG(seed))
-    params = net.params_map(lambda w: w + RNG(seed + 1).normal(size=w.shape), params)
+    params = params.like(params.flat + RNG(seed + 1).normal(size=params.flat.shape))
     return transfer.TrainedModel(params=params, provenance=provenance,
                                  config={"seed": 7, "beta": 1e-6},
                                  loss_history=[1.0, 0.5], derivative_order=4)
@@ -99,14 +99,14 @@ def test_dataset_without_clean_block(tmp_path):
     assert open(path, "rb").read()[37] == 0  # the header's has_clean byte
     blob = store.read_dataset(path)
     assert blob.has_clean
-    assert all(d.y_clean is d.ys() for d in blob.datasets)
+    assert all(d.y_clean is d.ys for d in blob.datasets)
 
     datasets = random_datasets()
     noisy = _per_pair_file(datasets, ch.NoiseSpec(mode="awgn"), 120e6, has_clean=False)
     open(path, "wb").write(noisy)
     blob = store.read_dataset(path)
     assert not blob.has_clean
-    assert np.array_equal(blob.datasets[0].y_clean, datasets[0].ys())
+    assert np.array_equal(blob.datasets[0].y_clean, datasets[0].ys)
 
     # Format v1 also lets a clean file store the block; it reads back as stored.
     open(path, "wb").write(_per_pair_file(datasets, ch.NoiseSpec(mode="clean"), 120e6,
@@ -119,7 +119,7 @@ def test_dataset_without_clean_block(tmp_path):
 def _per_pair_file(datasets, noise, delta_f, has_clean):
     """The dataset format packed pair by pair with ``struct``, field by
     field as the module docstring lays it out."""
-    m = datasets[0].xs().shape[1] // 2
+    m = datasets[0].xs.shape[1] // 2
     chunks = [struct.pack("<4sIIIddIBB", b"FMCD", 1, m, len(datasets), delta_f,
                           noise.snr_db, noise.pilot_len, ch.NOISE_MODES.index(noise.mode),
                           int(has_clean))]
@@ -151,14 +151,14 @@ def test_dataset_file_matches_per_pair_packing(tmp_path, mode):
     assert [(d.env_id, d.role, len(d)) for d in back] == \
         [(d.env_id, d.role, len(d)) for d in datasets]
     for orig, got in zip(datasets, back):
-        assert got.xs().tobytes() == orig.xs().tobytes()
-        assert got.ys().tobytes() == orig.ys().tobytes()
+        assert got.xs.tobytes() == orig.xs.tobytes()
+        assert got.ys.tobytes() == orig.ys.tobytes()
         assert got.y_clean.tobytes() == orig.y_clean.tobytes()
-        assert (got.y_clean is got.ys()) == (not has_clean)
+        assert (got.y_clean is got.ys) == (not has_clean)
         assert got.f_up.tobytes() == orig.f_up.tobytes()
         assert np.array_equal(got.f_down, orig.f_up + 120e6)
         assert np.array_equal(got.user_index, orig.user_index)
-        got.xs()[:1] += 1.0  # read datasets own writable arrays
+        got.xs[:1] += 1.0  # read datasets own writable arrays
 
 
 @pytest.mark.parametrize("m", [0, 2 ** 26])
@@ -207,7 +207,7 @@ def test_clean_write_refuses_differing_clean_labels(tmp_path):
     """A clean file stores each label once, so clean labels that differ from
     the labels would be lost: the writer refuses them, naming the dataset."""
     datasets = random_datasets(clean=True)
-    datasets[1].y_clean = datasets[1].ys().copy()  # equal, not the same array
+    datasets[1].y_clean = datasets[1].ys.copy()  # equal, not the same array
     path = str(tmp_path / "c.bin")
     store.write_dataset(path, datasets, ch.NoiseSpec(mode="clean"))
     datasets[1].y_clean[2, 0] += 1.0

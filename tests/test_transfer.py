@@ -76,13 +76,24 @@ def test_config_validation():
 
 
 def test_gradient_order_accounting():
-    cfg = tiny_cfg(g_tr=3)
-    assert transfer.gradient_order("training", cfg) == 1
-    assert transfer.gradient_order("meta-training", cfg) == 4
-    assert transfer.gradient_order("meta-training", tiny_cfg(meta_mode="first-order")) == 1
-    assert transfer.gradient_order("meta-training", tiny_cfg(g_tr=0)) == 1
-    assert transfer.gradient_order("adaption", cfg) == 1
-    assert transfer.gradient_order("testing", cfg) == 0
+    """Exact meta-training records order g_tr + 1; first-order meta-training,
+    meta-training without inner steps, pooled training and both adaption
+    rules record order 1."""
+    cfg = tiny_cfg(g_tr=3, max_steps=1, gen=ch.GeneratorConfig(array=ch.ArrayConfig(m=2)))
+    envs = [ch.sample_environment(i, cfg.gen, cfg.seed) for i in range(cfg.k_s)]
+
+    def meta_order(**overrides):
+        return transfer.meta_train(envs, replace(cfg, **overrides), RNG(0)).derivative_order
+
+    mt = transfer.meta_train(envs, cfg, RNG(0))
+    assert mt.derivative_order == 4
+    assert meta_order(meta_mode="first-order") == 1
+    assert meta_order(g_tr=0) == 1
+    nt = transfer.train_no_transfer(identity_sources(), cfg, RNG(0))
+    assert nt.derivative_order == 1
+    d_ad = identity_sources(n=4)[0]
+    assert transfer.direct_adapt(nt, d_ad, cfg).derivative_order == 1
+    assert transfer.meta_adapt(mt, d_ad, cfg).derivative_order == 1
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +139,8 @@ def test_no_transfer_bit_equal_to_written_out_minibatch_loop():
                    gen=ch.GeneratorConfig(array=ch.ArrayConfig(m=2), users=5))
     model = transfer.train_no_transfer(sources, cfg, stream(0, STREAM_BATCH))
 
-    xs = np.concatenate([d.xs() for d in sources])
-    ys = np.concatenate([d.ys() for d in sources])
+    xs = np.concatenate([d.xs for d in sources])
+    ys = np.concatenate([d.ys for d in sources])
     init = transfer.init_network(cfg)
     n_layers = len(init.weights)
     ps = [a.copy() for a in init.weights + init.biases]
@@ -165,7 +176,7 @@ def test_no_transfer_streamed_step0_loss_matches_full_pool_loss(n):
     sources = identity_sources(m=16, n=n)
     cfg = _desk_pool_cfg(max_steps=0)
     model = transfer.train_no_transfer(sources, cfg, stream(0, STREAM_BATCH))
-    want = net.mse_loss(transfer.init_network(cfg), Batch(sources[0].xs(), sources[0].ys()))
+    want = net.mse_loss(transfer.init_network(cfg), Batch(sources[0].xs, sources[0].ys))
     assert model.loss_history[0] == pytest.approx(want, rel=1e-14, abs=0)
 
 
@@ -269,7 +280,7 @@ def test_meta_adapt_equals_manual_gd_steps():
     d_ad, _ = _clean_target_sets(cfg)
     out = transfer.meta_adapt(base, d_ad, cfg)
     params = base.params.copy()
-    batch = Batch(d_ad.xs(), d_ad.ys())
+    batch = Batch(d_ad.xs, d_ad.ys)
     for _ in range(4):
         params = optim.gd_step(params, gradient(params, batch), cfg.beta)
     for a, b in zip(out.params.weights, params.weights):
@@ -413,7 +424,7 @@ def test_diverging_adam_adaption_stops_at_first_non_finite_loss():
     cfg = tiny_cfg(beta=1e100, g_ad=100)
     base = _fitted_base(cfg)
     d_ad, _ = _clean_target_sets(cfg)
-    batch = Batch(d_ad.xs(), d_ad.ys())
+    batch = Batch(d_ad.xs, d_ad.ys)
     params, state = base.params.copy(), optim.AdamState.init(base.params)
     for updates in range(cfg.g_ad):
         if not np.isfinite(net.mse_loss(params, batch)):
@@ -432,7 +443,7 @@ def test_diverging_gd_adaption_stops_at_first_non_finite_loss():
     cfg = tiny_cfg(beta=1.0, g_ad=2000)
     base = _fitted_base(cfg)
     d_ad, _ = _clean_target_sets(cfg)
-    batch = Batch(d_ad.xs(), d_ad.ys())
+    batch = Batch(d_ad.xs, d_ad.ys)
     params, updates = base.params.copy(), 0
     while np.isfinite(net.mse_loss(params, batch)):
         params = optim.gd_step(params, gradient(params, batch), cfg.beta)
@@ -588,7 +599,7 @@ def test_first_order_approaches_exact_as_beta_vanishes():
     def rel_gap(beta):
         exact = meta_gradient(omega, tasks, 1, beta, "exact")
         fo = meta_gradient(omega, tasks, 1, beta, "first-order")
-        diff = net.params_map(lambda a, b: a - b, exact, fo)
+        diff = exact.like(exact.flat - fo.flat)
         return norm(diff) / norm(exact)
 
     assert rel_gap(1e-8) < 0.05
@@ -698,15 +709,15 @@ def test_meta_train_degenerate_is_query_adam():
         if env.id not in cache:
             cache[env.id] = transfer._support_query(env, cfg, 0)
         _, que = cache[env.id]
-        grads = gradient(params, Batch(que.xs(), que.ys()))
+        grads = gradient(params, Batch(que.xs, que.ys))
         params, state = optim.adam_step(state, params, grads, cfg.gamma)
     for a, b in zip(model.params.weights, params.weights):
         assert np.array_equal(a, b)
 
 
-def test_meta_train_loss_decreases_on_small_run():
-    cfg = tiny_cfg(k_s=30, k_b=5, g_tr=2, max_steps=400, n_tr=8,
-                   convergence_window=1000)  # disable early stop
+def test_meta_train_loss_decreases_on_small_run(monkeypatch):
+    monkeypatch.setattr(transfer, "CONVERGENCE_WINDOW", 1000)  # disable early stop
+    cfg = tiny_cfg(k_s=30, k_b=5, g_tr=2, max_steps=400, n_tr=8)
     envs = [ch.sample_environment(i, cfg.gen, cfg.seed) for i in range(cfg.k_s)]
     model = transfer.meta_train(envs, cfg, stream(cfg.seed, STREAM_BATCH, 1))
     h = model.loss_history
