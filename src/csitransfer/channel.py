@@ -14,10 +14,10 @@ q = ceil(sqrt(M)) and antenna index m = q*a + b, the entry
 exp(-j varpi m sin theta) equals w^a z^b for z = exp(-j varpi sin theta)
 and w = z^q, so a ray costs one complex exponential and the sum over rays
 is one stacked matrix product. A single channel is the batch-of-one case;
-a dataset role builds all its uplinks and downlinks in one call; and the
-LMMSE prior keeps its user pool as stacked ray arrays, so each covariance
-takes a few batched ray sums over blocks of the pool and their Hermitian
-products.
+:func:`collect_sets` builds all links of several combination sets in one
+call; and the LMMSE prior keeps its user pool as stacked ray arrays, so
+each covariance takes a few batched ray sums over blocks of the pool and
+their Hermitian products.
 
 Users are drawn the same way, stacked: :func:`_draw_users` fills one
 ``(users, P)`` set of ray arrays with a few generator calls per user, in
@@ -30,8 +30,8 @@ labels. :class:`SamplePair` survives as a row view.
 Noisy data collection is modelled as an additive complex Gaussian
 observation (pilot processing gain folded into the noise variance) followed
 by an optional LMMSE estimate against the environment's channel covariance,
-which the collected :class:`ComboSet` builds once and owns. A role's noise
-is drawn as one block that consumes the generator in the same order as
+which the collected :class:`ComboSet` builds once and owns. A set's noise
+is drawn as one block that consumes its generator in the same order as
 drawing it pair by pair, uplink before downlink.
 """
 
@@ -70,6 +70,8 @@ DEFAULT_ENTRY_AMPLITUDE = 30.0
 RAY_COUNT = 25
 AS_WIDTH_MIN = 0.05
 AS_WIDTH_MAX = 0.2
+
+_RAY_FIELDS = ("doas", "amplitudes", "phases", "delays")
 
 ROLE_TRAIN_SUPPORT = "train-support"
 ROLE_TRAIN_QUERY = "train-query"
@@ -329,24 +331,29 @@ def _ray_sum(sin_doas: np.ndarray, gains: np.ndarray, f, cfg: ArrayConfig) -> np
     z_p = exp(-j varpi sin theta_p) and w_p = z_p^q. So each ray needs one
     complex exponential, the two q-long power tables come from repeated
     multiplication, and the sum over rays is one stacked (q, P) x (P, q)
-    product; the q*q grid is cut back to the first M antennas.
+    product; the q*q grid is cut back to the first M antennas. Rows run in
+    slices of ``_POOL_BLOCK``, which bound the tables and change no bit.
     """
     q = math.isqrt(cfg.m - 1) + 1
     varpi = 2.0 * math.pi * cfg.d * f / cfg.c
     z = np.exp(-1j * varpi * sin_doas)
-    low = np.empty((q,) + z.shape, dtype=complex)  # low[b] = z^b
-    low[0] = 1.0
-    for b in range(1, q):
-        np.multiply(low[b - 1], z, out=low[b])
-    w = low[-1] * z
-    high = np.empty_like(low)  # high[a] = gains * w^a
-    high[0] = gains
-    for a in range(1, q):
-        np.multiply(high[a - 1], w, out=high[a])
-    last = low.ndim - 1
-    lead = tuple(range(1, last))  # the batch axes
-    grid = high.transpose(lead + (0, last)) @ low.transpose(lead + (last, 0))  # [..., a, b]
-    return np.ascontiguousarray(grid.reshape(grid.shape[:-2] + (q * q,))[..., :cfg.m])
+    z, row_gains = z.reshape(-1, z.shape[-1]), gains.reshape(-1, z.shape[-1])
+    parts = []
+    for i in range(0, max(len(z), 1), _POOL_BLOCK):  # an empty batch is one empty slice
+        zi = z[i:i + _POOL_BLOCK]
+        low = np.empty((q,) + zi.shape, dtype=complex)  # low[b] = z^b
+        low[0] = 1.0
+        for b in range(1, q):
+            np.multiply(low[b - 1], zi, out=low[b])
+        w = low[-1] * zi
+        high = np.empty_like(low)  # high[a] = gains * w^a
+        high[0] = row_gains[i:i + _POOL_BLOCK]
+        for a in range(1, q):
+            np.multiply(high[a - 1], w, out=high[a])
+        grid = high.transpose(1, 0, 2) @ low.transpose(1, 2, 0)  # [row, a, b]
+        parts.append(grid.reshape(len(zi), q * q)[:, :cfg.m])
+    h = np.ascontiguousarray(parts[0]) if len(parts) == 1 else np.concatenate(parts)
+    return h.reshape(gains.shape[:-1] + (cfg.m,))
 
 
 def channel_response(user: UserRays, f: float, cfg: ArrayConfig) -> np.ndarray:
@@ -355,7 +362,7 @@ def channel_response(user: UserRays, f: float, cfg: ArrayConfig) -> np.ndarray:
     h(f) = sum_p |alpha_p| * exp(-j 2 pi f tau_p + j phi_p) * a(theta_p)
     """
     _check_carrier(f)
-    for name in ("doas", "amplitudes", "phases", "delays"):
+    for name in _RAY_FIELDS:
         if not np.isfinite(getattr(user, name)).all():
             raise ValueError(f"ray {name} must be finite")
     return _ray_sum(np.sin(user.doas), _ray_gains(user, f), f, cfg)
@@ -430,10 +437,10 @@ def lmmse_estimate(y: np.ndarray, r: np.ndarray, sigma2: float) -> np.ndarray:
 _POOL_USERS = 200
 _RIDGE = 1e-6
 
-# Users of the covariance pool per ray-sum call. The kernel's two power
-# tables hold 2*q*P complex entries per user (0.3 MB for 50 users of 25 rays
-# at M=64, 1.3 MB for the whole pool), so blocks keep the
-# transient memory near that of one covariance.
+# Rows per slice of _ray_sum and pool users per Hermitian product of a
+# covariance. The kernel's two power tables hold 2*q*P complex entries per
+# row (0.3 MB for 50 rows of 25 rays at M=64), so slices keep its transient
+# memory near that of one covariance however many links a call sums.
 _POOL_BLOCK = 50
 
 
@@ -469,47 +476,6 @@ class EnvCovariance:
         return r + _RIDGE * (np.trace(r).real / m) * np.eye(m)
 
 
-def _collect_pairs(rays: UserRays, uids: np.ndarray, f_up: np.ndarray, delta_f: float,
-                   cfg: ArrayConfig, noise: NoiseSpec, rng: np.random.Generator,
-                   cov: EnvCovariance | None) -> tuple[np.ndarray, ...]:
-    """Collect pair i from user ``uids[i]`` (a row of the stacked ``rays``)
-    at ``f_up[i]`` and ``f_up[i] + delta_f``.
-
-    All 2N links go through one batched ray sum and one AWGN draw shaped
-    (N, 2 links, 2 parts, M), which consumes the generator in pair order,
-    uplink before downlink. LMMSE then runs one estimate per link against
-    the environment covariance at that link's carrier. Returns the arrays
-    of :class:`TaskDataset` in its constructor order, from ``xs`` on; under
-    clean noise ``y_clean`` is ``ys`` itself.
-    """
-    if noise.mode == NOISE_LMMSE and cov is None:
-        raise ValueError("LMMSE noise mode requires an environment covariance model")
-    f = np.stack([f_up, f_up + delta_f], axis=1)  # (N, 2 links)
-    bad = ~((f > 0) & np.isfinite(f)).all(axis=1)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"frequencies must be positive, got f_up={f[i, 0]}, "
-                         f"f_down={f[i, 1]}")
-    # Row 2i + link holds the rays of pair i's user.
-    rows = np.repeat(uids, 2)
-    links = UserRays(env_id=rays.env_id, doas=rays.doas[rows],
-                     amplitudes=rays.amplitudes[rows], phases=rays.phases[rows],
-                     delays=rays.delays[rows])
-    f_links = f.reshape(-1, 1)
-    h = _ray_sum(np.sin(links.doas), _ray_gains(links, f_links), f_links,
-                 cfg).reshape(f.shape + (cfg.m,))
-    est = h
-    if noise.mode != NOISE_CLEAN:
-        est = add_awgn(h, noise.snr_db, noise.pilot_len, rng)
-    if noise.mode == NOISE_LMMSE:
-        sigma2 = noise_variance(h, noise.snr_db, noise.pilot_len)
-        for link in np.ndindex(f.shape):
-            est[link] = lmmse_estimate(est[link], cov.at(f[link]), sigma2[link])
-    x, y = complex_to_real(est[:, 0]), complex_to_real(est[:, 1])
-    y_clean = y if noise.mode == NOISE_CLEAN else complex_to_real(h[:, 1])
-    return x, y, y_clean, f[:, 0], f[:, 1], uids
-
-
 def make_sample_pair(user: UserRays, f_up: float, delta_f: float, cfg: ArrayConfig,
                      noise: NoiseSpec, rng: np.random.Generator,
                      cov: EnvCovariance | None = None,
@@ -520,14 +486,14 @@ def make_sample_pair(user: UserRays, f_up: float, delta_f: float, cfg: ArrayConf
     noise draws; the clean downlink is kept alongside as the ground-truth
     label.
     """
-    rays = UserRays(env_id=user.env_id, doas=user.doas[None],
-                    amplitudes=user.amplitudes[None], phases=user.phases[None],
-                    delays=user.delays[None])
-    x, y, y_clean, f_ups, f_downs, _ = _collect_pairs(
-        rays, np.zeros(1, dtype=np.int64), np.array([f_up], dtype=float), delta_f, cfg,
-        noise, rng, cov)
-    return SamplePair(x=x[0], y=y[0], f_up=float(f_ups[0]), f_down=float(f_downs[0]),
-                      y_clean=y_clean[0], user_index=user_index)
+    if noise.mode == NOISE_LMMSE and (cov is None or cov.cfg != cfg):
+        raise ValueError("LMMSE noise mode requires the environment covariance of this array")
+    rays = UserRays(user.env_id, *(getattr(user, a)[None] for a in _RAY_FIELDS))
+    # No environment: the covariance, the only thing drawn from it, is given.
+    combo_set = ComboSet(env=None, users=rays, by_role={ROLE_TEST: [(0, f_up)]}, cov=cov)
+    (arrays,) = collect_sets([combo_set], [ROLE_TEST], delta_f, cfg, noise, [rng])
+    x, y, y_clean, up, down, _ = (a[0] for a in arrays)
+    return SamplePair(x, y, float(up), float(down), y_clean, user_index)
 
 
 @dataclass
@@ -615,6 +581,59 @@ def draw_combos(env: Environment, role_counts: Sequence[tuple[str, int]], u: int
     return ComboSet(env=env, users=users, by_role=by_role, delay_max=delay_max)
 
 
+def collect_sets(combo_sets: Sequence[ComboSet], roles: Sequence[str], delta_f: float,
+                 cfg: ArrayConfig, noise: NoiseSpec, rngs: Sequence[np.random.Generator],
+                 limit: int | None = None) -> list[tuple[np.ndarray, ...]]:
+    """Collect the same roles of several drawn combination sets at once.
+
+    Each set gives the first ``limit`` combinations of each role (all when
+    None), as many as every other set; a pair is user ``uid`` at ``f_up``
+    and ``f_up + delta_f``. All links go through one batched ray sum. Set s
+    draws its noise from ``rngs[s]`` as one AWGN block (pairs, 2 links, 2
+    parts, M), roles in the order given, as pair-by-pair collection would;
+    LMMSE estimates each link against the set's :meth:`ComboSet.covariance`.
+
+    Returns per role the arrays of :class:`TaskDataset` in its constructor
+    order, from ``xs`` on, set after set: rows ``(S*n, 2M)`` and columns
+    ``(S*n,)``. Under clean noise ``y_clean`` is ``ys`` itself.
+    """
+    by_role = [np.array([cs.by_role[role][:limit] for cs in combo_sets],
+                        dtype=float).reshape(len(combo_sets), -1, 2) for role in roles]
+    keys = np.concatenate(by_role, axis=1)  # (S, n, [uid, f_up])
+    uids = keys[..., 0].astype(np.int64)
+    f = np.stack([keys[..., 1], keys[..., 1] + delta_f], axis=-1)  # (S, n, 2 links)
+    bad = ~((f > 0) & np.isfinite(f)).all(axis=-1)
+    if bad.any():
+        raise ValueError("frequencies must be positive, got f_up={}, f_down={}".format(*f[bad][0]))
+    # Row 2i + link of set s holds the rays of its pair i's user.
+    rows = np.repeat(uids, 2, axis=1)
+    links = UserRays(-1, *(np.concatenate([getattr(cs.users, a)[r]
+                                           for cs, r in zip(combo_sets, rows)])
+                           for a in _RAY_FIELDS))
+    f_links = f.reshape(-1, 1)
+    h = _ray_sum(np.sin(links.doas), _ray_gains(links, f_links), f_links,
+                 cfg).reshape(f.shape + (cfg.m,))
+    del links, rows  # so the outputs, which outlive the call, reuse the rays' memory
+    est = h
+    if noise.mode != NOISE_CLEAN:
+        est = np.stack([add_awgn(h_s, noise.snr_db, noise.pilot_len, rng)
+                        for h_s, rng in zip(h, rngs)])
+    if noise.mode == NOISE_LMMSE:
+        sigma2 = noise_variance(h, noise.snr_db, noise.pilot_len)
+        covs = [cs.covariance(cfg) for cs in combo_sets]
+        for link in np.ndindex(f.shape):
+            est[link] = lmmse_estimate(est[link], covs[link[0]].at(f[link]), sigma2[link])
+    out, start = [], 0
+    for k in by_role:
+        sl, start = slice(start, start + k.shape[1]), start + k.shape[1]
+        xs, ys = (complex_to_real(est[:, sl, link].reshape(-1, cfg.m)) for link in (0, 1))
+        f_role = f[:, sl].reshape(-1, 2)
+        out.append((xs, ys, ys if noise.mode == NOISE_CLEAN else
+                    complex_to_real(h[:, sl, 1].reshape(-1, cfg.m)),
+                    f_role[:, 0], f_role[:, 1], k[..., 0].reshape(-1).astype(np.int64)))
+    return out
+
+
 def collect(combo_set: ComboSet, role: str, delta_f: float, cfg: ArrayConfig,
             noise: NoiseSpec, rng: np.random.Generator,
             limit: int | None = None) -> TaskDataset:
@@ -623,16 +642,10 @@ def collect(combo_set: ComboSet, role: str, delta_f: float, cfg: ArrayConfig,
     LMMSE collection estimates against the combination set's own covariance
     (:meth:`ComboSet.covariance`). ``limit`` truncates to the first
     combinations (nested subsets share their prefix exactly, which keeps
-    sample-count sweeps paired).
+    sample-count sweeps paired). The one-set case of :func:`collect_sets`.
     """
-    combos = combo_set.by_role[role]
-    if limit is not None:
-        combos = combos[:limit]
-    cov = combo_set.covariance(cfg) if noise.mode == NOISE_LMMSE else None
-    uids = np.array([uid for uid, _ in combos], dtype=np.int64)
-    f_up = np.array([f for _, f in combos], dtype=float)
-    return TaskDataset(combo_set.env.id, role, *_collect_pairs(
-        combo_set.users, uids, f_up, delta_f, cfg, noise, rng, cov))
+    (arrays,) = collect_sets([combo_set], [role], delta_f, cfg, noise, [rng], limit)
+    return TaskDataset(combo_set.env.id, role, *arrays)
 
 
 def generate_task_datasets(env: Environment, role_counts: Sequence[tuple[str, int]],

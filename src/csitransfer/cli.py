@@ -372,7 +372,8 @@ def _impl_gradcheck(opts: dict) -> list[str]:
                   net.Batch(rng.normal(size=(4, 4)), rng.normal(size=(4, 4))))
                  for _ in range(2)]
         beta = 1e-3
-        mg = transfer._meta_batch_eval(params, tasks, g_tr, beta, "exact")[1]
+        mg = transfer._meta_batch_eval(params, transfer._task_blocks(tasks), g_tr, beta,
+                                       "exact")[1]
 
         def meta_loss(p):
             total = 0.0

@@ -21,15 +21,16 @@ products at every recorded iterate), ``first-order`` treats the inner-loop
 Jacobian as the identity.
 
 The meta step runs over blocks of tasks with the block kernels of
-:mod:`csitransfer.net` and never forms a task's weights. Each inner GD step
-adds a term of rank at most the support size to the shared omega (the
-step's support deltas against its layer inputs), so a task's iterates are
-omega plus factors, and the factors double as the tape of the reverse
-pass. The meta-gradient direction is kept the same way: it starts as the
-query deltas against the query inputs and every reverse step appends the
-rows of its Hessian-vector product. Every dense product is then one GEMM of
-the shared weights against all rows of the block plus thin per-task
-products against the factors.
+:mod:`csitransfer.net` and never forms a task's weights; ``meta_train``
+regenerates a batch block by block, into the arrays those kernels read.
+Each inner GD step adds a term of rank at most the support size to the
+shared omega (the step's support deltas against its layer inputs), so a
+task's iterates are omega plus factors, and the factors double as the tape
+of the reverse pass. The meta-gradient direction is kept the same way: it
+starts as the query deltas against the query inputs and every reverse step
+appends the rows of its Hessian-vector product. Every dense product is then
+one GEMM of the shared weights against all rows of the block plus thin
+per-task products against the factors.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import net
+from . import channel, net
 from .channel import (
     ROLE_TRAIN_QUERY,
     ROLE_TRAIN_SUPPORT,
@@ -72,7 +73,8 @@ RULE_GD = "gd"
 # B*n rows, so a block of 4 runs them far faster than one task at a time,
 # but the block's factors and tape grow with B: in the exact step at M=64
 # (hidden 128,128, 10-row batches) a block of 8 ran no faster than a block
-# of 4 and held 2.5 MB more at peak; a block of 80 held 50 MB more.
+# of 4 and held 2.5 MB more at peak; a block of 80 held 50 MB more. A meta
+# batch's regenerated data, too, lives one block at a time.
 _TASK_BLOCK = 4
 
 # Moving-average stopping rule of both training stages (see _converged).
@@ -362,11 +364,11 @@ def _task_blocks(tasks):
                    np.stack([q.xs for _, q in block]), np.stack([q.ys for _, q in block]))
 
 
-def _meta_batch_eval(omega: NetParams, batch_tasks, g_tr: int, beta: float,
+def _meta_batch_eval(omega: NetParams, blocks, g_tr: int, beta: float,
                      mode: str) -> tuple[float, NetParams]:
     """Summed query loss of the adapted copies and its gradient wrt omega.
 
-    Tasks go through in blocks (:func:`_task_blocks`) and no task's
+    ``blocks`` yields :func:`_task_blocks` blocks one at a time and no task's
     weights are ever formed. After j inner steps a task's layer weight is
     ``omega - beta * sum_{i<j} delta_i.T @ act_i``: factors whose rows are
     the support deltas and layer inputs of the steps taken, with the biases
@@ -379,21 +381,20 @@ def _meta_batch_eval(omega: NetParams, batch_tasks, g_tr: int, beta: float,
     the query gradient. A block's gradient is one product of its stacked
     factors per layer.
     """
-    if not batch_tasks:
-        raise ValueError("meta batch is empty")
     if mode not in (META_EXACT, META_FIRST_ORDER):
         raise ValueError(f"unknown meta mode {mode!r}")
-    for d_sup, d_que in batch_tasks:
-        if len(d_sup) == 0 and g_tr > 0:
-            raise ValueError("support set is empty but inner updates were requested")
-        if len(d_que) == 0:
-            raise ValueError("query set is empty")
-    total_loss = 0.0
+    total_loss, count = 0.0, 0
     total_grad = net.zeros_like_params(omega)
-    for block in _task_blocks(batch_tasks):
+    for count, block in enumerate(blocks, 1):
+        if block[0].shape[1] == 0 and g_tr > 0:
+            raise ValueError("support set is empty but inner updates were requested")
+        if block[2].shape[1] == 0:
+            raise ValueError("query set is empty")
         losses, grad = _meta_block(omega, block, g_tr, beta, mode == META_EXACT)
         total_loss += float(np.sum(losses))
         params_axpy(1.0, grad, total_grad, out=total_grad)
+    if not count:
+        raise ValueError("meta batch is empty")
     return total_loss, total_grad
 
 
@@ -430,6 +431,34 @@ def _support_query(env: Environment, cfg: TrainConfig, visit: int) -> tuple[Task
     return sup, que
 
 
+def _streamed_blocks(tasks, cfg: TrainConfig):
+    """A meta batch of equal-size tasks as :func:`_task_blocks` blocks, built
+    one at a time. A task is its (support, query) datasets or the
+    (environment, visit) to regenerate as :func:`_support_query` would; a
+    block's regenerated tasks are collected together straight into its
+    stacked arrays (:func:`channel.collect_sets`)."""
+    roles = [(ROLE_TRAIN_SUPPORT, cfg.n_support), (ROLE_TRAIN_QUERY, cfg.n_query)]
+    for b in range(0, len(tasks), _TASK_BLOCK):
+        block = tasks[b:b + _TASK_BLOCK]
+        todo = [t for t in block if isinstance(t[0], Environment)]
+        if not todo:
+            yield from _task_blocks(block)
+            continue
+        rngs = [stream(env.seed, STREAM_TASK_DATA, visit) for env, visit in todo]
+        sets = [channel.draw_combos(env, roles, cfg.u, (cfg.gen.f_min, cfg.gen.f_max), rng,
+                                    cfg.gen.delay_max) for (env, _), rng in zip(todo, rngs)]
+        sup, que = channel.collect_sets(sets, [role for role, _ in roles], cfg.gen.delta_f,
+                                        cfg.gen.array, cfg.gen.noise, rngs)
+        sup_xs, sup_ys, que_xs, que_ys = (a.reshape(len(sets), -1, a.shape[1])
+                                          for a in (sup[0], sup[1], que[0], que[1]))
+        if len(todo) < len(block):
+            drawn = zip(sup_xs, sup_ys, que_xs, que_ys)
+            rows = [next(drawn) if isinstance(s, Environment) else (s.xs, s.ys, q.xs, q.ys)
+                    for s, q in block]
+            sup_xs, sup_ys, que_xs, que_ys = (np.stack(c) for c in zip(*rows))
+        yield sup_xs, sup_ys, que_xs, que_ys
+
+
 def meta_train(source_envs: Sequence[Environment], cfg: TrainConfig,
                rng: np.random.Generator,
                first_visit: Sequence[tuple[TaskDataset, TaskDataset]] | None = None
@@ -438,11 +467,12 @@ def meta_train(source_envs: Sequence[Environment], cfg: TrainConfig,
 
     Each time step draws ``k_b`` tasks, regenerates their support/query
     sets (cached instead when ``fixed_task_data``), computes the meta
-    gradient and applies one Adam step at rate ``gamma``. Initialization
-    comes from the config's network-init substream; the passed generator
-    drives task selection only. ``first_visit[i]``, when given, must be
-    ``_support_query(source_envs[i], cfg, 0)``: the sets of an
-    environment's first visit, which are then taken from it instead of
+    gradient and applies one Adam step at rate ``gamma``; regenerated sets
+    stream through the step block by block (:func:`_streamed_blocks`).
+    Initialization comes from the config's network-init substream; the
+    passed generator drives task selection only. ``first_visit[i]``, when
+    given, must be ``_support_query(source_envs[i], cfg, 0)``: the sets of
+    an environment's first visit, which are then taken from it instead of
     being generated again. A non-finite meta loss raises
     :class:`NonFiniteLoss` at the step where it occurs; numpy's overflow
     warnings on the way there are silenced.
@@ -450,19 +480,16 @@ def meta_train(source_envs: Sequence[Environment], cfg: TrainConfig,
     if len(source_envs) < cfg.k_b:
         raise ValueError(f"need at least k_b={cfg.k_b} source environments, "
                          f"got {len(source_envs)}")
-    if first_visit is not None and len(first_visit) != len(source_envs):
-        raise ValueError(f"{len(first_visit)} first-visit task pairs for "
-                         f"{len(source_envs)} source environments")
+    if first_visit is not None and (len(first_visit) != len(source_envs) or any(
+            (len(s), len(q)) != (cfg.n_support, cfg.n_query) or s.keys() & q.keys()
+            for s, q in first_visit)):
+        raise ValueError("first_visit must hold, per source environment, a disjoint "
+                         f"support/query pair of {cfg.n_support}+{cfg.n_query} pairs")
     params = init_network(cfg)
     state = AdamState.init(params)
     visits: dict[int, int] = {}
     cache: dict[int, tuple[TaskDataset, TaskDataset]] = {}
     history: list[float] = []
-
-    def task(i: int, visit: int) -> tuple[TaskDataset, TaskDataset]:
-        if visit == 0 and first_visit is not None:
-            return first_visit[i]
-        return _support_query(source_envs[i], cfg, visit)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(cfg.max_steps):
@@ -470,19 +497,18 @@ def meta_train(source_envs: Sequence[Environment], cfg: TrainConfig,
             tasks = []
             for i in sorted(int(j) for j in chosen):
                 env = source_envs[i]
-                if cfg.fixed_task_data:
+                visit = 0 if cfg.fixed_task_data else visits.get(env.id, 0)
+                visits[env.id] = visit + 1
+                if visit == 0 and first_visit is not None:
+                    tasks.append(first_visit[i])
+                elif cfg.fixed_task_data:
                     if env.id not in cache:
-                        cache[env.id] = task(i, 0)
-                    sup, que = cache[env.id]
+                        cache[env.id] = _support_query(env, cfg, 0)
+                    tasks.append(cache[env.id])
                 else:
-                    visit = visits.get(env.id, 0)
-                    visits[env.id] = visit + 1
-                    sup, que = task(i, visit)
-                if sup.keys() & que.keys():
-                    raise AssertionError(
-                        f"support/query overlap in environment {env.id}")
-                tasks.append((sup, que))
-            loss, grad = _meta_batch_eval(params, tasks, cfg.g_tr, cfg.beta, cfg.meta_mode)
+                    tasks.append((env, visit))
+            loss, grad = _meta_batch_eval(params, _streamed_blocks(tasks, cfg), cfg.g_tr,
+                                          cfg.beta, cfg.meta_mode)
             _check_finite("meta-training", step, loss)
             params, state = adam_step(state, params, grad, cfg.gamma)
             history.append(loss)

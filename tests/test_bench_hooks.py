@@ -81,8 +81,9 @@ def test_pairs_are_views_of_the_dataset_rows():
 
 def test_traced_meta_train_counts_one_generation_per_task():
     """Task generation stays per task: a traced ``meta_train`` records one
-    ``transfer.support_query`` and one ``channel.draw_combos`` per
-    regenerated task."""
+    ``channel.draw_combos`` per regenerated task. The regenerated tasks are
+    collected block by block, not through ``transfer.support_query`` and
+    ``channel.generate_task_datasets``."""
     spans = load_spans()
     gen = channel.GeneratorConfig(array=channel.ArrayConfig(m=4), users=4)
     cfg = transfer.TrainConfig(k_s=6, k_b=3, n_tr=6, u=4, v=8, hidden=(8,), max_steps=4,
@@ -92,10 +93,9 @@ def test_traced_meta_train_counts_one_generation_per_task():
     with tracer:
         transfer.meta_train(envs, cfg, np.random.default_rng(5))
     summary = tracer.summary()
-    tasks = cfg.k_b * cfg.max_steps
-    for name in ("transfer.support_query", "channel.generate_task_datasets",
-                 "channel.draw_combos"):
-        assert summary[name]["calls"] == tasks, name
+    assert summary["channel.draw_combos"]["calls"] == cfg.k_b * cfg.max_steps
+    for name in ("transfer.support_query", "channel.generate_task_datasets"):
+        assert name not in summary, name
 
 
 def test_traced_three_way_reaches_adam_and_every_adaption():

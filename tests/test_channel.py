@@ -214,6 +214,25 @@ def test_response_triangle_inequality_bound():
             assert np.linalg.norm(h) <= bound * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("m", [1, 5, 64])
+@pytest.mark.parametrize("rows", [1, 49, 50, 51, 160])
+def test_ray_sum_slices_change_no_bit(rows, m):
+    """The kernel runs its rows in slices of ``_POOL_BLOCK``: each row of a
+    batch, at its own carrier, equals bit for bit the same row summed
+    alone, and leading batch axes keep their shape."""
+    cfg = ch.ArrayConfig(m=m)
+    rng = RNG(1000 * m + rows)
+    sin_doas = np.sin(rng.uniform(-1.5, 1.5, size=(rows, 25)))
+    gains = rng.normal(size=(rows, 25)) + 1j * rng.normal(size=(rows, 25))
+    f = rng.uniform(1e9, 3e9, size=(rows, 1))
+    got = ch._ray_sum(sin_doas, gains, f, cfg)
+    assert got.shape == (rows, m)
+    for i in range(rows):
+        assert np.array_equal(got[i], ch._ray_sum(sin_doas[i], gains[i], f[i, 0], cfg))
+    stacked = ch._ray_sum(sin_doas[None], gains[None], f[None], cfg)
+    assert stacked.shape == (1, rows, m) and np.array_equal(stacked[0], got)
+
+
 # ---------------------------------------------------------------------------
 # real/complex isomorphism
 
@@ -346,6 +365,17 @@ def test_sample_pair_zero_offset_clean_x_equals_y():
     user = sample_user(make_env(), RNG(19))
     pair = ch.make_sample_pair(user, 2e9, 0.0, cfg, ch.NoiseSpec(mode="clean"), RNG(20))
     assert np.array_equal(pair.x, pair.y)
+
+
+def test_sample_pair_lmmse_needs_the_covariance_of_its_array():
+    user = sample_user(make_env(), RNG(22))
+    lmmse = ch.NoiseSpec(mode="lmmse")
+    cov = ch.EnvCovariance(make_env(), ch.ArrayConfig(m=8))
+    for given in (None, cov):
+        with pytest.raises(ValueError, match="covariance of this array"):
+            ch.make_sample_pair(user, 2e9, 120e6, ch.ArrayConfig(m=4), lmmse, RNG(23), given)
+    pair = ch.make_sample_pair(user, 2e9, 120e6, ch.ArrayConfig(m=8), lmmse, RNG(23), cov)
+    assert pair.x.shape == (16,)
 
 
 def test_sample_pair_lmmse_beats_awgn():

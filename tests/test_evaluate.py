@@ -247,14 +247,24 @@ def test_train_pair_builds_each_first_visit_task_once(monkeypatch, max_steps, fi
         builds[env.id, visit] += 1
         return support_query(env, cfg, visit)
 
+    # Every generated task draws its combinations once, whether it is built
+    # through _support_query or regenerated in a block of the meta step.
+    draws = collections.Counter()
+    draw_combos = ch.draw_combos
+
+    def counting_draws(env, *args, **kwargs):
+        draws[env.id] += 1
+        return draw_combos(env, *args, **kwargs)
+
     monkeypatch.setattr(transfer, "_support_query", counting)
+    monkeypatch.setattr(ch, "draw_combos", counting_draws)
     _, mt = evaluate.train_pair(cfg)
     assert max(builds.values()) == 1
     assert sorted(env for env, visit in builds if visit == 0) == list(range(cfg.k_s))
     if max_steps == 1 or fixed:
-        assert sum(builds.values()) == cfg.k_s
+        assert sum(builds.values()) == sum(draws.values()) == cfg.k_s
     else:
-        assert sum(builds.values()) > cfg.k_s  # later visits are still generated
+        assert sum(draws.values()) > cfg.k_s  # later visits are still generated
     assert np.array_equal(mt.params.flat, reference.params.flat)
     assert mt.loss_history == reference.loss_history
 

@@ -53,7 +53,7 @@ def gradient(params, batch):
 
 def meta_gradient(omega, tasks, g_tr, beta, mode):
     """Gradient of the summed post-adaption query loss wrt omega."""
-    return transfer._meta_batch_eval(omega, tasks, g_tr, beta, mode)[1]
+    return transfer._meta_batch_eval(omega, transfer._task_blocks(tasks), g_tr, beta, mode)[1]
 
 
 def norm(p):
@@ -635,7 +635,7 @@ def random_meta_problem(m, hidden, sizes, seed):
 
 
 def assert_matches_oracle(omega, tasks, g_tr, beta, mode, rtol=1e-10):
-    loss, grad = transfer._meta_batch_eval(omega, tasks, g_tr, beta, mode)
+    loss, grad = transfer._meta_batch_eval(omega, transfer._task_blocks(tasks), g_tr, beta, mode)
     want_loss, want = per_task_meta_oracle(omega, tasks, g_tr, beta, mode)
     assert abs(loss - want_loss) <= rtol * abs(want_loss)
     scale = np.max(np.abs(want.flat))
@@ -667,13 +667,16 @@ def test_meta_batch_eval_blocks_split_on_task_sizes():
 def test_meta_batch_eval_rejects_bad_input():
     omega, tasks = random_meta_problem(2, (6,), [(4, 5)] * 2, seed=8)
     with pytest.raises(ValueError, match="empty"):
-        transfer._meta_batch_eval(omega, [], 1, 1e-2, "exact")
+        transfer._meta_batch_eval(omega, transfer._task_blocks([]), 1, 1e-2, "exact")
     with pytest.raises(ValueError, match="mode"):
-        transfer._meta_batch_eval(omega, tasks, 1, 1e-2, "second-order")
+        transfer._meta_batch_eval(omega, transfer._task_blocks(tasks), 1, 1e-2,
+                                  "second-order")
     empty = Batch(np.empty((0, 4)), np.empty((0, 4)))
     with pytest.raises(ValueError, match="support"):
-        transfer._meta_batch_eval(omega, [tasks[0], (empty, tasks[1][1])], 1, 1e-2, "exact")
-    loss, _ = transfer._meta_batch_eval(omega, [(empty, tasks[1][1])], 0, 1e-2, "exact")
+        transfer._meta_batch_eval(
+            omega, transfer._task_blocks([tasks[0], (empty, tasks[1][1])]), 1, 1e-2, "exact")
+    loss, _ = transfer._meta_batch_eval(omega, transfer._task_blocks([(empty, tasks[1][1])]),
+                                        0, 1e-2, "exact")
     assert loss == pytest.approx(net.mse_loss(omega, tasks[1][1]), rel=1e-12)
 
 
@@ -713,6 +716,87 @@ def test_meta_train_degenerate_is_query_adam():
         params, state = optim.adam_step(state, params, grads, cfg.gamma)
     for a, b in zip(model.params.weights, params.weights):
         assert np.array_equal(a, b)
+
+
+def per_task_meta_train(envs, cfg, rng, first_visit=None):
+    """``meta_train`` written out task by task: every task's sets from
+    ``_support_query`` (or ``first_visit``, or the fixed-data cache), the
+    batch through ``_task_blocks``, then the outer ``adam_step``."""
+    params = transfer.init_network(cfg)
+    state = optim.AdamState.init(params)
+    visits, cache, history = {}, {}, []
+    for _ in range(cfg.max_steps):
+        tasks = []
+        for i in sorted(int(j) for j in rng.choice(len(envs), size=cfg.k_b, replace=False)):
+            env = envs[i]
+            if cfg.fixed_task_data:
+                if env.id not in cache:
+                    cache[env.id] = (first_visit[i] if first_visit is not None
+                                     else transfer._support_query(env, cfg, 0))
+                tasks.append(cache[env.id])
+            else:
+                visit = visits.get(env.id, 0)
+                visits[env.id] = visit + 1
+                tasks.append(first_visit[i] if visit == 0 and first_visit is not None
+                             else transfer._support_query(env, cfg, visit))
+        loss, grad = transfer._meta_batch_eval(params, transfer._task_blocks(tasks), cfg.g_tr,
+                                               cfg.beta, cfg.meta_mode)
+        params, state = optim.adam_step(state, params, grad, cfg.gamma)
+        history.append(loss)
+    return params, history
+
+
+@pytest.mark.parametrize("k_b", [1, 5, 9])
+@pytest.mark.parametrize("meta_mode", ["exact", "first-order"])
+@pytest.mark.parametrize("noise", ["clean", "awgn", "lmmse"])
+def test_block_streamed_meta_train_equals_per_task_loop(noise, meta_mode, k_b):
+    """Streaming the meta batch block by block, with each block's tasks
+    collected together, changes no bit of the weights or the losses: with
+    every task regenerated, with first visits passed in (blocks that mix
+    given and regenerated tasks), and with fixed task data, with and without
+    first visits."""
+    gen = ch.GeneratorConfig(array=ch.ArrayConfig(m=4), users=5,
+                             noise=ch.NoiseSpec(snr_db=10.0, pilot_len=4, mode=noise))
+    cfg = tiny_cfg(k_b=k_b, n_tr=3, max_steps=2, hidden=(8,), meta_mode=meta_mode, gen=gen)
+    envs = [ch.sample_environment(i, gen, cfg.seed) for i in range(cfg.k_s)]
+    first_visit = [transfer._support_query(env, cfg, 0) for env in envs]
+    for fixed, given in ((False, None), (False, first_visit), (True, None), (True, first_visit)):
+        c = replace(cfg, fixed_task_data=fixed)
+        model = transfer.meta_train(envs, c, stream(c.seed, STREAM_BATCH, 1), given)
+        params, history = per_task_meta_train(envs, c, stream(c.seed, STREAM_BATCH, 1), given)
+        assert np.array_equal(model.params.flat, params.flat)
+        assert model.loss_history == history
+
+
+def test_meta_train_rejects_malformed_first_visits():
+    cfg = tiny_cfg(max_steps=1)
+    envs = [ch.sample_environment(i, cfg.gen, cfg.seed) for i in range(cfg.k_s)]
+    first_visit = [transfer._support_query(env, cfg, 0) for env in envs]
+    with pytest.raises(ValueError, match="first_visit"):
+        transfer.meta_train(envs, cfg, RNG(0), first_visit[1:])
+    sup, que = first_visit[1]
+    shorter = transfer._support_query(envs[1], replace(cfg, n_tr=6), 0)
+    for bad in ((sup, sup), (sup, shorter[1]), shorter):
+        with pytest.raises(ValueError, match="disjoint support/query pair of 4\\+4"):
+            transfer.meta_train(envs, cfg, RNG(0), [first_visit[0], bad] + first_visit[2:])
+
+
+def test_meta_train_step_memory_does_not_grow_with_the_meta_batch():
+    """Regenerated task data lives one block at a time, so a step at
+    k_b=40 peaks within 1.25x of a step at k_b=8."""
+    def step_peak(k_b):
+        gen = ch.GeneratorConfig(array=ch.ArrayConfig(m=16), users=25)
+        cfg = TrainConfig(k_s=40, k_b=k_b, n_tr=20, u=25, g_tr=3, hidden=(32, 32),
+                          max_steps=1, gen=gen)
+        envs = [ch.sample_environment(i, gen, cfg.seed) for i in range(cfg.k_s)]
+        tracemalloc.start()
+        try:
+            transfer.meta_train(envs, cfg, RNG(0))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert step_peak(40) <= 1.25 * step_peak(8)
 
 
 def test_meta_train_loss_decreases_on_small_run(monkeypatch):
