@@ -3,14 +3,17 @@
 Every subcommand resolves its flags into a plain config dictionary, runs,
 and writes a JSON manifest next to its primary output recording the
 subcommand, the resolved config, the master seed, build information,
-timestamps, the process's peak resident memory (``peak_rss_mb``, in MiB)
-and the produced files. ``rerun MANIFEST`` re-executes the recorded
-subcommand with the recorded config and ignores every other field; all
-outputs are then byte-identical (timestamps and peak memory live only in
-the manifest), except the stage wall-clock times in a sweep's
-``.report.json``. The recorded values go
-through the subcommand's own option declarations, so a malformed one is a
-one-line error, and no environment variable overrides them.
+timestamps, the process's peak resident memory (``peak_rss_mb``, in MiB),
+that of its largest finished child process (``peak_rss_children_mb``: a
+sweep's target workers, 0 when none ran) and the produced files.
+``rerun MANIFEST`` re-executes the recorded subcommand with the recorded
+config and ignores every other field; all outputs are then byte-identical
+(timestamps and peak memory live only in the manifest), except the stage
+wall-clock times in a sweep's ``.report.json``. That record also holds
+``workers``, the processes the sweep's targets ran in; its adaption and
+testing times are per-target times summed across them. The recorded values
+go through the subcommand's own option declarations, so a malformed one is
+a one-line error, and no environment variable overrides them.
 
 Flags can be overridden through environment variables with the ``CSIT_``
 prefix. ``sweep`` shares its options with ``gen``, ``train`` and
@@ -66,11 +69,12 @@ def _write_manifest(subcommand: str, opts: dict, outputs: list[str],
         "subcommand": subcommand,
         "config": opts,
         "master_seed": opts.get("seed"),
+        # Linux reports ru_maxrss in KiB. Children are read before git runs as one.
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "peak_rss_children_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0,
         "build": _build_info(),
         "started_at": started,
         "finished_at": _utcnow(),
-        # Linux reports ru_maxrss in KiB.
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "outputs": outputs,
     }
     path = opts["out"] + ".manifest.json"
@@ -282,6 +286,7 @@ def sweep_report_record(report) -> dict:
     return {
         "variable": report.variable,
         "wall_clock": report.wall_clock,
+        "workers": report.workers,
         "points": [{"value": point.value,
                     "baselines": {algo: {"per_target": r.per_target,
                                          "nmse_linear": r.mean_linear,

@@ -14,10 +14,16 @@ never against a noisy estimate of it: a test set carries its own clean
 labels. A target's draws are one :class:`channel.ComboSet`, which also
 owns the target's LMMSE covariance, so every collection for the target
 shares one.
+
+Targets draw only from their own streams, so they run in forked workers, one
+per usable CPU, bit-identically to a serial run; the ``adaption`` and
+``testing`` stage times are per-target times summed across workers.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -114,11 +120,16 @@ class SweepPoint:
 
 @dataclass
 class SweepReport:
+    """A sweep's points and stage times in seconds: ``training`` in the
+    caller, ``adaption`` and ``testing`` per target, summed across the
+    ``workers`` processes that ran the targets."""
+
     variable: str
     grid: list
     points: list[SweepPoint]
     config: dict
     wall_clock: dict[str, float] = field(default_factory=dict)
+    workers: int = 1
 
     def __post_init__(self):
         if len(self.points) != len(self.grid):
@@ -187,75 +198,121 @@ def run_three_way(cfg: TrainConfig, sweep: tuple[str, Sequence] | None = None) -
     if len(set(grid)) != len(grid):
         raise ValueError(f"sweep grid {grid} repeats a value")
     clock = {"training": 0.0, "adaption": 0.0, "testing": 0.0}
+    workers = min(cfg.k_t, _usable_cpus())
 
-    if variable in _ADAPTION_SIDE:
+    # One trained pair serves an adaption-side grid; a training-side value retrains.
+    runs = ([(cfg, variable, grid)] if variable in _ADAPTION_SIDE
+            else [(_apply_variable(cfg, variable, v), "none", [None]) for v in grid])
+    points = []
+    for cfg_run, variable_run, grid_run in runs:
         t0 = time.perf_counter()
-        nt, mt = train_pair(cfg)
+        nt, mt = train_pair(cfg_run)
         clock["training"] += time.perf_counter() - t0
-        points = _adaption_side_points(cfg, nt, mt, variable, grid, clock)
-    else:
-        points = []
-        for value in grid:
-            cfgp = _apply_variable(cfg, variable, value)
-            t0 = time.perf_counter()
-            nt, mt = train_pair(cfgp)
-            clock["training"] += time.perf_counter() - t0
-            point = _adaption_side_points(cfgp, nt, mt, "none", [None], clock)[0]
-            points.append(replace(point, value=value))
+        points += _adaption_side_points(cfg_run, nt, mt, variable_run, grid_run, clock, workers)
+    points = [replace(point, value=value) for point, value in zip(points, grid)]
 
     return SweepReport(variable=variable, grid=grid, points=points,
-                       config=cfg.snapshot(), wall_clock=clock)
+                       config=cfg.snapshot(), wall_clock=clock, workers=workers)
 
 
 def _adaption_side_points(cfg: TrainConfig, nt: TrainedModel, mt: TrainedModel,
-                          variable: str, grid: list, clock: dict) -> list[SweepPoint]:
-    n_ad_max = max(int(v) for v in grid) if variable == "n_ad" else cfg.n_ad
+                          variable: str, grid: list, clock: dict, workers: int) -> list[SweepPoint]:
     if variable == "n_ad" and min(int(v) for v in grid) < 1:
         raise ValueError("adaption sample counts must be positive")
+    job = functools.partial(_run_target, cfg=cfg, nt=nt, mt=mt, variable=variable, grid=grid)
+    targets = _map_targets(job, target_environments(cfg), workers)
 
     per_point = [{algo: [] for algo in ALGORITHMS} for _ in grid]
     base_dt, base_mt = [], []
-
-    for env in target_environments(cfg):
-        combos, d_te = _target_data(env, cfg, max(n_ad_max, 1))
-
-        t0 = time.perf_counter()
-        nmse_nt = test_model(nt, d_te)
+    for nmse_nt, nmse_mt, scores, times in targets:
         base_dt.append(nmse_nt)  # direct transfer starts from the trained network
-        base_mt.append(test_model(mt, d_te))
-        clock["testing"] += time.perf_counter() - t0
-
-        # (direct, meta) adapted networks, one pair per grid value.
-        if variable == "g_ad":
-            d_ad = _collect_adaption(combos, cfg, cfg.gen.noise, 0)
-            marks = [int(v) for v in grid]
-            t0 = time.perf_counter()
-            snaps_dt = transfer.adapt_snapshots(nt, d_ad, cfg, transfer.RULE_ADAM, marks)
-            snaps_mt = transfer.adapt_snapshots(mt, d_ad, cfg, transfer.RULE_GD, marks)
-            clock["adaption"] += time.perf_counter() - t0
-            adapted = [(snaps_dt[g], snaps_mt[g]) for g in marks]
-        else:
-            adapted = []
-            for i, v in enumerate(grid):
-                if variable == "snr_db":
-                    noise = replace(cfg.gen.noise, snr_db=float(v), mode=NOISE_LMMSE)
-                    d_ad = _collect_adaption(combos, cfg, noise, i)
-                else:
-                    limit = int(v) if variable == "n_ad" else None
-                    d_ad = _collect_adaption(combos, cfg, cfg.gen.noise, 0, limit=limit)
-                t0 = time.perf_counter()
-                adapted.append((transfer.direct_adapt(nt, d_ad, cfg),
-                                transfer.meta_adapt(mt, d_ad, cfg)))
-                clock["adaption"] += time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        for results, (adapted_dt, adapted_mt) in zip(per_point, adapted):
+        base_mt.append(nmse_mt)
+        for results, (nmse_dt, nmse_ma) in zip(per_point, scores):
             results[ALGO_NO_TRANSFER].append(nmse_nt)
-            results[ALGO_DIRECT].append(test_model(adapted_dt, d_te))
-            results[ALGO_META].append(test_model(adapted_mt, d_te))
-        clock["testing"] += time.perf_counter() - t0
+            results[ALGO_DIRECT].append(nmse_dt)
+            results[ALGO_META].append(nmse_ma)
+        for stage, seconds in times.items():
+            clock[stage] += seconds
 
     baselines = {ALGO_DIRECT: NmseResult(ALGO_DIRECT, base_dt),
                  ALGO_META: NmseResult(ALGO_META, base_mt)}
     return [SweepPoint(value=v, results={a: NmseResult(a, r) for a, r in results.items()},
                        baselines=baselines) for v, results in zip(grid, per_point)]
+
+
+def _run_target(env: Environment, cfg: TrainConfig, nt: TrainedModel, mt: TrainedModel,
+                variable: str, grid: list) -> tuple:
+    """Adapt both networks to one target at every grid value and test them.
+    Returns floats only: the NMSEs of ``nt`` and ``mt`` as trained, one
+    (direct, meta) NMSE pair per grid value, and this target's stage times."""
+    n_ad_max = max(int(v) for v in grid) if variable == "n_ad" else cfg.n_ad
+    combos, d_te = _target_data(env, cfg, max(n_ad_max, 1))
+
+    adaption_s = 0.0
+    # (direct, meta) adapted networks, one pair per grid value.
+    if variable == "g_ad":
+        d_ad = _collect_adaption(combos, cfg, cfg.gen.noise, 0)
+        marks = [int(v) for v in grid]
+        t0 = time.perf_counter()
+        snaps_dt = transfer.adapt_snapshots(nt, d_ad, cfg, transfer.RULE_ADAM, marks)
+        snaps_mt = transfer.adapt_snapshots(mt, d_ad, cfg, transfer.RULE_GD, marks)
+        adaption_s += time.perf_counter() - t0
+        adapted = [(snaps_dt[g], snaps_mt[g]) for g in marks]
+    else:
+        adapted = []
+        for i, v in enumerate(grid):
+            if variable == "snr_db":
+                noise = replace(cfg.gen.noise, snr_db=float(v), mode=NOISE_LMMSE)
+                d_ad = _collect_adaption(combos, cfg, noise, i)
+            else:
+                limit = int(v) if variable == "n_ad" else None
+                d_ad = _collect_adaption(combos, cfg, cfg.gen.noise, 0, limit=limit)
+            t0 = time.perf_counter()
+            adapted.append((transfer.direct_adapt(nt, d_ad, cfg),
+                            transfer.meta_adapt(mt, d_ad, cfg)))
+            adaption_s += time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    nmse_nt, nmse_mt = test_model(nt, d_te), test_model(mt, d_te)
+    scores = [(test_model(a_dt, d_te), test_model(a_mt, d_te)) for a_dt, a_mt in adapted]
+    return nmse_nt, nmse_mt, scores, {"adaption": adaption_s,
+                                      "testing": time.perf_counter() - t0}
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on. 1 where ``os.sched_getaffinity`` is
+    missing: every platform that has it can fork workers."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+_worker_job = None  # set in each forked worker by _set_worker_job
+
+
+def _set_worker_job(job):
+    global _worker_job
+    _worker_job = job
+
+
+def _call_worker_job(env: Environment):
+    return _worker_job(env)
+
+
+def _map_targets(job, envs: list[Environment], workers: int) -> list:
+    """``[job(env) for env in envs]`` on ``workers`` forked processes, which
+    inherit ``job`` once. The first failure cancels the targets not started
+    and is raised here once every worker has exited."""
+    if workers <= 1:
+        return [job(env) for env in envs]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                             initializer=_set_worker_job, initargs=(job,)) as pool:
+        futures = [pool.submit(_call_worker_job, env) for env in envs]
+        try:
+            for future in as_completed(futures):
+                future.result()
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+        return [future.result() for future in futures]

@@ -117,6 +117,12 @@ class NetParams:
     def biases(self) -> tuple[np.ndarray, ...]:
         return self._biases
 
+    def __getstate__(self):  # the buffer and the shapes; loading cuts the views again
+        return self.flat, [w.shape for w in self._weights]
+
+    def __setstate__(self, state):
+        self._bind(*state)
+
     def like(self, flat: np.ndarray) -> "NetParams":
         """Parameters with this layout over the buffer ``flat`` (not copied)."""
         out = NetParams.__new__(NetParams)

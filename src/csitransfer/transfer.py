@@ -169,6 +169,9 @@ class NonFiniteLoss(ValueError):
         self.step = step
         self.loss = loss
 
+    def __reduce__(self):  # rebuilt from its fields, as a worker process sends it
+        return type(self), (self.stage, self.step, self.loss)
+
 
 def _check_finite(stage: str, step: int, loss: float) -> float:
     if not math.isfinite(loss):

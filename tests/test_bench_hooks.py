@@ -98,10 +98,12 @@ def test_traced_meta_train_counts_one_generation_per_task():
         assert name not in summary, name
 
 
-def test_traced_three_way_reaches_adam_and_every_adaption():
+def test_traced_three_way_reaches_adam_and_every_adaption(monkeypatch):
     """The benchmark's reach check for ``three_way_m16``: the meta-learner's
     outer steps go through ``optim.adam_step``, and each target runs one
-    adaption per transfer algorithm through ``transfer.adapt_snapshots``."""
+    adaption per transfer algorithm through ``transfer.adapt_snapshots``.
+    Targets run in this process here, where the tracer sees them."""
+    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 1)
     spans = load_spans()
     gen = channel.GeneratorConfig(array=channel.ArrayConfig(m=4), users=4)
     cfg = transfer.TrainConfig.desk_profile(k_s=8, k_t=2, k_b=4, n_tr=6, u=4, v=8, g_ad=5,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from csitransfer import net, store, transfer
+from csitransfer import evaluate, net, store, transfer
 from csitransfer.cli import _train_config, cli
 
 RUNNER = CliRunner()
@@ -36,6 +36,7 @@ def test_gen_writes_dataset_and_manifest(tmp_path):
     assert manifest["config"]["pairs"] == 5
     assert manifest["outputs"][0] == out
     assert manifest["peak_rss_mb"] > 0
+    assert manifest["peak_rss_children_mb"] >= 0
     assert json.load(open(out + ".meta.json"))["has_clean"] is True
 
 
@@ -339,6 +340,7 @@ def test_sweep_writes_stage_times_and_baselines(tmp_path):
     assert record["variable"] == "g_ad"
     assert set(record["wall_clock"]) == {"training", "adaption", "testing"}
     assert all(t >= 0 for t in record["wall_clock"].values())
+    assert record["workers"] == min(2, evaluate._usable_cpus())
     assert [p["value"] for p in record["points"]] == [0, 3]
     rows = [line.split(",") for line in open(out).read().splitlines()[1:]]
     for point in record["points"]:
@@ -349,6 +351,27 @@ def test_sweep_writes_stage_times_and_baselines(tmp_path):
             assert b["nmse_linear"] == float(np.mean(b["per_target"]))
             at_zero = [r for r in rows if r[0] == "0" and r[1] == algo]
             assert float(at_zero[0][2]) == b["nmse_linear"]
+
+
+def test_sweep_manifest_records_its_workers_peak_memory(tmp_path):
+    """Run as its own process, a sweep's manifest reports the peak memory of
+    its target workers, and 0 when its targets ran in-process."""
+    out = str(tmp_path / "sweep.csv")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    args = ["sweep", "--k-s", "4", "--k-t", "2", "--k-b", "2", "--users", "3",
+            "--antennas", "2", "--n-tr", "4", "--n-ad", "4", "--n-te", "3", "--v", "8",
+            "--max-steps", "2", "--g-ad", "3", "--hidden", "4", "--g-tr", "1", "--out", out]
+    proc = subprocess.run([sys.executable, "-m", "csitransfer.cli", *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    with open(out + ".manifest.json") as f:
+        manifest = json.load(f)
+    with open(out + ".report.json") as f:
+        workers = json.load(f)["workers"]
+    assert workers == min(2, evaluate._usable_cpus())
+    assert manifest["peak_rss_mb"] > 0
+    assert (manifest["peak_rss_children_mb"] > 0) == (workers > 1)
 
 
 def test_sweep_requires_grid(tmp_path):

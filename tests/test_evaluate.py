@@ -1,6 +1,11 @@
 """Metric and harness tests: NMSE, testing stages, sweep mechanics."""
 
 import collections
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -210,6 +215,7 @@ def test_lmmse_sweep_builds_each_target_covariance_once(monkeypatch):
         init(self, env, *args, **kwargs)
 
     monkeypatch.setattr(ch.EnvCovariance, "__init__", counting_init)
+    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 1)  # count in this process
 
     # Reference: every collection builds its own covariance, so each target
     # builds one for its test set and one per SNR.
@@ -276,6 +282,117 @@ def test_training_side_sweep_retrains():
     for point in report.points:
         for result in point.results.values():
             assert len(result.per_target) == 2
+
+
+# ---------------------------------------------------------------------------
+# target workers
+
+LMMSE_GEN = ch.GeneratorConfig(array=ch.ArrayConfig(m=4), users=5,
+                               noise=ch.NoiseSpec(mode=ch.NOISE_LMMSE))
+
+
+def _per_target(report):
+    """Every per-target list of a report, by grid value, kind and algorithm."""
+    return {(point.value, kind, algo): r.per_target
+            for point in report.points
+            for kind, results in (("result", point.results), ("baseline", point.baselines))
+            for algo, r in results.items()}
+
+
+@pytest.mark.parametrize("sweep, gen", [
+    (None, None),
+    (("g_ad", [0, 4, 10]), None),
+    (("n_ad", [2, 6]), None),
+    (("snr_db", [0.0, 20.0]), LMMSE_GEN),
+    (("m", [2, 4]), None),
+])
+def test_target_workers_give_bit_identical_results(monkeypatch, sweep, gen):
+    """Three targets on three worker processes reproduce the in-process run
+    exactly: every per-target NMSE and baseline, in target order."""
+    cfg = tiny_cfg(max_steps=10, **({"gen": gen} if gen else {}))
+    assert cfg.k_t == 3
+    runs = {}
+    for cpus in (1, 3):
+        monkeypatch.setattr(evaluate, "_usable_cpus", lambda: cpus)
+        report = evaluate.run_three_way(cfg, sweep)
+        assert report.workers == cpus
+        assert multiprocessing.active_children() == []
+        assert set(report.wall_clock) == {"training", "adaption", "testing"}
+        assert report.wall_clock["adaption"] > 0 and report.wall_clock["testing"] > 0
+        runs[cpus] = {key: [x.hex() for x in values]
+                      for key, values in _per_target(report).items()}
+    assert runs[3] == runs[1]
+
+
+def test_worker_count_is_capped_by_targets(monkeypatch):
+    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 3)
+    assert evaluate.run_three_way(tiny_cfg(k_t=2, max_steps=4, g_ad=2)).workers == 2
+    assert evaluate.run_three_way(tiny_cfg(k_t=1, max_steps=4, g_ad=2)).workers == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to inf
+def test_diverging_target_raises_its_non_finite_loss_in_the_caller(monkeypatch):
+    """One target's adaption data is scaled until its GD adaption diverges.
+    The worker's ``NonFiniteLoss`` reaches the caller with the stage, step
+    and loss of the in-process run, and no worker outlives it."""
+    cfg = tiny_cfg(max_steps=10, g_ad=50)
+    collect_adaption = evaluate._collect_adaption
+
+    def scaled(combos, *args, **kwargs):
+        d = collect_adaption(combos, *args, **kwargs)
+        if combos.env.id == cfg.k_s + 1:
+            d.xs *= 100.0
+            d.ys *= 100.0
+        return d
+
+    monkeypatch.setattr(evaluate, "_collect_adaption", scaled)
+    errors = {}
+    for cpus in (1, 3):
+        monkeypatch.setattr(evaluate, "_usable_cpus", lambda: cpus)
+        with pytest.raises(transfer.NonFiniteLoss) as err:
+            evaluate.run_three_way(cfg)
+        assert multiprocessing.active_children() == []
+        errors[cpus] = err.value
+    assert errors[1].__cause__ is None and errors[3].__cause__ is not None  # worker traceback
+    assert errors[1].stage == "adaption (gd)" and errors[1].step > 0
+    assert (errors[3].stage, errors[3].step, errors[3].loss) == \
+        (errors[1].stage, errors[1].step, errors[1].loss)
+    assert str(errors[3]) == str(errors[1])
+
+
+def test_first_failing_target_cancels_the_targets_not_started(tmp_path):
+    """Target 0 fails at once while the others take a while: the map raises
+    target 0's error, and targets still waiting in the caller never run."""
+    def job(k):
+        if k == 0:
+            raise ValueError("target 0 failed")
+        (tmp_path / str(k)).touch()
+        time.sleep(0.1)
+        return k
+
+    with pytest.raises(ValueError, match="target 0 failed"):
+        evaluate._map_targets(job, list(range(10)), 2)
+    assert multiprocessing.active_children() == []
+    assert 0 < len(list(tmp_path.iterdir())) < 9
+    assert evaluate._map_targets(lambda k: 2 * k, [1, 2, 3], 2) == [2, 4, 6]
+    assert multiprocessing.active_children() == []
+
+
+def test_serial_runs_never_load_the_process_pool():
+    """Training, collection and a one-worker sweep leave the process-pool
+    module unimported; only a multi-worker target map loads it."""
+    code = (
+        "import sys\n"
+        "from csitransfer import channel as ch, evaluate, transfer\n"
+        "gen = ch.GeneratorConfig(array=ch.ArrayConfig(m=4), users=4)\n"
+        "cfg = transfer.TrainConfig(k_s=4, k_t=1, k_b=2, u=4, n_tr=4, n_ad=4, n_te=4, v=8,\n"
+        "                           g_tr=1, g_ad=2, max_steps=2, hidden=(4,), gen=gen)\n"
+        "evaluate.run_three_way(cfg)\n"
+        "assert 'concurrent.futures.process' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Network tests: init statistics, forward/backward oracles, HVP checks."""
 
+import pickle
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from csitransfer import channel as ch
-from csitransfer import net
+from csitransfer import net, optim
 
 RNG = np.random.default_rng
 
@@ -401,6 +403,25 @@ def test_params_copy_is_independent():
     assert np.array_equal(params.flat, before)
     params.flat[:] = 1.0
     assert np.all(dup.weights[0] == 0.0)
+
+
+def test_unpickled_params_step_in_place_like_the_original():
+    """A pickled copy rebinds its views to its own buffer, so an in-place
+    step on ``flat`` reaches its forward pass as it does the original's."""
+    spec = net.LayerSpec.fnn(3, (8, 5))
+    params = random_params(spec, seed=74)
+    batch = random_batch(spec, 9, seed=75)
+    dup = pickle.loads(pickle.dumps(params))
+    assert np.array_equal(dup.flat, params.flat) and not np.shares_memory(dup.flat, params.flat)
+    assert all(np.shares_memory(a, dup.flat) for a in dup.weights + dup.biases)
+    losses = []
+    for p in (params, dup):
+        ws = net.Workspace(p, batch.xs, batch.ys)
+        ws.loss_and_grad()
+        optim.gd_update(p, ws.grads, 0.1, ws.work)
+        losses.append(ws.loss())
+    assert losses[0] == losses[1]
+    assert np.array_equal(dup.flat, params.flat)
 
 
 def test_ravel_order_is_weights_then_biases():

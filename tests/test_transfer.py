@@ -1,6 +1,7 @@
 """Training-regime tests: pooled training, fine-tuning, meta-learning."""
 
 import math
+import pickle
 import tracemalloc
 from dataclasses import replace
 
@@ -473,6 +474,16 @@ def test_diverging_meta_train_names_its_step():
     capped = transfer.meta_train(envs, replace(cfg, max_steps=step),
                                  stream(cfg.seed, STREAM_BATCH, 1))
     assert len(capped.loss_history) == step
+
+
+def test_non_finite_loss_survives_pickling():
+    """A worker process sends its divergence back pickled."""
+    for loss in (math.inf, math.nan):
+        err = pickle.loads(pickle.dumps(transfer.NonFiniteLoss("adaption (gd)", 7, loss)))
+        assert type(err) is transfer.NonFiniteLoss
+        assert (err.stage, err.step) == ("adaption (gd)", 7)
+        assert repr(err.loss) == repr(loss)
+        assert str(err) == f"adaption (gd) diverged at step 7: the loss is {loss}"
 
 
 def test_empty_adaption_set_rejected():
