@@ -186,21 +186,27 @@ def _write_model(path: str, model) -> list[str]:
 
 
 def _impl_train(opts: dict) -> list[str]:
+    import numpy as np
+
     from . import store
     from .evaluate import source_environments
     from .seeding import STREAM_BATCH, stream
-    from .transfer import _support_query, train_no_transfer
+    from .transfer import first_visits, train_no_transfer
 
     cfg = _train_config(opts)
-    pool = []
+    m = cfg.gen.array.m
     if opts.get("sources"):
+        pool = []
         for path in opts["sources"]:
-            pool.extend(store.read_dataset(path).datasets)
+            blob = store.read_dataset(path)
+            if blob.m != m:
+                raise click.ClickException(
+                    f"{path} carries {blob.m} antennas but --antennas is {m}")
+            pool.extend(blob.datasets)
+        xs, ys = (np.concatenate([getattr(d, a) for d in pool]) for a in ("xs", "ys"))
     else:
-        for env in source_environments(cfg):
-            sup, que = _support_query(env, cfg, 0)
-            pool.extend([sup, que])
-    model = train_no_transfer(pool, cfg, stream(cfg.seed, STREAM_BATCH, 0))
+        xs, ys = (a.reshape(-1, 2 * m) for a in first_visits(source_environments(cfg), cfg))
+    model = train_no_transfer(xs, ys, cfg, stream(cfg.seed, STREAM_BATCH, 0))
     return _write_model(opts["out"], model)
 
 
@@ -373,12 +379,12 @@ def _impl_gradcheck(opts: dict) -> list[str]:
     for g_tr in (1, 2, 3):
         rng = stream(seed, 202, g_tr)
         params = net.init_params(small, rng)
-        tasks = [(net.Batch(rng.normal(size=(4, 4)), rng.normal(size=(4, 4))),
-                  net.Batch(rng.normal(size=(4, 4)), rng.normal(size=(4, 4))))
-                 for _ in range(2)]
+        # Two tasks, each drawn as support xs, ys, then query xs, ys; one block.
+        block = [a.copy() for a in rng.normal(size=(2, 4, 4, 4)).swapaxes(0, 1)]
+        tasks = [(net.Batch(block[0][t], block[1][t]), net.Batch(block[2][t], block[3][t]))
+                 for t in range(2)]
         beta = 1e-3
-        mg = transfer._meta_batch_eval(params, transfer._task_blocks(tasks), g_tr, beta,
-                                       "exact")[1]
+        mg = transfer._meta_batch_eval(params, [block], g_tr, beta, "exact")[1]
 
         def meta_loss(p):
             total = 0.0

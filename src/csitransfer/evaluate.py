@@ -156,15 +156,15 @@ def train_pair(cfg: TrainConfig) -> tuple[TrainedModel, TrainedModel]:
     """Train the classical and the meta networks on the same sources.
 
     The pooled training data is each source task's support and query pairs
-    (first visit), so both algorithms see the same sample budget; the
-    meta-learner takes those first-visit sets as they are instead of
-    generating them again.
+    (first visit), so both algorithms see the same sample budget: pooled
+    training reads :func:`transfer.first_visits` as rows, and the
+    meta-learner reads its tasks there instead of generating them again.
     """
     envs = source_environments(cfg)
-    first_visit = [transfer._support_query(env, cfg, 0) for env in envs]
-    sources = [d for pair in first_visit for d in pair]
-    nt = transfer.train_no_transfer(sources, cfg, stream(cfg.seed, STREAM_BATCH, 0))
-    mt = transfer.meta_train(envs, cfg, stream(cfg.seed, STREAM_BATCH, 1), first_visit)
+    xs, ys = transfer.first_visits(envs, cfg)
+    nt = transfer.train_no_transfer(xs.reshape(-1, xs.shape[2]), ys.reshape(-1, ys.shape[2]),
+                                    cfg, stream(cfg.seed, STREAM_BATCH, 0))
+    mt = transfer.meta_train(envs, cfg, stream(cfg.seed, STREAM_BATCH, 1), (xs, ys))
     return nt, mt
 
 

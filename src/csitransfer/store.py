@@ -167,19 +167,15 @@ def _pair_dtype(m: int, has_clean: bool) -> np.dtype:
     return np.dtype(fields)
 
 
-def write_dataset(path: str, datasets: list[TaskDataset], noise: NoiseSpec,
-                  delta_f: float | None = None):
-    """Serialise task datasets of one generation run into one file.
+def write_dataset(path: str, datasets: list[TaskDataset], noise: NoiseSpec, delta_f: float):
+    """Serialise task datasets of one generation run at spacing ``delta_f``.
 
     Each dataset's pairs are packed into one record array and written as
     one block of bytes.
     """
     if not datasets:
         raise ValueError("need at least one dataset to write")
-    first = datasets[0]
-    m = first.xs.shape[1] // 2
-    if delta_f is None:
-        delta_f = float(first.f_down[0] - first.f_up[0])
+    m = datasets[0].xs.shape[1] // 2
     for d in datasets:
         if d.xs.shape[1] != 2 * m:
             raise ValueError("all pairs must share the antenna count")

@@ -12,8 +12,9 @@ owns one :class:`net.Workspace` and steps its parameters in place with
 gathered into the workspace's input rows; an adaption snapshot is a copy.
 GD adaption is bit-identical to the pure ``gd_step`` loop; Adam differs
 from the textbook bias correction by rounding only (see :mod:`optim`).
-Training data is read from :class:`channel.TaskDataset` rows as they are;
-wherever a task dataset goes, a ``net.Batch`` goes too.
+Source tasks are held once, as the stacked rows of :func:`first_visits`:
+pooled training and the meta step read them there. Adaption reads a
+target's dataset rows as they are.
 
 The meta-gradient is available in two modes: ``exact`` differentiates
 through the unrolled inner loop (reverse accumulation with Hessian-vector
@@ -35,7 +36,6 @@ per-task products against the factors.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
@@ -231,20 +231,20 @@ def _pooled_loss(run: net.Workspace, xs: np.ndarray, ys: np.ndarray) -> float:
     return math.fsum(sums) / n
 
 
-def train_no_transfer(sources: Sequence[TaskDataset], cfg: TrainConfig,
+def train_no_transfer(xs: np.ndarray, ys: np.ndarray, cfg: TrainConfig,
                       rng: np.random.Generator) -> TrainedModel:
-    """Classical training: pool every source pair, minibatch Adam until the
-    loss converges or the step cap is reached.
+    """Classical training on pooled rows (one pair per row of ``xs`` and
+    ``ys``): minibatch Adam until the loss converges or the step cap.
 
     Initialization comes from the config's network-init substream; the
-    passed generator drives batch selection only. The step-0 loss over the
-    whole pool streams through the minibatch workspace, so the run's
-    buffers other than the pool itself do not grow with the pool. A
-    non-finite loss raises :class:`NonFiniteLoss` at the step where it
-    occurs; numpy's overflow warnings on the way there are silenced.
+    passed generator drives batch selection only. The pool is copied
+    nowhere: minibatches and the streamed step-0 loss go through the
+    workspace's rows, so no buffer grows with the pool. A non-finite loss
+    raises :class:`NonFiniteLoss` at the step where it occurs; numpy's
+    overflow warnings on the way there are silenced.
     """
-    xs = np.concatenate([d.xs for d in sources]) if sources else np.empty((0, 0))
-    ys = np.concatenate([d.ys for d in sources]) if sources else np.empty((0, 0))
+    if xs.ndim != 2 or ys.shape != xs.shape:
+        raise ValueError(f"pool must be two 2-D arrays of one shape, got {xs.shape}, {ys.shape}")
     n_pool = xs.shape[0]
     if n_pool == 0:
         raise ValueError("source pool is empty")
@@ -354,24 +354,11 @@ def inner_adapt(omega: NetParams, d_sup, g_tr: int,
     return params, iterates
 
 
-def _task_blocks(tasks):
-    """Consecutive runs of at most ``_TASK_BLOCK`` tasks with equal support
-    sizes and equal query sizes, as stacked (B, n, width) arrays
-    ``(support xs, support ys, query xs, query ys)``, stacked from the
-    tasks' own arrays one block at a time."""
-    for _, run in itertools.groupby(tasks, key=lambda t: (len(t[0]), len(t[1]))):
-        run = list(run)
-        for i in range(0, len(run), _TASK_BLOCK):
-            block = run[i:i + _TASK_BLOCK]
-            yield (np.stack([s.xs for s, _ in block]), np.stack([s.ys for s, _ in block]),
-                   np.stack([q.xs for _, q in block]), np.stack([q.ys for _, q in block]))
-
-
 def _meta_batch_eval(omega: NetParams, blocks, g_tr: int, beta: float,
                      mode: str) -> tuple[float, NetParams]:
     """Summed query loss of the adapted copies and its gradient wrt omega.
 
-    ``blocks`` yields :func:`_task_blocks` blocks one at a time and no task's
+    ``blocks`` yields :func:`_regenerate` blocks one at a time and no task's
     weights are ever formed. After j inner steps a task's layer weight is
     ``omega - beta * sum_{i<j} delta_i.T @ act_i``: factors whose rows are
     the support deltas and layer inputs of the steps taken, with the biases
@@ -403,8 +390,8 @@ def _meta_batch_eval(omega: NetParams, blocks, g_tr: int, beta: float,
 
 def _meta_block(omega: NetParams, block, g_tr: int, beta: float,
                 exact: bool) -> tuple[np.ndarray, NetParams]:
-    """Per-task query losses of one block of :func:`_task_blocks` and the
-    sum of the tasks' meta-gradients."""
+    """Per-task query losses of one block of :func:`_meta_batch_eval` and
+    the sum of the tasks' meta-gradients."""
     sup_xs, sup_ys, que_xs, que_ys = block
     n_sup, n_layers = sup_xs.shape[1], len(omega.weights)
     inner = net.BlockTerms.empty(omega, len(sup_xs), [g_tr * n_sup] * n_layers, -beta)
@@ -434,84 +421,95 @@ def _support_query(env: Environment, cfg: TrainConfig, visit: int) -> tuple[Task
     return sup, que
 
 
-def _streamed_blocks(tasks, cfg: TrainConfig):
-    """A meta batch of equal-size tasks as :func:`_task_blocks` blocks, built
-    one at a time. A task is its (support, query) datasets or the
-    (environment, visit) to regenerate as :func:`_support_query` would; a
-    block's regenerated tasks are collected together straight into its
-    stacked arrays (:func:`channel.collect_sets`)."""
+def _regenerate(tasks, cfg: TrainConfig):
+    """Tasks ``(env, visit)`` collected together as :func:`_support_query`
+    would, stacked (B, n, width): ``(support xs, support ys, query xs, query ys)``."""
     roles = [(ROLE_TRAIN_SUPPORT, cfg.n_support), (ROLE_TRAIN_QUERY, cfg.n_query)]
+    rngs = [stream(env.seed, STREAM_TASK_DATA, visit) for env, visit in tasks]
+    sets = [channel.draw_combos(env, roles, cfg.u, (cfg.gen.f_min, cfg.gen.f_max), rng,
+                                cfg.gen.delay_max) for (env, _), rng in zip(tasks, rngs)]
+    sup, que = channel.collect_sets(sets, [role for role, _ in roles], cfg.gen.delta_f,
+                                    cfg.gen.array, cfg.gen.noise, rngs)
+    return tuple(a.reshape(len(sets), -1, a.shape[1]) for a in (sup[0], sup[1], que[0], que[1]))
+
+
+def _put(rows, at, task, n_sup: int):
+    """Write :func:`_regenerate`'s arrays at ``at`` of a row store ``(xs, ys)``."""
+    for store, sup, que in zip(rows, task[:2], task[2:]):
+        store[at, :n_sup], store[at, n_sup:] = sup, que
+
+
+def first_visits(envs: Sequence[Environment], cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Every source environment's first visit as stacked arrays ``(xs, ys)``,
+    each (len(envs), n_tr, 2M): per environment its support rows, then its
+    query rows, as :func:`_support_query` collects them at visit 0."""
+    shape = (len(envs), cfg.n_tr, 2 * cfg.gen.array.m)
+    rows = np.empty(shape), np.empty(shape)
+    for b in range(0, len(envs), _TASK_BLOCK):
+        _put(rows, slice(b, b + _TASK_BLOCK),
+             _regenerate([(env, 0) for env in envs[b:b + _TASK_BLOCK]], cfg), cfg.n_support)
+    return rows
+
+
+def _streamed_blocks(tasks, cfg: TrainConfig, rows, held):
+    """A meta batch of tasks ``(i, env, visit)`` as :func:`_regenerate` blocks,
+    one at a time. A first visit with ``i`` in ``held`` is read from the row
+    store ``rows``; other tasks are regenerated together, a first visit also
+    into the store. Without a store, a block is the collector's arrays."""
+    n_sup = cfg.n_support
     for b in range(0, len(tasks), _TASK_BLOCK):
         block = tasks[b:b + _TASK_BLOCK]
-        todo = [t for t in block if isinstance(t[0], Environment)]
-        if not todo:
-            yield from _task_blocks(block)
+        fresh = [t for t in block if t[2] or t[0] not in held]
+        drawn = _regenerate([t[1:] for t in fresh], cfg) if fresh else ()
+        if rows is None:
+            yield drawn
             continue
-        rngs = [stream(env.seed, STREAM_TASK_DATA, visit) for env, visit in todo]
-        sets = [channel.draw_combos(env, roles, cfg.u, (cfg.gen.f_min, cfg.gen.f_max), rng,
-                                    cfg.gen.delay_max) for (env, _), rng in zip(todo, rngs)]
-        sup, que = channel.collect_sets(sets, [role for role, _ in roles], cfg.gen.delta_f,
-                                        cfg.gen.array, cfg.gen.noise, rngs)
-        sup_xs, sup_ys, que_xs, que_ys = (a.reshape(len(sets), -1, a.shape[1])
-                                          for a in (sup[0], sup[1], que[0], que[1]))
-        if len(todo) < len(block):
-            drawn = zip(sup_xs, sup_ys, que_xs, que_ys)
-            rows = [next(drawn) if isinstance(s, Environment) else (s.xs, s.ys, q.xs, q.ys)
-                    for s, q in block]
-            sup_xs, sup_ys, que_xs, que_ys = (np.stack(c) for c in zip(*rows))
-        yield sup_xs, sup_ys, que_xs, que_ys
+        drawn = dict(zip([t[0] for t in fresh], zip(*drawn)))
+        for i in [t[0] for t in fresh if not t[2]]:  # first visits, into the store
+            _put(rows, i, drawn.pop(i), n_sup)
+            held.add(i)
+        parts = [drawn[i] if i in drawn else tuple(a[i, :n_sup] for a in rows)
+                 + tuple(a[i, n_sup:] for a in rows) for i, _, _ in block]
+        yield tuple(np.stack(c) for c in zip(*parts))
 
 
 def meta_train(source_envs: Sequence[Environment], cfg: TrainConfig,
                rng: np.random.Generator,
-               first_visit: Sequence[tuple[TaskDataset, TaskDataset]] | None = None
-               ) -> TrainedModel:
+               first_visit: tuple[np.ndarray, np.ndarray] | None = None) -> TrainedModel:
     """Alternating inner-task and across-task updates until convergence.
 
     Each time step draws ``k_b`` tasks, regenerates their support/query
-    sets (cached instead when ``fixed_task_data``), computes the meta
-    gradient and applies one Adam step at rate ``gamma``; regenerated sets
-    stream through the step block by block (:func:`_streamed_blocks`).
+    sets (visit 0 throughout under ``fixed_task_data``), computes the meta
+    gradient and applies one Adam step at rate ``gamma``; the batch streams
+    through the step block by block (:func:`_streamed_blocks`). First
+    visits are read from ``first_visit`` (``first_visits(source_envs, cfg)``)
+    when given, else stored as generated under ``fixed_task_data``.
     Initialization comes from the config's network-init substream; the
-    passed generator drives task selection only. ``first_visit[i]``, when
-    given, must be ``_support_query(source_envs[i], cfg, 0)``: the sets of
-    an environment's first visit, which are then taken from it instead of
-    being generated again. A non-finite meta loss raises
-    :class:`NonFiniteLoss` at the step where it occurs; numpy's overflow
-    warnings on the way there are silenced.
+    passed generator drives task selection only. A non-finite meta loss
+    raises :class:`NonFiniteLoss` at its step; overflow warnings are silenced.
     """
-    if len(source_envs) < cfg.k_b:
-        raise ValueError(f"need at least k_b={cfg.k_b} source environments, "
-                         f"got {len(source_envs)}")
-    if first_visit is not None and (len(first_visit) != len(source_envs) or any(
-            (len(s), len(q)) != (cfg.n_support, cfg.n_query) or s.keys() & q.keys()
-            for s, q in first_visit)):
-        raise ValueError("first_visit must hold, per source environment, a disjoint "
-                         f"support/query pair of {cfg.n_support}+{cfg.n_query} pairs")
+    n_envs = len(source_envs)
+    if n_envs < cfg.k_b:
+        raise ValueError(f"need at least k_b={cfg.k_b} source environments, got {n_envs}")
+    shape = (n_envs, cfg.n_tr, 2 * cfg.gen.array.m)
+    if first_visit is not None and [np.shape(a) for a in first_visit] != [shape, shape]:
+        raise ValueError(f"first_visit must be two arrays (xs, ys) of shape {shape}: one "
+                         f"task of {cfg.n_support}+{cfg.n_query} rows per environment")
+    rows, held = first_visit, set(range(n_envs)) if first_visit is not None else set()
+    if rows is None and cfg.fixed_task_data:
+        rows = np.empty(shape), np.empty(shape)
     params = init_network(cfg)
     state = AdamState.init(params)
-    visits: dict[int, int] = {}
-    cache: dict[int, tuple[TaskDataset, TaskDataset]] = {}
+    visits = np.zeros(n_envs, dtype=int)
     history: list[float] = []
 
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(cfg.max_steps):
-            chosen = rng.choice(len(source_envs), size=cfg.k_b, replace=False)
-            tasks = []
-            for i in sorted(int(j) for j in chosen):
-                env = source_envs[i]
-                visit = 0 if cfg.fixed_task_data else visits.get(env.id, 0)
-                visits[env.id] = visit + 1
-                if visit == 0 and first_visit is not None:
-                    tasks.append(first_visit[i])
-                elif cfg.fixed_task_data:
-                    if env.id not in cache:
-                        cache[env.id] = _support_query(env, cfg, 0)
-                    tasks.append(cache[env.id])
-                else:
-                    tasks.append((env, visit))
-            loss, grad = _meta_batch_eval(params, _streamed_blocks(tasks, cfg), cfg.g_tr,
-                                          cfg.beta, cfg.meta_mode)
+            chosen = sorted(int(j) for j in rng.choice(n_envs, size=cfg.k_b, replace=False))
+            tasks = [(i, source_envs[i], int(visits[i])) for i in chosen]
+            visits[chosen] += not cfg.fixed_task_data  # fixed data: visit 0 throughout
+            loss, grad = _meta_batch_eval(params, _streamed_blocks(tasks, cfg, rows, held),
+                                          cfg.g_tr, cfg.beta, cfg.meta_mode)
             _check_finite("meta-training", step, loss)
             params, state = adam_step(state, params, grad, cfg.gamma)
             history.append(loss)

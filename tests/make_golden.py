@@ -1,0 +1,119 @@
+"""Write ``tests/golden.json``: the exact outputs of small fixed runs.
+
+Run from the repository root::
+
+    PYTHONPATH=src python tests/make_golden.py
+
+Every case trains a tiny network (M=4 antennas, hidden layers 8,8) and
+records its parameters (``params.flat``) and loss history, each number as
+``float.hex``. The cases cover ``evaluate.train_pair`` with fixed and
+regenerated meta-learning tasks under clean and LMMSE noise, and the
+checkpoints of ``csitransfer train`` (generated sources and ``--sources``)
+and ``csitransfer meta-train`` (with and without ``--fixed-task-data``).
+``test_golden.py`` recomputes each case with :data:`CASES` and compares.
+
+The record also names the numpy version and BLAS build it was computed on.
+Regenerate it only for a change that means to move these numbers, and say
+which values moved, why and by how much.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import tempfile
+
+import numpy as np
+from click.testing import CliRunner
+
+from csitransfer import channel as ch
+from csitransfer import evaluate, store
+from csitransfer.cli import cli
+from csitransfer.transfer import TrainConfig
+
+RECORD = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
+
+TINY_GEN = ("--antennas", 4, "--users", 4, "--seed", 2)
+TINY_TRAIN = ("--k-s", 12, "--n-tr", 7, "--v", 16, "--max-steps", 6, "--hidden", "8,8",
+              "--gamma", 1e-2)
+TINY_META = ("--k-b", 9, "--g-tr", 2, "--beta", 1e-2)
+
+
+def build() -> dict:
+    """The numpy version and BLAS build that the numbers depend on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+
+
+def _hexes(values) -> list[str]:
+    return [float(x).hex() for x in np.ravel(values)]
+
+
+def _model(model) -> dict:
+    return {"params": _hexes(model.params.flat), "loss": _hexes(model.loss_history)}
+
+
+def _train_pair(noise: str, fixed: bool):
+    def case() -> dict:
+        gen = ch.GeneratorConfig(array=ch.ArrayConfig(m=4), users=4,
+                                 noise=ch.NoiseSpec(mode=noise))
+        # 9 tasks per meta batch make blocks of 4, 4 and 1, whose gradients
+        # are summed in order; 12 sources over 4 steps revisit some, so
+        # regenerated runs mix stored and regenerated tasks in one block.
+        cfg = TrainConfig(k_s=12, k_b=9, n_tr=7, u=4, v=16, g_tr=2, beta=1e-2, gamma=1e-2,
+                          hidden=(8, 8), max_steps=4, seed=3, fixed_task_data=fixed,
+                          gen=gen)
+        nt, mt = evaluate.train_pair(cfg)
+        return {"no_transfer": _model(nt), "meta": _model(mt)}
+    return case
+
+
+def _cli(command: str, *args, sources: bool = False):
+    def case() -> dict:
+        runner = CliRunner()
+        with tempfile.TemporaryDirectory() as tmp:
+            extra = ()
+            if sources:
+                data = os.path.join(tmp, "sources.bin")
+                res = runner.invoke(cli, [str(a) for a in (
+                    "gen", "--envs", 3, "--pairs", 8, "--role", "train-support",
+                    "--noise-mode", "awgn", *TINY_GEN, "--out", data)])
+                assert res.exit_code == 0, res.output
+                extra = ("--sources", data)
+            out = os.path.join(tmp, "model.ck")
+            res = runner.invoke(cli, [str(a) for a in (command, *args, *extra,
+                                                       "--out", out)])
+            assert res.exit_code == 0, res.output
+            model = store.read_checkpoint(out)
+            with open(out + ".loss.csv") as f:
+                model.loss_history = [float(row.split(",")[1]) for row in f.readlines()[1:]]
+            return {"checkpoint": _model(model)}
+    return case
+
+
+CASES = {
+    f"train_pair/{noise}/{'fixed' if fixed else 'regenerated'}": _train_pair(noise, fixed)
+    for noise in (ch.NOISE_CLEAN, ch.NOISE_LMMSE) for fixed in (False, True)
+}
+CASES.update({
+    "cli/train": _cli("train", *TINY_GEN, "--noise-mode", "clean", *TINY_TRAIN),
+    "cli/train-sources": _cli("train", *TINY_GEN, "--noise-mode", "awgn", *TINY_TRAIN,
+                              sources=True),
+    "cli/meta-train": _cli("meta-train", *TINY_GEN, "--noise-mode", "clean", *TINY_TRAIN,
+                           *TINY_META),
+    "cli/meta-train-fixed": _cli("meta-train", *TINY_GEN, "--noise-mode", "lmmse",
+                                 *TINY_TRAIN, *TINY_META, "--fixed-task-data"),
+})
+
+
+def main():
+    cases = {name: case() for name, case in CASES.items()}
+    with open(RECORD, "w") as f:  # one line per case
+        f.write('{"build": %s,\n "cases": {\n' % json.dumps(build()))
+        f.write(",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in cases.items()))
+        f.write("\n}}\n")
+    print(f"wrote {len(cases)} cases to {RECORD}")
+
+
+if __name__ == "__main__":
+    main()

@@ -167,6 +167,25 @@ def test_adapt_antenna_mismatch_names_both(tmp_path):
     assert "4" in res.output and "8" in res.output
 
 
+def test_train_sources_antenna_mismatch_names_the_file(tmp_path):
+    """Each ``--sources`` file must carry ``--antennas`` antennas: a file that
+    does not, alone or beside a matching one, is a one-line error naming it."""
+    files = {}
+    for m in (4, 8):
+        files[m] = str(tmp_path / f"s{m}.bin")
+        assert run_cli("gen", "--envs", 2, "--role", "train-support", "--pairs", 10,
+                       "--antennas", m, "--users", 4, "--noise-mode", "clean",
+                       "--out", files[m]).exit_code == 0
+    out = str(tmp_path / "c.ck")
+    res = run_cli("train", *TINY_GEN, *TINY_TRAIN, "--antennas", 8, "--sources", files[4],
+                  "--out", out)
+    assert_one_line_error(res, f"{files[4]} carries 4 antennas but --antennas is 8")
+    res = run_cli("train", *TINY_GEN, *TINY_TRAIN, "--sources", files[4],
+                  "--sources", files[8], "--out", out)
+    assert_one_line_error(res, f"{files[8]} carries 8 antennas but --antennas is 4")
+    assert not os.path.exists(out)
+
+
 def assert_one_line_error(res, fragment):
     assert res.exit_code == 1
     assert "Traceback" not in res.output

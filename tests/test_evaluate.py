@@ -100,11 +100,8 @@ def test_identity_task_converged_model_low_nmse(monkeypatch):
         array=ch.ArrayConfig(m=4), users=5, delta_f=0.0))
     rng = RNG(2)
     xs = rng.normal(size=(64, 8))
-    sources = [ch.TaskDataset(0, "train-support", xs=xs, ys=xs.copy(), y_clean=xs.copy(),
-                              f_up=np.full(64, 1e9), f_down=np.full(64, 1e9),
-                              user_index=np.zeros(64, dtype=int))]
     model = transfer.train_no_transfer(
-        sources, tiny_cfg(hidden=(), v=32, max_steps=3000, gamma=1e-2), RNG(3))
+        xs, xs.copy(), tiny_cfg(hidden=(), v=32, max_steps=3000, gamma=1e-2), RNG(3))
     env = ch.sample_environment(50, cfg.gen, cfg.seed)
     (d_te,) = ch.generate_task_datasets(env, [("test", 6)], 5, (1e9, 3e9), 0.0,
                                         cfg.gen.array, ch.NoiseSpec(mode="clean"), RNG(4))
@@ -242,19 +239,17 @@ def test_lmmse_sweep_builds_each_target_covariance_once(monkeypatch):
 
 @pytest.mark.parametrize("max_steps, fixed", [(1, False), (4, False), (4, True)])
 def test_train_pair_builds_each_first_visit_task_once(monkeypatch, max_steps, fixed):
+    """Every generated task draws its combinations once. ``train_pair``
+    draws each source's first visit once, for both algorithms; the meta
+    step draws only the later visits (none under fixed task data)."""
     cfg = tiny_cfg(k_s=6, k_b=4, max_steps=max_steps, fixed_task_data=fixed)
     envs = evaluate.source_environments(cfg)
     reference = transfer.meta_train(envs, cfg, stream(cfg.seed, STREAM_BATCH, 1))
+    rng = stream(cfg.seed, STREAM_BATCH, 1)
+    picks = collections.Counter(int(i) for _ in range(max_steps)
+                                for i in rng.choice(cfg.k_s, size=cfg.k_b, replace=False))
+    want = {i: 1 if fixed else max(picks[i], 1) for i in range(cfg.k_s)}
 
-    builds = collections.Counter()
-    support_query = transfer._support_query
-
-    def counting(env, cfg, visit):
-        builds[env.id, visit] += 1
-        return support_query(env, cfg, visit)
-
-    # Every generated task draws its combinations once, whether it is built
-    # through _support_query or regenerated in a block of the meta step.
     draws = collections.Counter()
     draw_combos = ch.draw_combos
 
@@ -262,14 +257,10 @@ def test_train_pair_builds_each_first_visit_task_once(monkeypatch, max_steps, fi
         draws[env.id] += 1
         return draw_combos(env, *args, **kwargs)
 
-    monkeypatch.setattr(transfer, "_support_query", counting)
     monkeypatch.setattr(ch, "draw_combos", counting_draws)
     _, mt = evaluate.train_pair(cfg)
-    assert max(builds.values()) == 1
-    assert sorted(env for env, visit in builds if visit == 0) == list(range(cfg.k_s))
-    if max_steps == 1 or fixed:
-        assert sum(builds.values()) == sum(draws.values()) == cfg.k_s
-    else:
+    assert dict(draws) == want
+    if max_steps > 1 and not fixed:
         assert sum(draws.values()) > cfg.k_s  # later visits are still generated
     assert np.array_equal(mt.params.flat, reference.params.flat)
     assert mt.loss_history == reference.loss_history

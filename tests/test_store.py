@@ -11,7 +11,7 @@ from csitransfer import net, store, transfer
 RNG = np.random.default_rng
 
 
-def random_datasets(seed=0, m=6, n_envs=2, n_pairs=7, clean=False):
+def random_datasets(seed=0, m=6, n_envs=2, n_pairs=7, clean=False, delta_f=120e6):
     """Random datasets; with ``clean`` their clean labels are their labels,
     as clean collection makes them."""
     rng = RNG(seed)
@@ -27,7 +27,7 @@ def random_datasets(seed=0, m=6, n_envs=2, n_pairs=7, clean=False):
         f_up, ys = np.array(f_up), np.array(y)
         datasets.append(ch.TaskDataset(
             e, "adaption", xs=np.array(x), ys=ys, y_clean=ys if clean else np.array(y_clean),
-            f_up=f_up, f_down=f_up + 120e6, user_index=np.array(user_index)))
+            f_up=f_up, f_down=f_up + delta_f, user_index=np.array(user_index)))
     return datasets
 
 
@@ -45,35 +45,39 @@ def random_model(seed=0, provenance="meta"):
 
 
 def test_dataset_roundtrip_bit_identical(tmp_path):
+    """The file records the Δf it is given, which restores every downlink
+    frequency (at 123.456789 MHz, ``f_down - f_up`` rounds away from it)."""
     path = str(tmp_path / "d.bin")
-    datasets = random_datasets()
-    noise = ch.NoiseSpec(snr_db=20.0, pilot_len=64, mode="lmmse")
-    store.write_dataset(path, datasets, noise)
-    blob = store.read_dataset(path)
-    assert blob.m == 6 and blob.noise == noise and blob.delta_f == 120e6
-    assert len(blob.datasets) == 2
-    for orig, back in zip(datasets, blob.datasets):
-        assert back.env_id == orig.env_id and back.role == orig.role
-        for po, pb in zip(orig.pairs, back.pairs):
-            assert po.f_up == pb.f_up
-            assert po.user_index == pb.user_index
-            assert po.x.tobytes() == pb.x.tobytes()
-            assert po.y.tobytes() == pb.y.tobytes()
-            assert po.y_clean.tobytes() == pb.y_clean.tobytes()
+    for delta_f in (120e6, 123.456789e6):
+        datasets = random_datasets(n_pairs=20, delta_f=delta_f)
+        noise = ch.NoiseSpec(snr_db=20.0, pilot_len=64, mode="lmmse")
+        store.write_dataset(path, datasets, noise, delta_f)
+        blob = store.read_dataset(path)
+        assert blob.m == 6 and blob.noise == noise and blob.delta_f == delta_f
+        assert len(blob.datasets) == 2
+        for orig, back in zip(datasets, blob.datasets):
+            assert back.env_id == orig.env_id and back.role == orig.role
+            assert back.f_down.tobytes() == orig.f_down.tobytes()
+            for po, pb in zip(orig.pairs, back.pairs):
+                assert po.f_up == pb.f_up
+                assert po.user_index == pb.user_index
+                assert po.x.tobytes() == pb.x.tobytes()
+                assert po.y.tobytes() == pb.y.tobytes()
+                assert po.y_clean.tobytes() == pb.y_clean.tobytes()
 
 
 def test_dataset_write_canonical(tmp_path):
     p1, p2 = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
     datasets = random_datasets(seed=3, clean=True)
     noise = ch.NoiseSpec(mode="clean")
-    store.write_dataset(p1, datasets, noise)
-    store.write_dataset(p2, datasets, noise)
+    store.write_dataset(p1, datasets, noise, 120e6)
+    store.write_dataset(p2, datasets, noise, 120e6)
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
 def test_dataset_truncation_reports_lengths(tmp_path):
     path = str(tmp_path / "t.bin")
-    store.write_dataset(path, random_datasets(clean=True), ch.NoiseSpec(mode="clean"))
+    store.write_dataset(path, random_datasets(clean=True), ch.NoiseSpec(mode="clean"), 120e6)
     data = open(path, "rb").read()
     open(path, "wb").write(data[:len(data) - 40])
     with pytest.raises(store.FormatError, match=r"expected .* bytes"):
@@ -82,7 +86,7 @@ def test_dataset_truncation_reports_lengths(tmp_path):
 
 def test_dataset_future_version_rejected(tmp_path):
     path = str(tmp_path / "v.bin")
-    store.write_dataset(path, random_datasets(clean=True), ch.NoiseSpec(mode="clean"))
+    store.write_dataset(path, random_datasets(clean=True), ch.NoiseSpec(mode="clean"), 120e6)
     data = bytearray(open(path, "rb").read())
     struct.pack_into("<I", data, 4, store.FORMAT_VERSION + 1)
     open(path, "wb").write(bytes(data))
@@ -95,7 +99,7 @@ def test_dataset_without_clean_block(tmp_path):
     clean labels, one array for both; a file of another mode without the
     block has none."""
     path = str(tmp_path / "nc.bin")
-    store.write_dataset(path, random_datasets(clean=True), ch.NoiseSpec(mode="clean"))
+    store.write_dataset(path, random_datasets(clean=True), ch.NoiseSpec(mode="clean"), 120e6)
     assert open(path, "rb").read()[37] == 0  # the header's has_clean byte
     blob = store.read_dataset(path)
     assert blob.has_clean
@@ -164,7 +168,7 @@ def test_dataset_file_matches_per_pair_packing(tmp_path, mode):
 @pytest.mark.parametrize("m", [0, 2 ** 26])
 def test_dataset_implausible_antenna_count_rejected(tmp_path, m):
     path = str(tmp_path / "m.bin")
-    store.write_dataset(path, random_datasets(clean=True), ch.NoiseSpec(mode="clean"))
+    store.write_dataset(path, random_datasets(clean=True), ch.NoiseSpec(mode="clean"), 120e6)
     data = bytearray(open(path, "rb").read())
     struct.pack_into("<I", data, 8, m)  # header: magic[4] version:u32 m:u32
     open(path, "wb").write(bytes(data))
@@ -174,7 +178,7 @@ def test_dataset_implausible_antenna_count_rejected(tmp_path, m):
 
 def test_dataset_trailing_bytes_rejected(tmp_path):
     path = str(tmp_path / "x.bin")
-    store.write_dataset(path, random_datasets(clean=True), ch.NoiseSpec(mode="clean"))
+    store.write_dataset(path, random_datasets(clean=True), ch.NoiseSpec(mode="clean"), 120e6)
     with open(path, "ab") as f:
         f.write(b"\0" * 5)
     with pytest.raises(store.FormatError, match="5 trailing bytes"):
@@ -185,7 +189,7 @@ def test_dataset_user_index_must_fit_its_field(tmp_path):
     d = random_datasets(n_envs=1, clean=True)[0]
     d.user_index[0] = -1
     with pytest.raises(ValueError, match="32-bit"):
-        store.write_dataset(str(tmp_path / "u.bin"), [d], ch.NoiseSpec(mode="clean"))
+        store.write_dataset(str(tmp_path / "u.bin"), [d], ch.NoiseSpec(mode="clean"), 120e6)
 
 
 def test_dataset_sidecar_written(tmp_path):
@@ -196,7 +200,7 @@ def test_dataset_sidecar_written(tmp_path):
     for mode in ("awgn", "clean"):
         path = str(tmp_path / f"{mode}.bin")
         store.write_dataset(path, random_datasets(clean=mode == "clean"),
-                            ch.NoiseSpec(mode=mode))
+                            ch.NoiseSpec(mode=mode), 120e6)
         meta = json.load(open(path + ".meta.json"))
         assert meta["magic"] == "FMCD" and meta["noise"]["mode"] == mode
         assert meta["datasets"][0]["n_pairs"] == 7
@@ -209,10 +213,10 @@ def test_clean_write_refuses_differing_clean_labels(tmp_path):
     datasets = random_datasets(clean=True)
     datasets[1].y_clean = datasets[1].ys.copy()  # equal, not the same array
     path = str(tmp_path / "c.bin")
-    store.write_dataset(path, datasets, ch.NoiseSpec(mode="clean"))
+    store.write_dataset(path, datasets, ch.NoiseSpec(mode="clean"), 120e6)
     datasets[1].y_clean[2, 0] += 1.0
     with pytest.raises(ValueError, match=r"^environment 1 \(adaption\): clean labels differ"):
-        store.write_dataset(path, datasets, ch.NoiseSpec(mode="clean"))
+        store.write_dataset(path, datasets, ch.NoiseSpec(mode="clean"), 120e6)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +256,7 @@ def test_checkpoint_shape_payload_mismatch(tmp_path):
 
 def test_reading_dataset_as_checkpoint_fails_on_magic(tmp_path):
     path = str(tmp_path / "x.bin")
-    store.write_dataset(path, random_datasets(clean=True), ch.NoiseSpec(mode="clean"))
+    store.write_dataset(path, random_datasets(clean=True), ch.NoiseSpec(mode="clean"), 120e6)
     with pytest.raises(store.FormatError, match="magic"):
         store.read_checkpoint(path)
     cpath = str(tmp_path / "x.ck")

@@ -1,5 +1,6 @@
 """Training-regime tests: pooled training, fine-tuning, meta-learning."""
 
+import itertools
 import math
 import pickle
 import tracemalloc
@@ -36,6 +37,11 @@ def identity_sources(m=2, n=64, seed=0):
                            user_index=np.zeros(n, dtype=int))]
 
 
+def pooled(sources):
+    """The rows of ``sources`` pooled as ``train_no_transfer`` takes them."""
+    return np.concatenate([d.xs for d in sources]), np.concatenate([d.ys for d in sources])
+
+
 def quadratic_batch(target):
     """Batch whose full-batch loss is (w - target)^2 + b^2 for a 1x1 linear net."""
     xs = np.array([[1.0], [-1.0]])
@@ -52,9 +58,22 @@ def gradient(params, batch):
     return net.loss_and_grad(params, batch)[1]
 
 
+def task_blocks(tasks):
+    """(support, query) pairs of any sizes as meta-step blocks: consecutive
+    runs of at most ``_TASK_BLOCK`` tasks with equal support sizes and equal
+    query sizes, stacked (B, n, width) arrays ``(support xs, support ys,
+    query xs, query ys)``."""
+    for _, run in itertools.groupby(tasks, key=lambda t: (len(t[0]), len(t[1]))):
+        run = list(run)
+        for i in range(0, len(run), transfer._TASK_BLOCK):
+            block = run[i:i + transfer._TASK_BLOCK]
+            yield (np.stack([s.xs for s, _ in block]), np.stack([s.ys for s, _ in block]),
+                   np.stack([q.xs for _, q in block]), np.stack([q.ys for _, q in block]))
+
+
 def meta_gradient(omega, tasks, g_tr, beta, mode):
     """Gradient of the summed post-adaption query loss wrt omega."""
-    return transfer._meta_batch_eval(omega, transfer._task_blocks(tasks), g_tr, beta, mode)[1]
+    return transfer._meta_batch_eval(omega, task_blocks(tasks), g_tr, beta, mode)[1]
 
 
 def norm(p):
@@ -90,7 +109,7 @@ def test_gradient_order_accounting():
     assert mt.derivative_order == 4
     assert meta_order(meta_mode="first-order") == 1
     assert meta_order(g_tr=0) == 1
-    nt = transfer.train_no_transfer(identity_sources(), cfg, RNG(0))
+    nt = transfer.train_no_transfer(*pooled(identity_sources()), cfg, RNG(0))
     assert nt.derivative_order == 1
     d_ad = identity_sources(n=4)[0]
     assert transfer.direct_adapt(nt, d_ad, cfg).derivative_order == 1
@@ -105,7 +124,7 @@ def test_no_transfer_fits_identity_task():
     sources = identity_sources()
     cfg = tiny_cfg(hidden=(), v=32, max_steps=2000, gamma=1e-2,
                    gen=ch.GeneratorConfig(array=ch.ArrayConfig(m=2), users=5))
-    model = transfer.train_no_transfer(sources, cfg, stream(0, STREAM_BATCH))
+    model = transfer.train_no_transfer(*pooled(sources), cfg, stream(0, STREAM_BATCH))
     assert model.provenance == "no-transfer"
     assert model.loss_history[-1] < 1e-6
     assert model.derivative_order == 1
@@ -115,7 +134,7 @@ def test_no_transfer_zero_steps_returns_initialization():
     sources = identity_sources()
     cfg = tiny_cfg(hidden=(), v=16, max_steps=0,
                    gen=ch.GeneratorConfig(array=ch.ArrayConfig(m=2), users=5))
-    model = transfer.train_no_transfer(sources, cfg, stream(0, STREAM_BATCH))
+    model = transfer.train_no_transfer(*pooled(sources), cfg, stream(0, STREAM_BATCH))
     init = transfer.init_network(cfg)
     assert len(model.loss_history) == 1
     assert np.array_equal(model.params.weights[0], init.weights[0])
@@ -125,8 +144,8 @@ def test_no_transfer_bit_identical_given_seed():
     sources = identity_sources()
     cfg = tiny_cfg(hidden=(8,), v=16, max_steps=40,
                    gen=ch.GeneratorConfig(array=ch.ArrayConfig(m=2), users=5))
-    m1 = transfer.train_no_transfer(sources, cfg, stream(0, STREAM_BATCH))
-    m2 = transfer.train_no_transfer(sources, cfg, stream(0, STREAM_BATCH))
+    m1 = transfer.train_no_transfer(*pooled(sources), cfg, stream(0, STREAM_BATCH))
+    m2 = transfer.train_no_transfer(*pooled(sources), cfg, stream(0, STREAM_BATCH))
     for a, b in zip(m1.params.weights, m2.params.weights):
         assert np.array_equal(a, b)
     assert m1.loss_history == m2.loss_history
@@ -138,7 +157,7 @@ def test_no_transfer_bit_equal_to_written_out_minibatch_loop():
     sources = identity_sources() + identity_sources(seed=1)
     cfg = tiny_cfg(hidden=(8, 6), v=16, max_steps=30, gamma=1e-2,
                    gen=ch.GeneratorConfig(array=ch.ArrayConfig(m=2), users=5))
-    model = transfer.train_no_transfer(sources, cfg, stream(0, STREAM_BATCH))
+    model = transfer.train_no_transfer(*pooled(sources), cfg, stream(0, STREAM_BATCH))
 
     xs = np.concatenate([d.xs for d in sources])
     ys = np.concatenate([d.ys for d in sources])
@@ -176,36 +195,42 @@ def test_no_transfer_streamed_step0_loss_matches_full_pool_loss(n):
     pass over the pool to rounding."""
     sources = identity_sources(m=16, n=n)
     cfg = _desk_pool_cfg(max_steps=0)
-    model = transfer.train_no_transfer(sources, cfg, stream(0, STREAM_BATCH))
+    model = transfer.train_no_transfer(*pooled(sources), cfg, stream(0, STREAM_BATCH))
     want = net.mse_loss(transfer.init_network(cfg), Batch(sources[0].xs, sources[0].ys))
     assert model.loss_history[0] == pytest.approx(want, rel=1e-14, abs=0)
 
 
 def test_no_transfer_memory_does_not_grow_with_pool_activations():
-    """Only the pooled rows themselves (2 MB here) grow with the pool: one
-    forward pass over all 4,000 rows would add its activation, mask and
-    delta buffers and take the traced peak past 20 MB."""
-    sources = identity_sources(m=16, n=4000)
+    """Nothing grows with the pool: the pooled rows (2 MB at 4,000 rows,
+    15 MB at 30,000) are read where they lie, and one forward pass over all
+    4,000 rows would add its activation, mask and delta buffers and take
+    the traced peak past 20 MB."""
     cfg = _desk_pool_cfg(max_steps=2)
-    tracemalloc.start()
-    try:
-        transfer.train_no_transfer(sources, cfg, stream(0, STREAM_BATCH))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8e6
+    for n in (4000, 30000):
+        xs, ys = pooled(identity_sources(m=16, n=n))
+        tracemalloc.start()
+        try:
+            transfer.train_no_transfer(xs, ys, cfg, stream(0, STREAM_BATCH))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6, n
 
 
 def test_no_transfer_rejects_empty_or_small_pool():
     cfg = tiny_cfg(v=500)
-    with pytest.raises(ValueError):
-        transfer.train_no_transfer([], cfg, RNG(0))
+    with pytest.raises(ValueError, match="empty"):
+        transfer.train_no_transfer(np.empty((0, 4)), np.empty((0, 4)), cfg, RNG(0))
     with pytest.raises(ValueError, match="cannot fill batches of 500"):
-        transfer.train_no_transfer(identity_sources(n=10), cfg, RNG(0))
+        transfer.train_no_transfer(*pooled(identity_sources(n=10)), cfg, RNG(0))
+    xs, ys = pooled(identity_sources(n=600))
+    for bad in ((xs.reshape(6, 100, 4), ys.reshape(6, 100, 4)), (xs, ys[:, :2])):
+        with pytest.raises(ValueError, match="two 2-D arrays of one shape"):
+            transfer.train_no_transfer(*bad, cfg, RNG(0))
     cfg_ok = tiny_cfg(v=500, max_steps=1,
                       gen=ch.GeneratorConfig(array=ch.ArrayConfig(m=2), users=5),
                       hidden=())
-    transfer.train_no_transfer(identity_sources(n=500), cfg_ok, RNG(0))
+    transfer.train_no_transfer(*pooled(identity_sources(n=500)), cfg_ok, RNG(0))
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +671,7 @@ def random_meta_problem(m, hidden, sizes, seed):
 
 
 def assert_matches_oracle(omega, tasks, g_tr, beta, mode, rtol=1e-10):
-    loss, grad = transfer._meta_batch_eval(omega, transfer._task_blocks(tasks), g_tr, beta, mode)
+    loss, grad = transfer._meta_batch_eval(omega, task_blocks(tasks), g_tr, beta, mode)
     want_loss, want = per_task_meta_oracle(omega, tasks, g_tr, beta, mode)
     assert abs(loss - want_loss) <= rtol * abs(want_loss)
     scale = np.max(np.abs(want.flat))
@@ -667,7 +692,7 @@ def test_meta_batch_eval_matches_per_task_oracle(m, hidden):
 def test_meta_batch_eval_blocks_split_on_task_sizes():
     sizes = [(4, 5), (4, 5), (6, 5), (6, 5), (6, 5), (6, 5), (6, 5), (6, 3), (4, 5)]
     omega, tasks = random_meta_problem(2, (6, 5), sizes, seed=7)
-    blocks = list(transfer._task_blocks(tasks))
+    blocks = list(task_blocks(tasks))
     assert [b[0].shape[:2] for b in blocks] == [(2, 4), (4, 6), (1, 6), (1, 6), (1, 4)]
     assert [b[2].shape[1] for b in blocks] == [5, 5, 5, 3, 5]
     for g_tr in (0, 1, 3):
@@ -678,15 +703,15 @@ def test_meta_batch_eval_blocks_split_on_task_sizes():
 def test_meta_batch_eval_rejects_bad_input():
     omega, tasks = random_meta_problem(2, (6,), [(4, 5)] * 2, seed=8)
     with pytest.raises(ValueError, match="empty"):
-        transfer._meta_batch_eval(omega, transfer._task_blocks([]), 1, 1e-2, "exact")
+        transfer._meta_batch_eval(omega, task_blocks([]), 1, 1e-2, "exact")
     with pytest.raises(ValueError, match="mode"):
-        transfer._meta_batch_eval(omega, transfer._task_blocks(tasks), 1, 1e-2,
+        transfer._meta_batch_eval(omega, task_blocks(tasks), 1, 1e-2,
                                   "second-order")
     empty = Batch(np.empty((0, 4)), np.empty((0, 4)))
     with pytest.raises(ValueError, match="support"):
         transfer._meta_batch_eval(
-            omega, transfer._task_blocks([tasks[0], (empty, tasks[1][1])]), 1, 1e-2, "exact")
-    loss, _ = transfer._meta_batch_eval(omega, transfer._task_blocks([(empty, tasks[1][1])]),
+            omega, task_blocks([tasks[0], (empty, tasks[1][1])]), 1, 1e-2, "exact")
+    loss, _ = transfer._meta_batch_eval(omega, task_blocks([(empty, tasks[1][1])]),
                                         0, 1e-2, "exact")
     assert loss == pytest.approx(net.mse_loss(omega, tasks[1][1]), rel=1e-12)
 
@@ -729,28 +754,20 @@ def test_meta_train_degenerate_is_query_adam():
         assert np.array_equal(a, b)
 
 
-def per_task_meta_train(envs, cfg, rng, first_visit=None):
+def per_task_meta_train(envs, cfg, rng):
     """``meta_train`` written out task by task: every task's sets from
-    ``_support_query`` (or ``first_visit``, or the fixed-data cache), the
-    batch through ``_task_blocks``, then the outer ``adam_step``."""
+    ``_support_query`` (visit 0 throughout under fixed task data), the batch
+    through ``task_blocks``, then the outer ``adam_step``."""
     params = transfer.init_network(cfg)
     state = optim.AdamState.init(params)
-    visits, cache, history = {}, {}, []
+    visits, history = {}, []
     for _ in range(cfg.max_steps):
         tasks = []
         for i in sorted(int(j) for j in rng.choice(len(envs), size=cfg.k_b, replace=False)):
-            env = envs[i]
-            if cfg.fixed_task_data:
-                if env.id not in cache:
-                    cache[env.id] = (first_visit[i] if first_visit is not None
-                                     else transfer._support_query(env, cfg, 0))
-                tasks.append(cache[env.id])
-            else:
-                visit = visits.get(env.id, 0)
-                visits[env.id] = visit + 1
-                tasks.append(first_visit[i] if visit == 0 and first_visit is not None
-                             else transfer._support_query(env, cfg, visit))
-        loss, grad = transfer._meta_batch_eval(params, transfer._task_blocks(tasks), cfg.g_tr,
+            visit = 0 if cfg.fixed_task_data else visits.get(i, 0)
+            visits[i] = visit + 1
+            tasks.append(transfer._support_query(envs[i], cfg, visit))
+        loss, grad = transfer._meta_batch_eval(params, task_blocks(tasks), cfg.g_tr,
                                                cfg.beta, cfg.meta_mode)
         params, state = optim.adam_step(state, params, grad, cfg.gamma)
         history.append(loss)
@@ -764,32 +781,63 @@ def test_block_streamed_meta_train_equals_per_task_loop(noise, meta_mode, k_b):
     """Streaming the meta batch block by block, with each block's tasks
     collected together, changes no bit of the weights or the losses: with
     every task regenerated, with first visits passed in (blocks that mix
-    given and regenerated tasks), and with fixed task data, with and without
-    first visits."""
+    stored and regenerated tasks), and with fixed task data, with and
+    without first visits (a store filled as tasks are first visited)."""
     gen = ch.GeneratorConfig(array=ch.ArrayConfig(m=4), users=5,
                              noise=ch.NoiseSpec(snr_db=10.0, pilot_len=4, mode=noise))
     cfg = tiny_cfg(k_b=k_b, n_tr=3, max_steps=2, hidden=(8,), meta_mode=meta_mode, gen=gen)
     envs = [ch.sample_environment(i, gen, cfg.seed) for i in range(cfg.k_s)]
-    first_visit = [transfer._support_query(env, cfg, 0) for env in envs]
+    first_visit = transfer.first_visits(envs, cfg)
     for fixed, given in ((False, None), (False, first_visit), (True, None), (True, first_visit)):
         c = replace(cfg, fixed_task_data=fixed)
         model = transfer.meta_train(envs, c, stream(c.seed, STREAM_BATCH, 1), given)
-        params, history = per_task_meta_train(envs, c, stream(c.seed, STREAM_BATCH, 1), given)
+        params, history = per_task_meta_train(envs, c, stream(c.seed, STREAM_BATCH, 1))
         assert np.array_equal(model.params.flat, params.flat)
         assert model.loss_history == history
 
 
 def test_meta_train_rejects_malformed_first_visits():
+    """A passed ``first_visit`` must have the stacked shape of
+    ``first_visits``: one 4+4-row task per source environment."""
     cfg = tiny_cfg(max_steps=1)
     envs = [ch.sample_environment(i, cfg.gen, cfg.seed) for i in range(cfg.k_s)]
-    first_visit = [transfer._support_query(env, cfg, 0) for env in envs]
-    with pytest.raises(ValueError, match="first_visit"):
-        transfer.meta_train(envs, cfg, RNG(0), first_visit[1:])
-    sup, que = first_visit[1]
-    shorter = transfer._support_query(envs[1], replace(cfg, n_tr=6), 0)
-    for bad in ((sup, sup), (sup, shorter[1]), shorter):
-        with pytest.raises(ValueError, match="disjoint support/query pair of 4\\+4"):
-            transfer.meta_train(envs, cfg, RNG(0), [first_visit[0], bad] + first_visit[2:])
+    xs, ys = transfer.first_visits(envs, cfg)
+    for bad in ((xs[1:], ys[1:]), (xs, ys[:, :6]), (xs[:, :6], ys[:, :6]), (xs,),
+                (xs.reshape(-1, 8), ys.reshape(-1, 8)), (xs[..., :4], ys[..., :4])):
+        with pytest.raises(ValueError, match="first_visit .* 4\\+4 rows"):
+            transfer.meta_train(envs, cfg, RNG(0), bad)
+
+
+@pytest.mark.parametrize("noise", ["clean", "awgn", "lmmse"])
+def test_first_visits_match_per_task_support_query(noise):
+    """``first_visits`` holds, per environment, exactly the rows
+    ``_support_query`` collects at visit 0: support, then query (odd n_tr,
+    a full and a partial block of environments)."""
+    gen = ch.GeneratorConfig(array=ch.ArrayConfig(m=4), users=5,
+                             noise=ch.NoiseSpec(snr_db=10.0, pilot_len=4, mode=noise))
+    cfg = tiny_cfg(k_s=6, n_tr=7, gen=gen)
+    envs = [ch.sample_environment(i, gen, cfg.seed) for i in range(cfg.k_s)]
+    xs, ys = transfer.first_visits(envs, cfg)
+    assert xs.shape == ys.shape == (6, 7, 8)
+    for env, x, y in zip(envs, xs, ys):
+        sup, que = transfer._support_query(env, cfg, 0)
+        assert np.array_equal(x, np.concatenate([sup.xs, que.xs]))
+        assert np.array_equal(y, np.concatenate([sup.ys, que.ys]))
+
+
+def test_fixed_task_data_draws_only_visited_environments(monkeypatch):
+    """Under fixed task data without first visits, an environment's task
+    is drawn when it is first visited, and only then: 3 steps of one task
+    draw combinations for at most 3 environments, each once."""
+    cfg = tiny_cfg(k_b=1, max_steps=3, fixed_task_data=True)
+    envs = [ch.sample_environment(i, cfg.gen, cfg.seed) for i in range(cfg.k_s)]
+    drawn = []
+    draw_combos = ch.draw_combos
+    monkeypatch.setattr(ch, "draw_combos",
+                        lambda env, *a, **k: drawn.append(env.id) or draw_combos(env, *a, **k))
+    transfer.meta_train(envs, cfg, RNG(0))
+    assert 1 <= len(drawn) <= 3
+    assert len(set(drawn)) == len(drawn)
 
 
 def test_meta_train_step_memory_does_not_grow_with_the_meta_batch():
