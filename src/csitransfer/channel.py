@@ -15,9 +15,9 @@ exp(-j varpi m sin theta) equals w^a z^b for z = exp(-j varpi sin theta)
 and w = z^q, so a ray costs one complex exponential and the sum over rays
 is one stacked matrix product. A single channel is the batch-of-one case;
 :func:`collect_sets` builds all links of several combination sets in one
-call; and the LMMSE prior keeps its user pool as stacked ray arrays, so
-each covariance takes a few batched ray sums over blocks of the pool and
-their Hermitian products.
+call, into one set of rows; and the LMMSE prior keeps its user pool as
+stacked ray arrays, so each covariance takes a few batched ray sums over
+blocks of the pool and their Hermitian products.
 
 Users are drawn the same way, stacked: :func:`_draw_users` fills one
 ``(users, P)`` set of ray arrays with a few generator calls per user, in
@@ -491,7 +491,7 @@ def make_sample_pair(user: UserRays, f_up: float, delta_f: float, cfg: ArrayConf
     rays = UserRays(user.env_id, *(getattr(user, a)[None] for a in _RAY_FIELDS))
     # No environment: the covariance, the only thing drawn from it, is given.
     combo_set = ComboSet(env=None, users=rays, by_role={ROLE_TEST: [(0, f_up)]}, cov=cov)
-    (arrays,) = collect_sets([combo_set], [ROLE_TEST], delta_f, cfg, noise, [rng])
+    arrays = collect_sets([combo_set], [ROLE_TEST], delta_f, cfg, noise, [rng])
     x, y, y_clean, up, down, _ = (a[0] for a in arrays)
     return SamplePair(x, y, float(up), float(down), y_clean, user_index)
 
@@ -583,7 +583,7 @@ def draw_combos(env: Environment, role_counts: Sequence[tuple[str, int]], u: int
 
 def collect_sets(combo_sets: Sequence[ComboSet], roles: Sequence[str], delta_f: float,
                  cfg: ArrayConfig, noise: NoiseSpec, rngs: Sequence[np.random.Generator],
-                 limit: int | None = None) -> list[tuple[np.ndarray, ...]]:
+                 limit: int | None = None) -> tuple[np.ndarray, ...]:
     """Collect the same roles of several drawn combination sets at once.
 
     Each set gives the first ``limit`` combinations of each role (all when
@@ -593,13 +593,13 @@ def collect_sets(combo_sets: Sequence[ComboSet], roles: Sequence[str], delta_f: 
     parts, M), roles in the order given, as pair-by-pair collection would;
     LMMSE estimates each link against the set's :meth:`ComboSet.covariance`.
 
-    Returns per role the arrays of :class:`TaskDataset` in its constructor
-    order, from ``xs`` on, set after set: rows ``(S*n, 2M)`` and columns
-    ``(S*n,)``. Under clean noise ``y_clean`` is ``ys`` itself.
+    Returns the arrays of :class:`TaskDataset`, ``xs`` to ``user_index``:
+    rows ``(S*n, 2M)`` and columns ``(S*n,)``, set by set and within a set
+    role by role. Under clean noise ``y_clean`` is ``ys`` itself.
     """
-    by_role = [np.array([cs.by_role[role][:limit] for cs in combo_sets],
-                        dtype=float).reshape(len(combo_sets), -1, 2) for role in roles]
-    keys = np.concatenate(by_role, axis=1)  # (S, n, [uid, f_up])
+    keys = np.concatenate([np.array([cs.by_role[role][:limit] for cs in combo_sets],
+                                    dtype=float).reshape(len(combo_sets), -1, 2)
+                           for role in roles], axis=1)  # (S, n, [uid, f_up])
     uids = keys[..., 0].astype(np.int64)
     f = np.stack([keys[..., 1], keys[..., 1] + delta_f], axis=-1)  # (S, n, 2 links)
     bad = ~((f > 0) & np.isfinite(f)).all(axis=-1)
@@ -623,15 +623,10 @@ def collect_sets(combo_sets: Sequence[ComboSet], roles: Sequence[str], delta_f: 
         covs = [cs.covariance(cfg) for cs in combo_sets]
         for link in np.ndindex(f.shape):
             est[link] = lmmse_estimate(est[link], covs[link[0]].at(f[link]), sigma2[link])
-    out, start = [], 0
-    for k in by_role:
-        sl, start = slice(start, start + k.shape[1]), start + k.shape[1]
-        xs, ys = (complex_to_real(est[:, sl, link].reshape(-1, cfg.m)) for link in (0, 1))
-        f_role = f[:, sl].reshape(-1, 2)
-        out.append((xs, ys, ys if noise.mode == NOISE_CLEAN else
-                    complex_to_real(h[:, sl, 1].reshape(-1, cfg.m)),
-                    f_role[:, 0], f_role[:, 1], k[..., 0].reshape(-1).astype(np.int64)))
-    return out
+    xs, ys = (complex_to_real(est[:, :, link].reshape(-1, cfg.m)) for link in (0, 1))
+    f = f.reshape(-1, 2)
+    return (xs, ys, ys if noise.mode == NOISE_CLEAN else
+            complex_to_real(h[:, :, 1].reshape(-1, cfg.m)), f[:, 0], f[:, 1], uids.reshape(-1))
 
 
 def collect(combo_set: ComboSet, role: str, delta_f: float, cfg: ArrayConfig,
@@ -644,8 +639,8 @@ def collect(combo_set: ComboSet, role: str, delta_f: float, cfg: ArrayConfig,
     combinations (nested subsets share their prefix exactly, which keeps
     sample-count sweeps paired). The one-set case of :func:`collect_sets`.
     """
-    (arrays,) = collect_sets([combo_set], [role], delta_f, cfg, noise, [rng], limit)
-    return TaskDataset(combo_set.env.id, role, *arrays)
+    return TaskDataset(combo_set.env.id, role,
+                       *collect_sets([combo_set], [role], delta_f, cfg, noise, [rng], limit))
 
 
 def generate_task_datasets(env: Environment, role_counts: Sequence[tuple[str, int]],

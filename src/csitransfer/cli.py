@@ -39,10 +39,6 @@ ROLE_CHOICES = ("train-support", "train-query", "adaption", "test")
 NOISE_CHOICES = ("clean", "awgn", "lmmse")
 SWEEP_CHOICES = ("g-ad", "n-ad", "delta-f", "m", "snr-db", "none")
 
-# Substream id for CLI-driven dataset generation, distinct from the ones in
-# seeding.py so generated files never collide with training-internal draws.
-STREAM_CLI_GEN = 100
-
 
 def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat()
@@ -159,7 +155,7 @@ def _train_config(opts: dict):
 def _impl_gen(opts: dict) -> list[str]:
     from . import store
     from .channel import generate_task_datasets, sample_environment
-    from .seeding import stream
+    from .seeding import STREAM_CLI_GEN, stream
 
     gcfg = _generator_config(opts)
     role_code = ROLE_CHOICES.index(opts["role"])
@@ -322,7 +318,8 @@ def _impl_sweep(opts: dict) -> list[str]:
 
 def _impl_gradcheck(opts: dict) -> list[str]:
     from . import net, transfer
-    from .seeding import stream
+    from .seeding import (STREAM_GRADCHECK_BACKWARD, STREAM_GRADCHECK_HVP,
+                          STREAM_GRADCHECK_META, stream)
 
     probes = opts["probe_count"]
     seed = opts["seed"]
@@ -338,7 +335,7 @@ def _impl_gradcheck(opts: dict) -> list[str]:
     spec = net.LayerSpec.fnn(opts["antennas"], _parse_hidden(opts["hidden"]))
     worst = 0.0
     for s in range(5):
-        rng = stream(seed, 200, s)
+        rng = stream(seed, STREAM_GRADCHECK_BACKWARD, s)
         params = net.init_params(spec, rng)
         batch = net.Batch(rng.normal(size=(8, spec.sizes[0])),
                           rng.normal(size=(8, spec.sizes[0])))
@@ -362,7 +359,7 @@ def _impl_gradcheck(opts: dict) -> list[str]:
     # Hessian symmetry through the forward-over-reverse product.
     worst = 0.0
     for s in range(5):
-        rng = stream(seed, 201, s)
+        rng = stream(seed, STREAM_GRADCHECK_HVP, s)
         params = net.init_params(spec, rng)
         batch = net.Batch(rng.normal(size=(8, spec.sizes[0])),
                           rng.normal(size=(8, spec.sizes[0])))
@@ -377,7 +374,7 @@ def _impl_gradcheck(opts: dict) -> list[str]:
     small = net.LayerSpec.fnn(2, (4, 8))
     worst = 0.0
     for g_tr in (1, 2, 3):
-        rng = stream(seed, 202, g_tr)
+        rng = stream(seed, STREAM_GRADCHECK_META, g_tr)
         params = net.init_params(small, rng)
         # Two tasks, each drawn as support xs, ys, then query xs, ys; one block.
         block = [a.copy() for a in rng.normal(size=(2, 4, 4, 4)).swapaxes(0, 1)]

@@ -197,6 +197,10 @@ def run_three_way(cfg: TrainConfig, sweep: tuple[str, Sequence] | None = None) -
         raise ValueError("sweep grid is empty")
     if len(set(grid)) != len(grid):
         raise ValueError(f"sweep grid {grid} repeats a value")
+    if variable == "n_ad" and min(grid) < 1:
+        raise ValueError("adaption sample counts must be positive")
+    if variable == "g_ad" and min(grid) < 0:
+        raise ValueError("adaption step counts must be nonnegative")
     clock = {"training": 0.0, "adaption": 0.0, "testing": 0.0}
     workers = min(cfg.k_t, _usable_cpus())
 
@@ -217,8 +221,6 @@ def run_three_way(cfg: TrainConfig, sweep: tuple[str, Sequence] | None = None) -
 
 def _adaption_side_points(cfg: TrainConfig, nt: TrainedModel, mt: TrainedModel,
                           variable: str, grid: list, clock: dict, workers: int) -> list[SweepPoint]:
-    if variable == "n_ad" and min(int(v) for v in grid) < 1:
-        raise ValueError("adaption sample counts must be positive")
     job = functools.partial(_run_target, cfg=cfg, nt=nt, mt=mt, variable=variable, grid=grid)
     targets = _map_targets(job, target_environments(cfg), workers)
 
@@ -246,7 +248,7 @@ def _run_target(env: Environment, cfg: TrainConfig, nt: TrainedModel, mt: Traine
     Returns floats only: the NMSEs of ``nt`` and ``mt`` as trained, one
     (direct, meta) NMSE pair per grid value, and this target's stage times."""
     n_ad_max = max(int(v) for v in grid) if variable == "n_ad" else cfg.n_ad
-    combos, d_te = _target_data(env, cfg, max(n_ad_max, 1))
+    combos, d_te = _target_data(env, cfg, n_ad_max)
 
     adaption_s = 0.0
     # (direct, meta) adapted networks, one pair per grid value.

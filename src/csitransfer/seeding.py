@@ -20,6 +20,11 @@ STREAM_TASK_DATA = 4
 STREAM_COVARIANCE = 5
 STREAM_TARGET_DATA = 6
 STREAM_PROBE = 7
+# ``csitransfer gen`` datasets, and the three probes of ``csitransfer gradcheck``.
+STREAM_CLI_GEN = 100
+STREAM_GRADCHECK_BACKWARD = 200
+STREAM_GRADCHECK_HVP = 201
+STREAM_GRADCHECK_META = 202
 
 
 def _sequence(master_seed: int, key: tuple[int, ...]) -> np.random.SeedSequence:

@@ -23,7 +23,8 @@ Jacobian as the identity.
 
 The meta step runs over blocks of tasks with the block kernels of
 :mod:`csitransfer.net` and never forms a task's weights; ``meta_train``
-regenerates a batch block by block, into the arrays those kernels read.
+regenerates a batch block by block. A block's tasks are rows in the layout
+of :func:`first_visits`, support first, and the kernels read views of them.
 Each inner GD step adds a term of rank at most the support size to the
 shared omega (the step's support deltas against its layer inputs), so a
 task's iterates are omega plus factors, and the factors double as the tape
@@ -114,9 +115,12 @@ class TrainConfig:
     fixed_task_data: bool = False  # regenerate support/query per visit when False
 
     def __post_init__(self):
-        for name in ("v", "k_s", "k_t", "k_b", "n_tr", "n_ad", "n_te", "u"):
+        for name in ("v", "k_s", "k_t", "k_b", "n_ad", "n_te", "u"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.n_tr < 2:
+            raise ValueError(f"n_tr must be >= 2 to split each source task into support "
+                             f"and query samples, got {self.n_tr}")
         for name in ("g_tr", "g_ad", "max_steps"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
@@ -421,22 +425,17 @@ def _support_query(env: Environment, cfg: TrainConfig, visit: int) -> tuple[Task
     return sup, que
 
 
-def _regenerate(tasks, cfg: TrainConfig):
+def _regenerate(tasks, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
     """Tasks ``(env, visit)`` collected together as :func:`_support_query`
-    would, stacked (B, n, width): ``(support xs, support ys, query xs, query ys)``."""
+    would, as the collector's arrays ``(xs, ys)`` viewed (B, n_tr, 2M): per
+    task its support rows, then its query rows."""
     roles = [(ROLE_TRAIN_SUPPORT, cfg.n_support), (ROLE_TRAIN_QUERY, cfg.n_query)]
     rngs = [stream(env.seed, STREAM_TASK_DATA, visit) for env, visit in tasks]
     sets = [channel.draw_combos(env, roles, cfg.u, (cfg.gen.f_min, cfg.gen.f_max), rng,
                                 cfg.gen.delay_max) for (env, _), rng in zip(tasks, rngs)]
-    sup, que = channel.collect_sets(sets, [role for role, _ in roles], cfg.gen.delta_f,
-                                    cfg.gen.array, cfg.gen.noise, rngs)
-    return tuple(a.reshape(len(sets), -1, a.shape[1]) for a in (sup[0], sup[1], que[0], que[1]))
-
-
-def _put(rows, at, task, n_sup: int):
-    """Write :func:`_regenerate`'s arrays at ``at`` of a row store ``(xs, ys)``."""
-    for store, sup, que in zip(rows, task[:2], task[2:]):
-        store[at, :n_sup], store[at, n_sup:] = sup, que
+    xs, ys = channel.collect_sets(sets, [role for role, _ in roles], cfg.gen.delta_f,
+                                  cfg.gen.array, cfg.gen.noise, rngs)[:2]
+    return xs.reshape(len(sets), cfg.n_tr, -1), ys.reshape(len(sets), cfg.n_tr, -1)
 
 
 def first_visits(envs: Sequence[Environment], cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -444,33 +443,34 @@ def first_visits(envs: Sequence[Environment], cfg: TrainConfig) -> tuple[np.ndar
     each (len(envs), n_tr, 2M): per environment its support rows, then its
     query rows, as :func:`_support_query` collects them at visit 0."""
     shape = (len(envs), cfg.n_tr, 2 * cfg.gen.array.m)
-    rows = np.empty(shape), np.empty(shape)
+    xs, ys = np.empty(shape), np.empty(shape)
     for b in range(0, len(envs), _TASK_BLOCK):
-        _put(rows, slice(b, b + _TASK_BLOCK),
-             _regenerate([(env, 0) for env in envs[b:b + _TASK_BLOCK]], cfg), cfg.n_support)
-    return rows
+        xs[b:b + _TASK_BLOCK], ys[b:b + _TASK_BLOCK] = _regenerate(
+            [(env, 0) for env in envs[b:b + _TASK_BLOCK]], cfg)
+    return xs, ys
 
 
 def _streamed_blocks(tasks, cfg: TrainConfig, rows, held):
-    """A meta batch of tasks ``(i, env, visit)`` as :func:`_regenerate` blocks,
-    one at a time. A first visit with ``i`` in ``held`` is read from the row
-    store ``rows``; other tasks are regenerated together, a first visit also
-    into the store. Without a store, a block is the collector's arrays."""
-    n_sup = cfg.n_support
+    """A meta batch of tasks ``(i, env, visit)`` in blocks of support xs, ys
+    and query xs, ys, cut from the task rows (:func:`_regenerate`). A first
+    visit with ``i`` in ``held`` is read from the row store ``rows``; other
+    tasks are regenerated together, a first visit also into the store.
+    Without a store, the rows are the collector's arrays."""
+    n = cfg.n_support
     for b in range(0, len(tasks), _TASK_BLOCK):
         block = tasks[b:b + _TASK_BLOCK]
         fresh = [t for t in block if t[2] or t[0] not in held]
-        drawn = _regenerate([t[1:] for t in fresh], cfg) if fresh else ()
-        if rows is None:
-            yield drawn
-            continue
-        drawn = dict(zip([t[0] for t in fresh], zip(*drawn)))
-        for i in [t[0] for t in fresh if not t[2]]:  # first visits, into the store
-            _put(rows, i, drawn.pop(i), n_sup)
-            held.add(i)
-        parts = [drawn[i] if i in drawn else tuple(a[i, :n_sup] for a in rows)
-                 + tuple(a[i, n_sup:] for a in rows) for i, _, _ in block]
-        yield tuple(np.stack(c) for c in zip(*parts))
+        drawn = _regenerate([t[1:] for t in fresh], cfg) if fresh else rows  # all held
+        if rows is not None:
+            at = {i: j for j, (i, _, _) in enumerate(fresh)}
+            for i, _, visit in fresh:
+                if not visit:  # a first visit, into the store
+                    rows[0][i], rows[1][i] = drawn[0][at[i]], drawn[1][at[i]]
+                    held.add(i)
+            drawn = [np.stack([a[at[i]] if i in at else store[i] for i, _, _ in block])
+                     for store, a in zip(rows, drawn)]
+        xs, ys = drawn
+        yield xs[:, :n], ys[:, :n], xs[:, n:], ys[:, n:]
 
 
 def meta_train(source_envs: Sequence[Environment], cfg: TrainConfig,

@@ -4,12 +4,17 @@ Run from the repository root::
 
     PYTHONPATH=src python tests/make_golden.py
 
-Every case trains a tiny network (M=4 antennas, hidden layers 8,8) and
-records its parameters (``params.flat``) and loss history, each number as
-``float.hex``. The cases cover ``evaluate.train_pair`` with fixed and
-regenerated meta-learning tasks under clean and LMMSE noise, and the
-checkpoints of ``csitransfer train`` (generated sources and ``--sources``)
-and ``csitransfer meta-train`` (with and without ``--fixed-task-data``).
+Every case runs at M=4 antennas and records its numbers as ``float.hex``.
+The training cases train a tiny network (hidden layers 8,8) and record its
+parameters (``params.flat``) and loss history. They cover
+``evaluate.train_pair`` with fixed and regenerated meta-learning tasks
+under clean and LMMSE noise, and the checkpoints of ``csitransfer train``
+(generated sources and ``--sources``) and ``csitransfer meta-train`` (with
+and without ``--fixed-task-data``). The ``gen`` cases record the columns of
+``csitransfer gen`` files under clean, AWGN and LMMSE noise. The
+``three_way`` cases record ``evaluate.run_three_way``'s per-target NMSEs and
+baselines for no sweep, an ``n_ad`` sweep (whose smaller values collect a
+prefix of the adaption combinations) and an ``snr_db`` sweep under LMMSE.
 ``test_golden.py`` recomputes each case with :data:`CASES` and compares.
 
 The record also names the numpy version and BLAS build it was computed on.
@@ -68,6 +73,37 @@ def _train_pair(noise: str, fixed: bool):
     return case
 
 
+def _gen(noise: str):
+    def case() -> dict:
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "data.bin")
+            res = CliRunner().invoke(cli, [str(a) for a in (
+                "gen", "--envs", 2, "--pairs", 5, "--role", "adaption", "--noise-mode", noise,
+                *TINY_GEN, "--out", out)])
+            assert res.exit_code == 0, res.output
+            datasets = store.read_dataset(out).datasets
+        return {f"env-{d.env_id}": {"x": _hexes(d.xs), "y": _hexes(d.ys),
+                                    "y_clean": _hexes(d.y_clean), "f_up": _hexes(d.f_up),
+                                    "user_index": _hexes(d.user_index)} for d in datasets}
+    return case
+
+
+def _three_way(sweep, noise: str = ch.NOISE_CLEAN):
+    def case() -> dict:
+        gen = ch.GeneratorConfig(array=ch.ArrayConfig(m=4), users=4,
+                                 noise=ch.NoiseSpec(mode=noise))
+        cfg = TrainConfig(k_s=4, k_t=2, k_b=2, n_tr=4, n_ad=6, n_te=4, u=4, v=8, g_tr=1,
+                          g_ad=5, hidden=(8, 8), max_steps=3, seed=5, gen=gen)
+        report = evaluate.run_three_way(cfg, sweep)
+        out = {"baselines": {algo: _hexes(r.per_target)
+                             for algo, r in report.points[0].baselines.items()}}
+        out.update({f"value-{p.value}": {algo: _hexes(r.per_target)
+                                         for algo, r in p.results.items()}
+                    for p in report.points})
+        return out
+    return case
+
+
 def _cli(command: str, *args, sources: bool = False):
     def case() -> dict:
         runner = CliRunner()
@@ -103,6 +139,12 @@ CASES.update({
                            *TINY_META),
     "cli/meta-train-fixed": _cli("meta-train", *TINY_GEN, "--noise-mode", "lmmse",
                                  *TINY_TRAIN, *TINY_META, "--fixed-task-data"),
+})
+CASES.update({f"gen/{noise}": _gen(noise) for noise in ch.NOISE_MODES})
+CASES.update({
+    "three_way/none": _three_way(None),
+    "three_way/n_ad": _three_way(("n_ad", [2, 4])),
+    "three_way/snr_db": _three_way(("snr_db", [0.0, 20.0]), ch.NOISE_LMMSE),
 })
 
 

@@ -677,6 +677,32 @@ def test_generation_matches_per_pair_oracle(m, mode, rtol, monkeypatch):
                 assert np.max(np.abs(a - b)) <= rtol * np.max(np.abs(b))
 
 
+@pytest.mark.parametrize("mode", ch.NOISE_MODES)
+def test_collect_sets_joins_rows_set_by_set_then_role_by_role(mode):
+    """``collect_sets`` over 3 sets and both training roles returns, column
+    by column, the per-set, per-role ``collect`` calls concatenated set by
+    set. Set s draws its noise from ``rngs[s]`` role after role, so each
+    set's calls share a fresh generator of that set's stream."""
+    gen = _default_gen(m=8, users=5)
+    noise = ch.NoiseSpec(snr_db=10.0, pilot_len=4, mode=mode)
+    roles = [(ch.ROLE_TRAIN_SUPPORT, 3), (ch.ROLE_TRAIN_QUERY, 4)]
+    sets = [ch.draw_combos(ch.sample_environment(s, gen, 7), roles, gen.users,
+                           (gen.f_min, gen.f_max), stream(7, STREAM_TASK_DATA, s))
+            for s in range(3)]
+    got = ch.collect_sets(sets, [role for role, _ in roles], gen.delta_f, gen.array, noise,
+                          [stream(9, STREAM_TASK_DATA, s) for s in range(3)])
+    expected = []
+    for s, combos in enumerate(sets):
+        rng = stream(9, STREAM_TASK_DATA, s)
+        expected += [ch.collect(combos, role, gen.delta_f, gen.array, noise, rng)
+                     for role, _ in roles]
+    names = ("xs", "ys", "y_clean", "f_up", "f_down", "user_index")
+    assert len(got) == len(names)
+    for name, column in zip(names, got):
+        assert len(column) == 3 * 7, name
+        assert np.array_equal(column, np.concatenate([getattr(d, name) for d in expected])), name
+
+
 @pytest.mark.parametrize("mode", ["clean", "awgn", "lmmse"])
 def test_support_query_matches_per_user_oracle(mode, monkeypatch):
     """``transfer._support_query`` equals, bit for bit, users drawn one at a

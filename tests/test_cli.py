@@ -320,6 +320,16 @@ def test_adapt_divergence_one_line_error(tmp_path):
         line for line in res.output.strip().splitlines()]
 
 
+def test_single_sample_source_tasks_one_line_error(tmp_path):
+    """A source task of one sample has no support/query split: both training
+    commands say so in the config's own words, before any work."""
+    for command in ("train", "meta-train"):
+        res = run_cli(command, *TINY_GEN, *TINY_TRAIN, "--n-tr", 1, "--out", tmp_path / "m.ck")
+        assert_one_line_error(res, "n_tr must be >= 2 to split each source task into "
+                                   "support and query samples, got 1")
+        assert not os.path.exists(tmp_path / "m.ck")
+
+
 def test_bad_option_value_one_line_error(tmp_path):
     res = run_cli("meta-train", *TINY_GEN, "--k-s", 10, "--k-b", 20,
                   "--out", tmp_path / "m.ck")

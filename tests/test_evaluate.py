@@ -169,6 +169,19 @@ def test_three_way_rejects_repeated_grid_value(sweep):
         evaluate.run_three_way(tiny_cfg(), sweep)
 
 
+@pytest.mark.parametrize("sweep, message", [
+    (("n_ad", [0, 5]), "adaption sample counts must be positive"),
+    (("g_ad", [-1, 5]), "adaption step counts must be nonnegative")])
+def test_three_way_rejects_bad_adaption_grid_before_training(sweep, message, monkeypatch):
+    """A grid value that no target can adapt with is reported before either
+    network trains, not after."""
+    calls = []
+    monkeypatch.setattr(evaluate, "train_pair", lambda cfg: calls.append(cfg))
+    with pytest.raises(ValueError, match=message):
+        evaluate.run_three_way(tiny_cfg(), sweep)
+    assert calls == []
+
+
 def test_g_ad_zero_equals_baseline():
     cfg = tiny_cfg()
     report = evaluate.run_three_way(cfg, ("g_ad", [0, 10]))

@@ -95,6 +95,15 @@ def test_config_validation():
     assert cfg.n_support == 4 and cfg.n_query == 5
 
 
+@pytest.mark.parametrize("n_tr", [0, 1])
+def test_config_needs_a_support_and_a_query_sample(n_tr):
+    with pytest.raises(ValueError, match=f"n_tr must be >= 2 to split each source task "
+                                         f"into support and query samples, got {n_tr}"):
+        tiny_cfg(n_tr=n_tr)
+    cfg = tiny_cfg(n_tr=2)
+    assert cfg.n_support == cfg.n_query == 1
+
+
 def test_gradient_order_accounting():
     """Exact meta-training records order g_tr + 1; first-order meta-training,
     meta-training without inner steps, pooled training and both adaption
@@ -806,6 +815,29 @@ def test_meta_train_rejects_malformed_first_visits():
                 (xs.reshape(-1, 8), ys.reshape(-1, 8)), (xs[..., :4], ys[..., :4])):
         with pytest.raises(ValueError, match="first_visit .* 4\\+4 rows"):
             transfer.meta_train(envs, cfg, RNG(0), bad)
+
+
+def test_streamed_blocks_without_a_store_view_the_collected_rows(monkeypatch):
+    """With no row store, a block's support and query arrays are views of
+    the collector's rows, cut at n_support: nothing is copied."""
+    cfg = tiny_cfg(n_tr=7)
+    envs = [ch.sample_environment(i, cfg.gen, cfg.seed) for i in range(5)]
+    collected = []
+    collect_sets = ch.collect_sets
+
+    def recording(*args, **kwargs):
+        collected.append(collect_sets(*args, **kwargs))
+        return collected[-1]
+
+    monkeypatch.setattr(ch, "collect_sets", recording)
+    blocks = list(transfer._streamed_blocks([(i, env, 1) for i, env in enumerate(envs)],
+                                            cfg, None, set()))
+    assert [b[0].shape[:2] for b in blocks] == [(4, 3), (1, 3)]
+    for block, (xs, ys, *_) in zip(blocks, collected):
+        for a, rows in zip(block, (xs, ys, xs, ys)):
+            assert np.shares_memory(a, rows)
+        assert np.array_equal(block[0], xs.reshape(-1, 7, 8)[:, :3])
+        assert np.array_equal(block[3], ys.reshape(-1, 7, 8)[:, 3:])
 
 
 @pytest.mark.parametrize("noise", ["clean", "awgn", "lmmse"])
