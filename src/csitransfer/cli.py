@@ -4,16 +4,19 @@ Every subcommand resolves its flags into a plain config dictionary, runs,
 and writes a JSON manifest next to its primary output recording the
 subcommand, the resolved config, the master seed, build information,
 timestamps, the process's peak resident memory (``peak_rss_mb``, in MiB),
-that of its largest finished child process (``peak_rss_children_mb``: a
-sweep's target workers, 0 when none ran) and the produced files.
+that of its largest finished child process (``peak_rss_children_mb``: the
+meta step's forked lanes and a sweep's target workers, 0 when none ran) and
+the produced files. A ``meta-train`` manifest also records ``meta_lanes``,
+the processes its meta steps ran on (:func:`transfer.meta_lanes`).
 ``rerun MANIFEST`` re-executes the recorded subcommand with the recorded
 config and ignores every other field; all outputs are then byte-identical
 (timestamps and peak memory live only in the manifest), except the stage
 wall-clock times in a sweep's ``.report.json``. That record also holds
-``workers``, the processes the sweep's targets ran in; its adaption and
-testing times are per-target times summed across them. The recorded values
-go through the subcommand's own option declarations, so a malformed one is
-a one-line error, and no environment variable overrides them.
+``workers``, the processes the sweep's targets ran in, and ``meta_lanes``,
+those its meta steps ran on; its adaption and testing times are per-target
+times summed across the workers. The recorded values go through the
+subcommand's own option declarations, so a malformed one is a one-line
+error, and no environment variable overrides them.
 
 Flags can be overridden through environment variables with the ``CSIT_``
 prefix. ``sweep`` shares its options with ``gen``, ``train`` and
@@ -73,6 +76,10 @@ def _write_manifest(subcommand: str, opts: dict, outputs: list[str],
         "finished_at": _utcnow(),
         "outputs": outputs,
     }
+    if subcommand == "meta-train":
+        from .transfer import meta_lanes
+
+        manifest["meta_lanes"] = meta_lanes(_train_config(opts))
     path = opts["out"] + ".manifest.json"
     with open(path, "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
@@ -289,6 +296,7 @@ def sweep_report_record(report) -> dict:
         "variable": report.variable,
         "wall_clock": report.wall_clock,
         "workers": report.workers,
+        "meta_lanes": report.meta_lanes,
         "points": [{"value": point.value,
                     "baselines": {algo: {"per_target": r.per_target,
                                          "nmse_linear": r.mean_linear,

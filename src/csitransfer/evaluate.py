@@ -15,15 +15,17 @@ labels. A target's draws are one :class:`channel.ComboSet`, which also
 owns the target's LMMSE covariance, so every collection for the target
 shares one.
 
-Targets draw only from their own streams, so they run in forked workers, one
-per usable CPU, bit-identically to a serial run; the ``adaption`` and
-``testing`` stage times are per-target times summed across workers.
+Training runs in the caller, which forks the meta step's own lanes
+(:func:`transfer.meta_train`) and joins them before any target starts.
+Targets draw only from their own streams, so they then run in forked
+workers, one per usable CPU, bit-identically to a serial run; the
+``adaption`` and ``testing`` stage times are per-target times summed across
+workers.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -49,7 +51,7 @@ from .channel import (
     sample_environment,
 )
 from .seeding import STREAM_BATCH, STREAM_TARGET_DATA, stream
-from .transfer import TrainConfig, TrainedModel
+from .transfer import TrainConfig, TrainedModel, _usable_cpus
 
 ALGO_NO_TRANSFER = "no-transfer"
 ALGO_DIRECT = "direct-transfer"
@@ -121,8 +123,9 @@ class SweepPoint:
 @dataclass
 class SweepReport:
     """A sweep's points and stage times in seconds: ``training`` in the
-    caller, ``adaption`` and ``testing`` per target, summed across the
-    ``workers`` processes that ran the targets."""
+    caller, on ``meta_lanes`` lanes for the meta step
+    (:func:`transfer.meta_lanes`), and ``adaption`` and ``testing`` per
+    target, summed across the ``workers`` processes that ran the targets."""
 
     variable: str
     grid: list
@@ -130,6 +133,7 @@ class SweepReport:
     config: dict
     wall_clock: dict[str, float] = field(default_factory=dict)
     workers: int = 1
+    meta_lanes: int = 1
 
     def __post_init__(self):
         if len(self.points) != len(self.grid):
@@ -202,7 +206,7 @@ def run_three_way(cfg: TrainConfig, sweep: tuple[str, Sequence] | None = None) -
     if variable == "g_ad" and min(grid) < 0:
         raise ValueError("adaption step counts must be nonnegative")
     clock = {"training": 0.0, "adaption": 0.0, "testing": 0.0}
-    workers = min(cfg.k_t, _usable_cpus())
+    workers, meta_lanes = min(cfg.k_t, _usable_cpus()), transfer.meta_lanes(cfg)
 
     # One trained pair serves an adaption-side grid; a training-side value retrains.
     runs = ([(cfg, variable, grid)] if variable in _ADAPTION_SIDE
@@ -216,7 +220,8 @@ def run_three_way(cfg: TrainConfig, sweep: tuple[str, Sequence] | None = None) -
     points = [replace(point, value=value) for point, value in zip(points, grid)]
 
     return SweepReport(variable=variable, grid=grid, points=points,
-                       config=cfg.snapshot(), wall_clock=clock, workers=workers)
+                       config=cfg.snapshot(), wall_clock=clock, workers=workers,
+                       meta_lanes=meta_lanes)
 
 
 def _adaption_side_points(cfg: TrainConfig, nt: TrainedModel, mt: TrainedModel,
@@ -279,12 +284,6 @@ def _run_target(env: Environment, cfg: TrainConfig, nt: TrainedModel, mt: Traine
     scores = [(test_model(a_dt, d_te), test_model(a_mt, d_te)) for a_dt, a_mt in adapted]
     return nmse_nt, nmse_mt, scores, {"adaption": adaption_s,
                                       "testing": time.perf_counter() - t0}
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on. 1 where ``os.sched_getaffinity`` is
-    missing: every platform that has it can fork workers."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 _worker_job = None  # set in each forked worker by _set_worker_job

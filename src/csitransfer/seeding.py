@@ -19,7 +19,8 @@ STREAM_BATCH = 3
 STREAM_TASK_DATA = 4
 STREAM_COVARIANCE = 5
 STREAM_TARGET_DATA = 6
-STREAM_PROBE = 7
+# 7 is retired: the test suite's probe environments and networks draw from it,
+# so no stream of the program may take it.
 # ``csitransfer gen`` datasets, and the three probes of ``csitransfer gradcheck``.
 STREAM_CLI_GEN = 100
 STREAM_GRADCHECK_BACKWARD = 200

@@ -33,11 +33,24 @@ starts as the query deltas against the query inputs and every reverse step
 appends the rows of its Hessian-vector product. Every dense product is then
 one GEMM of the shared weights against all rows of the block plus thin
 per-task products against the factors.
+
+A task's inner steps and meta-gradient depend only on omega and its own
+data, so ``meta_train`` splits each step's blocks across L lanes
+(:func:`meta_lanes`: one per usable CPU, at most one per block): the
+calling process and L-1 processes forked once per call. Block k runs on
+lane k mod L, which regenerates its tasks from their own streams, and the
+caller adds the blocks' losses and gradients in block order, as one lane
+would, so every lane count gives the same bits. omega and the gradients
+cross through a shared mapping, not the pipes (:class:`_Lanes`).
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import signal
+import sys
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
@@ -359,11 +372,14 @@ def inner_adapt(omega: NetParams, d_sup, g_tr: int,
 
 
 def _meta_batch_eval(omega: NetParams, blocks, g_tr: int, beta: float,
-                     mode: str) -> tuple[float, NetParams]:
+                     mode: str, lanes: "_Lanes | None" = None) -> tuple[float, NetParams]:
     """Summed query loss of the adapted copies and its gradient wrt omega.
 
-    ``blocks`` yields :func:`_regenerate` blocks one at a time and no task's
-    weights are ever formed. After j inner steps a task's layer weight is
+    ``blocks`` yields blocks of support xs, ys and query xs, ys one at a
+    time; with ``lanes`` it lists :func:`_plan_blocks` task lists, which the
+    lanes load and run (:meth:`_Lanes.results`). Either way the blocks'
+    losses and gradients are added here in block order. No task's weights
+    are ever formed. After j inner steps a task's layer weight is
     ``omega - beta * sum_{i<j} delta_i.T @ act_i``: factors whose rows are
     the support deltas and layer inputs of the steps taken, with the biases
     kept per task. Those rows are also the tape of the reverse pass; the
@@ -377,15 +393,13 @@ def _meta_batch_eval(omega: NetParams, blocks, g_tr: int, beta: float,
     """
     if mode not in (META_EXACT, META_FIRST_ORDER):
         raise ValueError(f"unknown meta mode {mode!r}")
+    exact = mode == META_EXACT
+    results = (lanes.results(omega, blocks, g_tr, beta, exact) if lanes is not None
+               else (_meta_block(omega, block, g_tr, beta, exact) for block in blocks))
     total_loss, count = 0.0, 0
     total_grad = net.zeros_like_params(omega)
-    for count, block in enumerate(blocks, 1):
-        if block[0].shape[1] == 0 and g_tr > 0:
-            raise ValueError("support set is empty but inner updates were requested")
-        if block[2].shape[1] == 0:
-            raise ValueError("query set is empty")
-        losses, grad = _meta_block(omega, block, g_tr, beta, mode == META_EXACT)
-        total_loss += float(np.sum(losses))
+    for count, (loss, grad) in enumerate(results, 1):
+        total_loss += loss
         params_axpy(1.0, grad, total_grad, out=total_grad)
     if not count:
         raise ValueError("meta batch is empty")
@@ -393,10 +407,14 @@ def _meta_batch_eval(omega: NetParams, blocks, g_tr: int, beta: float,
 
 
 def _meta_block(omega: NetParams, block, g_tr: int, beta: float,
-                exact: bool) -> tuple[np.ndarray, NetParams]:
-    """Per-task query losses of one block of :func:`_meta_batch_eval` and
-    the sum of the tasks' meta-gradients."""
+                exact: bool) -> tuple[float, NetParams]:
+    """The summed query loss of one block of :func:`_meta_batch_eval`'s
+    tasks and the sum of their meta-gradients."""
     sup_xs, sup_ys, que_xs, que_ys = block
+    if sup_xs.shape[1] == 0 and g_tr > 0:
+        raise ValueError("support set is empty but inner updates were requested")
+    if que_xs.shape[1] == 0:
+        raise ValueError("query set is empty")
     n_sup, n_layers = sup_xs.shape[1], len(omega.weights)
     inner = net.BlockTerms.empty(omega, len(sup_xs), [g_tr * n_sup] * n_layers, -beta)
     for _ in range(g_tr):
@@ -412,7 +430,7 @@ def _meta_block(omega: NetParams, block, g_tr: int, beta: float,
         for j in reversed(range(g_tr)):
             acts, deltas = inner.tape(j * n_sup, (j + 1) * n_sup)
             net.block_hvp_axpy(-beta, omega, inner.head(j * n_sup), acts, deltas, v)
-    return losses, net.block_sum(omega, v)
+    return float(np.sum(losses)), net.block_sum(omega, v)
 
 
 def _support_query(env: Environment, cfg: TrainConfig, visit: int) -> tuple[TaskDataset, TaskDataset]:
@@ -450,27 +468,174 @@ def first_visits(envs: Sequence[Environment], cfg: TrainConfig) -> tuple[np.ndar
     return xs, ys
 
 
-def _streamed_blocks(tasks, cfg: TrainConfig, rows, held):
-    """A meta batch of tasks ``(i, env, visit)`` in blocks of support xs, ys
-    and query xs, ys, cut from the task rows (:func:`_regenerate`). A first
-    visit with ``i`` in ``held`` is read from the row store ``rows``; other
-    tasks are regenerated together, a first visit also into the store.
-    Without a store, the rows are the collector's arrays."""
+def _plan_blocks(tasks, rows, held) -> list[list[tuple[int, int, bool]]]:
+    """A meta batch of distinct tasks ``(i, visit)`` in blocks of ``(i,
+    visit, stored)``: ``stored`` when the task is a first visit that the row
+    store ``rows`` holds (``i`` in ``held``). Every other first visit joins
+    ``held`` here, because the lane that loads its block writes it into the
+    store before the next step."""
+    planned = [(i, visit, not visit and i in held) for i, visit in tasks]
+    if rows is not None:
+        held.update(i for i, visit in tasks if not visit)
+    return [planned[b:b + _TASK_BLOCK] for b in range(0, len(planned), _TASK_BLOCK)]
+
+
+def _load_block(block, envs: Sequence[Environment], cfg: TrainConfig, rows):
+    """One :func:`_plan_blocks` block as support xs, ys and query xs, ys,
+    cut from the task rows (:func:`_regenerate`). A stored task is read
+    from the row store ``rows``; the others are regenerated together, a
+    first visit also into the store. Without a store, the rows are the
+    collector's arrays."""
     n = cfg.n_support
-    for b in range(0, len(tasks), _TASK_BLOCK):
-        block = tasks[b:b + _TASK_BLOCK]
-        fresh = [t for t in block if t[2] or t[0] not in held]
-        drawn = _regenerate([t[1:] for t in fresh], cfg) if fresh else rows  # all held
-        if rows is not None:
-            at = {i: j for j, (i, _, _) in enumerate(fresh)}
-            for i, _, visit in fresh:
-                if not visit:  # a first visit, into the store
-                    rows[0][i], rows[1][i] = drawn[0][at[i]], drawn[1][at[i]]
-                    held.add(i)
-            drawn = [np.stack([a[at[i]] if i in at else store[i] for i, _, _ in block])
-                     for store, a in zip(rows, drawn)]
-        xs, ys = drawn
-        yield xs[:, :n], ys[:, :n], xs[:, n:], ys[:, n:]
+    fresh = [(i, visit) for i, visit, stored in block if not stored]
+    drawn = _regenerate([(envs[i], visit) for i, visit in fresh], cfg) if fresh else rows
+    if rows is not None:
+        at = {i: j for j, (i, _) in enumerate(fresh)}
+        for i, visit in fresh:
+            if not visit:  # a first visit, into the store
+                rows[0][i], rows[1][i] = drawn[0][at[i]], drawn[1][at[i]]
+        drawn = [np.stack([a[at[i]] if i in at else store[i] for i, _, _ in block])
+                 for store, a in zip(rows, drawn)]
+    xs, ys = drawn
+    return xs[:, :n], ys[:, :n], xs[:, n:], ys[:, n:]
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run forked workers on. 1 where
+    ``os.sched_getaffinity`` is missing (every platform that has it can
+    fork workers) and in a daemonic process, which may start none. A process
+    that never imported ``multiprocessing`` is no daemonic one."""
+    mp = sys.modules.get("multiprocessing")
+    if mp is not None and mp.current_process().daemon:
+        return 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def meta_lanes(cfg: TrainConfig) -> int:
+    """The lanes :func:`meta_train` runs ``cfg``'s meta steps on: one per
+    usable CPU, at most one per block of a step, and one for a run of no
+    step."""
+    return min(_usable_cpus(), -(-cfg.k_b // _TASK_BLOCK)) if cfg.max_steps else 1
+
+
+def _shared_empty(*shape: int) -> np.ndarray:
+    """A float64 array in an anonymous shared mapping: what a forked lane
+    writes there, every lane reads."""
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
+
+
+class _Lanes:
+    """The L lanes of one :func:`meta_train` call's meta steps. Lane 0 is
+    the calling process; lanes 1..L-1 are forked once, on entry, and
+    inherit the sources, the config and the row store. Block k of a step
+    runs on lane k mod L, which loads it (:func:`_load_block`) and runs
+    :func:`_meta_block`; :meth:`results` gives the blocks' results in block
+    order. omega and the forked lanes' block gradients go through one
+    anonymous shared mapping made before the fork: one omega slot, and per
+    forked lane two gradient slots used in turn. A pipe per forked lane
+    carries the step's task lists, the blocks' summed losses, and the
+    caller's word that a slot is free again. Leaving the ``with`` block
+    joins every forked lane, and stops them first when an error leaves it.
+    """
+
+    def __init__(self, count: int, envs: Sequence[Environment], cfg: TrainConfig, rows,
+                 omega: NetParams):
+        self.count, self.envs, self.cfg, self.rows = count, envs, cfg, rows
+        self.procs, self.conns = [], []
+        if count > 1:
+            slots = _shared_empty(2 * count - 1, omega.flat.size)
+            self.omega = omega.like(slots[0])
+            self.rings = [[omega.like(s) for s in slots[2 * w - 1:2 * w + 1]]
+                          for w in range(1, count)]
+
+    def __enter__(self) -> "_Lanes":
+        if self.count > 1:
+            import multiprocessing
+
+            ctx = multiprocessing.get_context("fork")
+            try:
+                for ring in self.rings:
+                    ours, theirs = ctx.Pipe()
+                    self.conns.append(ours)
+                    proc = ctx.Process(target=self._serve, args=(theirs, ring, list(self.conns)),
+                                       daemon=True)
+                    proc.start()
+                    self.procs.append(proc)
+                    theirs.close()
+            except BaseException:
+                self.__exit__(*sys.exc_info())
+                raise
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        for proc in self.procs if exc_type is not None else ():
+            proc.terminate()
+        for conn in self.conns:
+            conn.close()
+        for proc in self.procs:
+            proc.join()
+
+    def _serve(self, conn, ring, inherited):
+        """A forked lane's loop: each step's blocks in order, the j-th
+        block's gradient into ring slot j % 2 once the caller has added the
+        gradient the slot held. It ends when the caller closes the pipe, or
+        once it has sent the caller a block's error."""
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller stops the lanes
+        for other in inherited:  # the caller's ends, so only the caller holds them
+            other.close()
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                while True:
+                    blocks, g_tr, beta, exact = conn.recv()
+                    for j, block in enumerate(blocks):
+                        try:
+                            loss, grad = _meta_block(
+                                self.omega, _load_block(block, self.envs, self.cfg, self.rows),
+                                g_tr, beta, exact)
+                        except Exception as exc:  # the caller raises it and stops the lanes
+                            conn.send(exc)
+                            return
+                        if j >= 2:
+                            conn.recv()  # the slot is free
+                        np.copyto(ring[j % 2].flat, grad.flat)
+                        conn.send(loss)
+            except EOFError:
+                pass
+
+    def results(self, omega: NetParams, blocks, g_tr: int, beta: float, exact: bool):
+        """``(loss, gradient)`` of every block in block order, each block
+        run on its lane. Lane 0 runs its block of the next round of L
+        blocks before it takes the forked lanes' results of this round, so
+        it seldom waits on them. A forked lane's gradient is a view of its
+        slot, valid until the next result is asked for."""
+        lanes, n = self.count, len(blocks)
+
+        def own(k):
+            block = _load_block(blocks[k], self.envs, self.cfg, self.rows)
+            return _meta_block(omega, block, g_tr, beta, exact)
+
+        if lanes == 1:
+            yield from map(own, range(n))
+            return
+        np.copyto(self.omega.flat, omega.flat)
+        for lane, conn in enumerate(self.conns, 1):
+            conn.send((blocks[lane::lanes], g_tr, beta, exact))
+        ahead = own(0)
+        for k in range(0, n, lanes):
+            yield ahead
+            ahead = own(k + lanes) if k + lanes < n else None
+            for lane in range(1, min(lanes, n - k)):
+                conn = self.conns[lane - 1]
+                try:
+                    reply = conn.recv()
+                except EOFError:
+                    raise RuntimeError(f"meta-step lane {lane} exited during block {k + lane}"
+                                       ) from None
+                if isinstance(reply, Exception):
+                    raise reply
+                yield reply, self.rings[lane - 1][k // lanes % 2]
+                if k + lane + 2 * lanes < n:
+                    conn.send(None)  # the slot is free again
 
 
 def meta_train(source_envs: Sequence[Environment], cfg: TrainConfig,
@@ -480,13 +645,19 @@ def meta_train(source_envs: Sequence[Environment], cfg: TrainConfig,
 
     Each time step draws ``k_b`` tasks, regenerates their support/query
     sets (visit 0 throughout under ``fixed_task_data``), computes the meta
-    gradient and applies one Adam step at rate ``gamma``; the batch streams
-    through the step block by block (:func:`_streamed_blocks`). First
-    visits are read from ``first_visit`` (``first_visits(source_envs, cfg)``)
-    when given, else stored as generated under ``fixed_task_data``.
-    Initialization comes from the config's network-init substream; the
-    passed generator drives task selection only. A non-finite meta loss
-    raises :class:`NonFiniteLoss` at its step; overflow warnings are silenced.
+    gradient and applies one Adam step at rate ``gamma``. The batch runs in
+    blocks of tasks (:func:`_plan_blocks`) on :func:`meta_lanes` lanes:
+    block k on lane k mod L, each lane loading its own blocks, and the
+    blocks' losses and gradients added in block order, so every lane count
+    gives the same bits (:class:`_Lanes`). One lane forks nothing. First
+    visits are read from ``first_visit`` (``first_visits(source_envs,
+    cfg)``) when given, else stored as generated under ``fixed_task_data``,
+    in a shared row store that every lane reads. Initialization comes from
+    the config's network-init substream; the passed generator drives task
+    selection only. A non-finite meta loss raises :class:`NonFiniteLoss` at
+    its step; an error in a forked lane's block is raised here; overflow
+    warnings are silenced. Every forked lane has exited when this returns
+    or raises.
     """
     n_envs = len(source_envs)
     if n_envs < cfg.k_b:
@@ -497,19 +668,20 @@ def meta_train(source_envs: Sequence[Environment], cfg: TrainConfig,
                          f"task of {cfg.n_support}+{cfg.n_query} rows per environment")
     rows, held = first_visit, set(range(n_envs)) if first_visit is not None else set()
     if rows is None and cfg.fixed_task_data:
-        rows = np.empty(shape), np.empty(shape)
+        rows = _shared_empty(*shape), _shared_empty(*shape)
     params = init_network(cfg)
     state = AdamState.init(params)
     visits = np.zeros(n_envs, dtype=int)
     history: list[float] = []
 
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _Lanes(meta_lanes(cfg), source_envs, cfg, rows, params) as lanes, \
+            np.errstate(over="ignore", invalid="ignore"):
         for step in range(cfg.max_steps):
             chosen = sorted(int(j) for j in rng.choice(n_envs, size=cfg.k_b, replace=False))
-            tasks = [(i, source_envs[i], int(visits[i])) for i in chosen]
+            tasks = [(i, int(visits[i])) for i in chosen]
             visits[chosen] += not cfg.fixed_task_data  # fixed data: visit 0 throughout
-            loss, grad = _meta_batch_eval(params, _streamed_blocks(tasks, cfg, rows, held),
-                                          cfg.g_tr, cfg.beta, cfg.meta_mode)
+            loss, grad = _meta_batch_eval(params, _plan_blocks(tasks, rows, held),
+                                          cfg.g_tr, cfg.beta, cfg.meta_mode, lanes)
             _check_finite("meta-training", step, loss)
             params, state = adam_step(state, params, grad, cfg.gamma)
             history.append(loss)

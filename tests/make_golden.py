@@ -8,13 +8,15 @@ Every case runs at M=4 antennas and records its numbers as ``float.hex``.
 The training cases train a tiny network (hidden layers 8,8) and record its
 parameters (``params.flat``) and loss history. They cover
 ``evaluate.train_pair`` with fixed and regenerated meta-learning tasks
-under clean and LMMSE noise, and the checkpoints of ``csitransfer train``
+under clean and LMMSE noise (and with first-order meta-gradients on
+regenerated clean tasks), and the checkpoints of ``csitransfer train``
 (generated sources and ``--sources``) and ``csitransfer meta-train`` (with
-and without ``--fixed-task-data``). The ``gen`` cases record the columns of
-``csitransfer gen`` files under clean, AWGN and LMMSE noise. The
-``three_way`` cases record ``evaluate.run_three_way``'s per-target NMSEs and
-baselines for no sweep, an ``n_ad`` sweep (whose smaller values collect a
-prefix of the adaption combinations) and an ``snr_db`` sweep under LMMSE.
+and without ``--fixed-task-data``, and with ``--meta-mode first-order``).
+The ``gen`` cases record the columns of ``csitransfer gen`` files under
+clean, AWGN and LMMSE noise. The ``three_way`` cases record
+``evaluate.run_three_way``'s per-target NMSEs and baselines for no sweep,
+an ``n_ad`` sweep (whose smaller values collect a prefix of the adaption
+combinations) and an ``snr_db`` sweep under LMMSE.
 ``test_golden.py`` recomputes each case with :data:`CASES` and compares.
 
 The record also names the numpy version and BLAS build it was computed on.
@@ -58,7 +60,7 @@ def _model(model) -> dict:
     return {"params": _hexes(model.params.flat), "loss": _hexes(model.loss_history)}
 
 
-def _train_pair(noise: str, fixed: bool):
+def _train_pair(noise: str, fixed: bool, mode: str = "exact"):
     def case() -> dict:
         gen = ch.GeneratorConfig(array=ch.ArrayConfig(m=4), users=4,
                                  noise=ch.NoiseSpec(mode=noise))
@@ -67,7 +69,7 @@ def _train_pair(noise: str, fixed: bool):
         # regenerated runs mix stored and regenerated tasks in one block.
         cfg = TrainConfig(k_s=12, k_b=9, n_tr=7, u=4, v=16, g_tr=2, beta=1e-2, gamma=1e-2,
                           hidden=(8, 8), max_steps=4, seed=3, fixed_task_data=fixed,
-                          gen=gen)
+                          meta_mode=mode, gen=gen)
         nt, mt = evaluate.train_pair(cfg)
         return {"no_transfer": _model(nt), "meta": _model(mt)}
     return case
@@ -131,12 +133,16 @@ CASES = {
     f"train_pair/{noise}/{'fixed' if fixed else 'regenerated'}": _train_pair(noise, fixed)
     for noise in (ch.NOISE_CLEAN, ch.NOISE_LMMSE) for fixed in (False, True)
 }
+CASES["train_pair/clean/regenerated/first-order"] = _train_pair(ch.NOISE_CLEAN, False,
+                                                                "first-order")
 CASES.update({
     "cli/train": _cli("train", *TINY_GEN, "--noise-mode", "clean", *TINY_TRAIN),
     "cli/train-sources": _cli("train", *TINY_GEN, "--noise-mode", "awgn", *TINY_TRAIN,
                               sources=True),
     "cli/meta-train": _cli("meta-train", *TINY_GEN, "--noise-mode", "clean", *TINY_TRAIN,
                            *TINY_META),
+    "cli/meta-train-first-order": _cli("meta-train", *TINY_GEN, "--noise-mode", "clean",
+                                       *TINY_TRAIN, *TINY_META, "--meta-mode", "first-order"),
     "cli/meta-train-fixed": _cli("meta-train", *TINY_GEN, "--noise-mode", "lmmse",
                                  *TINY_TRAIN, *TINY_META, "--fixed-task-data"),
 })

@@ -403,6 +403,29 @@ def test_sweep_manifest_records_its_workers_peak_memory(tmp_path):
     assert (manifest["peak_rss_children_mb"] > 0) == (workers > 1)
 
 
+def test_meta_lanes_are_recorded_and_change_no_output(tmp_path, monkeypatch):
+    """``meta-train``'s manifest and a sweep's report record the meta step's
+    lanes. On 1 lane or on 2 (5 tasks per step make 2 blocks, so 3 CPUs
+    give 2 lanes), the checkpoint, its sidecar, the loss CSV and the sweep
+    CSV are byte-identical."""
+    files = {}
+    for cpus in (1, 3):
+        monkeypatch.setattr(transfer, "_usable_cpus", lambda: cpus)
+        ck, csv = str(tmp_path / f"meta{cpus}.ck"), str(tmp_path / f"sweep{cpus}.csv")
+        assert run_cli("meta-train", *TINY_GEN, *TINY_TRAIN, "--k-b", 5, "--g-tr", 1,
+                       "--max-steps", 3, "--out", ck).exit_code == 0
+        assert run_cli("sweep", "--k-s", 6, "--k-t", 1, "--k-b", 5, "--users", 3,
+                       "--antennas", 2, "--n-tr", 4, "--n-ad", 4, "--n-te", 3, "--v", 8,
+                       "--max-steps", 2, "--g-ad", 3, "--hidden", "4", "--g-tr", 1,
+                       "--out", csv).exit_code == 0
+        lanes = min(cpus, 2)
+        assert json.load(open(ck + ".manifest.json"))["meta_lanes"] == lanes
+        assert json.load(open(csv + ".report.json"))["meta_lanes"] == lanes
+        files[cpus] = [open(path, "rb").read()
+                       for path in (ck, ck + ".meta.json", ck + ".loss.csv", csv)]
+    assert files[3] == files[1]
+
+
 def test_sweep_requires_grid(tmp_path):
     res = RUNNER.invoke(cli, ["sweep", "--variable", "g-ad",
                               "--out", str(tmp_path / "x.csv")])

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import multiprocessing
+import os
 import pickle
 import tracemalloc
 from dataclasses import replace
@@ -830,8 +832,8 @@ def test_streamed_blocks_without_a_store_view_the_collected_rows(monkeypatch):
         return collected[-1]
 
     monkeypatch.setattr(ch, "collect_sets", recording)
-    blocks = list(transfer._streamed_blocks([(i, env, 1) for i, env in enumerate(envs)],
-                                            cfg, None, set()))
+    blocks = [transfer._load_block(block, envs, cfg, None)
+              for block in transfer._plan_blocks([(i, 1) for i in range(5)], None, set())]
     assert [b[0].shape[:2] for b in blocks] == [(4, 3), (1, 3)]
     for block, (xs, ys, *_) in zip(blocks, collected):
         for a, rows in zip(block, (xs, ys, xs, ys)):
@@ -905,6 +907,109 @@ def test_meta_train_requires_enough_sources():
     envs = [ch.sample_environment(i, cfg.gen, cfg.seed) for i in range(2)]
     with pytest.raises(ValueError):
         transfer.meta_train(envs, cfg, RNG(0))
+
+
+# ---------------------------------------------------------------------------
+# meta-step lanes
+
+
+def lane_cfg(**overrides):
+    """9 tasks per step make blocks of 4, 4 and 1. 16 sources over 3 steps
+    revisit some, so a step mixes stored and regenerated tasks, and a task
+    stored by one lane is read by another in a later step."""
+    return tiny_cfg(**{"k_s": 16, "k_b": 9, "n_tr": 3, "max_steps": 3, "hidden": (8,),
+                       **overrides})
+
+
+@pytest.mark.parametrize("meta_mode", ["exact", "first-order"])
+@pytest.mark.parametrize("noise", ["clean", "lmmse"])
+def test_meta_train_lanes_give_bit_identical_runs(monkeypatch, noise, meta_mode):
+    """1, 2 and 3 lanes give the same weights and losses, bit for bit: with
+    every task regenerated, with first visits passed in, and with lazy fixed
+    task data (the lanes fill one shared row store). Every forked lane has
+    exited when ``meta_train`` returns."""
+    gen = ch.GeneratorConfig(array=ch.ArrayConfig(m=4), users=5,
+                             noise=ch.NoiseSpec(snr_db=10.0, pilot_len=4, mode=noise))
+    cfg = lane_cfg(meta_mode=meta_mode, gen=gen)
+    envs = [ch.sample_environment(i, gen, cfg.seed) for i in range(cfg.k_s)]
+    first_visit = transfer.first_visits(envs, cfg)
+    for fixed, given in ((False, None), (False, first_visit), (True, None)):
+        c = replace(cfg, fixed_task_data=fixed)
+        runs = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(transfer, "_usable_cpus", lambda: cpus)
+            assert transfer.meta_lanes(c) == cpus
+            model = transfer.meta_train(envs, c, stream(c.seed, STREAM_BATCH, 1), given)
+            assert multiprocessing.active_children() == []
+            runs.append((model.params.flat.tobytes(), [x.hex() for x in model.loss_history]))
+        assert runs[1] == runs[0] and runs[2] == runs[0], (fixed, given is not None)
+
+
+def test_meta_step_of_one_block_starts_no_process(monkeypatch):
+    """Lanes are capped by the blocks of a step: a step of one block forks
+    nothing, however many CPUs there are, and neither does a run of no step."""
+    def no_fork():
+        raise AssertionError("a process was forked")
+
+    monkeypatch.setattr(transfer, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(os, "fork", no_fork)
+    cfg = lane_cfg(k_b=transfer._TASK_BLOCK)
+    envs = [ch.sample_environment(i, cfg.gen, cfg.seed) for i in range(cfg.k_s)]
+    assert transfer.meta_lanes(cfg) == 1
+    assert len(transfer.meta_train(envs, cfg, RNG(0)).loss_history) == cfg.max_steps
+    assert transfer.meta_lanes(replace(cfg, k_b=9, max_steps=0)) == 1
+    transfer.meta_train(envs, replace(cfg, k_b=9, max_steps=0), RNG(0))
+
+
+def test_daemonic_process_runs_one_lane(monkeypatch):
+    """A daemonic process may start no children, so its meta steps run on
+    one lane and fork nothing."""
+    def no_fork():
+        raise AssertionError("a process was forked")
+
+    monkeypatch.setitem(multiprocessing.current_process()._config, "daemon", True)
+    monkeypatch.setattr(os, "fork", no_fork)
+    cfg = lane_cfg()
+    envs = [ch.sample_environment(i, cfg.gen, cfg.seed) for i in range(cfg.k_s)]
+    assert transfer._usable_cpus() == 1 and transfer.meta_lanes(cfg) == 1
+    assert len(transfer.meta_train(envs, cfg, RNG(0)).loss_history) == cfg.max_steps
+
+
+def test_error_in_a_forked_lane_reaches_the_caller(monkeypatch):
+    """A ``ValueError`` raised in a block that a forked lane runs is raised
+    by ``meta_train`` with its type and message, and no lane outlives it."""
+    caller = os.getpid()
+    meta_block = transfer._meta_block
+
+    def failing_in_lanes(*args, **kwargs):
+        if os.getpid() != caller:
+            raise ValueError("block failed in a lane")
+        return meta_block(*args, **kwargs)
+
+    monkeypatch.setattr(transfer, "_meta_block", failing_in_lanes)
+    monkeypatch.setattr(transfer, "_usable_cpus", lambda: 3)
+    cfg = lane_cfg()
+    envs = [ch.sample_environment(i, cfg.gen, cfg.seed) for i in range(cfg.k_s)]
+    with pytest.raises(ValueError, match="^block failed in a lane$"):
+        transfer.meta_train(envs, cfg, RNG(0))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_meta_train_names_its_step_on_every_lane_count(monkeypatch):
+    """A run that diverges raises ``NonFiniteLoss`` at the same step, with
+    the same message, on 1, 2 and 3 lanes, and no lane outlives it."""
+    cfg = lane_cfg(n_tr=5, beta=0.3, gamma=100.0, g_tr=3, max_steps=20)
+    envs = [ch.sample_environment(i, cfg.gen, cfg.seed) for i in range(cfg.k_s)]
+    errors = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(transfer, "_usable_cpus", lambda: cpus)
+        with pytest.raises(transfer.NonFiniteLoss) as err:
+            transfer.meta_train(envs, cfg, stream(cfg.seed, STREAM_BATCH, 1))
+        assert multiprocessing.active_children() == []
+        errors.append((err.value.stage, err.value.step, str(err.value)))
+    assert errors[0][0] == "meta-training" and 0 < errors[0][1] < cfg.max_steps
+    assert errors[1] == errors[0] and errors[2] == errors[0]
 
 
 def test_support_query_disjoint():
