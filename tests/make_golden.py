@@ -16,7 +16,9 @@ The ``gen`` cases record the columns of ``csitransfer gen`` files under
 clean, AWGN and LMMSE noise. The ``three_way`` cases record
 ``evaluate.run_three_way``'s per-target NMSEs and baselines for no sweep,
 an ``n_ad`` sweep (whose smaller values collect a prefix of the adaption
-combinations) and an ``snr_db`` sweep under LMMSE.
+combinations) and an ``snr_db`` sweep under LMMSE, and the parameters and
+loss history of every model adapted on the way (Adam for direct transfer,
+GD for meta-learning), by target, rule and call.
 ``test_golden.py`` recomputes each case with :data:`CASES` and compares.
 
 The record also names the numpy version and BLAS build it was computed on.
@@ -26,6 +28,8 @@ which values moved, why and by how much.
 
 from __future__ import annotations
 
+import collections
+import glob
 import json
 import os
 import tempfile
@@ -34,7 +38,7 @@ import numpy as np
 from click.testing import CliRunner
 
 from csitransfer import channel as ch
-from csitransfer import evaluate, store
+from csitransfer import evaluate, store, transfer
 from csitransfer.cli import cli
 from csitransfer.transfer import TrainConfig
 
@@ -90,18 +94,48 @@ def _gen(noise: str):
     return case
 
 
+def _recording(adapt, folder: str):
+    """``adapt`` (``transfer.adapt_snapshots``), also writing every model it
+    returns to a file in ``folder``, named by target, rule, call and step:
+    targets may run in other processes, which return only NMSEs."""
+    calls = collections.Counter()
+
+    def recorded(base, d_ad, cfg, rule, step_marks):
+        out = adapt(base, d_ad, cfg, rule, step_marks)
+        key = f"target-{d_ad.env_id}/{rule}"
+        calls[key] += 1  # a target's calls run in one process, in grid order
+        for step, model in out.items():
+            name = f"{key}/call-{calls[key]}/step-{step}".replace("/", "~")
+            with open(os.path.join(folder, name + ".json"), "w") as f:
+                json.dump(_model(model), f)
+        return out
+    return recorded
+
+
 def _three_way(sweep, noise: str = ch.NOISE_CLEAN):
     def case() -> dict:
         gen = ch.GeneratorConfig(array=ch.ArrayConfig(m=4), users=4,
                                  noise=ch.NoiseSpec(mode=noise))
         cfg = TrainConfig(k_s=4, k_t=2, k_b=2, n_tr=4, n_ad=6, n_te=4, u=4, v=8, g_tr=1,
                           g_ad=5, hidden=(8, 8), max_steps=3, seed=5, gen=gen)
-        report = evaluate.run_three_way(cfg, sweep)
+        adapt = transfer.adapt_snapshots
+        with tempfile.TemporaryDirectory() as tmp:
+            transfer.adapt_snapshots = _recording(adapt, tmp)
+            try:
+                report = evaluate.run_three_way(cfg, sweep)
+            finally:
+                transfer.adapt_snapshots = adapt
+            adapted = {}
+            for path in sorted(glob.glob(os.path.join(tmp, "*.json"))):
+                with open(path) as f:
+                    name = os.path.basename(path)[:-len(".json")].replace("~", "/")
+                    adapted[f"adapted/{name}"] = json.load(f)
         out = {"baselines": {algo: _hexes(r.per_target)
                              for algo, r in report.points[0].baselines.items()}}
         out.update({f"value-{p.value}": {algo: _hexes(r.per_target)
                                          for algo, r in p.results.items()}
                     for p in report.points})
+        out.update(adapted)
         return out
     return case
 
