@@ -32,7 +32,10 @@ observation (pilot processing gain folded into the noise variance) followed
 by an optional LMMSE estimate against the environment's channel covariance,
 which the collected :class:`ComboSet` builds once and owns. A set's noise
 is drawn as one block that consumes its generator in the same order as
-drawing it pair by pair, uplink before downlink.
+drawing it pair by pair, uplink before downlink. The per-link LMMSE
+estimates (a covariance at the link's carrier and a solve each) dominate
+an LMMSE collection, so :func:`collect_sets` runs them on forked lanes
+(:mod:`csitransfer.lanes`) once the covariances and noise are drawn.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import lanes
 from .seeding import STREAM_COVARIANCE, STREAM_ENV, stream, stream_and_seed
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -437,6 +441,11 @@ def lmmse_estimate(y: np.ndarray, r: np.ndarray, sigma2: float) -> np.ndarray:
 _POOL_USERS = 200
 _RIDGE = 1e-6
 
+# Ray sums (an LMMSE link counts its covariance's pool) below which a
+# collection forks no lane: a fork and join costs about 2 ms, and 4,000 ray
+# sums (20 LMMSE links, or 4,000 clean ones with their draws) 10-40 ms.
+_LANE_MIN_RAY_SUMS = 4000
+
 # Rows per slice of _ray_sum and pool users per Hermitian product of a
 # covariance. The kernel's two power tables hold 2*q*P complex entries per
 # row (0.3 MB for 50 rows of 25 rays at M=64), so slices keep its transient
@@ -591,7 +600,8 @@ def collect_sets(combo_sets: Sequence[ComboSet], roles: Sequence[str], delta_f: 
     and ``f_up + delta_f``. All links go through one batched ray sum. Set s
     draws its noise from ``rngs[s]`` as one AWGN block (pairs, 2 links, 2
     parts, M), roles in the order given, as pair-by-pair collection would;
-    LMMSE estimates each link against the set's :meth:`ComboSet.covariance`.
+    LMMSE estimates each link against the set's :meth:`ComboSet.covariance`,
+    a link per item of :func:`lanes.fork_map` (:func:`collection_lanes`).
 
     Returns the arrays of :class:`TaskDataset`, ``xs`` to ``user_index``:
     rows ``(S*n, 2M)`` and columns ``(S*n,)``, set by set and within a set
@@ -620,13 +630,29 @@ def collect_sets(combo_sets: Sequence[ComboSet], roles: Sequence[str], delta_f: 
                         for h_s, rng in zip(h, rngs)])
     if noise.mode == NOISE_LMMSE:
         sigma2 = noise_variance(h, noise.snr_db, noise.pilot_len)
-        covs = [cs.covariance(cfg) for cs in combo_sets]
-        for link in np.ndindex(f.shape):
+        covs = [cs.covariance(cfg) for cs in combo_sets]  # built and kept in the caller
+        links = list(np.ndindex(f.shape))
+        count = collection_lanes(len(links), len(links), noise)
+        if count > 1:  # the lanes write their estimates where the caller reads them
+            est, private = lanes.shared_empty(est.shape, complex), est
+            est[...] = private
+
+        def estimate(k):
+            link = links[k]
             est[link] = lmmse_estimate(est[link], covs[link[0]].at(f[link]), sigma2[link])
+
+        lanes.fork_map(estimate, len(links), count)
     xs, ys = (complex_to_real(est[:, :, link].reshape(-1, cfg.m)) for link in (0, 1))
     f = f.reshape(-1, 2)
     return (xs, ys, ys if noise.mode == NOISE_CLEAN else
             complex_to_real(h[:, :, 1].reshape(-1, cfg.m)), f[:, 0], f[:, 1], uids.reshape(-1))
+
+
+def collection_lanes(links: int, items: int, noise: NoiseSpec) -> int:
+    """Lanes for collecting ``links`` links in ``items`` items: one unless
+    their ray sums reach ``_LANE_MIN_RAY_SUMS``."""
+    ray_sums = links * (1 + _POOL_USERS if noise.mode == NOISE_LMMSE else 1)
+    return lanes.lane_count(items, ray_sums >= _LANE_MIN_RAY_SUMS)
 
 
 def collect(combo_set: ComboSet, role: str, delta_f: float, cfg: ArrayConfig,
@@ -651,7 +677,16 @@ def generate_task_datasets(env: Environment, role_counts: Sequence[tuple[str, in
     """Generate datasets for several roles of one environment at once.
 
     Roles drawn together are disjoint in their (user, uplink frequency)
-    keys (see :func:`draw_combos`) and share one LMMSE covariance.
+    keys (see :func:`draw_combos`) and collected in one :func:`collect_sets`
+    call, with one covariance and the bits of collecting them one by one.
     """
     combo_set = draw_combos(env, role_counts, u, f_range, rng, delay_max)
-    return [collect(combo_set, role, delta_f, cfg, noise, rng) for role, _ in role_counts]
+    arrays = collect_sets([combo_set], [role for role, _ in role_counts], delta_f, cfg, noise,
+                          [rng])
+    out, lo = [], 0
+    for role, n in role_counts:
+        xs, ys, y_clean, *rest = (a[lo:lo + n] for a in arrays)
+        out.append(TaskDataset(env.id, role, xs, ys, ys if arrays[2] is arrays[1] else y_clean,
+                               *rest))
+        lo += n
+    return out

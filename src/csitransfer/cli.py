@@ -5,16 +5,20 @@ and writes a JSON manifest next to its primary output recording the
 subcommand, the resolved config, the master seed, build information,
 timestamps, the process's peak resident memory (``peak_rss_mb``, in MiB),
 that of its largest finished child process (``peak_rss_children_mb``: the
-meta step's forked lanes and a sweep's target workers, 0 when none ran) and
-the produced files. A ``meta-train`` manifest also records ``meta_lanes``,
-the processes its meta steps ran on (:func:`transfer.meta_lanes`).
+forked lanes of :mod:`csitransfer.lanes`, 0 when none ran) and the produced
+files. A ``gen`` or ``train`` manifest also records ``lanes``, the lanes
+that its map over environments (``gen``) or blocks of first visits
+(``train``) actually ran on, 1 for ``train --sources`` (a map of one item
+runs in the caller, whose LMMSE estimates may still split across lanes),
+and a ``meta-train`` manifest ``meta_lanes``, those its meta steps ran on
+(:func:`transfer.meta_lanes`).
 ``rerun MANIFEST`` re-executes the recorded subcommand with the recorded
 config and ignores every other field; all outputs are then byte-identical
 (timestamps and peak memory live only in the manifest), except the stage
 wall-clock times in a sweep's ``.report.json``. That record also holds
-``workers``, the processes the sweep's targets ran in, and ``meta_lanes``,
+``workers``, the lanes the sweep's targets ran on, and ``meta_lanes``,
 those its meta steps ran on; its adaption and testing times are per-target
-times summed across the workers. The recorded values go through the
+times summed across the targets. The recorded values go through the
 subcommand's own option declarations, so a malformed one is a one-line
 error, and no environment variable overrides them.
 
@@ -62,7 +66,7 @@ def _build_info() -> dict:
     return {"version": __version__, "git": git}
 
 
-def _write_manifest(subcommand: str, opts: dict, outputs: list[str],
+def _write_manifest(subcommand: str, opts: dict, outputs: list[str], record: dict,
                     started: str):
     manifest = {
         "subcommand": subcommand,
@@ -75,11 +79,8 @@ def _write_manifest(subcommand: str, opts: dict, outputs: list[str],
         "started_at": started,
         "finished_at": _utcnow(),
         "outputs": outputs,
+        **record,
     }
-    if subcommand == "meta-train":
-        from .transfer import meta_lanes
-
-        manifest["meta_lanes"] = meta_lanes(_train_config(opts))
     path = opts["out"] + ".manifest.json"
     with open(path, "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
@@ -156,26 +157,40 @@ def _train_config(opts: dict):
 
 
 # ---------------------------------------------------------------------------
-# Command implementations (plain dict in, output paths out; rerunnable).
+# Command implementations (plain dict in; output paths and the manifest's
+# extra fields out; rerunnable).
 
 
-def _impl_gen(opts: dict) -> list[str]:
-    from . import store
-    from .channel import generate_task_datasets, sample_environment
+def _impl_gen(opts: dict) -> tuple[list[str], dict]:
+    import numpy as np
+
+    from . import lanes, store
+    from .channel import TaskDataset, collection_lanes, generate_task_datasets, sample_environment
     from .seeding import STREAM_CLI_GEN, stream
 
     gcfg = _generator_config(opts)
-    role_code = ROLE_CHOICES.index(opts["role"])
-    datasets = []
-    for env_id in range(opts["first_env_id"], opts["first_env_id"] + opts["envs"]):
-        env = sample_environment(env_id, gcfg, opts["seed"])
-        rng = stream(env.seed, STREAM_CLI_GEN, role_code)
-        datasets.append(generate_task_datasets(
-            env, [(opts["role"], opts["pairs"])], gcfg.users,
-            (gcfg.f_min, gcfg.f_max), gcfg.delta_f, gcfg.array, gcfg.noise,
-            rng, gcfg.delay_max)[0])
+    role, envs, pairs, first = opts["role"], opts["envs"], opts["pairs"], opts["first_env_id"]
+    count = collection_lanes(envs * pairs * 2, envs, gcfg.noise)
+    empty = lanes.shared_empty if count > 1 else np.empty
+    wide, rows = (envs, pairs, 2 * gcfg.array.m), (envs, pairs)
+    ys = empty(wide)  # xs, ys, y_clean (ys itself under clean noise), f_up, f_down, user_index
+    columns = [empty(wide), ys, ys if gcfg.noise.mode == "clean" else empty(wide),
+               empty(rows), empty(rows), empty(rows, np.int64)]
+
+    def collect(k):  # environment first + k, into row k of every column
+        env = sample_environment(first + k, gcfg, opts["seed"])
+        (d,) = generate_task_datasets(
+            env, [(role, pairs)], gcfg.users, (gcfg.f_min, gcfg.f_max), gcfg.delta_f,
+            gcfg.array, gcfg.noise, stream(env.seed, STREAM_CLI_GEN, ROLE_CHOICES.index(role)),
+            gcfg.delay_max)
+        for column, a in zip(columns, (d.xs, d.ys, d.y_clean, d.f_up, d.f_down, d.user_index)):
+            column[k] = a
+
+    ran = lanes.fork_map(collect, envs, count)[1]
+    datasets = [TaskDataset(first + k, role, *(column[k] for column in columns))
+                for k in range(envs)]
     store.write_dataset(opts["out"], datasets, gcfg.noise, gcfg.delta_f)
-    return [opts["out"], opts["out"] + ".meta.json"]
+    return [opts["out"], opts["out"] + ".meta.json"], {"lanes": ran}
 
 
 def _write_model(path: str, model) -> list[str]:
@@ -188,7 +203,7 @@ def _write_model(path: str, model) -> list[str]:
     return [path, path + ".meta.json", path + ".loss.csv"]
 
 
-def _impl_train(opts: dict) -> list[str]:
+def _impl_train(opts: dict) -> tuple[list[str], dict]:
     import numpy as np
 
     from . import store
@@ -197,7 +212,7 @@ def _impl_train(opts: dict) -> list[str]:
     from .transfer import first_visits, train_no_transfer
 
     cfg = _train_config(opts)
-    m = cfg.gen.array.m
+    m, ran = cfg.gen.array.m, 1
     if opts.get("sources"):
         pool = []
         for path in opts["sources"]:
@@ -208,19 +223,20 @@ def _impl_train(opts: dict) -> list[str]:
             pool.extend(blob.datasets)
         xs, ys = (np.concatenate([getattr(d, a) for d in pool]) for a in ("xs", "ys"))
     else:
-        xs, ys = (a.reshape(-1, 2 * m) for a in first_visits(source_environments(cfg), cfg))
+        xs, ys, ran = first_visits(source_environments(cfg), cfg)
+        xs, ys = xs.reshape(-1, 2 * m), ys.reshape(-1, 2 * m)
     model = train_no_transfer(xs, ys, cfg, stream(cfg.seed, STREAM_BATCH, 0))
-    return _write_model(opts["out"], model)
+    return _write_model(opts["out"], model), {"lanes": ran}
 
 
-def _impl_meta_train(opts: dict) -> list[str]:
+def _impl_meta_train(opts: dict) -> tuple[list[str], dict]:
     from .evaluate import source_environments
     from .seeding import STREAM_BATCH, stream
-    from .transfer import meta_train
+    from .transfer import meta_lanes, meta_train
 
     cfg = _train_config(opts)
     model = meta_train(source_environments(cfg), cfg, stream(cfg.seed, STREAM_BATCH, 1))
-    return _write_model(opts["out"], model)
+    return _write_model(opts["out"], model), {"meta_lanes": meta_lanes(cfg)}
 
 
 def _load_adaption_set(opts: dict):
@@ -239,7 +255,7 @@ def _check_m(model, file_m: int):
             f"carries {file_m}")
 
 
-def _impl_adapt(opts: dict) -> list[str]:
+def _impl_adapt(opts: dict) -> tuple[list[str], dict]:
     from . import store
     from .transfer import (PROVENANCE_META, RULE_ADAM, RULE_GD, TrainConfig,
                            adapt_snapshots)
@@ -252,10 +268,10 @@ def _impl_adapt(opts: dict) -> list[str]:
         rule = RULE_GD if model.provenance == PROVENANCE_META else RULE_ADAM
     cfg = TrainConfig(beta=opts["beta"], g_ad=opts["g_ad"], seed=opts["seed"])
     adapted = adapt_snapshots(model, d_ad, cfg, rule, [opts["g_ad"]])[opts["g_ad"]]
-    return _write_model(opts["out"], adapted)
+    return _write_model(opts["out"], adapted), {}
 
 
-def _impl_eval(opts: dict) -> list[str]:
+def _impl_eval(opts: dict) -> tuple[list[str], dict]:
     from . import store
     from .evaluate import NmseResult, test_model
 
@@ -273,7 +289,7 @@ def _impl_eval(opts: dict) -> list[str]:
                 "k_targets", "seed"],
                [["", result.algorithm, repr(result.mean_linear),
                  repr(result.mean_db), len(per_target), opts["seed"]]])
-    return [opts["out"]]
+    return [opts["out"]], {}
 
 
 def sweep_report_rows(report, seed: int) -> list[list]:
@@ -306,7 +322,7 @@ def sweep_report_record(report) -> dict:
     }
 
 
-def _impl_sweep(opts: dict) -> list[str]:
+def _impl_sweep(opts: dict) -> tuple[list[str], dict]:
     from .evaluate import run_three_way
 
     cfg = _train_config(opts)
@@ -321,10 +337,10 @@ def _impl_sweep(opts: dict) -> list[str]:
     report_path = opts["out"] + ".report.json"
     with open(report_path, "w") as f:
         json.dump(sweep_report_record(report), f, indent=2, sort_keys=True)
-    return [opts["out"], report_path]
+    return [opts["out"], report_path], {}
 
 
-def _impl_gradcheck(opts: dict) -> list[str]:
+def _impl_gradcheck(opts: dict) -> tuple[list[str], dict]:
     from . import net, transfer
     from .seeding import (STREAM_GRADCHECK_BACKWARD, STREAM_GRADCHECK_HVP,
                           STREAM_GRADCHECK_META, stream)
@@ -413,7 +429,7 @@ def _impl_gradcheck(opts: dict) -> list[str]:
 
     if failures:
         raise click.ClickException("gradient checks failed: " + ", ".join(failures))
-    return []
+    return [], {}
 
 
 _IMPLS = {
@@ -432,11 +448,11 @@ def _execute(subcommand: str, opts: dict):
 
     started = _utcnow()
     try:
-        outputs = _IMPLS[subcommand](opts)
+        outputs, record = _IMPLS[subcommand](opts)
     except (FormatError, ValueError) as exc:  # bad input or option values, divergence
         raise click.ClickException(str(exc)) from None
     if "out" in opts:
-        manifest = _write_manifest(subcommand, opts, outputs, started)
+        manifest = _write_manifest(subcommand, opts, outputs, record, started)
         click.echo(f"wrote {', '.join(outputs)} (manifest: {manifest})")
 
 

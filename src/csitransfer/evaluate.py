@@ -15,24 +15,22 @@ labels. A target's draws are one :class:`channel.ComboSet`, which also
 owns the target's LMMSE covariance, so every collection for the target
 shares one.
 
-Training runs in the caller, which forks the meta step's own lanes
-(:func:`transfer.meta_train`) and joins them before any target starts.
-Targets draw only from their own streams, so they then run in forked
-workers, one per usable CPU, bit-identically to a serial run; the
-``adaption`` and ``testing`` stage times are per-target times summed across
-workers.
+Training forks and joins its own lanes (:func:`transfer.first_visits`,
+:func:`transfer.meta_train`) before any target starts. Targets draw only
+from their own streams, so they then run one per item on the lanes of
+:func:`lanes.fork_map`, bit-identically to a serial run; the ``adaption``
+and ``testing`` stage times are still per-target times, summed.
 """
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from . import net, transfer
+from . import lanes, net, transfer
 # bench/spans.py wraps adam_step where this module looks it up and refuses to
 # start if it is missing, so it stays imported by name although nothing here
 # calls it.
@@ -51,7 +49,7 @@ from .channel import (
     sample_environment,
 )
 from .seeding import STREAM_BATCH, STREAM_TARGET_DATA, stream
-from .transfer import TrainConfig, TrainedModel, _usable_cpus
+from .transfer import TrainConfig, TrainedModel
 
 ALGO_NO_TRANSFER = "no-transfer"
 ALGO_DIRECT = "direct-transfer"
@@ -125,7 +123,7 @@ class SweepReport:
     """A sweep's points and stage times in seconds: ``training`` in the
     caller, on ``meta_lanes`` lanes for the meta step
     (:func:`transfer.meta_lanes`), and ``adaption`` and ``testing`` per
-    target, summed across the ``workers`` processes that ran the targets."""
+    target, summed across the ``workers`` lanes that ran the targets."""
 
     variable: str
     grid: list
@@ -165,7 +163,7 @@ def train_pair(cfg: TrainConfig) -> tuple[TrainedModel, TrainedModel]:
     meta-learner reads its tasks there instead of generating them again.
     """
     envs = source_environments(cfg)
-    xs, ys = transfer.first_visits(envs, cfg)
+    xs, ys, _ = transfer.first_visits(envs, cfg)
     nt = transfer.train_no_transfer(xs.reshape(-1, xs.shape[2]), ys.reshape(-1, ys.shape[2]),
                                     cfg, stream(cfg.seed, STREAM_BATCH, 0))
     mt = transfer.meta_train(envs, cfg, stream(cfg.seed, STREAM_BATCH, 1), (xs, ys))
@@ -206,7 +204,7 @@ def run_three_way(cfg: TrainConfig, sweep: tuple[str, Sequence] | None = None) -
     if variable == "g_ad" and min(grid) < 0:
         raise ValueError("adaption step counts must be nonnegative")
     clock = {"training": 0.0, "adaption": 0.0, "testing": 0.0}
-    workers, meta_lanes = min(cfg.k_t, _usable_cpus()), transfer.meta_lanes(cfg)
+    meta_lanes = transfer.meta_lanes(cfg)
 
     # One trained pair serves an adaption-side grid; a training-side value retrains.
     runs = ([(cfg, variable, grid)] if variable in _ADAPTION_SIDE
@@ -216,7 +214,9 @@ def run_three_way(cfg: TrainConfig, sweep: tuple[str, Sequence] | None = None) -
         t0 = time.perf_counter()
         nt, mt = train_pair(cfg_run)
         clock["training"] += time.perf_counter() - t0
-        points += _adaption_side_points(cfg_run, nt, mt, variable_run, grid_run, clock, workers)
+        run_points, workers = _adaption_side_points(cfg_run, nt, mt, variable_run, grid_run,
+                                                    clock)
+        points += run_points
     points = [replace(point, value=value) for point, value in zip(points, grid)]
 
     return SweepReport(variable=variable, grid=grid, points=points,
@@ -224,10 +224,12 @@ def run_three_way(cfg: TrainConfig, sweep: tuple[str, Sequence] | None = None) -
                        meta_lanes=meta_lanes)
 
 
-def _adaption_side_points(cfg: TrainConfig, nt: TrainedModel, mt: TrainedModel,
-                          variable: str, grid: list, clock: dict, workers: int) -> list[SweepPoint]:
-    job = functools.partial(_run_target, cfg=cfg, nt=nt, mt=mt, variable=variable, grid=grid)
-    targets = _map_targets(job, target_environments(cfg), workers)
+def _adaption_side_points(cfg: TrainConfig, nt: TrainedModel, mt: TrainedModel, variable: str,
+                          grid: list, clock: dict) -> tuple[list[SweepPoint], int]:
+    """The grid's points over every target, and the lanes the targets ran on."""
+    envs = target_environments(cfg)
+    targets, ran = lanes.fork_map(lambda k: _run_target(envs[k], cfg, nt, mt, variable, grid),
+                                  len(envs), lanes.lane_count(len(envs)))
 
     per_point = [{algo: [] for algo in ALGORITHMS} for _ in grid]
     base_dt, base_mt = [], []
@@ -244,7 +246,7 @@ def _adaption_side_points(cfg: TrainConfig, nt: TrainedModel, mt: TrainedModel,
     baselines = {ALGO_DIRECT: NmseResult(ALGO_DIRECT, base_dt),
                  ALGO_META: NmseResult(ALGO_META, base_mt)}
     return [SweepPoint(value=v, results={a: NmseResult(a, r) for a, r in results.items()},
-                       baselines=baselines) for v, results in zip(grid, per_point)]
+                       baselines=baselines) for v, results in zip(grid, per_point)], ran
 
 
 def _run_target(env: Environment, cfg: TrainConfig, nt: TrainedModel, mt: TrainedModel,
@@ -284,36 +286,3 @@ def _run_target(env: Environment, cfg: TrainConfig, nt: TrainedModel, mt: Traine
     scores = [(test_model(a_dt, d_te), test_model(a_mt, d_te)) for a_dt, a_mt in adapted]
     return nmse_nt, nmse_mt, scores, {"adaption": adaption_s,
                                       "testing": time.perf_counter() - t0}
-
-
-_worker_job = None  # set in each forked worker by _set_worker_job
-
-
-def _set_worker_job(job):
-    global _worker_job
-    _worker_job = job
-
-
-def _call_worker_job(env: Environment):
-    return _worker_job(env)
-
-
-def _map_targets(job, envs: list[Environment], workers: int) -> list:
-    """``[job(env) for env in envs]`` on ``workers`` forked processes, which
-    inherit ``job`` once. The first failure cancels the targets not started
-    and is raised here once every worker has exited."""
-    if workers <= 1:
-        return [job(env) for env in envs]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-
-    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                             initializer=_set_worker_job, initargs=(job,)) as pool:
-        futures = [pool.submit(_call_worker_job, env) for env in envs]
-        try:
-            for future in as_completed(futures):
-                future.result()
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-        return [future.result() for future in futures]

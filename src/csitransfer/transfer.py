@@ -12,9 +12,10 @@ owns one :class:`net.Workspace` and steps its parameters in place with
 gathered into the workspace's input rows; an adaption snapshot is a copy.
 GD adaption is bit-identical to the pure ``gd_step`` loop; Adam differs
 from the textbook bias correction by rounding only (see :mod:`optim`).
-Source tasks are held once, as the stacked rows of :func:`first_visits`:
-pooled training and the meta step read them there. Adaption reads a
-target's dataset rows as they are.
+Source tasks are held once, as the stacked rows of :func:`first_visits`,
+collected block by block on the lanes of :func:`lanes.fork_map`: pooled
+training and the meta step read them there. Adaption reads a target's
+dataset rows as they are.
 
 The meta-gradient is available in two modes: ``exact`` differentiates
 through the unrolled inner loop (reverse accumulation with Hessian-vector
@@ -35,28 +36,22 @@ one GEMM of the shared weights against all rows of the block plus thin
 per-task products against the factors.
 
 A task's inner steps and meta-gradient depend only on omega and its own
-data, so ``meta_train`` splits each step's blocks across L lanes
-(:func:`meta_lanes`: one per usable CPU, at most one per block): the
-calling process and L-1 processes forked once per call. Block k runs on
-lane k mod L, which regenerates its tasks from their own streams, and the
-caller adds the blocks' losses and gradients in block order, as one lane
-would, so every lane count gives the same bits. omega and the gradients
-cross through a shared mapping, not the pipes (:class:`_Lanes`).
+data, so ``meta_train`` splits each step's blocks across :func:`meta_lanes`
+lanes, forked once per call by :func:`lanes.open_lanes`, and adds their
+losses and gradients in block order, so every lane count gives the same
+bits (:class:`_Lanes`).
 """
 
 from __future__ import annotations
 
 import math
-import mmap
-import os
-import signal
-import sys
+import pickle
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from . import channel, net
+from . import channel, lanes, net
 from .channel import (
     ROLE_TRAIN_QUERY,
     ROLE_TRAIN_SUPPORT,
@@ -372,11 +367,11 @@ def inner_adapt(omega: NetParams, d_sup, g_tr: int,
 
 
 def _meta_batch_eval(omega: NetParams, blocks, g_tr: int, beta: float,
-                     mode: str, lanes: "_Lanes | None" = None) -> tuple[float, NetParams]:
+                     mode: str, meta: "_Lanes | None" = None) -> tuple[float, NetParams]:
     """Summed query loss of the adapted copies and its gradient wrt omega.
 
     ``blocks`` yields blocks of support xs, ys and query xs, ys one at a
-    time; with ``lanes`` it lists :func:`_plan_blocks` task lists, which the
+    time; with ``meta`` it lists :func:`_plan_blocks` task lists, which the
     lanes load and run (:meth:`_Lanes.results`). Either way the blocks'
     losses and gradients are added here in block order. No task's weights
     are ever formed. After j inner steps a task's layer weight is
@@ -394,7 +389,7 @@ def _meta_batch_eval(omega: NetParams, blocks, g_tr: int, beta: float,
     if mode not in (META_EXACT, META_FIRST_ORDER):
         raise ValueError(f"unknown meta mode {mode!r}")
     exact = mode == META_EXACT
-    results = (lanes.results(omega, blocks, g_tr, beta, exact) if lanes is not None
+    results = (meta.results(omega, blocks, g_tr, beta, exact) if meta is not None
                else (_meta_block(omega, block, g_tr, beta, exact) for block in blocks))
     total_loss, count = 0.0, 0
     total_grad = net.zeros_like_params(omega)
@@ -456,16 +451,24 @@ def _regenerate(tasks, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
     return xs.reshape(len(sets), cfg.n_tr, -1), ys.reshape(len(sets), cfg.n_tr, -1)
 
 
-def first_visits(envs: Sequence[Environment], cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+def first_visits(envs: Sequence[Environment],
+                 cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray, int]:
     """Every source environment's first visit as stacked arrays ``(xs, ys)``,
     each (len(envs), n_tr, 2M): per environment its support rows, then its
-    query rows, as :func:`_support_query` collects them at visit 0."""
+    query rows, as :func:`_support_query` collects them at visit 0; then the
+    lanes that collected them, a block of tasks per item."""
     shape = (len(envs), cfg.n_tr, 2 * cfg.gen.array.m)
-    xs, ys = np.empty(shape), np.empty(shape)
-    for b in range(0, len(envs), _TASK_BLOCK):
+    starts = range(0, len(envs), _TASK_BLOCK)
+    count = channel.collection_lanes(len(envs) * cfg.n_tr * 2, len(starts), cfg.gen.noise)
+    empty = lanes.shared_empty if count > 1 else np.empty  # forked lanes write shared rows
+    xs, ys = empty(shape), empty(shape)
+
+    def collect(j):
+        b = starts[j]
         xs[b:b + _TASK_BLOCK], ys[b:b + _TASK_BLOCK] = _regenerate(
             [(env, 0) for env in envs[b:b + _TASK_BLOCK]], cfg)
-    return xs, ys
+
+    return xs, ys, lanes.fork_map(collect, len(starts), count)[1]
 
 
 def _plan_blocks(tasks, rows, held) -> list[list[tuple[int, int, bool]]]:
@@ -500,107 +503,60 @@ def _load_block(block, envs: Sequence[Environment], cfg: TrainConfig, rows):
     return xs[:, :n], ys[:, :n], xs[:, n:], ys[:, n:]
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run forked workers on. 1 where
-    ``os.sched_getaffinity`` is missing (every platform that has it can
-    fork workers) and in a daemonic process, which may start none. A process
-    that never imported ``multiprocessing`` is no daemonic one."""
-    mp = sys.modules.get("multiprocessing")
-    if mp is not None and mp.current_process().daemon:
-        return 1
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
 def meta_lanes(cfg: TrainConfig) -> int:
     """The lanes :func:`meta_train` runs ``cfg``'s meta steps on: one per
     usable CPU, at most one per block of a step, and one for a run of no
     step."""
-    return min(_usable_cpus(), -(-cfg.k_b // _TASK_BLOCK)) if cfg.max_steps else 1
-
-
-def _shared_empty(*shape: int) -> np.ndarray:
-    """A float64 array in an anonymous shared mapping: what a forked lane
-    writes there, every lane reads."""
-    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
+    return lanes.lane_count(-(-cfg.k_b // _TASK_BLOCK), cfg.max_steps > 0)
 
 
 class _Lanes:
-    """The L lanes of one :func:`meta_train` call's meta steps. Lane 0 is
-    the calling process; lanes 1..L-1 are forked once, on entry, and
-    inherit the sources, the config and the row store. Block k of a step
-    runs on lane k mod L, which loads it (:func:`_load_block`) and runs
-    :func:`_meta_block`; :meth:`results` gives the blocks' results in block
-    order. omega and the forked lanes' block gradients go through one
-    anonymous shared mapping made before the fork: one omega slot, and per
-    forked lane two gradient slots used in turn. A pipe per forked lane
-    carries the step's task lists, the blocks' summed losses, and the
-    caller's word that a slot is free again. Leaving the ``with`` block
-    joins every forked lane, and stops them first when an error leaves it.
+    """The L lanes of one :func:`meta_train` call's meta steps: the caller
+    and the lanes that :func:`lanes.open_lanes` forks to :meth:`serve`,
+    whose pipe ends :meth:`attach` takes. Block k of a step runs on lane k
+    mod L, which loads it (:func:`_load_block`) and runs :func:`_meta_block`;
+    :meth:`results` gives the blocks' results in block order. omega and the
+    forked lanes' gradients go through one shared mapping made before the
+    fork: one omega slot, and two gradient slots per forked lane used in
+    turn. The pipes carry the step's task lists, the blocks' losses or first
+    error, and the caller's word that a slot is free again.
     """
 
     def __init__(self, count: int, envs: Sequence[Environment], cfg: TrainConfig, rows,
                  omega: NetParams):
         self.count, self.envs, self.cfg, self.rows = count, envs, cfg, rows
-        self.procs, self.conns = [], []
         if count > 1:
-            slots = _shared_empty(2 * count - 1, omega.flat.size)
+            slots = lanes.shared_empty((2 * count - 1, omega.flat.size))
             self.omega = omega.like(slots[0])
             self.rings = [[omega.like(s) for s in slots[2 * w - 1:2 * w + 1]]
                           for w in range(1, count)]
 
-    def __enter__(self) -> "_Lanes":
-        if self.count > 1:
-            import multiprocessing
+    def attach(self, ends):
+        self.ends, self.count = ends, 1 + len(ends)
 
-            ctx = multiprocessing.get_context("fork")
-            try:
-                for ring in self.rings:
-                    ours, theirs = ctx.Pipe()
-                    self.conns.append(ours)
-                    proc = ctx.Process(target=self._serve, args=(theirs, ring, list(self.conns)),
-                                       daemon=True)
-                    proc.start()
-                    self.procs.append(proc)
-                    theirs.close()
-            except BaseException:
-                self.__exit__(*sys.exc_info())
-                raise
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        for proc in self.procs if exc_type is not None else ():
-            proc.terminate()
-        for conn in self.conns:
-            conn.close()
-        for proc in self.procs:
-            proc.join()
-
-    def _serve(self, conn, ring, inherited):
+    def serve(self, lane, down, up):
         """A forked lane's loop: each step's blocks in order, the j-th
         block's gradient into ring slot j % 2 once the caller has added the
         gradient the slot held. It ends when the caller closes the pipe, or
         once it has sent the caller a block's error."""
-        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller stops the lanes
-        for other in inherited:  # the caller's ends, so only the caller holds them
-            other.close()
+        ring = self.rings[lane - 1]
         with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                while True:
-                    blocks, g_tr, beta, exact = conn.recv()
-                    for j, block in enumerate(blocks):
-                        try:
-                            loss, grad = _meta_block(
-                                self.omega, _load_block(block, self.envs, self.cfg, self.rows),
-                                g_tr, beta, exact)
-                        except Exception as exc:  # the caller raises it and stops the lanes
-                            conn.send(exc)
-                            return
-                        if j >= 2:
-                            conn.recv()  # the slot is free
-                        np.copyto(ring[j % 2].flat, grad.flat)
-                        conn.send(loss)
-            except EOFError:
-                pass
+            while True:
+                try:
+                    blocks, g_tr, beta, exact = pickle.load(down)
+                except EOFError:
+                    return
+                for j, block in enumerate(blocks):
+                    try:
+                        loss, grad = _meta_block(
+                            self.omega, _load_block(block, self.envs, self.cfg, self.rows),
+                            g_tr, beta, exact)
+                    except Exception as exc:  # the caller raises it and stops the lanes
+                        return lanes.send_error(up, exc)
+                    if j >= 2:
+                        pickle.load(down)  # the slot is free
+                    np.copyto(ring[j % 2].flat, grad.flat)
+                    lanes.send(up, (True, loss))
 
     def results(self, omega: NetParams, blocks, g_tr: int, beta: float, exact: bool):
         """``(loss, gradient)`` of every block in block order, each block
@@ -608,34 +564,28 @@ class _Lanes:
         blocks before it takes the forked lanes' results of this round, so
         it seldom waits on them. A forked lane's gradient is a view of its
         slot, valid until the next result is asked for."""
-        lanes, n = self.count, len(blocks)
+        count, n = self.count, len(blocks)
 
         def own(k):
             block = _load_block(blocks[k], self.envs, self.cfg, self.rows)
             return _meta_block(omega, block, g_tr, beta, exact)
 
-        if lanes == 1:
+        if count == 1:
             yield from map(own, range(n))
             return
         np.copyto(self.omega.flat, omega.flat)
-        for lane, conn in enumerate(self.conns, 1):
-            conn.send((blocks[lane::lanes], g_tr, beta, exact))
+        for lane, (down, _) in enumerate(self.ends, 1):
+            lanes.send(down, (blocks[lane::count], g_tr, beta, exact))
         ahead = own(0)
-        for k in range(0, n, lanes):
+        for k in range(0, n, count):
             yield ahead
-            ahead = own(k + lanes) if k + lanes < n else None
-            for lane in range(1, min(lanes, n - k)):
-                conn = self.conns[lane - 1]
-                try:
-                    reply = conn.recv()
-                except EOFError:
-                    raise RuntimeError(f"meta-step lane {lane} exited during block {k + lane}"
-                                       ) from None
-                if isinstance(reply, Exception):
-                    raise reply
-                yield reply, self.rings[lane - 1][k // lanes % 2]
-                if k + lane + 2 * lanes < n:
-                    conn.send(None)  # the slot is free again
+            ahead = own(k + count) if k + count < n else None
+            for lane in range(1, min(count, n - k)):
+                down, up = self.ends[lane - 1]
+                yield (lanes.receive(up, f"meta-step block {k + lane}"),
+                       self.rings[lane - 1][k // count % 2])
+                if k + lane + 2 * count < n:
+                    lanes.send(down, None)  # the slot is free again
 
 
 def meta_train(source_envs: Sequence[Environment], cfg: TrainConfig,
@@ -646,13 +596,11 @@ def meta_train(source_envs: Sequence[Environment], cfg: TrainConfig,
     Each time step draws ``k_b`` tasks, regenerates their support/query
     sets (visit 0 throughout under ``fixed_task_data``), computes the meta
     gradient and applies one Adam step at rate ``gamma``. The batch runs in
-    blocks of tasks (:func:`_plan_blocks`) on :func:`meta_lanes` lanes:
-    block k on lane k mod L, each lane loading its own blocks, and the
-    blocks' losses and gradients added in block order, so every lane count
-    gives the same bits (:class:`_Lanes`). One lane forks nothing. First
-    visits are read from ``first_visit`` (``first_visits(source_envs,
-    cfg)``) when given, else stored as generated under ``fixed_task_data``,
-    in a shared row store that every lane reads. Initialization comes from
+    blocks of tasks (:func:`_plan_blocks`) on :func:`meta_lanes` lanes
+    (:class:`_Lanes`); one lane forks nothing. First visits are read from
+    ``first_visit`` (the arrays of :func:`first_visits`) when given, else
+    stored as generated under ``fixed_task_data``, in a shared row store
+    that every lane reads. Initialization comes from
     the config's network-init substream; the passed generator drives task
     selection only. A non-finite meta loss raises :class:`NonFiniteLoss` at
     its step; an error in a forked lane's block is raised here; overflow
@@ -668,20 +616,22 @@ def meta_train(source_envs: Sequence[Environment], cfg: TrainConfig,
                          f"task of {cfg.n_support}+{cfg.n_query} rows per environment")
     rows, held = first_visit, set(range(n_envs)) if first_visit is not None else set()
     if rows is None and cfg.fixed_task_data:
-        rows = _shared_empty(*shape), _shared_empty(*shape)
+        rows = lanes.shared_empty(shape), lanes.shared_empty(shape)
     params = init_network(cfg)
     state = AdamState.init(params)
     visits = np.zeros(n_envs, dtype=int)
     history: list[float] = []
 
-    with _Lanes(meta_lanes(cfg), source_envs, cfg, rows, params) as lanes, \
+    meta = _Lanes(meta_lanes(cfg), source_envs, cfg, rows, params)
+    with lanes.open_lanes(meta.count, meta.serve) as ends, \
             np.errstate(over="ignore", invalid="ignore"):
+        meta.attach(ends)
         for step in range(cfg.max_steps):
             chosen = sorted(int(j) for j in rng.choice(n_envs, size=cfg.k_b, replace=False))
             tasks = [(i, int(visits[i])) for i in chosen]
             visits[chosen] += not cfg.fixed_task_data  # fixed data: visit 0 throughout
             loss, grad = _meta_batch_eval(params, _plan_blocks(tasks, rows, held),
-                                          cfg.g_tr, cfg.beta, cfg.meta_mode, lanes)
+                                          cfg.g_tr, cfg.beta, cfg.meta_mode, meta)
             _check_finite("meta-training", step, loss)
             params, state = adam_step(state, params, grad, cfg.gamma)
             history.append(loss)

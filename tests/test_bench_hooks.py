@@ -18,7 +18,7 @@ import sys
 import numpy as np
 import pytest
 
-from csitransfer import channel, evaluate, transfer
+from csitransfer import channel, evaluate, lanes, transfer
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SPANS_PATH = os.path.join(ROOT, "bench", "spans.py")
@@ -46,6 +46,12 @@ def test_tracer_wraps_and_restores_every_hook():
             env, [(channel.ROLE_ADAPTION, 3), (channel.ROLE_TEST, 2)], gen.users,
             (gen.f_min, gen.f_max), gen.delta_f, gen.array, gen.noise,
             np.random.default_rng(2), gen.delay_max)
+        # generate_task_datasets collects its roles in one collect_sets call,
+        # so collect, a hook of its own, is called here.
+        combos = channel.draw_combos(env, [(channel.ROLE_TEST, 2)], gen.users,
+                                     (gen.f_min, gen.f_max), np.random.default_rng(3))
+        channel.collect(combos, channel.ROLE_TEST, gen.delta_f, gen.array, gen.noise,
+                        np.random.default_rng(4))
 
     assert all(getattr(owner, attr) is fn for owner, attr, fn in originals)
 
@@ -103,7 +109,7 @@ def test_traced_three_way_reaches_adam_and_every_adaption(monkeypatch):
     outer steps go through ``optim.adam_step``, and each target runs one
     adaption per transfer algorithm through ``transfer.adapt_snapshots``.
     Targets run in this process here, where the tracer sees them."""
-    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(lanes, "usable_cpus", lambda: 1)
     spans = load_spans()
     gen = channel.GeneratorConfig(array=channel.ArrayConfig(m=4), users=4)
     cfg = transfer.TrainConfig.desk_profile(k_s=8, k_t=2, k_b=4, n_tr=6, u=4, v=8, g_ad=5,

@@ -487,6 +487,27 @@ def test_generation_bit_identical():
             assert np.array_equal(pa.y_clean, pb.y_clean)
 
 
+@pytest.mark.parametrize("mode", ["awgn", "lmmse"])
+def test_generation_in_one_call_matches_per_role_collection(mode):
+    """``generate_task_datasets`` collects every role in one ``collect_sets``
+    call, with the bits of collecting role by role from one generator: one
+    noise block in role order, one covariance for all roles."""
+    gcfg = _default_gen(m=8, users=5)
+    env = ch.sample_environment(4, gcfg, 2)
+    roles = [("adaption", 6), ("test", 4), ("train-support", 3)]
+    noise = ch.NoiseSpec(snr_db=10.0, pilot_len=4, mode=mode)
+    got = ch.generate_task_datasets(env, roles, gcfg.users, (gcfg.f_min, gcfg.f_max),
+                                    gcfg.delta_f, gcfg.array, noise, RNG(8))
+    rng = RNG(8)
+    combos = ch.draw_combos(env, roles, gcfg.users, (gcfg.f_min, gcfg.f_max), rng)
+    want = [ch.collect(combos, role, gcfg.delta_f, gcfg.array, noise, rng) for role, _ in roles]
+    assert [(d.env_id, d.role, len(d)) for d in got] == [(d.env_id, d.role, len(d)) for d in want]
+    for g, w in zip(got, want):
+        for column in ("xs", "ys", "y_clean", "f_up", "f_down", "user_index"):
+            assert [float(x).hex() for x in np.ravel(getattr(g, column))] == \
+                [float(x).hex() for x in np.ravel(getattr(w, column))], (g.role, column)
+
+
 def test_bad_role_and_counts_rejected():
     gcfg = _default_gen()
     env = ch.sample_environment(0, gcfg, 0)

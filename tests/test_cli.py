@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from csitransfer import evaluate, net, store, transfer
+from csitransfer import lanes, net, store, transfer
 from csitransfer.cli import _train_config, cli
 
 RUNNER = CliRunner()
@@ -369,7 +369,7 @@ def test_sweep_writes_stage_times_and_baselines(tmp_path):
     assert record["variable"] == "g_ad"
     assert set(record["wall_clock"]) == {"training", "adaption", "testing"}
     assert all(t >= 0 for t in record["wall_clock"].values())
-    assert record["workers"] == min(2, evaluate._usable_cpus())
+    assert record["workers"] == min(2, lanes.usable_cpus())
     assert [p["value"] for p in record["points"]] == [0, 3]
     rows = [line.split(",") for line in open(out).read().splitlines()[1:]]
     for point in record["points"]:
@@ -398,9 +398,29 @@ def test_sweep_manifest_records_its_workers_peak_memory(tmp_path):
         manifest = json.load(f)
     with open(out + ".report.json") as f:
         workers = json.load(f)["workers"]
-    assert workers == min(2, evaluate._usable_cpus())
+    assert workers == min(2, lanes.usable_cpus())
     assert manifest["peak_rss_mb"] > 0
     assert (manifest["peak_rss_children_mb"] > 0) == (workers > 1)
+
+
+def test_train_manifest_records_its_lanes(tmp_path, monkeypatch):
+    """``train`` records the lanes that collected its first visits (8
+    sources make 2 blocks, so 3 CPUs give 2 lanes), and 1 for ``--sources``,
+    which collects nothing; its checkpoint does not depend on them."""
+    lmmse = (*TINY_GEN[:-1], "lmmse")
+    written = {}
+    for cpus in (1, 3):
+        monkeypatch.setattr(lanes, "usable_cpus", lambda: cpus)
+        ck = str(tmp_path / f"train{cpus}.ck")
+        assert run_cli("train", *lmmse, *TINY_TRAIN, "--out", ck).exit_code == 0
+        assert json.load(open(ck + ".manifest.json"))["lanes"] == min(cpus, 2)
+        written[cpus] = open(ck, "rb").read()
+    assert written[3] == written[1]
+    data, ck = str(tmp_path / "data.bin"), str(tmp_path / "sources.ck")
+    assert run_cli("gen", *TINY_GEN, "--envs", 2, "--pairs", 8, "--out", data).exit_code == 0
+    assert run_cli("train", *TINY_GEN, *TINY_TRAIN, "--sources", data,
+                   "--out", ck).exit_code == 0
+    assert json.load(open(ck + ".manifest.json"))["lanes"] == 1
 
 
 def test_meta_lanes_are_recorded_and_change_no_output(tmp_path, monkeypatch):
@@ -410,7 +430,7 @@ def test_meta_lanes_are_recorded_and_change_no_output(tmp_path, monkeypatch):
     CSV are byte-identical."""
     files = {}
     for cpus in (1, 3):
-        monkeypatch.setattr(transfer, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(lanes, "usable_cpus", lambda: cpus)
         ck, csv = str(tmp_path / f"meta{cpus}.ck"), str(tmp_path / f"sweep{cpus}.csv")
         assert run_cli("meta-train", *TINY_GEN, *TINY_TRAIN, "--k-b", 5, "--g-tr", 1,
                        "--max-steps", 3, "--out", ck).exit_code == 0
@@ -418,9 +438,9 @@ def test_meta_lanes_are_recorded_and_change_no_output(tmp_path, monkeypatch):
                        "--antennas", 2, "--n-tr", 4, "--n-ad", 4, "--n-te", 3, "--v", 8,
                        "--max-steps", 2, "--g-ad", 3, "--hidden", "4", "--g-tr", 1,
                        "--out", csv).exit_code == 0
-        lanes = min(cpus, 2)
-        assert json.load(open(ck + ".manifest.json"))["meta_lanes"] == lanes
-        assert json.load(open(csv + ".report.json"))["meta_lanes"] == lanes
+        meta_lanes = min(cpus, 2)
+        assert json.load(open(ck + ".manifest.json"))["meta_lanes"] == meta_lanes
+        assert json.load(open(csv + ".report.json"))["meta_lanes"] == meta_lanes
         files[cpus] = [open(path, "rb").read()
                        for path in (ck, ck + ".meta.json", ck + ".loss.csv", csv)]
     assert files[3] == files[1]

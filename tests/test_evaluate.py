@@ -3,9 +3,6 @@
 import collections
 import multiprocessing
 import os
-import subprocess
-import sys
-import time
 
 import numpy as np
 import pytest
@@ -13,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csitransfer import channel as ch
-from csitransfer import evaluate, net, optim, transfer
+from csitransfer import evaluate, lanes, net, optim, transfer
 from csitransfer.seeding import STREAM_BATCH, stream
 from csitransfer.transfer import TrainConfig
 
@@ -225,7 +222,7 @@ def test_lmmse_sweep_builds_each_target_covariance_once(monkeypatch):
         init(self, env, *args, **kwargs)
 
     monkeypatch.setattr(ch.EnvCovariance, "__init__", counting_init)
-    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 1)  # count in this process
+    monkeypatch.setattr(lanes, "usable_cpus", lambda: 1)  # count in this process
 
     # Reference: every collection builds its own covariance, so each target
     # builds one for its test set and one per SNR.
@@ -317,7 +314,7 @@ def test_target_workers_give_bit_identical_results(monkeypatch, sweep, gen):
     assert cfg.k_t == 3
     runs = {}
     for cpus in (1, 3):
-        monkeypatch.setattr(evaluate, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(lanes, "usable_cpus", lambda: cpus)
         report = evaluate.run_three_way(cfg, sweep)
         assert report.workers == cpus
         assert multiprocessing.active_children() == []
@@ -329,7 +326,7 @@ def test_target_workers_give_bit_identical_results(monkeypatch, sweep, gen):
 
 
 def test_worker_count_is_capped_by_targets(monkeypatch):
-    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(lanes, "usable_cpus", lambda: 3)
     assert evaluate.run_three_way(tiny_cfg(k_t=2, max_steps=4, g_ad=2)).workers == 2
     assert evaluate.run_three_way(tiny_cfg(k_t=1, max_steps=4, g_ad=2)).workers == 1
 
@@ -352,7 +349,7 @@ def test_diverging_target_raises_its_non_finite_loss_in_the_caller(monkeypatch):
     monkeypatch.setattr(evaluate, "_collect_adaption", scaled)
     errors = {}
     for cpus in (1, 3):
-        monkeypatch.setattr(evaluate, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(lanes, "usable_cpus", lambda: cpus)
         with pytest.raises(transfer.NonFiniteLoss) as err:
             evaluate.run_three_way(cfg)
         assert multiprocessing.active_children() == []
@@ -364,39 +361,29 @@ def test_diverging_target_raises_its_non_finite_loss_in_the_caller(monkeypatch):
     assert str(errors[3]) == str(errors[1])
 
 
-def test_first_failing_target_cancels_the_targets_not_started(tmp_path):
-    """Target 0 fails at once while the others take a while: the map raises
-    target 0's error, and targets still waiting in the caller never run."""
-    def job(k):
-        if k == 0:
-            raise ValueError("target 0 failed")
-        (tmp_path / str(k)).touch()
-        time.sleep(0.1)
-        return k
-
-    with pytest.raises(ValueError, match="target 0 failed"):
-        evaluate._map_targets(job, list(range(10)), 2)
-    assert multiprocessing.active_children() == []
-    assert 0 < len(list(tmp_path.iterdir())) < 9
-    assert evaluate._map_targets(lambda k: 2 * k, [1, 2, 3], 2) == [2, 4, 6]
-    assert multiprocessing.active_children() == []
+def test_src_imports_no_process_pool():
+    """Every stage forks through ``csitransfer.lanes``: nothing in the
+    package uses ``concurrent.futures`` or its process pool."""
+    src = os.path.dirname(evaluate.__file__)
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as f:
+                text = f.read()
+            assert "concurrent.futures" not in text and "ProcessPoolExecutor" not in text, name
 
 
-def test_serial_runs_never_load_the_process_pool():
-    """Training, collection and a one-worker sweep leave the process-pool
-    module unimported; only a multi-worker target map loads it."""
-    code = (
-        "import sys\n"
-        "from csitransfer import channel as ch, evaluate, transfer\n"
-        "gen = ch.GeneratorConfig(array=ch.ArrayConfig(m=4), users=4)\n"
-        "cfg = transfer.TrainConfig(k_s=4, k_t=1, k_b=2, u=4, n_tr=4, n_ad=4, n_te=4, v=8,\n"
-        "                           g_tr=1, g_ad=2, max_steps=2, hidden=(4,), gen=gen)\n"
-        "evaluate.run_three_way(cfg)\n"
-        "assert 'concurrent.futures.process' not in sys.modules\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
+def test_one_cpu_run_forks_nothing(monkeypatch):
+    """On one usable CPU, a sweep under LMMSE noise, whose first visits,
+    meta steps, targets and collections would fork on more, forks nothing."""
+    def no_fork():
+        raise AssertionError("a process was forked")
+
+    monkeypatch.setattr(lanes, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(os, "fork", no_fork)
+    cfg = tiny_cfg(k_s=8, k_t=2, k_b=5, max_steps=1, g_ad=1, gen=LMMSE_GEN)
+    assert transfer.meta_lanes(cfg) == 1
+    assert ch.collection_lanes(10 ** 6, 10 ** 6, LMMSE_GEN.noise) == 1
+    assert evaluate.run_three_way(cfg).workers == 1
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from csitransfer import channel as ch
-from csitransfer import net, optim, transfer
+from csitransfer import lanes, net, optim, transfer
 from csitransfer.net import Batch
 from csitransfer.seeding import STREAM_BATCH, stream
 from csitransfer.transfer import TrainConfig
@@ -798,7 +798,7 @@ def test_block_streamed_meta_train_equals_per_task_loop(noise, meta_mode, k_b):
                              noise=ch.NoiseSpec(snr_db=10.0, pilot_len=4, mode=noise))
     cfg = tiny_cfg(k_b=k_b, n_tr=3, max_steps=2, hidden=(8,), meta_mode=meta_mode, gen=gen)
     envs = [ch.sample_environment(i, gen, cfg.seed) for i in range(cfg.k_s)]
-    first_visit = transfer.first_visits(envs, cfg)
+    first_visit = transfer.first_visits(envs, cfg)[:2]
     for fixed, given in ((False, None), (False, first_visit), (True, None), (True, first_visit)):
         c = replace(cfg, fixed_task_data=fixed)
         model = transfer.meta_train(envs, c, stream(c.seed, STREAM_BATCH, 1), given)
@@ -812,7 +812,7 @@ def test_meta_train_rejects_malformed_first_visits():
     ``first_visits``: one 4+4-row task per source environment."""
     cfg = tiny_cfg(max_steps=1)
     envs = [ch.sample_environment(i, cfg.gen, cfg.seed) for i in range(cfg.k_s)]
-    xs, ys = transfer.first_visits(envs, cfg)
+    xs, ys, _ = transfer.first_visits(envs, cfg)
     for bad in ((xs[1:], ys[1:]), (xs, ys[:, :6]), (xs[:, :6], ys[:, :6]), (xs,),
                 (xs.reshape(-1, 8), ys.reshape(-1, 8)), (xs[..., :4], ys[..., :4])):
         with pytest.raises(ValueError, match="first_visit .* 4\\+4 rows"):
@@ -851,7 +851,7 @@ def test_first_visits_match_per_task_support_query(noise):
                              noise=ch.NoiseSpec(snr_db=10.0, pilot_len=4, mode=noise))
     cfg = tiny_cfg(k_s=6, n_tr=7, gen=gen)
     envs = [ch.sample_environment(i, gen, cfg.seed) for i in range(cfg.k_s)]
-    xs, ys = transfer.first_visits(envs, cfg)
+    xs, ys, _ = transfer.first_visits(envs, cfg)
     assert xs.shape == ys.shape == (6, 7, 8)
     for env, x, y in zip(envs, xs, ys):
         sup, que = transfer._support_query(env, cfg, 0)
@@ -932,12 +932,12 @@ def test_meta_train_lanes_give_bit_identical_runs(monkeypatch, noise, meta_mode)
                              noise=ch.NoiseSpec(snr_db=10.0, pilot_len=4, mode=noise))
     cfg = lane_cfg(meta_mode=meta_mode, gen=gen)
     envs = [ch.sample_environment(i, gen, cfg.seed) for i in range(cfg.k_s)]
-    first_visit = transfer.first_visits(envs, cfg)
+    first_visit = transfer.first_visits(envs, cfg)[:2]
     for fixed, given in ((False, None), (False, first_visit), (True, None)):
         c = replace(cfg, fixed_task_data=fixed)
         runs = []
         for cpus in (1, 2, 3):
-            monkeypatch.setattr(transfer, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(lanes, "usable_cpus", lambda: cpus)
             assert transfer.meta_lanes(c) == cpus
             model = transfer.meta_train(envs, c, stream(c.seed, STREAM_BATCH, 1), given)
             assert multiprocessing.active_children() == []
@@ -951,7 +951,7 @@ def test_meta_step_of_one_block_starts_no_process(monkeypatch):
     def no_fork():
         raise AssertionError("a process was forked")
 
-    monkeypatch.setattr(transfer, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(lanes, "usable_cpus", lambda: 4)
     monkeypatch.setattr(os, "fork", no_fork)
     cfg = lane_cfg(k_b=transfer._TASK_BLOCK)
     envs = [ch.sample_environment(i, cfg.gen, cfg.seed) for i in range(cfg.k_s)]
@@ -971,7 +971,7 @@ def test_daemonic_process_runs_one_lane(monkeypatch):
     monkeypatch.setattr(os, "fork", no_fork)
     cfg = lane_cfg()
     envs = [ch.sample_environment(i, cfg.gen, cfg.seed) for i in range(cfg.k_s)]
-    assert transfer._usable_cpus() == 1 and transfer.meta_lanes(cfg) == 1
+    assert lanes.usable_cpus() == 1 and transfer.meta_lanes(cfg) == 1
     assert len(transfer.meta_train(envs, cfg, RNG(0)).loss_history) == cfg.max_steps
 
 
@@ -987,7 +987,7 @@ def test_error_in_a_forked_lane_reaches_the_caller(monkeypatch):
         return meta_block(*args, **kwargs)
 
     monkeypatch.setattr(transfer, "_meta_block", failing_in_lanes)
-    monkeypatch.setattr(transfer, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(lanes, "usable_cpus", lambda: 3)
     cfg = lane_cfg()
     envs = [ch.sample_environment(i, cfg.gen, cfg.seed) for i in range(cfg.k_s)]
     with pytest.raises(ValueError, match="^block failed in a lane$"):
@@ -1003,7 +1003,7 @@ def test_diverging_meta_train_names_its_step_on_every_lane_count(monkeypatch):
     envs = [ch.sample_environment(i, cfg.gen, cfg.seed) for i in range(cfg.k_s)]
     errors = []
     for cpus in (1, 2, 3):
-        monkeypatch.setattr(transfer, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(lanes, "usable_cpus", lambda: cpus)
         with pytest.raises(transfer.NonFiniteLoss) as err:
             transfer.meta_train(envs, cfg, stream(cfg.seed, STREAM_BATCH, 1))
         assert multiprocessing.active_children() == []
