@@ -441,9 +441,10 @@ def lmmse_estimate(y: np.ndarray, r: np.ndarray, sigma2: float) -> np.ndarray:
 _POOL_USERS = 200
 _RIDGE = 1e-6
 
-# Ray sums (an LMMSE link counts its covariance's pool) below which a
-# collection forks no lane: a fork and join costs about 2 ms, and 4,000 ray
-# sums (20 LMMSE links, or 4,000 clean ones with their draws) 10-40 ms.
+# Ray sums below which a collection forks no lane: a fork and join costs
+# about 2 ms, and 4,000 ray sums (20 LMMSE links, or 1,334 clean ones) 10-40
+# ms. An LMMSE link counts its covariance's pool; a clean link, its draws
+# included, costs about 3 ray sums of that pool.
 _LANE_MIN_RAY_SUMS = 4000
 
 # Rows per slice of _ray_sum and pool users per Hermitian product of a
@@ -651,7 +652,7 @@ def collect_sets(combo_sets: Sequence[ComboSet], roles: Sequence[str], delta_f: 
 def collection_lanes(links: int, items: int, noise: NoiseSpec) -> int:
     """Lanes for collecting ``links`` links in ``items`` items: one unless
     their ray sums reach ``_LANE_MIN_RAY_SUMS``."""
-    ray_sums = links * (1 + _POOL_USERS if noise.mode == NOISE_LMMSE else 1)
+    ray_sums = links * (1 + _POOL_USERS if noise.mode == NOISE_LMMSE else 3)
     return lanes.lane_count(items, ray_sums >= _LANE_MIN_RAY_SUMS)
 
 

@@ -6,12 +6,12 @@ subcommand, the resolved config, the master seed, build information,
 timestamps, the process's peak resident memory (``peak_rss_mb``, in MiB),
 that of its largest finished child process (``peak_rss_children_mb``: the
 forked lanes of :mod:`csitransfer.lanes`, 0 when none ran) and the produced
-files. A ``gen`` or ``train`` manifest also records ``lanes``, the lanes
-that its map over environments (``gen``) or blocks of first visits
-(``train``) actually ran on, 1 for ``train --sources`` (a map of one item
-runs in the caller, whose LMMSE estimates may still split across lanes),
-and a ``meta-train`` manifest ``meta_lanes``, those its meta steps ran on
-(:func:`transfer.meta_lanes`).
+files. Every manifest also records ``lanes``, the most lanes that any
+:func:`lanes.open_lanes` call of the command ran, the caller included (1
+when nothing forked, as in ``train --sources``): ``gen``'s map over
+environments, first visits, meta steps, or the LMMSE estimates of a
+collection in the caller. A ``meta-train`` manifest also records
+``meta_lanes``, the lanes its meta steps ran on (:func:`transfer.meta_lanes`).
 ``rerun MANIFEST`` re-executes the recorded subcommand with the recorded
 config and ignores every other field; all outputs are then byte-identical
 (timestamps and peak memory live only in the manifest), except the stage
@@ -186,11 +186,11 @@ def _impl_gen(opts: dict) -> tuple[list[str], dict]:
         for column, a in zip(columns, (d.xs, d.ys, d.y_clean, d.f_up, d.f_down, d.user_index)):
             column[k] = a
 
-    ran = lanes.fork_map(collect, envs, count)[1]
+    lanes.fork_map(collect, envs, count)
     datasets = [TaskDataset(first + k, role, *(column[k] for column in columns))
                 for k in range(envs)]
     store.write_dataset(opts["out"], datasets, gcfg.noise, gcfg.delta_f)
-    return [opts["out"], opts["out"] + ".meta.json"], {"lanes": ran}
+    return [opts["out"], opts["out"] + ".meta.json"], {}
 
 
 def _write_model(path: str, model) -> list[str]:
@@ -212,7 +212,7 @@ def _impl_train(opts: dict) -> tuple[list[str], dict]:
     from .transfer import first_visits, train_no_transfer
 
     cfg = _train_config(opts)
-    m, ran = cfg.gen.array.m, 1
+    m = cfg.gen.array.m
     if opts.get("sources"):
         pool = []
         for path in opts["sources"]:
@@ -223,10 +223,10 @@ def _impl_train(opts: dict) -> tuple[list[str], dict]:
             pool.extend(blob.datasets)
         xs, ys = (np.concatenate([getattr(d, a) for d in pool]) for a in ("xs", "ys"))
     else:
-        xs, ys, ran = first_visits(source_environments(cfg), cfg)
+        xs, ys = first_visits(source_environments(cfg), cfg)
         xs, ys = xs.reshape(-1, 2 * m), ys.reshape(-1, 2 * m)
     model = train_no_transfer(xs, ys, cfg, stream(cfg.seed, STREAM_BATCH, 0))
-    return _write_model(opts["out"], model), {"lanes": ran}
+    return _write_model(opts["out"], model), {}
 
 
 def _impl_meta_train(opts: dict) -> tuple[list[str], dict]:
@@ -444,14 +444,16 @@ _IMPLS = {
 
 
 def _execute(subcommand: str, opts: dict):
+    from . import lanes
     from .store import FormatError
 
-    started = _utcnow()
+    started, lanes.peak_lanes = _utcnow(), 1
     try:
         outputs, record = _IMPLS[subcommand](opts)
     except (FormatError, ValueError) as exc:  # bad input or option values, divergence
         raise click.ClickException(str(exc)) from None
     if "out" in opts:
+        record["lanes"] = lanes.peak_lanes
         manifest = _write_manifest(subcommand, opts, outputs, record, started)
         click.echo(f"wrote {', '.join(outputs)} (manifest: {manifest})")
 
@@ -557,8 +559,9 @@ def train(**opts):
 @_train_options
 @_meta_options
 @click.option("--fixed-task-data", is_flag=True, default=False,
-              help="Freeze each task's support/query sets instead of "
-                   "regenerating them per visit.")
+              help="Freeze each task's support/query sets at its first visit "
+                   "instead of regenerating them per visit; every first visit "
+                   "is collected once, up front, on lanes.")
 @click.option("--out", type=click.Path(), required=True)
 def meta_train_cmd(**opts):
     """Meta-training with inner-task and across-task updates."""

@@ -3,7 +3,7 @@
 ``run_three_way`` reproduces the comparison experiments at desk scale: it
 trains the classical and the meta-learned networks on the same source
 environments, then adapts and tests both (plus the never-adapted baseline)
-on held-out target environments, optionally sweeping one variable:
+on separate target environments, optionally sweeping one variable:
 
 * adaption-side variables (``g_ad``, ``n_ad``, ``snr_db``) reuse the
   trained networks across the grid;
@@ -163,7 +163,7 @@ def train_pair(cfg: TrainConfig) -> tuple[TrainedModel, TrainedModel]:
     meta-learner reads its tasks there instead of generating them again.
     """
     envs = source_environments(cfg)
-    xs, ys, _ = transfer.first_visits(envs, cfg)
+    xs, ys = transfer.first_visits(envs, cfg)
     nt = transfer.train_no_transfer(xs.reshape(-1, xs.shape[2]), ys.reshape(-1, ys.shape[2]),
                                     cfg, stream(cfg.seed, STREAM_BATCH, 0))
     mt = transfer.meta_train(envs, cfg, stream(cfg.seed, STREAM_BATCH, 1), (xs, ys))

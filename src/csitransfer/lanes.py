@@ -24,6 +24,7 @@ import sys
 import numpy as np
 
 _busy = False  # in a forked lane, or in a caller while its lanes are open
+peak_lanes = 1  # the most lanes an open_lanes call ran, the caller included, since set to 1
 
 
 def usable_cpus() -> int:
@@ -85,7 +86,7 @@ def open_lanes(count: int, serve):
     of those that forked; a fork that fails with ``OSError`` ends the
     forking. A lane ignores SIGINT and holds no other lane's pipe ends.
     Leaving the block joins every lane, which an error stops first."""
-    global _busy
+    global _busy, peak_lanes
     if count <= 1:
         yield []
         return
@@ -112,6 +113,7 @@ def open_lanes(count: int, serve):
             down_r.close()
             up_w.close()
             ends.append((down_w, up_r))
+        peak_lanes = max(peak_lanes, 1 + len(ends))
         yield ends
         failed = False
     finally:

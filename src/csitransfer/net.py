@@ -217,7 +217,7 @@ class Workspace:
     ``params`` is read afresh at every call, so a loop that updates it in
     place (the ``*_update`` functions of :mod:`csitransfer.optim`) trains
     through the workspace. ``xs`` and ``ys`` are the input and label rows,
-    held by reference: a minibatch loop gathers each batch into them. Every
+    kept by reference: a minibatch loop gathers each batch into them. Every
     other buffer is sized once, from the layer shapes and the row count:
     per layer the activations (ReLU applied in place), the ReLU masks
     (activation > 0) and the deltas, plus the gradient ``grads`` (in

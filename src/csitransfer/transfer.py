@@ -12,10 +12,11 @@ owns one :class:`net.Workspace` and steps its parameters in place with
 gathered into the workspace's input rows; an adaption snapshot is a copy.
 GD adaption is bit-identical to the pure ``gd_step`` loop; Adam differs
 from the textbook bias correction by rounding only (see :mod:`optim`).
-Source tasks are held once, as the stacked rows of :func:`first_visits`,
+Source tasks are kept once, as the stacked rows of :func:`first_visits`,
 collected block by block on the lanes of :func:`lanes.fork_map`: pooled
-training and the meta step read them there. Adaption reads a target's
-dataset rows as they are.
+training and the meta step read them there. Under ``fixed_task_data``,
+``meta_train`` collects them so, once and up front, when none are passed.
+Adaption reads a target's dataset rows as they are.
 
 The meta-gradient is available in two modes: ``exact`` differentiates
 through the unrolled inner loop (reverse accumulation with Hessian-vector
@@ -39,7 +40,8 @@ A task's inner steps and meta-gradient depend only on omega and its own
 data, so ``meta_train`` splits each step's blocks across :func:`meta_lanes`
 lanes, forked once per call by :func:`lanes.open_lanes`, and adds their
 losses and gradients in block order, so every lane count gives the same
-bits (:class:`_Lanes`).
+bits (:class:`_Lanes`). The lanes only read the first visits: no process
+writes them once the lanes are open.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ RULE_GD = "gd"
 # B*n rows, so a block of 4 runs them far faster than one task at a time,
 # but the block's factors and tape grow with B: in the exact step at M=64
 # (hidden 128,128, 10-row batches) a block of 8 ran no faster than a block
-# of 4 and held 2.5 MB more at peak; a block of 80 held 50 MB more. A meta
+# of 4 and took 2.5 MB more at peak; a block of 80 took 50 MB more. A meta
 # batch's regenerated data, too, lives one block at a time.
 _TASK_BLOCK = 4
 
@@ -120,7 +122,9 @@ class TrainConfig:
     seed: int = 0
     gen: GeneratorConfig = field(default_factory=GeneratorConfig)
     hidden: tuple[int, ...] = (128, 128)
-    fixed_task_data: bool = False  # regenerate support/query per visit when False
+    # Regenerate support/query per visit when False; when True, every task is
+    # its first visit, collected once, up front, on lanes (first_visits).
+    fixed_task_data: bool = False
 
     def __post_init__(self):
         for name in ("v", "k_s", "k_t", "k_b", "n_ad", "n_te", "u"):
@@ -371,7 +375,7 @@ def _meta_batch_eval(omega: NetParams, blocks, g_tr: int, beta: float,
     """Summed query loss of the adapted copies and its gradient wrt omega.
 
     ``blocks`` yields blocks of support xs, ys and query xs, ys one at a
-    time; with ``meta`` it lists :func:`_plan_blocks` task lists, which the
+    time; with ``meta`` it lists blocks of tasks ``(i, visit)``, which the
     lanes load and run (:meth:`_Lanes.results`). Either way the blocks'
     losses and gradients are added here in block order. No task's weights
     are ever formed. After j inner steps a task's layer weight is
@@ -452,11 +456,11 @@ def _regenerate(tasks, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def first_visits(envs: Sequence[Environment],
-                 cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray, int]:
+                 cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
     """Every source environment's first visit as stacked arrays ``(xs, ys)``,
     each (len(envs), n_tr, 2M): per environment its support rows, then its
-    query rows, as :func:`_support_query` collects them at visit 0; then the
-    lanes that collected them, a block of tasks per item."""
+    query rows, as :func:`_support_query` collects them at visit 0, a block
+    of tasks per item of :func:`lanes.fork_map`."""
     shape = (len(envs), cfg.n_tr, 2 * cfg.gen.array.m)
     starts = range(0, len(envs), _TASK_BLOCK)
     count = channel.collection_lanes(len(envs) * cfg.n_tr * 2, len(starts), cfg.gen.noise)
@@ -468,37 +472,24 @@ def first_visits(envs: Sequence[Environment],
         xs[b:b + _TASK_BLOCK], ys[b:b + _TASK_BLOCK] = _regenerate(
             [(env, 0) for env in envs[b:b + _TASK_BLOCK]], cfg)
 
-    return xs, ys, lanes.fork_map(collect, len(starts), count)[1]
-
-
-def _plan_blocks(tasks, rows, held) -> list[list[tuple[int, int, bool]]]:
-    """A meta batch of distinct tasks ``(i, visit)`` in blocks of ``(i,
-    visit, stored)``: ``stored`` when the task is a first visit that the row
-    store ``rows`` holds (``i`` in ``held``). Every other first visit joins
-    ``held`` here, because the lane that loads its block writes it into the
-    store before the next step."""
-    planned = [(i, visit, not visit and i in held) for i, visit in tasks]
-    if rows is not None:
-        held.update(i for i, visit in tasks if not visit)
-    return [planned[b:b + _TASK_BLOCK] for b in range(0, len(planned), _TASK_BLOCK)]
+    lanes.fork_map(collect, len(starts), count)
+    return xs, ys
 
 
 def _load_block(block, envs: Sequence[Environment], cfg: TrainConfig, rows):
-    """One :func:`_plan_blocks` block as support xs, ys and query xs, ys,
-    cut from the task rows (:func:`_regenerate`). A stored task is read
-    from the row store ``rows``; the others are regenerated together, a
-    first visit also into the store. Without a store, the rows are the
+    """A block of distinct tasks ``(i, visit)`` as support xs, ys and query
+    xs, ys, cut from the task rows. A task is read from the first visits
+    ``rows`` (the arrays of :func:`first_visits`) exactly when they are
+    given and its visit is 0; the others are regenerated together
+    (:func:`_regenerate`). Without ``rows``, the task rows are the
     collector's arrays."""
     n = cfg.n_support
-    fresh = [(i, visit) for i, visit, stored in block if not stored]
+    fresh = [(i, visit) for i, visit in block if rows is None or visit]
     drawn = _regenerate([(envs[i], visit) for i, visit in fresh], cfg) if fresh else rows
     if rows is not None:
         at = {i: j for j, (i, _) in enumerate(fresh)}
-        for i, visit in fresh:
-            if not visit:  # a first visit, into the store
-                rows[0][i], rows[1][i] = drawn[0][at[i]], drawn[1][at[i]]
-        drawn = [np.stack([a[at[i]] if i in at else store[i] for i, _, _ in block])
-                 for store, a in zip(rows, drawn)]
+        drawn = [np.stack([a[at[i]] if i in at else first[i] for i, _ in block])
+                 for first, a in zip(rows, drawn)]
     xs, ys = drawn
     return xs[:, :n], ys[:, :n], xs[:, n:], ys[:, n:]
 
@@ -514,7 +505,8 @@ class _Lanes:
     """The L lanes of one :func:`meta_train` call's meta steps: the caller
     and the lanes that :func:`lanes.open_lanes` forks to :meth:`serve`,
     whose pipe ends :meth:`attach` takes. Block k of a step runs on lane k
-    mod L, which loads it (:func:`_load_block`) and runs :func:`_meta_block`;
+    mod L, which loads it (:func:`_load_block`, reading the first visits
+    ``rows`` that every lane inherits) and runs :func:`_meta_block`;
     :meth:`results` gives the blocks' results in block order. omega and the
     forked lanes' gradients go through one shared mapping made before the
     fork: one omega slot, and two gradient slots per forked lane used in
@@ -537,7 +529,7 @@ class _Lanes:
     def serve(self, lane, down, up):
         """A forked lane's loop: each step's blocks in order, the j-th
         block's gradient into ring slot j % 2 once the caller has added the
-        gradient the slot held. It ends when the caller closes the pipe, or
+        slot's previous gradient. It ends when the caller closes the pipe, or
         once it has sent the caller a block's error."""
         ring = self.rings[lane - 1]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -596,12 +588,13 @@ def meta_train(source_envs: Sequence[Environment], cfg: TrainConfig,
     Each time step draws ``k_b`` tasks, regenerates their support/query
     sets (visit 0 throughout under ``fixed_task_data``), computes the meta
     gradient and applies one Adam step at rate ``gamma``. The batch runs in
-    blocks of tasks (:func:`_plan_blocks`) on :func:`meta_lanes` lanes
+    blocks of ``_TASK_BLOCK`` tasks on :func:`meta_lanes` lanes
     (:class:`_Lanes`); one lane forks nothing. First visits are read from
-    ``first_visit`` (the arrays of :func:`first_visits`) when given, else
-    stored as generated under ``fixed_task_data``, in a shared row store
-    that every lane reads. Initialization comes from
-    the config's network-init substream; the passed generator drives task
+    ``first_visit`` (the arrays of :func:`first_visits`) when given; under
+    ``fixed_task_data`` without them, every source's first visit is
+    collected by :func:`first_visits` before the lanes open, so a run of
+    few steps collects more than it visits. Initialization comes from the
+    config's network-init substream; the passed generator drives task
     selection only. A non-finite meta loss raises :class:`NonFiniteLoss` at
     its step; an error in a forked lane's block is raised here; overflow
     warnings are silenced. Every forked lane has exited when this returns
@@ -614,24 +607,23 @@ def meta_train(source_envs: Sequence[Environment], cfg: TrainConfig,
     if first_visit is not None and [np.shape(a) for a in first_visit] != [shape, shape]:
         raise ValueError(f"first_visit must be two arrays (xs, ys) of shape {shape}: one "
                          f"task of {cfg.n_support}+{cfg.n_query} rows per environment")
-    rows, held = first_visit, set(range(n_envs)) if first_visit is not None else set()
-    if rows is None and cfg.fixed_task_data:
-        rows = lanes.shared_empty(shape), lanes.shared_empty(shape)
+    if first_visit is None and cfg.fixed_task_data and cfg.max_steps:
+        first_visit = first_visits(source_envs, cfg)
     params = init_network(cfg)
     state = AdamState.init(params)
     visits = np.zeros(n_envs, dtype=int)
     history: list[float] = []
 
-    meta = _Lanes(meta_lanes(cfg), source_envs, cfg, rows, params)
+    meta = _Lanes(meta_lanes(cfg), source_envs, cfg, first_visit, params)
     with lanes.open_lanes(meta.count, meta.serve) as ends, \
             np.errstate(over="ignore", invalid="ignore"):
         meta.attach(ends)
         for step in range(cfg.max_steps):
             chosen = sorted(int(j) for j in rng.choice(n_envs, size=cfg.k_b, replace=False))
-            tasks = [(i, int(visits[i])) for i in chosen]
+            blocks = [[(i, int(visits[i])) for i in chosen[b:b + _TASK_BLOCK]]
+                      for b in range(0, cfg.k_b, _TASK_BLOCK)]
             visits[chosen] += not cfg.fixed_task_data  # fixed data: visit 0 throughout
-            loss, grad = _meta_batch_eval(params, _plan_blocks(tasks, rows, held),
-                                          cfg.g_tr, cfg.beta, cfg.meta_mode, meta)
+            loss, grad = _meta_batch_eval(params, blocks, cfg.g_tr, cfg.beta, cfg.meta_mode, meta)
             _check_finite("meta-training", step, loss)
             params, state = adam_step(state, params, grad, cfg.gamma)
             history.append(loss)

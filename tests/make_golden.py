@@ -18,7 +18,9 @@ clean, AWGN and LMMSE noise. The ``three_way`` cases record
 an ``n_ad`` sweep (whose smaller values collect a prefix of the adaption
 combinations) and an ``snr_db`` sweep under LMMSE, and the parameters and
 loss history of every model adapted on the way (Adam for direct transfer,
-GD for meta-learning), by target, rule and call.
+GD for meta-learning), by target, rule and call. The ``gradcheck`` case
+records the error on each of the three lines that ``csitransfer gradcheck``
+prints at the test suite's configuration, as printed.
 ``test_golden.py`` recomputes each case with :data:`CASES` and compares.
 
 The record also names the numpy version and BLAS build it was computed on.
@@ -32,6 +34,7 @@ import collections
 import glob
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -163,6 +166,17 @@ def _cli(command: str, *args, sources: bool = False):
     return case
 
 
+def _gradcheck() -> dict:
+    res = CliRunner().invoke(cli, [str(a) for a in (
+        "gradcheck", "--probe-count", 20, "--antennas", 4, "--hidden", "8,8", "--seed", 5)])
+    assert res.exit_code == 0, res.output
+    # "<check>: max relative error <error> (tolerance <tol>) pass", one line a check
+    lines = [re.fullmatch(r"(\S+): max relative error (\S+) .*", line).groups()
+             for line in res.output.splitlines()]
+    assert len(lines) == 3, res.output
+    return {"errors": {name: _hexes([float(err)]) for name, err in lines}}
+
+
 CASES = {
     f"train_pair/{noise}/{'fixed' if fixed else 'regenerated'}": _train_pair(noise, fixed)
     for noise in (ch.NOISE_CLEAN, ch.NOISE_LMMSE) for fixed in (False, True)
@@ -185,6 +199,7 @@ CASES.update({
     "three_way/none": _three_way(None),
     "three_way/n_ad": _three_way(("n_ad", [2, 4])),
     "three_way/snr_db": _three_way(("snr_db", [0.0, 20.0]), ch.NOISE_LMMSE),
+    "gradcheck": _gradcheck,
 })
 
 

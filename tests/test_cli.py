@@ -423,6 +423,26 @@ def test_train_manifest_records_its_lanes(tmp_path, monkeypatch):
     assert json.load(open(ck + ".manifest.json"))["lanes"] == 1
 
 
+def test_manifests_record_the_most_lanes_that_ran(tmp_path, monkeypatch):
+    """A manifest's ``lanes`` counts every fork of its command, also those
+    inside a map of one item: ``gen --envs 1`` at the defaults (40 LMMSE
+    links at M=64) forks once for its estimates and records 2 lanes, and
+    ``meta-train --fixed-task-data`` records the 2 lanes of its first
+    visits (8 LMMSE sources make 2 blocks) though its steps of one block
+    run on one lane."""
+    fork, forks = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    monkeypatch.setattr(lanes, "usable_cpus", lambda: 2)
+    out = str(tmp_path / "one.bin")
+    assert run_cli("gen", "--out", out).exit_code == 0
+    assert len(forks) == 1 and json.load(open(out + ".manifest.json"))["lanes"] == 2
+    ck = str(tmp_path / "fixed.ck")
+    assert run_cli("meta-train", *TINY_GEN[:-1], "lmmse", *TINY_TRAIN, "--k-b", 4,
+                   "--max-steps", 2, "--fixed-task-data", "--out", ck).exit_code == 0
+    manifest = json.load(open(ck + ".manifest.json"))
+    assert len(forks) == 2 and (manifest["lanes"], manifest["meta_lanes"]) == (2, 1)
+
+
 def test_meta_lanes_are_recorded_and_change_no_output(tmp_path, monkeypatch):
     """``meta-train``'s manifest and a sweep's report record the meta step's
     lanes. On 1 lane or on 2 (5 tasks per step make 2 blocks, so 3 CPUs

@@ -45,9 +45,11 @@ def gen_file(tmp_path, name):
 
 def stage_outputs(tmp_path, name):
     """Every stage that collects on the map: its outputs as bytes, and the
-    lanes its map ran on."""
+    most lanes that ``first_visits`` and ``gen`` ran on."""
     envs = evaluate.source_environments(CFG)
-    xs, ys, ran = transfer.first_visits(envs, CFG)
+    lanes.peak_lanes = 1
+    xs, ys = transfer.first_visits(envs, CFG)
+    ran = lanes.peak_lanes
     data, gen_lanes = gen_file(tmp_path, name)
     return [xs.tobytes(), ys.tobytes(), data] + [a.tobytes() for a in collect_sets()], \
         (ran, gen_lanes)
@@ -63,6 +65,15 @@ def test_stages_give_the_same_bits_on_every_lane_count(monkeypatch, tmp_path):
         runs[cpus], ran = stage_outputs(tmp_path, f"gen{cpus}.bin")
         assert ran == (cpus, cpus)  # 9 sources make 3 blocks; 5 environments
     assert runs[2] == runs[1] and runs[3] == runs[1]
+
+
+def test_clean_collections_fork_from_1334_links(monkeypatch):
+    """A clean link counts 3 ray sums against the 4,000 from which a
+    collection forks: clean first visits of 64 tasks at n_tr=20 (2,560
+    links) run on 2 lanes, those of 32 tasks on one."""
+    monkeypatch.setattr(lanes, "usable_cpus", lambda: 2)
+    assert [ch.collection_lanes(links, 16, ch.NoiseSpec(mode=ch.NOISE_CLEAN))
+            for links in (2560, 1334, 1333, 1280)] == [2, 2, 1, 1]
 
 
 def test_failed_fork_leaves_the_items_to_the_caller(monkeypatch, tmp_path):

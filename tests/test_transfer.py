@@ -792,13 +792,13 @@ def test_block_streamed_meta_train_equals_per_task_loop(noise, meta_mode, k_b):
     """Streaming the meta batch block by block, with each block's tasks
     collected together, changes no bit of the weights or the losses: with
     every task regenerated, with first visits passed in (blocks that mix
-    stored and regenerated tasks), and with fixed task data, with and
-    without first visits (a store filled as tasks are first visited)."""
+    first visits read from them and regenerated tasks), and with fixed task
+    data, with first visits passed in or collected up front."""
     gen = ch.GeneratorConfig(array=ch.ArrayConfig(m=4), users=5,
                              noise=ch.NoiseSpec(snr_db=10.0, pilot_len=4, mode=noise))
     cfg = tiny_cfg(k_b=k_b, n_tr=3, max_steps=2, hidden=(8,), meta_mode=meta_mode, gen=gen)
     envs = [ch.sample_environment(i, gen, cfg.seed) for i in range(cfg.k_s)]
-    first_visit = transfer.first_visits(envs, cfg)[:2]
+    first_visit = transfer.first_visits(envs, cfg)
     for fixed, given in ((False, None), (False, first_visit), (True, None), (True, first_visit)):
         c = replace(cfg, fixed_task_data=fixed)
         model = transfer.meta_train(envs, c, stream(c.seed, STREAM_BATCH, 1), given)
@@ -812,7 +812,7 @@ def test_meta_train_rejects_malformed_first_visits():
     ``first_visits``: one 4+4-row task per source environment."""
     cfg = tiny_cfg(max_steps=1)
     envs = [ch.sample_environment(i, cfg.gen, cfg.seed) for i in range(cfg.k_s)]
-    xs, ys, _ = transfer.first_visits(envs, cfg)
+    xs, ys = transfer.first_visits(envs, cfg)
     for bad in ((xs[1:], ys[1:]), (xs, ys[:, :6]), (xs[:, :6], ys[:, :6]), (xs,),
                 (xs.reshape(-1, 8), ys.reshape(-1, 8)), (xs[..., :4], ys[..., :4])):
         with pytest.raises(ValueError, match="first_visit .* 4\\+4 rows"):
@@ -820,7 +820,7 @@ def test_meta_train_rejects_malformed_first_visits():
 
 
 def test_streamed_blocks_without_a_store_view_the_collected_rows(monkeypatch):
-    """With no row store, a block's support and query arrays are views of
+    """Without first visits, a block's support and query arrays are views of
     the collector's rows, cut at n_support: nothing is copied."""
     cfg = tiny_cfg(n_tr=7)
     envs = [ch.sample_environment(i, cfg.gen, cfg.seed) for i in range(5)]
@@ -832,8 +832,9 @@ def test_streamed_blocks_without_a_store_view_the_collected_rows(monkeypatch):
         return collected[-1]
 
     monkeypatch.setattr(ch, "collect_sets", recording)
-    blocks = [transfer._load_block(block, envs, cfg, None)
-              for block in transfer._plan_blocks([(i, 1) for i in range(5)], None, set())]
+    tasks = [(i, 1) for i in range(5)]
+    blocks = [transfer._load_block(tasks[b:b + transfer._TASK_BLOCK], envs, cfg, None)
+              for b in range(0, len(tasks), transfer._TASK_BLOCK)]
     assert [b[0].shape[:2] for b in blocks] == [(4, 3), (1, 3)]
     for block, (xs, ys, *_) in zip(blocks, collected):
         for a, rows in zip(block, (xs, ys, xs, ys)):
@@ -851,7 +852,7 @@ def test_first_visits_match_per_task_support_query(noise):
                              noise=ch.NoiseSpec(snr_db=10.0, pilot_len=4, mode=noise))
     cfg = tiny_cfg(k_s=6, n_tr=7, gen=gen)
     envs = [ch.sample_environment(i, gen, cfg.seed) for i in range(cfg.k_s)]
-    xs, ys, _ = transfer.first_visits(envs, cfg)
+    xs, ys = transfer.first_visits(envs, cfg)
     assert xs.shape == ys.shape == (6, 7, 8)
     for env, x, y in zip(envs, xs, ys):
         sup, que = transfer._support_query(env, cfg, 0)
@@ -859,19 +860,21 @@ def test_first_visits_match_per_task_support_query(noise):
         assert np.array_equal(y, np.concatenate([sup.ys, que.ys]))
 
 
-def test_fixed_task_data_draws_only_visited_environments(monkeypatch):
-    """Under fixed task data without first visits, an environment's task
-    is drawn when it is first visited, and only then: 3 steps of one task
-    draw combinations for at most 3 environments, each once."""
+def test_fixed_task_data_collects_every_first_visit_up_front(monkeypatch):
+    """Under fixed task data without first visits, every source
+    environment's task is drawn once, in order, before the first step, and
+    no step draws one: 3 steps of one task draw for all 12 environments."""
+    monkeypatch.setattr(lanes, "usable_cpus", lambda: 1)  # every draw in this process
     cfg = tiny_cfg(k_b=1, max_steps=3, fixed_task_data=True)
     envs = [ch.sample_environment(i, cfg.gen, cfg.seed) for i in range(cfg.k_s)]
-    drawn = []
-    draw_combos = ch.draw_combos
+    events = []
+    draw_combos, meta_batch_eval = ch.draw_combos, transfer._meta_batch_eval
     monkeypatch.setattr(ch, "draw_combos",
-                        lambda env, *a, **k: drawn.append(env.id) or draw_combos(env, *a, **k))
+                        lambda env, *a, **k: events.append(env.id) or draw_combos(env, *a, **k))
+    monkeypatch.setattr(transfer, "_meta_batch_eval",
+                        lambda *a, **k: events.append("step") or meta_batch_eval(*a, **k))
     transfer.meta_train(envs, cfg, RNG(0))
-    assert 1 <= len(drawn) <= 3
-    assert len(set(drawn)) == len(drawn)
+    assert events == list(range(cfg.k_s)) + ["step"] * 3
 
 
 def test_meta_train_step_memory_does_not_grow_with_the_meta_batch():
@@ -915,8 +918,9 @@ def test_meta_train_requires_enough_sources():
 
 def lane_cfg(**overrides):
     """9 tasks per step make blocks of 4, 4 and 1. 16 sources over 3 steps
-    revisit some, so a step mixes stored and regenerated tasks, and a task
-    stored by one lane is read by another in a later step."""
+    revisit some, so with first visits given a block mixes tasks read from
+    them and regenerated tasks, and one task's first visit is read by
+    different lanes in different steps."""
     return tiny_cfg(**{"k_s": 16, "k_b": 9, "n_tr": 3, "max_steps": 3, "hidden": (8,),
                        **overrides})
 
@@ -925,15 +929,15 @@ def lane_cfg(**overrides):
 @pytest.mark.parametrize("noise", ["clean", "lmmse"])
 def test_meta_train_lanes_give_bit_identical_runs(monkeypatch, noise, meta_mode):
     """1, 2 and 3 lanes give the same weights and losses, bit for bit: with
-    every task regenerated, with first visits passed in, and with lazy fixed
-    task data (the lanes fill one shared row store). Every forked lane has
+    every task regenerated, and with fixed task data or not, with first
+    visits passed in or (fixed) collected up front. Every forked lane has
     exited when ``meta_train`` returns."""
     gen = ch.GeneratorConfig(array=ch.ArrayConfig(m=4), users=5,
                              noise=ch.NoiseSpec(snr_db=10.0, pilot_len=4, mode=noise))
     cfg = lane_cfg(meta_mode=meta_mode, gen=gen)
     envs = [ch.sample_environment(i, gen, cfg.seed) for i in range(cfg.k_s)]
-    first_visit = transfer.first_visits(envs, cfg)[:2]
-    for fixed, given in ((False, None), (False, first_visit), (True, None)):
+    first_visit = transfer.first_visits(envs, cfg)
+    for fixed, given in ((False, None), (False, first_visit), (True, None), (True, first_visit)):
         c = replace(cfg, fixed_task_data=fixed)
         runs = []
         for cpus in (1, 2, 3):
