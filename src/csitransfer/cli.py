@@ -7,7 +7,7 @@ timestamps, the process's peak resident memory (``peak_rss_mb``, in MiB),
 that of its largest finished child process (``peak_rss_children_mb``: the
 forked lanes of :mod:`csitransfer.lanes`, 0 when none ran) and the produced
 files. Every manifest also records ``lanes``, the most lanes that any
-:func:`lanes.open_lanes` call of the command ran, the caller included (1
+:func:`lanes.open_map` map of the command ran, the caller included (1
 when nothing forked, as in ``train --sources``): ``gen``'s map over
 environments, first visits, meta steps, or the LMMSE estimates of a
 collection in the caller. A ``meta-train`` manifest also records
@@ -340,6 +340,24 @@ def _impl_sweep(opts: dict) -> tuple[list[str], dict]:
     return [opts["out"], report_path], {}
 
 
+def _fd_worst(rng, params, grads, loss, probes: int, eps: float) -> float:
+    """The worst relative error of ``grads`` against central differences
+    of ``loss`` with step ``eps``, at ``probes`` weight entries drawn from
+    ``rng``: a layer, then a row and a column."""
+    worst = 0.0
+    for _ in range(probes):
+        li = int(rng.integers(0, len(params.weights)))
+        w = params.weights[li]
+        idx = (int(rng.integers(0, w.shape[0])), int(rng.integers(0, w.shape[1])))
+        p2, p3 = params.copy(), params.copy()
+        p2.weights[li][idx] += eps
+        p3.weights[li][idx] -= eps
+        fd = (loss(p2) - loss(p3)) / (2 * eps)
+        an = grads.weights[li][idx]
+        worst = max(worst, abs(fd - an) / max(abs(fd), abs(an), 1e-10))
+    return worst
+
+
 def _impl_gradcheck(opts: dict) -> tuple[list[str], dict]:
     from . import net, transfer
     from .seeding import (STREAM_GRADCHECK_BACKWARD, STREAM_GRADCHECK_HVP,
@@ -364,20 +382,11 @@ def _impl_gradcheck(opts: dict) -> tuple[list[str], dict]:
         batch = net.Batch(rng.normal(size=(8, spec.sizes[0])),
                           rng.normal(size=(8, spec.sizes[0])))
         grads = net.loss_and_grad(params, batch)[1]
-        for _ in range(probes // 5 + 1):
-            li = int(rng.integers(0, len(params.weights)))
-            w = params.weights[li]
-            idx = (int(rng.integers(0, w.shape[0])), int(rng.integers(0, w.shape[1])))
-            # A step of 1e-5 leaves a rounding floor near 2e-6 relative on small
-            # entries when the loss is O(40) (M=16, hidden 128,128); 1e-4 keeps
-            # both rounding and truncation far below the tolerance.
-            eps = 1e-4
-            p2, p3 = params.copy(), params.copy()
-            p2.weights[li][idx] += eps
-            p3.weights[li][idx] -= eps
-            fd = (net.mse_loss(p2, batch) - net.mse_loss(p3, batch)) / (2 * eps)
-            an = grads.weights[li][idx]
-            worst = max(worst, abs(fd - an) / max(abs(fd), abs(an), 1e-10))
+        # A step of 1e-5 leaves a rounding floor near 2e-6 relative on small
+        # entries when the loss is O(40) (M=16, hidden 128,128); 1e-4 keeps
+        # both rounding and truncation far below the tolerance.
+        worst = max(worst, _fd_worst(rng, params, grads, lambda p: net.mse_loss(p, batch),
+                                     probes // 5 + 1, 1e-4))
     report("backward-vs-finite-differences", worst, 1e-6)
 
     # Hessian symmetry through the forward-over-reverse product.
@@ -414,17 +423,8 @@ def _impl_gradcheck(opts: dict) -> tuple[list[str], dict]:
                 total += net.mse_loss(adapted, que)
             return total
 
-        for _ in range(max(probes // 10, 5)):
-            li = int(rng.integers(0, len(params.weights)))
-            w = params.weights[li]
-            idx = (int(rng.integers(0, w.shape[0])), int(rng.integers(0, w.shape[1])))
-            eps = 2e-5  # near the f64 central-difference optimum at this loss scale
-            p2, p3 = params.copy(), params.copy()
-            p2.weights[li][idx] += eps
-            p3.weights[li][idx] -= eps
-            fd = (meta_loss(p2) - meta_loss(p3)) / (2 * eps)
-            an = mg.weights[li][idx]
-            worst = max(worst, abs(fd - an) / max(abs(fd), abs(an), 1e-10))
+        # A step near the f64 central-difference optimum at this loss scale.
+        worst = max(worst, _fd_worst(rng, params, mg, meta_loss, max(probes // 10, 5), 2e-5))
     report("meta-gradient-vs-finite-differences", worst, 1e-5)
 
     if failures:

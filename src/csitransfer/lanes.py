@@ -1,12 +1,16 @@
 """Forked lanes: the one way the program runs a stage's items in parallel.
 
-:func:`fork_map` runs item k of n on lane k mod L (:func:`lane_count`).
-Lane 0 is the caller; the others are processes forked once per call, which
-inherit what the caller built and write array outputs into an anonymous
-shared mapping made before the fork (:func:`shared_empty`), so only small
-results cross their pipes. Results come back in item order, so the error
-raised is the first failing item's, with its type and message, at every
-lane count. A call inside a lane, or while the caller has lanes open, runs
+:func:`open_map` opens a map that runs item k of each job it is given on
+lane k mod L (:func:`lane_count`); :func:`fork_map` is a map of one job.
+Lane 0 is the caller; the others are processes forked once per map, which
+inherit what the caller built and write array outputs into anonymous
+shared mappings made before the fork (:func:`shared_empty`), so only jobs
+and small results cross their pipes. A forked lane returns an array result
+through two ring slots of its own, used in turn. Results come back in item
+order, and lane 0 runs its next item before it takes the forked lanes'
+results but raises its error only at that item's turn, so the error raised
+is the first failing item's, with its type and message, at every lane
+count. A map opened inside a lane, or while the caller has lanes open, runs
 inline: lanes never nest. Items that draw only from their own streams give
 the same bits on any number of lanes.
 """
@@ -24,7 +28,7 @@ import sys
 import numpy as np
 
 _busy = False  # in a forked lane, or in a caller while its lanes are open
-peak_lanes = 1  # the most lanes an open_lanes call ran, the caller included, since set to 1
+peak_lanes = 1  # the most lanes an open_map call ran, the caller included, since set to 1
 
 
 def usable_cpus() -> int:
@@ -49,12 +53,12 @@ def shared_empty(shape: tuple[int, ...], dtype=float) -> np.ndarray:
     return np.frombuffer(buffer, dtype=dtype, count=size).reshape(shape)
 
 
-def send(writer, message):
-    pickle.dump(message, writer, pickle.HIGHEST_PROTOCOL)
+def _send(writer, message):
+    writer.write(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))  # whole, or nothing
     writer.flush()
 
 
-def send_error(writer, exc: Exception):
+def _send_error(writer, exc: Exception):
     """Send a lane's error and its traceback, the error's cause in the
     caller; one that does not pickle goes as a ``RuntimeError``."""
     import traceback
@@ -64,10 +68,10 @@ def send_error(writer, exc: Exception):
         pickle.dumps(exc)
     except Exception:
         exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-    send(writer, (False, (exc, text)))
+    _send(writer, (False, (exc, text)))
 
 
-def receive(reader, what: str):
+def _receive(reader, what: str):
     """The value of a lane's next reply ``(True, value)``. A sent error is
     raised; a lane that exited owing ``what`` raises ``RuntimeError``."""
     try:
@@ -79,20 +83,46 @@ def receive(reader, what: str):
     return value
 
 
+def _serve(fn, lane: int, lanes: int, down, up, ring):
+    """A forked lane's loop: each job's items k = lane mod ``lanes`` in
+    order, with ``ring`` the j-th item's array into slot j % 2 once the
+    caller has freed it. It ends when the caller closes the pipe, or raises
+    an item's error."""
+    while True:
+        try:
+            job, n = pickle.load(down)
+        except EOFError:
+            return
+        for j, k in enumerate(range(lane, n, lanes)):
+            result = fn(job, k)
+            if ring is not None:
+                if j >= 2:
+                    pickle.load(down)  # the slot is free
+                result, array = result
+                np.copyto(ring[j % 2], array)
+            _send(up, (True, result))
+
+
 @contextlib.contextmanager
-def open_lanes(count: int, serve):
-    """Fork lanes 1..count-1, lane j running ``serve(j, down, up)`` on its
-    pipes from and to the caller, and give the caller's ends ``(down, up)``
-    of those that forked; a fork that fails with ``OSError`` ends the
-    forking. A lane ignores SIGINT and holds no other lane's pipe ends.
-    Leaving the block joins every lane, which an error stops first."""
+def open_map(fn, lanes: int, slot_size: int = 0):
+    """A map of ``fn(job, k)`` on ``lanes`` lanes, open for the block. It
+    gives ``(run, ran)``: ``run(job, n)`` yields ``fn(job, k)`` for k < n
+    in item order, item k on lane k mod ``lanes``, and ``ran`` counts the
+    lanes that forked, the caller included. A fork that fails with
+    ``OSError`` ends the forking and leaves the other lanes' items to the
+    caller. With ``slot_size``, results are pairs ``(value, array)`` of
+    that many floats, and a forked lane's array comes as a view of its ring
+    slot, valid until the next result is asked for. A forked lane ignores
+    SIGINT and holds no other lane's pipe ends; its error, raised by ``fn``
+    or on the way to the caller, is raised at its next item. An error ends
+    the map: leaving the block joins every lane, which an error stops
+    first."""
     global _busy, peak_lanes
-    if count <= 1:
-        yield []
-        return
-    pids, ends, failed, _busy = [], [], True, True
+    busy, _busy = _busy, _busy or lanes > 1
+    rings = shared_empty((lanes - 1, 2, slot_size)) if slot_size and lanes > 1 else None
+    pids, ends, failed = [], [], True
     try:
-        for lane in range(1, count):
+        for lane in range(1, lanes):
             (down_r, down_w), (up_r, up_w) = (
                 (os.fdopen(r, "rb"), os.fdopen(w, "wb")) for r, w in (os.pipe(), os.pipe()))
             try:
@@ -106,18 +136,50 @@ def open_lanes(count: int, serve):
                     signal.signal(signal.SIGINT, signal.SIG_IGN)
                     for f in [f for pair in ends for f in pair] + [down_w, up_r]:
                         f.close()
-                    serve(lane, down_r, up_w)
+                    ring = None if rings is None else rings[lane - 1]
+                    _serve(fn, lane, lanes, down_r, up_w, ring)
+                except Exception as exc:  # also from outside fn, such as a result that does not pickle
+                    _send_error(up_w, exc)  # the caller raises it at the lane's next item
+                    down_r.read()  # until the caller closes the pipe, which may free a slot first
                 finally:
                     os._exit(0)
             pids.append(pid)
             down_r.close()
             up_w.close()
             ends.append((down_w, up_r))
-        peak_lanes = max(peak_lanes, 1 + len(ends))
-        yield ends
+        ran = 1 + len(ends)
+        peak_lanes = max(peak_lanes, ran)
+
+        def own(job, k):
+            try:
+                return True, fn(job, k)
+            except Exception as exc:  # raised at item k's turn
+                return False, exc
+
+        def run(job, n: int):
+            for down, _ in ends:
+                _send(down, (job, n))
+            ahead = own(job, 0) if n else None
+            for k in range(0, n, lanes):
+                ok, value = ahead
+                if not ok:
+                    raise value
+                yield value
+                ahead = own(job, k + lanes) if k + lanes < n else None
+                for lane in range(1, min(lanes, n - k)):
+                    if lane >= ran:
+                        yield fn(job, k + lane)
+                        continue
+                    down, up = ends[lane - 1]
+                    value = _receive(up, f"item {k + lane}")
+                    yield value if rings is None else (value, rings[lane - 1][k // lanes % 2])
+                    if rings is not None and k + lane + 2 * lanes < n:
+                        _send(down, None)  # the slot is free again
+
+        yield run, ran
         failed = False
     finally:
-        _busy = False
+        _busy = busy
         for f in (f for pair in ends for f in pair):
             f.close()
         for pid in pids:
@@ -128,16 +190,6 @@ def open_lanes(count: int, serve):
 
 def fork_map(fn, count: int, lanes: int) -> tuple[list, int]:
     """``[fn(k) for k in range(count)]`` on ``lanes`` lanes, and the lanes
-    that ran: a failed fork leaves its lane's items to the caller."""
-    def serve(lane, _, up):
-        for k in range(lane, count, lanes):
-            try:
-                reply = True, fn(k)
-            except Exception as exc:  # the caller raises it at item k
-                return send_error(up, exc)
-            send(up, reply)
-
-    with open_lanes(lanes, serve) as ends:
-        ran = 1 + len(ends)
-        return [receive(ends[k % lanes - 1][1], f"item {k}") if 0 < k % lanes < ran
-                else fn(k) for k in range(count)], ran
+    that ran: a map of one job (:func:`open_map`)."""
+    with open_map(lambda _, k: fn(k), lanes) as (run, ran):
+        return list(run(None, count)), ran

@@ -37,17 +37,17 @@ one GEMM of the shared weights against all rows of the block plus thin
 per-task products against the factors.
 
 A task's inner steps and meta-gradient depend only on omega and its own
-data, so ``meta_train`` splits each step's blocks across :func:`meta_lanes`
-lanes, forked once per call by :func:`lanes.open_lanes`, and adds their
-losses and gradients in block order, so every lane count gives the same
-bits (:class:`_Lanes`). The lanes only read the first visits: no process
+data, so ``meta_train`` runs each step's blocks as one job of a map of
+:func:`lanes.open_map` on :func:`meta_lanes` lanes, forked once per call,
+and adds their losses and gradients in block order, so every lane count
+gives the same bits. The lanes read omega from one shared slot that the
+caller writes each step, and only read the first visits: no process
 writes them once the lanes are open.
 """
 
 from __future__ import annotations
 
 import math
-import pickle
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
@@ -185,7 +185,7 @@ class NonFiniteLoss(ValueError):
         self.step = step
         self.loss = loss
 
-    def __reduce__(self):  # rebuilt from its fields, as a worker process sends it
+    def __reduce__(self):  # rebuilt from its fields, as a lane sends it
         return type(self), (self.stage, self.step, self.loss)
 
 
@@ -371,12 +371,13 @@ def inner_adapt(omega: NetParams, d_sup, g_tr: int,
 
 
 def _meta_batch_eval(omega: NetParams, blocks, g_tr: int, beta: float,
-                     mode: str, meta: "_Lanes | None" = None) -> tuple[float, NetParams]:
+                     mode: str, run=None) -> tuple[float, NetParams]:
     """Summed query loss of the adapted copies and its gradient wrt omega.
 
     ``blocks`` yields blocks of support xs, ys and query xs, ys one at a
-    time; with ``meta`` it lists blocks of tasks ``(i, visit)``, which the
-    lanes load and run (:meth:`_Lanes.results`). Either way the blocks'
+    time; with ``run``, the map :func:`meta_train` opens, it lists blocks
+    of tasks ``(i, visit)``, which the map's lanes load and run, each
+    giving its loss and flat gradient. Either way the blocks'
     losses and gradients are added here in block order. No task's weights
     are ever formed. After j inner steps a task's layer weight is
     ``omega - beta * sum_{i<j} delta_i.T @ act_i``: factors whose rows are
@@ -393,8 +394,11 @@ def _meta_batch_eval(omega: NetParams, blocks, g_tr: int, beta: float,
     if mode not in (META_EXACT, META_FIRST_ORDER):
         raise ValueError(f"unknown meta mode {mode!r}")
     exact = mode == META_EXACT
-    results = (meta.results(omega, blocks, g_tr, beta, exact) if meta is not None
-               else (_meta_block(omega, block, g_tr, beta, exact) for block in blocks))
+    if run is None:
+        results = (_meta_block(omega, block, g_tr, beta, exact) for block in blocks)
+    else:
+        results = ((loss, omega.like(grad))
+                   for loss, grad in run((blocks, g_tr, beta, exact), len(blocks)))
     total_loss, count = 0.0, 0
     total_grad = net.zeros_like_params(omega)
     for count, (loss, grad) in enumerate(results, 1):
@@ -501,85 +505,6 @@ def meta_lanes(cfg: TrainConfig) -> int:
     return lanes.lane_count(-(-cfg.k_b // _TASK_BLOCK), cfg.max_steps > 0)
 
 
-class _Lanes:
-    """The L lanes of one :func:`meta_train` call's meta steps: the caller
-    and the lanes that :func:`lanes.open_lanes` forks to :meth:`serve`,
-    whose pipe ends :meth:`attach` takes. Block k of a step runs on lane k
-    mod L, which loads it (:func:`_load_block`, reading the first visits
-    ``rows`` that every lane inherits) and runs :func:`_meta_block`;
-    :meth:`results` gives the blocks' results in block order. omega and the
-    forked lanes' gradients go through one shared mapping made before the
-    fork: one omega slot, and two gradient slots per forked lane used in
-    turn. The pipes carry the step's task lists, the blocks' losses or first
-    error, and the caller's word that a slot is free again.
-    """
-
-    def __init__(self, count: int, envs: Sequence[Environment], cfg: TrainConfig, rows,
-                 omega: NetParams):
-        self.count, self.envs, self.cfg, self.rows = count, envs, cfg, rows
-        if count > 1:
-            slots = lanes.shared_empty((2 * count - 1, omega.flat.size))
-            self.omega = omega.like(slots[0])
-            self.rings = [[omega.like(s) for s in slots[2 * w - 1:2 * w + 1]]
-                          for w in range(1, count)]
-
-    def attach(self, ends):
-        self.ends, self.count = ends, 1 + len(ends)
-
-    def serve(self, lane, down, up):
-        """A forked lane's loop: each step's blocks in order, the j-th
-        block's gradient into ring slot j % 2 once the caller has added the
-        slot's previous gradient. It ends when the caller closes the pipe, or
-        once it has sent the caller a block's error."""
-        ring = self.rings[lane - 1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            while True:
-                try:
-                    blocks, g_tr, beta, exact = pickle.load(down)
-                except EOFError:
-                    return
-                for j, block in enumerate(blocks):
-                    try:
-                        loss, grad = _meta_block(
-                            self.omega, _load_block(block, self.envs, self.cfg, self.rows),
-                            g_tr, beta, exact)
-                    except Exception as exc:  # the caller raises it and stops the lanes
-                        return lanes.send_error(up, exc)
-                    if j >= 2:
-                        pickle.load(down)  # the slot is free
-                    np.copyto(ring[j % 2].flat, grad.flat)
-                    lanes.send(up, (True, loss))
-
-    def results(self, omega: NetParams, blocks, g_tr: int, beta: float, exact: bool):
-        """``(loss, gradient)`` of every block in block order, each block
-        run on its lane. Lane 0 runs its block of the next round of L
-        blocks before it takes the forked lanes' results of this round, so
-        it seldom waits on them. A forked lane's gradient is a view of its
-        slot, valid until the next result is asked for."""
-        count, n = self.count, len(blocks)
-
-        def own(k):
-            block = _load_block(blocks[k], self.envs, self.cfg, self.rows)
-            return _meta_block(omega, block, g_tr, beta, exact)
-
-        if count == 1:
-            yield from map(own, range(n))
-            return
-        np.copyto(self.omega.flat, omega.flat)
-        for lane, (down, _) in enumerate(self.ends, 1):
-            lanes.send(down, (blocks[lane::count], g_tr, beta, exact))
-        ahead = own(0)
-        for k in range(0, n, count):
-            yield ahead
-            ahead = own(k + count) if k + count < n else None
-            for lane in range(1, min(count, n - k)):
-                down, up = self.ends[lane - 1]
-                yield (lanes.receive(up, f"meta-step block {k + lane}"),
-                       self.rings[lane - 1][k // count % 2])
-                if k + lane + 2 * count < n:
-                    lanes.send(down, None)  # the slot is free again
-
-
 def meta_train(source_envs: Sequence[Environment], cfg: TrainConfig,
                rng: np.random.Generator,
                first_visit: tuple[np.ndarray, np.ndarray] | None = None) -> TrainedModel:
@@ -588,15 +513,17 @@ def meta_train(source_envs: Sequence[Environment], cfg: TrainConfig,
     Each time step draws ``k_b`` tasks, regenerates their support/query
     sets (visit 0 throughout under ``fixed_task_data``), computes the meta
     gradient and applies one Adam step at rate ``gamma``. The batch runs in
-    blocks of ``_TASK_BLOCK`` tasks on :func:`meta_lanes` lanes
-    (:class:`_Lanes`); one lane forks nothing. First visits are read from
+    blocks of ``_TASK_BLOCK`` tasks, block k on lane k mod L of one
+    :func:`lanes.open_map` map on L = :func:`meta_lanes` lanes, each lane
+    loading its blocks (:func:`_load_block`) and running them
+    (:func:`_meta_block`); one lane forks nothing. First visits are read from
     ``first_visit`` (the arrays of :func:`first_visits`) when given; under
     ``fixed_task_data`` without them, every source's first visit is
     collected by :func:`first_visits` before the lanes open, so a run of
     few steps collects more than it visits. Initialization comes from the
     config's network-init substream; the passed generator drives task
     selection only. A non-finite meta loss raises :class:`NonFiniteLoss` at
-    its step; an error in a forked lane's block is raised here; overflow
+    its step; the first failing block's error is raised here; overflow
     warnings are silenced. Every forked lane has exited when this returns
     or raises.
     """
@@ -614,16 +541,23 @@ def meta_train(source_envs: Sequence[Environment], cfg: TrainConfig,
     visits = np.zeros(n_envs, dtype=int)
     history: list[float] = []
 
-    meta = _Lanes(meta_lanes(cfg), source_envs, cfg, first_visit, params)
-    with lanes.open_lanes(meta.count, meta.serve) as ends, \
-            np.errstate(over="ignore", invalid="ignore"):
-        meta.attach(ends)
+    omega = params.like(lanes.shared_empty(params.flat.shape))  # each step's, read by every lane
+
+    def block(job, k):
+        blocks, g_tr, beta, exact = job
+        loss, grad = _meta_block(omega, _load_block(blocks[k], source_envs, cfg, first_visit),
+                                 g_tr, beta, exact)
+        return loss, grad.flat
+
+    with np.errstate(over="ignore", invalid="ignore"), \
+            lanes.open_map(block, meta_lanes(cfg), omega.flat.size) as (run, _):
         for step in range(cfg.max_steps):
             chosen = sorted(int(j) for j in rng.choice(n_envs, size=cfg.k_b, replace=False))
             blocks = [[(i, int(visits[i])) for i in chosen[b:b + _TASK_BLOCK]]
                       for b in range(0, cfg.k_b, _TASK_BLOCK)]
             visits[chosen] += not cfg.fixed_task_data  # fixed data: visit 0 throughout
-            loss, grad = _meta_batch_eval(params, blocks, cfg.g_tr, cfg.beta, cfg.meta_mode, meta)
+            np.copyto(omega.flat, params.flat)
+            loss, grad = _meta_batch_eval(omega, blocks, cfg.g_tr, cfg.beta, cfg.meta_mode, run)
             _check_finite("meta-training", step, loss)
             params, state = adam_step(state, params, grad, cfg.gamma)
             history.append(loss)

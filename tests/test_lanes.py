@@ -1,6 +1,7 @@
 """The fork map and the stages on it: the same bits on every lane count,
 errors in item order, failed forks, and no lane inside a lane."""
 
+import ast
 import contextlib
 import json
 import os
@@ -146,28 +147,96 @@ def test_error_that_cannot_be_pickled_reaches_the_caller():
     assert "Traceback" in str(err.value.__cause__)  # the lane's traceback
 
 
+def test_error_outside_an_item_reaches_the_caller():
+    """A forked lane's result that does not pickle fails after its item
+    ran: the caller raises that error at the item, with its type and
+    message and the lane's traceback as its cause."""
+    with pytest.raises(AttributeError, match="^Can't pickle local object") as err:
+        lanes.fork_map(lambda k: (lambda: k), 2, 2)
+    assert "Traceback" in str(err.value.__cause__)
+
+
+def test_map_stays_open_across_jobs_and_rings_its_arrays():
+    """One map runs job after job on the same lanes. A forked lane's array
+    comes back through its two ring slots in turn, as the value it made,
+    and lane 0's arrays come as they are."""
+    def item(job, k):
+        return os.getpid(), np.full(3, job * 100.0 + k)
+
+    with lanes.open_map(item, 2, 3) as (run, ran):
+        assert ran == 2
+        pids = set()
+        for job in range(3):
+            for k, (pid, array) in enumerate(run(job, 7)):
+                assert array.tolist() == [job * 100.0 + k] * 3
+                pids.add(pid)
+        assert list(run(9, 0)) == []
+    assert len(pids) == 2
+
+
+def test_lane_that_failed_takes_a_late_slot_message():
+    """A forked lane fails at its second item while the caller still uses
+    its first array: the caller then frees that slot, and raises the
+    lane's error at its item, not a broken pipe."""
+    def item(job, k):
+        if k == 3:
+            raise KeyError("item 3")
+        return k, np.zeros(2)
+
+    with pytest.raises(KeyError, match="item 3"):
+        with lanes.open_map(item, 2, 2) as (run, _):
+            for k, _ in run(None, 8):
+                if k == 1:
+                    time.sleep(0.2)  # the lane fails meanwhile
+
+
+def test_only_lanes_forks():
+    """No module but ``csitransfer.lanes`` imports ``pickle``, ``mmap`` or
+    ``signal``, or calls ``os.fork`` or ``os.pipe``, read from each
+    module's syntax tree."""
+    src = os.path.dirname(lanes.__file__)
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py") or name == "lanes.py":
+            continue
+        with open(os.path.join(src, name)) as f:
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                used = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):  # a relative import has no module
+                used = [f"{node.module}.{a.name}" for a in node.names] if node.module else []
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and isinstance(node.func.value, ast.Name):
+                used = [f"{node.func.value.id}.{node.func.attr}"]
+            else:
+                continue
+            for used_name in used:
+                assert used_name.split(".")[0] not in ("pickle", "mmap", "signal") \
+                    and used_name not in ("os.fork", "os.pipe"), (name, node.lineno, used_name)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_lanes_never_nest(monkeypatch):
     """A two-lane LMMSE ``meta_train`` and a two-worker LMMSE sweep open
     lanes, but never inside a lane, nor while the caller has lanes open:
     a lane's collections, and those of lane 0 while the others run, are
     made inline."""
-    caller, open_lanes, depth, opened = os.getpid(), lanes.open_lanes, [0], []
+    caller, open_map, depth, opened = os.getpid(), lanes.open_map, [0], []
 
     @contextlib.contextmanager
-    def checked(count, serve):
+    def checked(fn, count, slot_size=0):
         if count > 1:
             assert os.getpid() == caller, "a lane opened lanes"
             assert not depth[0], "lanes opened while lanes were open"
             opened.append(count)
         depth[0] += count > 1
         try:
-            with open_lanes(count, serve) as ends:
-                yield ends
+            with open_map(fn, count, slot_size) as opened_map:
+                yield opened_map
         finally:
             depth[0] -= count > 1
 
-    monkeypatch.setattr(lanes, "open_lanes", checked)
+    monkeypatch.setattr(lanes, "open_map", checked)
     monkeypatch.setattr(lanes, "usable_cpus", lambda: 2)
     envs = evaluate.source_environments(CFG)
     assert transfer.meta_lanes(CFG) == 2

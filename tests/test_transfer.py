@@ -513,7 +513,7 @@ def test_diverging_meta_train_names_its_step():
 
 
 def test_non_finite_loss_survives_pickling():
-    """A worker process sends its divergence back pickled."""
+    """A lane sends its divergence back pickled."""
     for loss in (math.inf, math.nan):
         err = pickle.loads(pickle.dumps(transfer.NonFiniteLoss("adaption (gd)", 7, loss)))
         assert type(err) is transfer.NonFiniteLoss
@@ -997,6 +997,33 @@ def test_error_in_a_forked_lane_reaches_the_caller(monkeypatch):
     with pytest.raises(ValueError, match="^block failed in a lane$"):
         transfer.meta_train(envs, cfg, RNG(0))
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_meta_step_raises_the_first_failing_block_at_every_lane_count(monkeypatch, cpus):
+    """Blocks 1 and 2 of the second step fail: ``meta_train`` raises block
+    1's error on any number of lanes, also where lane 0 has run block 2
+    ahead of block 1's result."""
+    cfg = lane_cfg()
+    envs = [ch.sample_environment(i, cfg.gen, cfg.seed) for i in range(cfg.k_s)]
+    rng = stream(cfg.seed, STREAM_BATCH, 1)
+    first, second = (sorted(int(j) for j in rng.choice(cfg.k_s, size=cfg.k_b, replace=False))
+                     for _ in range(2))
+    n = transfer._TASK_BLOCK
+    failing = {str([(i, int(i in first)) for i in second[b * n:(b + 1) * n]]): b for b in (1, 2)}
+    load_block = transfer._load_block
+
+    def failing_blocks(block, *args):
+        b = failing.get(str(block))
+        if b is not None:
+            raise (KeyError if b == 1 else ValueError)(f"block {b}")
+        return load_block(block, *args)
+
+    monkeypatch.setattr(transfer, "_load_block", failing_blocks)
+    monkeypatch.setattr(lanes, "usable_cpus", lambda: cpus)
+    assert transfer.meta_lanes(cfg) == cpus
+    with pytest.raises(KeyError, match="block 1"):
+        transfer.meta_train(envs, cfg, stream(cfg.seed, STREAM_BATCH, 1))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
