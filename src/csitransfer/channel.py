@@ -8,16 +8,20 @@ the uplink-to-downlink regression problem well posed: a sample pair is the
 real-stacked channel at ``f_up`` and at ``f_up + delta_f``.
 
 Every channel is a ray sum over the array manifold, and every ray sum goes
-through one kernel, :func:`_ray_sum`, over a leading batch of users or
-links with a carrier per row. It factorises the steering vector: with
-q = ceil(sqrt(M)) and antenna index m = q*a + b, the entry
-exp(-j varpi m sin theta) equals w^a z^b for z = exp(-j varpi sin theta)
-and w = z^q, so a ray costs one complex exponential and the sum over rays
-is one stacked matrix product. A single channel is the batch-of-one case;
-:func:`collect_sets` builds all links of several combination sets in one
-call, into one set of rows; and the LMMSE prior keeps its user pool as
-stacked ray arrays, so each covariance takes a few batched ray sums over
-blocks of the pool and their Hermitian products.
+through one kernel, :func:`_steered_sum`, over a leading batch of users or
+links (:func:`_ray_sum` gives each row its carrier). It factorises the
+steering vector: with q = ceil(sqrt(M)) and antenna index m = q*a + b, the
+entry exp(-j varpi m sin theta) equals w^a z^b for
+z = exp(-j varpi sin theta) and w = z^q, so a ray costs one complex
+exponential and the sum over rays is one stacked matrix product. A single
+channel is the batch-of-one case; :func:`collect_sets` builds all links of
+several combination sets in one call, into one set of rows; and the LMMSE
+prior keeps its user pool as stacked ray arrays, so each covariance takes a
+few batched ray sums over blocks of the pool and their Hermitian products.
+A link pair's two covariances take one pass over the pool: the rays are
+the same at both carriers, so the downlink's ray gains and z are the
+uplink's times fixed per-ray factors, and only the uplink pays for
+exponentials.
 
 Users are drawn the same way, stacked: :func:`_draw_users` fills one
 ``(users, P)`` set of ray arrays with a few generator calls per user, in
@@ -32,10 +36,11 @@ observation (pilot processing gain folded into the noise variance) followed
 by an optional LMMSE estimate against the environment's channel covariance,
 which the collected :class:`ComboSet` builds once and owns. A set's noise
 is drawn as one block that consumes its generator in the same order as
-drawing it pair by pair, uplink before downlink. The per-link LMMSE
-estimates (a covariance at the link's carrier and a solve each) dominate
-an LMMSE collection, so :func:`collect_sets` runs them on forked lanes
-(:mod:`csitransfer.lanes`) once the covariances and noise are drawn.
+drawing it pair by pair, uplink before downlink. The LMMSE estimates (per
+pair, one pass for both links' covariances, then a solve per link)
+dominate an LMMSE collection, so :func:`collect_sets` runs them on forked
+lanes (:mod:`csitransfer.lanes`), a pair per item, once the covariances
+and noise are drawn.
 """
 
 from __future__ import annotations
@@ -330,17 +335,25 @@ def _ray_sum(sin_doas: np.ndarray, gains: np.ndarray, f, cfg: ArrayConfig) -> np
 
     The ray arrays are ``(..., P)`` over any leading batch of users or links;
     ``f`` broadcasts against them, so each row may have its own carrier.
-    Writing the antenna index as m = q*a + b with q = ceil(sqrt(M)), the
-    steering entry of ray p factorises into w_p^a z_p^b with
-    z_p = exp(-j varpi sin theta_p) and w_p = z_p^q. So each ray needs one
-    complex exponential, the two q-long power tables come from repeated
-    multiplication, and the sum over rays is one stacked (q, P) x (P, q)
-    product; the q*q grid is cut back to the first M antennas. Rows run in
-    slices of ``_POOL_BLOCK``, which bound the tables and change no bit.
+    Each ray needs one complex exponential, z_p = exp(-j varpi sin theta_p);
+    :func:`_steered_sum` does the rest.
     """
-    q = math.isqrt(cfg.m - 1) + 1
     varpi = 2.0 * math.pi * cfg.d * f / cfg.c
-    z = np.exp(-1j * varpi * sin_doas)
+    return _steered_sum(np.exp(-1j * varpi * sin_doas), gains, cfg.m)
+
+
+def _steered_sum(z: np.ndarray, gains: np.ndarray, m: int) -> np.ndarray:
+    """h[..., k] = sum_p gains[..., p] * z[..., p]^k for the first ``m``
+    antennas k, over ``(..., P)`` ray arrays.
+
+    Writing the antenna index as k = q*a + b with q = ceil(sqrt(M)), the
+    steering entry of ray p factorises into w_p^a z_p^b with w_p = z_p^q.
+    So the two q-long power tables come from repeated multiplication, and
+    the sum over rays is one stacked (q, P) x (P, q) product; the q*q grid
+    is cut back to the first M antennas. Rows run in slices of
+    ``_POOL_BLOCK``, which bound the tables and change no bit.
+    """
+    q = math.isqrt(m - 1) + 1
     z, row_gains = z.reshape(-1, z.shape[-1]), gains.reshape(-1, z.shape[-1])
     parts = []
     for i in range(0, max(len(z), 1), _POOL_BLOCK):  # an empty batch is one empty slice
@@ -355,9 +368,9 @@ def _ray_sum(sin_doas: np.ndarray, gains: np.ndarray, f, cfg: ArrayConfig) -> np
         for a in range(1, q):
             np.multiply(high[a - 1], w, out=high[a])
         grid = high.transpose(1, 0, 2) @ low.transpose(1, 2, 0)  # [row, a, b]
-        parts.append(grid.reshape(len(zi), q * q)[:, :cfg.m])
+        parts.append(grid.reshape(len(zi), q * q)[:, :m])
     h = np.ascontiguousarray(parts[0]) if len(parts) == 1 else np.concatenate(parts)
-    return h.reshape(gains.shape[:-1] + (cfg.m,))
+    return h.reshape(gains.shape[:-1] + (m,))
 
 
 def channel_response(user: UserRays, f: float, cfg: ArrayConfig) -> np.ndarray:
@@ -431,8 +444,15 @@ def lmmse_estimate(y: np.ndarray, r: np.ndarray, sigma2: float) -> np.ndarray:
         raise ValueError(f"covariance is not Hermitian (max asymmetry {asym:.3e})")
     if sigma2 == 0.0:
         return np.array(y, copy=True)
-    a = r + sigma2 * np.eye(r.shape[0])
+    a = r.astype(np.result_type(r, np.float64))
+    _add_to_diagonal(a, sigma2)
     return r @ np.linalg.solve(a, y)
+
+
+def _add_to_diagonal(a: np.ndarray, c) -> None:
+    """a += c I for a square ``a``, in place; the bits of
+    ``a + c * np.eye(len(a))``."""
+    a.flat[::len(a) + 1] += c
 
 
 # Users in an environment's covariance pool, and the ridge added to the
@@ -444,10 +464,13 @@ _RIDGE = 1e-6
 # Ray sums below which a collection forks no lane: a fork and join costs
 # about 2 ms, and 4,000 ray sums (20 LMMSE links, or 1,334 clean ones) 10-40
 # ms. An LMMSE link counts its covariance's pool; a clean link, its draws
-# included, costs about 3 ray sums of that pool.
+# included, costs about 3 ray sums of that pool. Measured with a link per
+# item; since a pair's downlink covariance takes no exponentials, an LMMSE
+# pair costs less than two such links, and the 20-link (10-pair) threshold
+# was kept without measuring the break-even again.
 _LANE_MIN_RAY_SUMS = 4000
 
-# Rows per slice of _ray_sum and pool users per Hermitian product of a
+# Rows per slice of _steered_sum and pool users per Hermitian product of a
 # covariance. The kernel's two power tables hold 2*q*P complex entries per
 # row (0.3 MB for 50 rows of 25 rays at M=64), so slices keep its transient
 # memory near that of one covariance however many links a call sums.
@@ -462,8 +485,12 @@ class EnvCovariance:
     dataset is being generated. The pool is kept as stacked ``(users, P)``
     ray arrays with the sines of the directions precomputed. The covariance
     depends on the carrier, so :meth:`at` evaluates it per frequency on
-    demand: batched ray sums over blocks of the pool (see :func:`_ray_sum`)
-    and their summed Hermitian products. ``cfg`` is the array it was built for.
+    demand: batched ray sums over blocks of the pool (see :func:`_steered_sum`)
+    and their summed Hermitian products. Given a duplex offset, :meth:`at`
+    builds a link pair's two covariances in that one pass: the downlink's
+    ray gains and steering phases are the uplink's times per-ray factors
+    (:meth:`duplex_offsets`), which the covariance computes once per offset
+    and keeps. ``cfg`` is the array it was built for.
     """
 
     def __init__(self, env: Environment, cfg: ArrayConfig,
@@ -471,19 +498,49 @@ class EnvCovariance:
         self._rays = _draw_users(env, stream(env.seed, STREAM_COVARIANCE), _POOL_USERS,
                                  delay_max)
         self._sin_doas = np.sin(self._rays.doas)
+        self._offsets: dict[float, np.ndarray] = {}
         self.cfg = cfg
 
-    def at(self, f: float) -> np.ndarray:
+    def duplex_offsets(self, delta_f: float) -> np.ndarray:
+        """The pool's per-ray factors from a carrier f to f + ``delta_f``,
+        ``(2, users, P)``: exp(-j 2 pi delta_f tau_p) for the ray gains and
+        exp(-j 2 pi d delta_f sin theta_p / c) for the steering phases.
+        Computed on first use and kept, so lanes forked after it inherit
+        them."""
+        offsets = self._offsets.get(delta_f)
+        if offsets is None:  # the phases into the imaginary parts, then exp in place
+            offsets = self._offsets[delta_f] = np.zeros((2,) + self._sin_doas.shape, complex)
+            turn = -2.0 * math.pi * delta_f
+            np.multiply(self._rays.delays, turn, out=offsets[0].imag)
+            np.multiply(self._sin_doas, turn * self.cfg.d / self.cfg.c, out=offsets[1].imag)
+            np.exp(offsets, out=offsets)
+        return offsets
+
+    def at(self, f: float, delta_f: float | None = None) -> np.ndarray:
+        """The covariance at carrier ``f``, ``(M, M)``; with ``delta_f``, the
+        pair ``(M, M)`` at ``f`` and ``f + delta_f`` as one ``(2, M, M)``
+        array. The one at ``f`` has the same bits either way."""
         _check_carrier(f)
-        gains = _ray_gains(self._rays, f)
-        n, m = gains.shape[0], self.cfg.m
-        r = np.zeros((m, m), dtype=complex)
+        m, n = self.cfg.m, len(self._sin_doas)
+        varpi = 2.0 * math.pi * self.cfg.d * f / self.cfg.c
+        offsets = None if delta_f is None else self.duplex_offsets(delta_f)
+        r = np.zeros((1 if offsets is None else 2, m, m), dtype=complex)
         for i in range(0, n, _POOL_BLOCK):
-            h = _ray_sum(self._sin_doas[i:i + _POOL_BLOCK], gains[i:i + _POOL_BLOCK], f,
-                         self.cfg)
-            r += h.T @ h.conj()
+            block = slice(i, i + _POOL_BLOCK)
+            z = np.exp(-1j * varpi * self._sin_doas[block])
+            gains = _ray_gains(UserRays(-1, *(getattr(self._rays, a)[block]
+                                              for a in _RAY_FIELDS)), f)
+            for k, rk in enumerate(r):
+                if k:  # the downlink's rays, from the uplink's
+                    z *= offsets[1, block]
+                    gains *= offsets[0, block]
+                h = _steered_sum(z, gains, m)
+                rk += h.T @ h.conj()
+                del h  # before the next sum's tables
         r /= n
-        return r + _RIDGE * (np.trace(r).real / m) * np.eye(m)
+        for rk in r:
+            _add_to_diagonal(rk, _RIDGE * (np.trace(rk).real / m))
+        return r[0] if offsets is None else r
 
 
 def make_sample_pair(user: UserRays, f_up: float, delta_f: float, cfg: ArrayConfig,
@@ -602,7 +659,8 @@ def collect_sets(combo_sets: Sequence[ComboSet], roles: Sequence[str], delta_f: 
     draws its noise from ``rngs[s]`` as one AWGN block (pairs, 2 links, 2
     parts, M), roles in the order given, as pair-by-pair collection would;
     LMMSE estimates each link against the set's :meth:`ComboSet.covariance`,
-    a link per item of :func:`lanes.fork_map` (:func:`collection_lanes`).
+    a pair per item of :func:`lanes.fork_map` (:func:`collection_lanes`),
+    whose two covariances :meth:`EnvCovariance.at` builds in one pass.
 
     Returns the arrays of :class:`TaskDataset`, ``xs`` to ``user_index``:
     rows ``(S*n, 2M)`` and columns ``(S*n,)``, set by set and within a set
@@ -632,17 +690,20 @@ def collect_sets(combo_sets: Sequence[ComboSet], roles: Sequence[str], delta_f: 
     if noise.mode == NOISE_LMMSE:
         sigma2 = noise_variance(h, noise.snr_db, noise.pilot_len)
         covs = [cs.covariance(cfg) for cs in combo_sets]  # built and kept in the caller
-        links = list(np.ndindex(f.shape))
-        count = collection_lanes(len(links), len(links), noise)
+        for cov in covs:
+            cov.duplex_offsets(delta_f)  # so do the offsets, which every lane then inherits
+        pairs = list(np.ndindex(f.shape[:2]))
+        count = collection_lanes(2 * len(pairs), len(pairs), noise)
         if count > 1:  # the lanes write their estimates where the caller reads them
             est, private = lanes.shared_empty(est.shape, complex), est
             est[...] = private
 
         def estimate(k):
-            link = links[k]
-            est[link] = lmmse_estimate(est[link], covs[link[0]].at(f[link]), sigma2[link])
+            s, i = pairs[k]
+            for link, r in enumerate(covs[s].at(f[s, i, 0], delta_f)):
+                est[s, i, link] = lmmse_estimate(est[s, i, link], r, sigma2[s, i, link])
 
-        lanes.fork_map(estimate, len(links), count)
+        lanes.fork_map(estimate, len(pairs), count)
     xs, ys = (complex_to_real(est[:, :, link].reshape(-1, cfg.m)) for link in (0, 1))
     f = f.reshape(-1, 2)
     return (xs, ys, ys if noise.mode == NOISE_CLEAN else

@@ -1,7 +1,8 @@
 """Forked lanes: the one way the program runs a stage's items in parallel.
 
 :func:`open_map` opens a map that runs item k of each job it is given on
-lane k mod L (:func:`lane_count`); :func:`fork_map` is a map of one job.
+lane k mod L (:func:`lane_count`); :func:`fork_map` is a map of one job,
+whose forked lanes exit after their last item.
 Lane 0 is the caller; the others are processes forked once per map, which
 inherit what the caller built and write array outputs into anonymous
 shared mappings made before the fork (:func:`shared_empty`), so only jobs
@@ -86,11 +87,12 @@ def _receive(reader, what: str):
 def _serve(fn, lane: int, lanes: int, down, up, ring):
     """A forked lane's loop: each job's items k = lane mod ``lanes`` in
     order, with ``ring`` the j-th item's array into slot j % 2 once the
-    caller has freed it. It ends when the caller closes the pipe, or raises
-    an item's error."""
-    while True:
+    caller has freed it. It ends after the items of a job sent as the last,
+    when the caller closes the pipe, or raises an item's error."""
+    last = False
+    while not last:
         try:
-            job, n = pickle.load(down)
+            job, n, last = pickle.load(down)
         except EOFError:
             return
         for j, k in enumerate(range(lane, n, lanes)):
@@ -108,15 +110,16 @@ def open_map(fn, lanes: int, slot_size: int = 0):
     """A map of ``fn(job, k)`` on ``lanes`` lanes, open for the block. It
     gives ``(run, ran)``: ``run(job, n)`` yields ``fn(job, k)`` for k < n
     in item order, item k on lane k mod ``lanes``, and ``ran`` counts the
-    lanes that forked, the caller included. A fork that fails with
-    ``OSError`` ends the forking and leaves the other lanes' items to the
-    caller. With ``slot_size``, results are pairs ``(value, array)`` of
-    that many floats, and a forked lane's array comes as a view of its ring
-    slot, valid until the next result is asked for. A forked lane ignores
-    SIGINT and holds no other lane's pipe ends; its error, raised by ``fn``
-    or on the way to the caller, is raised at its next item. An error ends
-    the map: leaving the block joins every lane, which an error stops
-    first."""
+    lanes that forked, the caller included; ``run(job, n, last=True)``
+    sends the last job, after whose items the forked lanes exit. A fork
+    that fails with ``OSError`` ends the forking and leaves the other
+    lanes' items to the caller. With ``slot_size``, results are pairs
+    ``(value, array)`` of that many floats, and a forked lane's array comes
+    as a view of its ring slot, valid until the next result is asked for.
+    A forked lane ignores SIGINT and holds no other lane's pipe ends; its
+    error, raised by ``fn`` or on the way to the caller, is raised at its
+    next item. An error ends the map: leaving the block joins every lane,
+    which an error stops first."""
     global _busy, peak_lanes
     busy, _busy = _busy, _busy or lanes > 1
     rings = shared_empty((lanes - 1, 2, slot_size)) if slot_size and lanes > 1 else None
@@ -156,9 +159,9 @@ def open_map(fn, lanes: int, slot_size: int = 0):
             except Exception as exc:  # raised at item k's turn
                 return False, exc
 
-        def run(job, n: int):
+        def run(job, n: int, last: bool = False):
             for down, _ in ends:
-                _send(down, (job, n))
+                _send(down, (job, n, last))
             ahead = own(job, 0) if n else None
             for k in range(0, n, lanes):
                 ok, value = ahead
@@ -190,6 +193,7 @@ def open_map(fn, lanes: int, slot_size: int = 0):
 
 def fork_map(fn, count: int, lanes: int) -> tuple[list, int]:
     """``[fn(k) for k in range(count)]`` on ``lanes`` lanes, and the lanes
-    that ran: a map of one job (:func:`open_map`)."""
+    that ran: a map of one job (:func:`open_map`), whose forked lanes exit
+    after their last item."""
     with open_map(lambda _, k: fn(k), lanes) as (run, ran):
-        return list(run(None, count)), ran
+        return list(run(None, count, last=True)), ran

@@ -165,10 +165,12 @@ def zeros_like_params(p: NetParams) -> NetParams:
 
 def params_axpy(alpha: float, x: NetParams, y: NetParams,
                 out: NetParams | None = None) -> NetParams:
-    """y + alpha * x, elementwise, as a new tree or written into ``out``."""
+    """y + alpha * x, elementwise, as a new tree or written into ``out``.
+    At alpha 1.0 it adds x itself, which has the bits of 1.0 * x."""
+    ax = x.flat if alpha == 1.0 else alpha * x.flat
     if out is None:
-        return y.like(y.flat + alpha * x.flat)
-    np.add(y.flat, alpha * x.flat, out=out.flat)
+        return y.like(y.flat + ax)
+    np.add(y.flat, ax, out=out.flat)
     return out
 
 

@@ -348,6 +348,87 @@ def test_covariance_rejects_bad_carrier(f):
         cov.at(f)
 
 
+def _eye_covariance(cov, f):
+    """The covariance at ``f`` as built link by link before pairs: the whole
+    pool's gains at once, a ray sum per block, and the ridge as
+    ``r + c * np.eye(m)``."""
+    gains = ch._ray_gains(cov._rays, f)
+    n, m = gains.shape[0], cov.cfg.m
+    r = np.zeros((m, m), dtype=complex)
+    for i in range(0, n, ch._POOL_BLOCK):
+        h = ch._ray_sum(cov._sin_doas[i:i + ch._POOL_BLOCK], gains[i:i + ch._POOL_BLOCK],
+                        f, cov.cfg)
+        r += h.T @ h.conj()
+    r /= n
+    return r + ch._RIDGE * (np.trace(r).real / m) * np.eye(m)
+
+
+@pytest.mark.parametrize("m", [4, 16, 64])
+def test_pair_covariances_match_single_carrier_ones(m):
+    """One pass gives a link pair's covariances: the uplink's has the bits
+    of the covariance at f alone, and the downlink's, built from the
+    uplink's rays times the duplex offsets, is the covariance at
+    f + delta_f to 1e-12 relative."""
+    cfg = ch.ArrayConfig(m=m)
+    cov = ch.EnvCovariance(ch.sample_environment(4, ch.GeneratorConfig(array=cfg), 9), cfg)
+    for f in (1.0e9, 1.83e9, 2.97e9):
+        up, down = cov.at(f, 120e6)
+        assert np.array_equal(up, cov.at(f))
+        single = cov.at(f + 120e6)
+        assert np.max(np.abs(down - single)) <= 1e-12 * np.max(np.abs(single))
+    assert list(cov._offsets) == [120e6]  # kept, once per offset
+
+
+def test_diagonal_loads_equal_the_eye_forms():
+    """The ridge of :meth:`EnvCovariance.at` and the sigma^2 load of
+    :func:`lmmse_estimate` go onto the diagonal in place, with the bits of
+    adding ``c * np.eye(m)``."""
+    cfg = ch.ArrayConfig(m=16)
+    cov = ch.EnvCovariance(ch.sample_environment(2, ch.GeneratorConfig(array=cfg), 3), cfg)
+    for f in (1.2e9, 2.5e9):
+        assert np.array_equal(cov.at(f), _eye_covariance(cov, f))
+    rng = RNG(19)
+    r = cov.at(1.2e9)
+    y = rng.normal(size=(3, 16)) + 1j * rng.normal(size=(3, 16))
+    for sigma2 in (0.3, np.float64(2.7e-3)):
+        want = r @ np.linalg.solve(r + sigma2 * np.eye(16), y[0])
+        assert np.array_equal(ch.lmmse_estimate(y[0], r, sigma2), want)
+    real = np.eye(4) * 2.0
+    assert np.array_equal(ch.lmmse_estimate(np.ones(4), real, 0.5),
+                          real @ np.linalg.solve(real + 0.5 * np.eye(4), np.ones(4)))
+
+
+def test_lmmse_collection_builds_one_covariance_pass_per_pair(monkeypatch):
+    """An LMMSE collection calls :meth:`EnvCovariance.at` once per pair, on
+    one lane, and gives the same bits on one lane and on two."""
+    gen = ch.GeneratorConfig(array=ch.ArrayConfig(m=8), users=5,
+                             noise=ch.NoiseSpec(mode=ch.NOISE_LMMSE))
+    env = ch.sample_environment(1, gen, 4)
+    role_counts = [(ch.ROLE_ADAPTION, 12), (ch.ROLE_TEST, 9)]
+
+    def run():
+        datasets = ch.generate_task_datasets(env, role_counts, gen.users, (gen.f_min, gen.f_max),
+                                             gen.delta_f, gen.array, gen.noise, RNG(6))
+        return [[float(v).hex() for v in a.ravel()] for d in datasets
+                for a in (d.xs, d.ys, d.y_clean, d.f_up, d.f_down)]
+
+    calls = []
+    at = ch.EnvCovariance.at
+
+    def counted(self, f, delta_f=None):
+        calls.append(delta_f)
+        return at(self, f, delta_f)
+
+    monkeypatch.setattr(ch.lanes, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(ch.EnvCovariance, "at", counted)
+    one_lane = run()
+    assert calls == [gen.delta_f] * 21
+    monkeypatch.setattr(ch.EnvCovariance, "at", at)
+    monkeypatch.setattr(ch.lanes, "usable_cpus", lambda: 2)
+    assert ch.collection_lanes(42, 21, gen.noise) == 2
+    assert run() == one_lane
+
+
 def test_sample_pair_clean_matches_exact_channels():
     cfg = ch.ArrayConfig(m=8)
     env = make_env()

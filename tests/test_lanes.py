@@ -174,6 +174,34 @@ def test_map_stays_open_across_jobs_and_rings_its_arrays():
     assert len(pids) == 2
 
 
+def test_one_job_map_lanes_exit_after_their_last_item(monkeypatch):
+    """The forked lane of a one-job map exits after its last item, before
+    the caller's last item returns, so the join at the end waits on no
+    lane's exit. ``os.waitid`` with ``WNOWAIT`` sees the exit and leaves
+    the lane to that join."""
+    pids, fork, caller = [], os.fork, os.getpid()
+
+    def recording_fork():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    exited = []
+
+    def item(k):
+        if k == 2 and os.getpid() == caller:  # lane 1 ran item 1, its only one
+            deadline = time.monotonic() + 5.0
+            while not exited and time.monotonic() < deadline:
+                if os.waitid(os.P_PID, pids[0], os.WEXITED | os.WNOHANG | os.WNOWAIT):
+                    exited.append(k)
+                time.sleep(0.002)
+        return k
+
+    assert lanes.fork_map(item, 3, 2) == ([0, 1, 2], 2)
+    assert exited == [2]
+
+
 def test_lane_that_failed_takes_a_late_slot_message():
     """A forked lane fails at its second item while the caller still uses
     its first array: the caller then frees that slot, and raises the

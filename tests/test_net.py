@@ -432,6 +432,20 @@ def test_ravel_order_is_weights_then_biases():
     assert np.array_equal(params.flat, want)
 
 
+@pytest.mark.parametrize("alpha", [1.0, -0.3, 2.0, 0.0])
+def test_params_axpy_bit_equal_to_flat_formula(alpha):
+    """``params_axpy`` has the bits of ``y.flat + alpha * x.flat``, into a
+    new tree or into ``out``; at alpha 1.0 it adds x without scaling it."""
+    spec = net.LayerSpec.fnn(3, (7, 5))
+    x, y = random_params(spec, seed=67), random_params(spec, seed=68)
+    x.flat[:3] = (-0.0, 1e-310, np.nan)
+    want = (y.flat + alpha * x.flat).tobytes()
+    assert net.params_axpy(alpha, x, y).flat.tobytes() == want
+    into = y.copy()
+    assert net.params_axpy(alpha, x, into, out=into) is into
+    assert into.flat.tobytes() == want
+
+
 def test_vector_ops_bit_equal_to_per_array_formulas():
     spec = net.LayerSpec.fnn(3, (7, 5))
     a, b = random_params(spec, seed=65), random_params(spec, seed=66)
