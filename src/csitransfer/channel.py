@@ -20,8 +20,8 @@ prior keeps its user pool as stacked ray arrays, so each covariance takes a
 few batched ray sums over blocks of the pool and their Hermitian products.
 A link pair's two covariances take one pass over the pool: the rays are
 the same at both carriers, so the downlink's ray gains and z are the
-uplink's times fixed per-ray factors, and only the uplink pays for
-exponentials.
+uplink's times per-ray factors that the covariance computes when it is
+built, and only the uplink pays for exponentials.
 
 Users are drawn the same way, stacked: :func:`_draw_users` fills one
 ``(users, P)`` set of ray arrays with a few generator calls per user, in
@@ -34,13 +34,13 @@ labels. :class:`SamplePair` survives as a row view.
 Noisy data collection is modelled as an additive complex Gaussian
 observation (pilot processing gain folded into the noise variance) followed
 by an optional LMMSE estimate against the environment's channel covariance,
-which the collected :class:`ComboSet` builds once and owns. A set's noise
-is drawn as one block that consumes its generator in the same order as
-drawing it pair by pair, uplink before downlink. The LMMSE estimates (per
-pair, one pass for both links' covariances, then a solve per link)
-dominate an LMMSE collection, so :func:`collect_sets` runs them on forked
-lanes (:mod:`csitransfer.lanes`), a pair per item, once the covariances
-and noise are drawn.
+which the collected :class:`ComboSet` builds once, for one array and one
+duplex offset, and owns. A set's noise is drawn as one block that consumes
+its generator in the same order as drawing it pair by pair, uplink before
+downlink. The LMMSE estimates (per pair, one pass for both links'
+covariances, then a solve per link) dominate an LMMSE collection, so
+:func:`collect_sets` runs them on forked lanes (:mod:`csitransfer.lanes`),
+a pair per item, once the covariances are built and the noise is drawn.
 """
 
 from __future__ import annotations
@@ -464,10 +464,10 @@ _RIDGE = 1e-6
 # Ray sums below which a collection forks no lane: a fork and join costs
 # about 2 ms, and 4,000 ray sums (20 LMMSE links, or 1,334 clean ones) 10-40
 # ms. An LMMSE link counts its covariance's pool; a clean link, its draws
-# included, costs about 3 ray sums of that pool. Measured with a link per
-# item; since a pair's downlink covariance takes no exponentials, an LMMSE
-# pair costs less than two such links, and the 20-link (10-pair) threshold
-# was kept without measuring the break-even again.
+# included, costs about 3 ray sums of that pool. With a pair per item, one
+# set at M=64 (p10 of 80 alternated calls, 2 CPUs) took 3.7-3.9 ms on one
+# lane and 5.9-7.0 on two at 2 pairs, 8.5-10.4 on both at 5-6 pairs, and
+# 16.6-17.0 against 13.5-15.7 at 10: two lanes pay from about 6 pairs.
 _LANE_MIN_RAY_SUMS = 4000
 
 # Rows per slice of _steered_sum and pool users per Hermitian product of a
@@ -478,53 +478,41 @@ _POOL_BLOCK = 50
 
 
 class EnvCovariance:
-    """Regularised sample covariance of clean channels for one environment.
+    """Regularised sample covariances of clean channels for one environment,
+    one array ``cfg`` and one duplex offset ``delta_f``.
 
     Built once per environment from a fixed pool of users drawn from the
     environment's own seed, so the LMMSE prior does not depend on which
-    dataset is being generated. The pool is kept as stacked ``(users, P)``
-    ray arrays with the sines of the directions precomputed. The covariance
-    depends on the carrier, so :meth:`at` evaluates it per frequency on
-    demand: batched ray sums over blocks of the pool (see :func:`_steered_sum`)
-    and their summed Hermitian products. Given a duplex offset, :meth:`at`
-    builds a link pair's two covariances in that one pass: the downlink's
-    ray gains and steering phases are the uplink's times per-ray factors
-    (:meth:`duplex_offsets`), which the covariance computes once per offset
-    and keeps. ``cfg`` is the array it was built for.
+    dataset is being generated. Construction computes all that does not
+    depend on the carrier, and nothing changes after it: the pool as stacked
+    ``(users, P)`` ray arrays, the sines of their directions, and the
+    per-ray factors from f to f + ``delta_f``, exp(-j 2 pi delta_f tau_p)
+    for the gains and exp(-j 2 pi d delta_f sin theta_p / c) for the
+    steering phases. :meth:`at` builds a link pair's two covariances in one
+    pass: batched ray sums over blocks of the pool (see
+    :func:`_steered_sum`) and their summed Hermitian products, with the
+    downlink's ray gains and phases the uplink's times those factors.
     """
 
-    def __init__(self, env: Environment, cfg: ArrayConfig,
+    def __init__(self, env: Environment, cfg: ArrayConfig, delta_f: float,
                  delay_max: float = DEFAULT_DELAY_MAX):
         self._rays = _draw_users(env, stream(env.seed, STREAM_COVARIANCE), _POOL_USERS,
                                  delay_max)
         self._sin_doas = np.sin(self._rays.doas)
-        self._offsets: dict[float, np.ndarray] = {}
-        self.cfg = cfg
+        self.cfg, self.delta_f = cfg, delta_f
+        self._duplex = np.zeros((2,) + self._sin_doas.shape, complex)  # (2, users, P)
+        turn = -2.0 * math.pi * delta_f  # the phases into the imaginary parts, then exp in place
+        np.multiply(self._rays.delays, turn, out=self._duplex[0].imag)
+        np.multiply(self._sin_doas, turn * cfg.d / cfg.c, out=self._duplex[1].imag)
+        np.exp(self._duplex, out=self._duplex)
 
-    def duplex_offsets(self, delta_f: float) -> np.ndarray:
-        """The pool's per-ray factors from a carrier f to f + ``delta_f``,
-        ``(2, users, P)``: exp(-j 2 pi delta_f tau_p) for the ray gains and
-        exp(-j 2 pi d delta_f sin theta_p / c) for the steering phases.
-        Computed on first use and kept, so lanes forked after it inherit
-        them."""
-        offsets = self._offsets.get(delta_f)
-        if offsets is None:  # the phases into the imaginary parts, then exp in place
-            offsets = self._offsets[delta_f] = np.zeros((2,) + self._sin_doas.shape, complex)
-            turn = -2.0 * math.pi * delta_f
-            np.multiply(self._rays.delays, turn, out=offsets[0].imag)
-            np.multiply(self._sin_doas, turn * self.cfg.d / self.cfg.c, out=offsets[1].imag)
-            np.exp(offsets, out=offsets)
-        return offsets
-
-    def at(self, f: float, delta_f: float | None = None) -> np.ndarray:
-        """The covariance at carrier ``f``, ``(M, M)``; with ``delta_f``, the
-        pair ``(M, M)`` at ``f`` and ``f + delta_f`` as one ``(2, M, M)``
-        array. The one at ``f`` has the same bits either way."""
+    def at(self, f: float) -> np.ndarray:
+        """The link pair's covariances ``(M, M)`` at ``f`` and ``f + delta_f``,
+        as one ``(2, M, M)`` array."""
         _check_carrier(f)
         m, n = self.cfg.m, len(self._sin_doas)
         varpi = 2.0 * math.pi * self.cfg.d * f / self.cfg.c
-        offsets = None if delta_f is None else self.duplex_offsets(delta_f)
-        r = np.zeros((1 if offsets is None else 2, m, m), dtype=complex)
+        r = np.zeros((2, m, m), dtype=complex)
         for i in range(0, n, _POOL_BLOCK):
             block = slice(i, i + _POOL_BLOCK)
             z = np.exp(-1j * varpi * self._sin_doas[block])
@@ -532,15 +520,15 @@ class EnvCovariance:
                                               for a in _RAY_FIELDS)), f)
             for k, rk in enumerate(r):
                 if k:  # the downlink's rays, from the uplink's
-                    z *= offsets[1, block]
-                    gains *= offsets[0, block]
+                    z *= self._duplex[1, block]
+                    gains *= self._duplex[0, block]
                 h = _steered_sum(z, gains, m)
                 rk += h.T @ h.conj()
                 del h  # before the next sum's tables
         r /= n
         for rk in r:
             _add_to_diagonal(rk, _RIDGE * (np.trace(rk).real / m))
-        return r[0] if offsets is None else r
+        return r
 
 
 def make_sample_pair(user: UserRays, f_up: float, delta_f: float, cfg: ArrayConfig,
@@ -551,10 +539,10 @@ def make_sample_pair(user: UserRays, f_up: float, delta_f: float, cfg: ArrayConf
 
     Both links go through the same estimation pipeline with independent
     noise draws; the clean downlink is kept alongside as the ground-truth
-    label.
+    label. LMMSE needs ``cov`` built for ``cfg`` and ``delta_f``.
     """
-    if noise.mode == NOISE_LMMSE and (cov is None or cov.cfg != cfg):
-        raise ValueError("LMMSE noise mode requires the environment covariance of this array")
+    if noise.mode == NOISE_LMMSE and (cov is None or (cov.cfg, cov.delta_f) != (cfg, delta_f)):
+        raise ValueError("LMMSE noise mode requires the covariance of this array and delta_f")
     rays = UserRays(user.env_id, *(getattr(user, a)[None] for a in _RAY_FIELDS))
     # No environment: the covariance, the only thing drawn from it, is given.
     combo_set = ComboSet(env=None, users=rays, by_role={ROLE_TEST: [(0, f_up)]}, cov=cov)
@@ -572,7 +560,8 @@ class ComboSet:
     the same combinations can be re-collected under different noise
     specifications (the SNR sweep does exactly that), keeping role
     disjointness intact. ``cov`` is built by :meth:`covariance` on the
-    first LMMSE collection, with the users' ``delay_max``, and reused.
+    first LMMSE collection, for that collection's array and duplex offset
+    and with the users' ``delay_max``, and reused.
     """
 
     env: Environment
@@ -581,16 +570,16 @@ class ComboSet:
     delay_max: float = DEFAULT_DELAY_MAX
     cov: EnvCovariance | None = None
 
-    def covariance(self, cfg: ArrayConfig) -> EnvCovariance:
-        """The environment's covariance for array ``cfg``, built on first use.
-
-        One combination set serves one array: asking for another is an error.
-        """
+    def covariance(self, cfg: ArrayConfig, delta_f: float) -> EnvCovariance:
+        """The environment's covariance for array ``cfg`` and duplex offset
+        ``delta_f``, built on first use. One combination set serves one
+        array and one offset: asking for another is an error."""
         if self.cov is None:
-            self.cov = EnvCovariance(self.env, cfg, delay_max=self.delay_max)
-        elif self.cov.cfg != cfg:
+            self.cov = EnvCovariance(self.env, cfg, delta_f, self.delay_max)
+        elif (self.cov.cfg, self.cov.delta_f) != (cfg, delta_f):
             raise ValueError(f"environment {self.env.id}: combinations collected under "
-                             f"{self.cov.cfg}, not {cfg}")
+                             f"{self.cov.cfg} at delta_f={self.cov.delta_f}, not {cfg} "
+                             f"at delta_f={delta_f}")
         return self.cov
 
 
@@ -657,10 +646,12 @@ def collect_sets(combo_sets: Sequence[ComboSet], roles: Sequence[str], delta_f: 
     None), as many as every other set; a pair is user ``uid`` at ``f_up``
     and ``f_up + delta_f``. All links go through one batched ray sum. Set s
     draws its noise from ``rngs[s]`` as one AWGN block (pairs, 2 links, 2
-    parts, M), roles in the order given, as pair-by-pair collection would;
-    LMMSE estimates each link against the set's :meth:`ComboSet.covariance`,
-    a pair per item of :func:`lanes.fork_map` (:func:`collection_lanes`),
-    whose two covariances :meth:`EnvCovariance.at` builds in one pass.
+    parts, M), roles in the order given, as pair-by-pair collection would,
+    into a shared array; LMMSE overwrites each link there with its estimate
+    against the set's :meth:`ComboSet.covariance` for ``cfg`` and
+    ``delta_f``, a pair per item of :func:`lanes.fork_map`
+    (:func:`collection_lanes`), whose two covariances
+    :meth:`EnvCovariance.at` builds in one pass.
 
     Returns the arrays of :class:`TaskDataset`, ``xs`` to ``user_index``:
     rows ``(S*n, 2M)`` and columns ``(S*n,)``, set by set and within a set
@@ -684,26 +675,21 @@ def collect_sets(combo_sets: Sequence[ComboSet], roles: Sequence[str], delta_f: 
                  cfg).reshape(f.shape + (cfg.m,))
     del links, rows  # so the outputs, which outlive the call, reuse the rays' memory
     est = h
-    if noise.mode != NOISE_CLEAN:
-        est = np.stack([add_awgn(h_s, noise.snr_db, noise.pilot_len, rng)
-                        for h_s, rng in zip(h, rngs)])
+    if noise.mode != NOISE_CLEAN:  # where the LMMSE lanes write their estimates
+        est = lanes.shared_empty(h.shape, complex)
+        for est_s, h_s, rng in zip(est, h, rngs):
+            est_s[...] = add_awgn(h_s, noise.snr_db, noise.pilot_len, rng)
     if noise.mode == NOISE_LMMSE:
         sigma2 = noise_variance(h, noise.snr_db, noise.pilot_len)
-        covs = [cs.covariance(cfg) for cs in combo_sets]  # built and kept in the caller
-        for cov in covs:
-            cov.duplex_offsets(delta_f)  # so do the offsets, which every lane then inherits
+        covs = [cs.covariance(cfg, delta_f) for cs in combo_sets]  # whole before the fork
         pairs = list(np.ndindex(f.shape[:2]))
-        count = collection_lanes(2 * len(pairs), len(pairs), noise)
-        if count > 1:  # the lanes write their estimates where the caller reads them
-            est, private = lanes.shared_empty(est.shape, complex), est
-            est[...] = private
 
         def estimate(k):
             s, i = pairs[k]
-            for link, r in enumerate(covs[s].at(f[s, i, 0], delta_f)):
+            for link, r in enumerate(covs[s].at(f[s, i, 0])):
                 est[s, i, link] = lmmse_estimate(est[s, i, link], r, sigma2[s, i, link])
 
-        lanes.fork_map(estimate, len(pairs), count)
+        lanes.fork_map(estimate, len(pairs), collection_lanes(2 * len(pairs), len(pairs), noise))
     xs, ys = (complex_to_real(est[:, :, link].reshape(-1, cfg.m)) for link in (0, 1))
     f = f.reshape(-1, 2)
     return (xs, ys, ys if noise.mode == NOISE_CLEAN else

@@ -266,7 +266,7 @@ def _impl_adapt(opts: dict) -> tuple[list[str], dict]:
     rule = opts["rule"]
     if rule == "auto":
         rule = RULE_GD if model.provenance == PROVENANCE_META else RULE_ADAM
-    cfg = TrainConfig(beta=opts["beta"], g_ad=opts["g_ad"], seed=opts["seed"])
+    cfg = TrainConfig(beta=opts["beta"], g_ad=opts["g_ad"])
     adapted = adapt_snapshots(model, d_ad, cfg, rule, [opts["g_ad"]])[opts["g_ad"]]
     return _write_model(opts["out"], adapted), {}
 
@@ -577,7 +577,6 @@ def meta_train_cmd(**opts):
 @click.option("--rule", type=click.Choice(["auto", "adam", "gd"]), default="auto",
               show_default=True, help="auto: Adam for a classically trained "
                                       "base, plain GD for a meta-trained one.")
-@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
 def adapt(**opts):
     """Fine-tune a checkpoint on one target's adaption set."""

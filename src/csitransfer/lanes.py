@@ -111,7 +111,9 @@ def open_map(fn, lanes: int, slot_size: int = 0):
     gives ``(run, ran)``: ``run(job, n)`` yields ``fn(job, k)`` for k < n
     in item order, item k on lane k mod ``lanes``, and ``ran`` counts the
     lanes that forked, the caller included; ``run(job, n, last=True)``
-    sends the last job, after whose items the forked lanes exit. A fork
+    sends the last job, after whose items the forked lanes exit. A job
+    started before the last one's items were all read raises
+    ``RuntimeError``, as the lanes would still be on the old job. A fork
     that fails with ``OSError`` ends the forking and leaves the other
     lanes' items to the caller. With ``slot_size``, results are pairs
     ``(value, array)`` of that many floats, and a forked lane's array comes
@@ -152,6 +154,7 @@ def open_map(fn, lanes: int, slot_size: int = 0):
             ends.append((down_w, up_r))
         ran = 1 + len(ends)
         peak_lanes = max(peak_lanes, ran)
+        unread = 0  # items of the last job not yet yielded
 
         def own(job, k):
             try:
@@ -160,6 +163,10 @@ def open_map(fn, lanes: int, slot_size: int = 0):
                 return False, exc
 
         def run(job, n: int, last: bool = False):
+            nonlocal unread
+            if unread:
+                raise RuntimeError(f"a job was run with {unread} items of the last one unread")
+            unread = n
             for down, _ in ends:
                 _send(down, (job, n, last))
             ahead = own(job, 0) if n else None
@@ -167,9 +174,11 @@ def open_map(fn, lanes: int, slot_size: int = 0):
                 ok, value = ahead
                 if not ok:
                     raise value
+                unread -= 1
                 yield value
                 ahead = own(job, k + lanes) if k + lanes < n else None
                 for lane in range(1, min(lanes, n - k)):
+                    unread -= 1
                     if lane >= ran:
                         yield fn(job, k + lane)
                         continue

@@ -1,6 +1,7 @@
 """Channel simulator tests: manifold, ray sums, noise pipeline, datasets."""
 
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -325,7 +326,7 @@ def test_lmmse_beats_raw_observation():
     """Estimator optimality: LMMSE MSE below raw-observation MSE on matched draws."""
     cfg = ch.ArrayConfig(m=8)
     env = ch.sample_environment(3, ch.GeneratorConfig(array=cfg), 5)
-    cov = ch.EnvCovariance(env, cfg)
+    cov = ch.EnvCovariance(env, cfg, 120e6)
     rng = RNG(16)
     mse_raw, mse_lmmse = [], []
     for _ in range(1000):
@@ -335,7 +336,7 @@ def test_lmmse_beats_raw_observation():
             continue
         y = ch.add_awgn(h, 0.0, 1, rng)
         sigma2 = ch.noise_variance(h, 0.0, 1)
-        est = ch.lmmse_estimate(y, cov.at(2e9), sigma2)
+        est = ch.lmmse_estimate(y, cov.at(2e9)[0], sigma2)
         mse_raw.append(np.sum(np.abs(y - h) ** 2))
         mse_lmmse.append(np.sum(np.abs(est - h) ** 2))
     assert np.mean(mse_lmmse) < np.mean(mse_raw)
@@ -343,7 +344,7 @@ def test_lmmse_beats_raw_observation():
 
 @pytest.mark.parametrize("f", [0.0, -1e9, float("nan")])
 def test_covariance_rejects_bad_carrier(f):
-    cov = ch.EnvCovariance(make_env(), ch.ArrayConfig(m=4))
+    cov = ch.EnvCovariance(make_env(), ch.ArrayConfig(m=4), 120e6)
     with pytest.raises(ValueError, match="carrier"):
         cov.at(f)
 
@@ -367,16 +368,30 @@ def _eye_covariance(cov, f):
 def test_pair_covariances_match_single_carrier_ones(m):
     """One pass gives a link pair's covariances: the uplink's has the bits
     of the covariance at f alone, and the downlink's, built from the
-    uplink's rays times the duplex offsets, is the covariance at
-    f + delta_f to 1e-12 relative."""
+    uplink's rays times the duplex offsets, is the uplink covariance at
+    f + delta_f of a covariance built for another offset, to 1e-12
+    relative."""
     cfg = ch.ArrayConfig(m=m)
-    cov = ch.EnvCovariance(ch.sample_environment(4, ch.GeneratorConfig(array=cfg), 9), cfg)
+    env = ch.sample_environment(4, ch.GeneratorConfig(array=cfg), 9)
+    cov, other = ch.EnvCovariance(env, cfg, 120e6), ch.EnvCovariance(env, cfg, -35e6)
     for f in (1.0e9, 1.83e9, 2.97e9):
-        up, down = cov.at(f, 120e6)
-        assert np.array_equal(up, cov.at(f))
-        single = cov.at(f + 120e6)
+        up, down = cov.at(f)
+        assert np.array_equal(up, _eye_covariance(cov, f))
+        single = other.at(f + 120e6)[0]
         assert np.max(np.abs(down - single)) <= 1e-12 * np.max(np.abs(single))
-    assert list(cov._offsets) == [120e6]  # kept, once per offset
+
+
+def test_covariance_does_not_change_after_it_is_built():
+    """Evaluating a covariance at two carriers leaves every attribute with
+    the bytes that construction gave it, so a lane forked at any time
+    inherits the same state."""
+    cfg = ch.ArrayConfig(m=8)
+    cov = ch.EnvCovariance(ch.sample_environment(2, ch.GeneratorConfig(array=cfg), 3), cfg,
+                           delta_f=120e6)
+    built = pickle.dumps(vars(cov))
+    first = cov.at(1.4e9)
+    assert not np.array_equal(cov.at(2.6e9), first)
+    assert pickle.dumps(vars(cov)) == built
 
 
 def test_diagonal_loads_equal_the_eye_forms():
@@ -384,11 +399,12 @@ def test_diagonal_loads_equal_the_eye_forms():
     :func:`lmmse_estimate` go onto the diagonal in place, with the bits of
     adding ``c * np.eye(m)``."""
     cfg = ch.ArrayConfig(m=16)
-    cov = ch.EnvCovariance(ch.sample_environment(2, ch.GeneratorConfig(array=cfg), 3), cfg)
+    cov = ch.EnvCovariance(ch.sample_environment(2, ch.GeneratorConfig(array=cfg), 3), cfg,
+                           120e6)
     for f in (1.2e9, 2.5e9):
-        assert np.array_equal(cov.at(f), _eye_covariance(cov, f))
+        assert np.array_equal(cov.at(f)[0], _eye_covariance(cov, f))
     rng = RNG(19)
-    r = cov.at(1.2e9)
+    r = cov.at(1.2e9)[0]
     y = rng.normal(size=(3, 16)) + 1j * rng.normal(size=(3, 16))
     for sigma2 in (0.3, np.float64(2.7e-3)):
         want = r @ np.linalg.solve(r + sigma2 * np.eye(16), y[0])
@@ -415,9 +431,9 @@ def test_lmmse_collection_builds_one_covariance_pass_per_pair(monkeypatch):
     calls = []
     at = ch.EnvCovariance.at
 
-    def counted(self, f, delta_f=None):
-        calls.append(delta_f)
-        return at(self, f, delta_f)
+    def counted(self, f):
+        calls.append(self.delta_f)
+        return at(self, f)
 
     monkeypatch.setattr(ch.lanes, "usable_cpus", lambda: 1)
     monkeypatch.setattr(ch.EnvCovariance, "at", counted)
@@ -451,10 +467,10 @@ def test_sample_pair_zero_offset_clean_x_equals_y():
 def test_sample_pair_lmmse_needs_the_covariance_of_its_array():
     user = sample_user(make_env(), RNG(22))
     lmmse = ch.NoiseSpec(mode="lmmse")
-    cov = ch.EnvCovariance(make_env(), ch.ArrayConfig(m=8))
-    for given in (None, cov):
-        with pytest.raises(ValueError, match="covariance of this array"):
-            ch.make_sample_pair(user, 2e9, 120e6, ch.ArrayConfig(m=4), lmmse, RNG(23), given)
+    cov = ch.EnvCovariance(make_env(), ch.ArrayConfig(m=8), 120e6)
+    for given, m, delta_f in ((None, 8, 120e6), (cov, 4, 120e6), (cov, 8, 60e6)):
+        with pytest.raises(ValueError, match="covariance of this array and delta_f"):
+            ch.make_sample_pair(user, 2e9, delta_f, ch.ArrayConfig(m=m), lmmse, RNG(23), given)
     pair = ch.make_sample_pair(user, 2e9, 120e6, ch.ArrayConfig(m=8), lmmse, RNG(23), cov)
     assert pair.x.shape == (16,)
 
@@ -463,7 +479,7 @@ def test_sample_pair_lmmse_beats_awgn():
     """Per-sample estimate error under LMMSE stays below the raw noisy one."""
     cfg = ch.ArrayConfig(m=8)
     env = ch.sample_environment(4, ch.GeneratorConfig(array=cfg), 6)
-    cov = ch.EnvCovariance(env, cfg)
+    cov = ch.EnvCovariance(env, cfg, 120e6)
     rng = RNG(21)
     err_awgn, err_lmmse = [], []
     spec_awgn = ch.NoiseSpec(snr_db=20.0, pilot_len=64, mode="awgn")
@@ -535,8 +551,8 @@ def test_stock_configuration_sizes():
 
 def test_combo_set_owns_one_covariance_per_array():
     """The first LMMSE collection builds the combination set's covariance,
-    later collections reuse it, and collecting under another array is an
-    error."""
+    later collections reuse it, and collecting under another array or
+    another duplex offset is an error that names both."""
     gcfg = _default_gen(m=4, users=4)
     env = ch.sample_environment(3, gcfg, 5)
     combos = ch.draw_combos(env, [("adaption", 3), ("test", 3)], gcfg.users,
@@ -545,11 +561,14 @@ def test_combo_set_owns_one_covariance_per_array():
     assert combos.cov is None
     ch.collect(combos, "test", gcfg.delta_f, gcfg.array, lmmse, RNG(31))
     cov = combos.cov
-    assert cov is not None and cov.cfg == gcfg.array
+    assert cov is not None and (cov.cfg, cov.delta_f) == (gcfg.array, gcfg.delta_f)
     ch.collect(combos, "adaption", gcfg.delta_f, gcfg.array, lmmse, RNG(32))
     assert combos.cov is cov
     with pytest.raises(ValueError, match="collected under"):
         ch.collect(combos, "adaption", gcfg.delta_f, ch.ArrayConfig(m=8), lmmse, RNG(33))
+    with pytest.raises(ValueError, match=r"at delta_f=120000000\.0, not .* at delta_f=60000000"):
+        ch.collect(combos, "adaption", 60e6, gcfg.array, lmmse, RNG(33))
+    assert combos.cov is cov
 
 
 def test_generation_bit_identical():
@@ -765,7 +784,7 @@ def test_generation_matches_per_pair_oracle(m, mode, rtol, monkeypatch):
         _oracle_users(env, oracle_pool_rng, 200)
         assert [g.bit_generator.state for g in pool_streams] == \
             [oracle_pool_rng.bit_generator.state]
-    _assert_rays_equal(ch.EnvCovariance(env, gcfg.array)._rays, pool)
+    _assert_rays_equal(ch.EnvCovariance(env, gcfg.array, gcfg.delta_f)._rays, pool)
 
     for ds, pairs in zip(got, expected):
         assert [(p.user_index, p.f_up) for p in ds.pairs] == \
@@ -823,7 +842,7 @@ def test_support_query_matches_per_user_oracle(mode, monkeypatch):
     role_counts = [(ch.ROLE_TRAIN_SUPPORT, cfg.n_support),
                    (ch.ROLE_TRAIN_QUERY, cfg.n_query)]
     by_role = _oracle_combos(role_counts, cfg.u, (gen.f_min, gen.f_max), rng)
-    cov = ch.EnvCovariance(env, gen.array) if mode == "lmmse" else None
+    cov = ch.EnvCovariance(env, gen.array, gen.delta_f) if mode == "lmmse" else None
     for ds, (role, _) in zip(got, role_counts):
         pairs = [ch.make_sample_pair(users[uid], f_up, gen.delta_f, gen.array, gen.noise,
                                      rng, cov, uid) for uid, f_up in by_role[role]]

@@ -558,7 +558,7 @@ PARAMETERS = {
     "train": {"sources": (), **_GEN, **_TRAIN, "out": REQUIRED},
     "meta-train": {**_GEN, **_TRAIN, **_META, "fixed_task_data": False, "out": REQUIRED},
     "adapt": {"checkpoint": REQUIRED, "data": REQUIRED, "g_ad": 1000, "beta": 1e-6,
-              "rule": "auto", "seed": 0, "out": REQUIRED},
+              "rule": "auto", "out": REQUIRED},
     "eval": {"checkpoint": REQUIRED, "data": REQUIRED, "seed": 0, "out": REQUIRED},
     "sweep": {"variable": "none", "grid": "", "k_t": 50, "g_ad": 1000, "n_ad": 20,
               "n_te": 20, **_META, **_GEN, **_TRAIN,

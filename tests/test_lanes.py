@@ -174,6 +174,20 @@ def test_map_stays_open_across_jobs_and_rings_its_arrays():
     assert len(pids) == 2
 
 
+def test_job_run_before_the_last_is_read_is_refused(no_child_process_left):
+    """A job whose items were all read, the generator left unfinished, lets
+    the next job run. A caller that reads 1 of job a's 4 items and then runs
+    job b gets a ``RuntimeError`` before job b reaches the lanes, not job
+    a's items among job b's, and leaving the map joins every lane."""
+    with pytest.raises(RuntimeError, match="^a job was run with 3 items of the last one unread$"):
+        with lanes.open_map(lambda job, k: (job, k), 2) as (run, ran):
+            assert ran == 2
+            first = run("first", 2)
+            assert [next(first), next(first)] == [("first", 0), ("first", 1)]
+            assert next(run("a", 4)) == ("a", 0)
+            list(run("b", 4))
+
+
 def test_one_job_map_lanes_exit_after_their_last_item(monkeypatch):
     """The forked lane of a one-job map exits after its last item, before
     the caller's last item returns, so the join at the end waits on no
