@@ -9,9 +9,10 @@ forked lanes of :mod:`csitransfer.lanes`, 0 when none ran) and the produced
 files. Every manifest also records ``lanes``, the most lanes that any
 :func:`lanes.open_map` map of the command ran, the caller included (1
 when nothing forked, as in ``train --sources``): ``gen``'s map over
-environments, first visits, meta steps, or the LMMSE estimates of a
-collection in the caller. A ``meta-train`` manifest also records
-``meta_lanes``, the lanes its meta steps ran on (:func:`transfer.meta_lanes`).
+environments, whose items return their datasets, first visits, meta
+steps, or the LMMSE estimates of a collection in the caller. A
+``meta-train`` manifest also records ``meta_lanes``, the lanes its meta
+steps ran on (:func:`transfer.meta_lanes`).
 ``rerun MANIFEST`` re-executes the recorded subcommand with the recorded
 config and ignores every other field; all outputs are then byte-identical
 (timestamps and peak memory live only in the manifest), except the stage
@@ -25,7 +26,9 @@ error, and no environment variable overrides them.
 Flags can be overridden through environment variables with the ``CSIT_``
 prefix. ``sweep`` shares its options with ``gen``, ``train`` and
 ``meta-train`` but defaults to the desk profile (``SWEEP_DESK_DEFAULTS``).
-Exit codes: 0 success, 1 runtime or verification failure, 2 usage error.
+Exit codes: 0 success, 1 runtime or verification failure, 2 usage error. A
+path that names a directory is a usage error, and an ``--out`` whose
+directory does not exist is refused before the command runs.
 
 Heavy imports happen inside the commands so that ``--threads`` can cap the
 linear-algebra thread pools before they are initialised.
@@ -162,33 +165,22 @@ def _train_config(opts: dict):
 
 
 def _impl_gen(opts: dict) -> tuple[list[str], dict]:
-    import numpy as np
-
     from . import lanes, store
-    from .channel import TaskDataset, collection_lanes, generate_task_datasets, sample_environment
+    from .channel import collection_lanes, generate_task_datasets, sample_environment
     from .seeding import STREAM_CLI_GEN, stream
 
     gcfg = _generator_config(opts)
     role, envs, pairs, first = opts["role"], opts["envs"], opts["pairs"], opts["first_env_id"]
     count = collection_lanes(envs * pairs * 2, envs, gcfg.noise)
-    empty = lanes.shared_empty if count > 1 else np.empty
-    wide, rows = (envs, pairs, 2 * gcfg.array.m), (envs, pairs)
-    ys = empty(wide)  # xs, ys, y_clean (ys itself under clean noise), f_up, f_down, user_index
-    columns = [empty(wide), ys, ys if gcfg.noise.mode == "clean" else empty(wide),
-               empty(rows), empty(rows), empty(rows, np.int64)]
 
-    def collect(k):  # environment first + k, into row k of every column
+    def collect(k):  # environment first + k
         env = sample_environment(first + k, gcfg, opts["seed"])
-        (d,) = generate_task_datasets(
+        return generate_task_datasets(
             env, [(role, pairs)], gcfg.users, (gcfg.f_min, gcfg.f_max), gcfg.delta_f,
             gcfg.array, gcfg.noise, stream(env.seed, STREAM_CLI_GEN, ROLE_CHOICES.index(role)),
-            gcfg.delay_max)
-        for column, a in zip(columns, (d.xs, d.ys, d.y_clean, d.f_up, d.f_down, d.user_index)):
-            column[k] = a
+            gcfg.delay_max)[0]
 
-    lanes.fork_map(collect, envs, count)
-    datasets = [TaskDataset(first + k, role, *(column[k] for column in columns))
-                for k in range(envs)]
+    datasets, _ = lanes.fork_map(collect, envs, count)
     store.write_dataset(opts["out"], datasets, gcfg.noise, gcfg.delta_f)
     return [opts["out"], opts["out"] + ".meta.json"], {}
 
@@ -414,7 +406,7 @@ def _impl_gradcheck(opts: dict) -> tuple[list[str], dict]:
         tasks = [(net.Batch(block[0][t], block[1][t]), net.Batch(block[2][t], block[3][t]))
                  for t in range(2)]
         beta = 1e-3
-        mg = transfer._meta_batch_eval(params, [block], g_tr, beta, "exact")[1]
+        mg = params.like(transfer._meta_block(params, block, g_tr, beta, True)[1])
 
         def meta_loss(p):
             total = 0.0
@@ -447,6 +439,8 @@ def _execute(subcommand: str, opts: dict):
     from . import lanes
     from .store import FormatError
 
+    if "out" in opts and not os.path.isdir(os.path.dirname(os.path.abspath(opts["out"]))):
+        raise click.ClickException(f"the directory of --out {opts['out']} does not exist")
     started, lanes.peak_lanes = _utcnow(), 1
     try:
         outputs, record = _IMPLS[subcommand](opts)
@@ -536,18 +530,18 @@ SWEEP_DESK_DEFAULTS = {"users": 10, "antennas": 16, "noise_mode": "clean", "k_s"
               show_default=True)
 @click.option("--pairs", type=click.IntRange(min=1), default=20, show_default=True)
 @_gen_options
-@click.option("--out", type=click.Path(), required=True)
+@click.option("--out", type=click.Path(dir_okay=False), required=True)
 def gen(**opts):
     """Generate task datasets and write them to a binary file."""
     _execute("gen", opts)
 
 
 @cli.command()
-@click.option("--sources", type=click.Path(exists=True), multiple=True,
+@click.option("--sources", type=click.Path(exists=True, dir_okay=False), multiple=True,
               help="Dataset file(s) to pool; omit to generate from the flags.")
 @_gen_options
 @_train_options
-@click.option("--out", type=click.Path(), required=True)
+@click.option("--out", type=click.Path(dir_okay=False), required=True)
 def train(**opts):
     """Classical training on the pooled source data."""
     opts["sources"] = list(opts["sources"])
@@ -562,33 +556,33 @@ def train(**opts):
               help="Freeze each task's support/query sets at its first visit "
                    "instead of regenerating them per visit; every first visit "
                    "is collected once, up front, on lanes.")
-@click.option("--out", type=click.Path(), required=True)
+@click.option("--out", type=click.Path(dir_okay=False), required=True)
 def meta_train_cmd(**opts):
     """Meta-training with inner-task and across-task updates."""
     _execute("meta-train", opts)
 
 
 @cli.command()
-@click.option("--checkpoint", type=click.Path(exists=True), required=True)
-@click.option("--data", type=click.Path(exists=True), required=True,
+@click.option("--checkpoint", type=click.Path(exists=True, dir_okay=False), required=True)
+@click.option("--data", type=click.Path(exists=True, dir_okay=False), required=True,
               help="Dataset file holding the adaption set.")
 @click.option("--g-ad", type=click.IntRange(min=0), default=1000, show_default=True)
 @click.option("--beta", type=float, default=1e-6, show_default=True)
 @click.option("--rule", type=click.Choice(["auto", "adam", "gd"]), default="auto",
               show_default=True, help="auto: Adam for a classically trained "
                                       "base, plain GD for a meta-trained one.")
-@click.option("--out", type=click.Path(), required=True)
+@click.option("--out", type=click.Path(dir_okay=False), required=True)
 def adapt(**opts):
     """Fine-tune a checkpoint on one target's adaption set."""
     _execute("adapt", opts)
 
 
 @cli.command("eval")
-@click.option("--checkpoint", type=click.Path(exists=True), required=True)
-@click.option("--data", type=click.Path(exists=True), required=True,
+@click.option("--checkpoint", type=click.Path(exists=True, dir_okay=False), required=True)
+@click.option("--data", type=click.Path(exists=True, dir_okay=False), required=True,
               help="Test dataset file (must carry clean labels).")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(), required=True)
+@click.option("--out", type=click.Path(dir_okay=False), required=True)
 def eval_cmd(**opts):
     """NMSE of a checkpoint against clean downlink channels."""
     _execute("eval", opts)
@@ -605,7 +599,7 @@ def eval_cmd(**opts):
 @_meta_options
 @_gen_options
 @_train_options
-@click.option("--out", type=click.Path(), required=True)
+@click.option("--out", type=click.Path(dir_okay=False), required=True)
 def sweep(**opts):
     """Three-way comparison at desk scale, optionally sweeping one variable."""
     if opts["variable"] != "none" and not opts["grid"]:
@@ -640,7 +634,7 @@ def _recorded_command_line(cmd: click.Command, config: dict) -> list[str]:
 
 
 @cli.command()
-@click.argument("manifest", type=click.Path(exists=True))
+@click.argument("manifest", type=click.Path(exists=True, dir_okay=False))
 def rerun(manifest):
     """Re-execute a recorded run; outputs are byte-identical."""
     with open(manifest) as f:

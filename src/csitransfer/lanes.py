@@ -4,14 +4,15 @@
 lane k mod L (:func:`lane_count`); :func:`fork_map` is a map of one job,
 whose forked lanes exit after their last item.
 Lane 0 is the caller; the others are processes forked once per map, which
-inherit what the caller built and write array outputs into anonymous
-shared mappings made before the fork (:func:`shared_empty`), so only jobs
-and small results cross their pipes. A forked lane returns an array result
-through two ring slots of its own, used in turn. Results come back in item
-order, and lane 0 runs its next item before it takes the forked lanes'
-results but raises its error only at that item's turn, so the error raised
-is the first failing item's, with its type and message, at every lane
-count. A map opened inside a lane, or while the caller has lanes open, runs
+inherit what the caller built. A forked lane's result comes back one of
+three ways: a value, pickled through its pipe; an array, through two ring
+slots of its own used in turn (``slot_size``); or rows written into an
+array in an anonymous shared mapping that the data's owner allocates
+before the fork (:func:`shared_empty`). Results come back in item order,
+and lane 0 runs its next item before it takes the forked lanes' results
+but raises its error only at that item's turn, so the error raised is the
+first failing item's, with its type and message, at every lane count.
+A map opened inside a lane, or while the caller has lanes open, runs
 inline: lanes never nest. Items that draw only from their own streams give
 the same bits on any number of lanes.
 """

@@ -37,12 +37,14 @@ one GEMM of the shared weights against all rows of the block plus thin
 per-task products against the factors.
 
 A task's inner steps and meta-gradient depend only on omega and its own
-data, so ``meta_train`` runs each step's blocks as one job of a map of
-:func:`lanes.open_map` on :func:`meta_lanes` lanes, forked once per call,
-and adds their losses and gradients in block order, so every lane count
-gives the same bits. The lanes read omega from one shared slot that the
-caller writes each step, and only read the first visits: no process
-writes them once the lanes are open.
+data, so ``meta_train`` runs each step's blocks on a map of
+:func:`lanes.open_map` on :func:`meta_lanes` lanes, forked once per call.
+A step's job is its block list alone; the lanes read ``g_tr``, ``beta``
+and the meta mode from the config, omega from one shared slot that the
+caller writes each step, and the first visits, which no process writes
+once the lanes are open. :func:`_meta_batch_eval` adds the blocks' losses
+and flat gradients in block order, the step's one summation, so every
+lane count gives the same bits.
 """
 
 from __future__ import annotations
@@ -370,49 +372,39 @@ def inner_adapt(omega: NetParams, d_sup, g_tr: int,
     return params, iterates
 
 
-def _meta_batch_eval(omega: NetParams, blocks, g_tr: int, beta: float,
-                     mode: str, run=None) -> tuple[float, NetParams]:
-    """Summed query loss of the adapted copies and its gradient wrt omega.
-
-    ``blocks`` yields blocks of support xs, ys and query xs, ys one at a
-    time; with ``run``, the map :func:`meta_train` opens, it lists blocks
-    of tasks ``(i, visit)``, which the map's lanes load and run, each
-    giving its loss and flat gradient. Either way the blocks'
-    losses and gradients are added here in block order. No task's weights
-    are ever formed. After j inner steps a task's layer weight is
-    ``omega - beta * sum_{i<j} delta_i.T @ act_i``: factors whose rows are
-    the support deltas and layer inputs of the steps taken, with the biases
-    kept per task. Those rows are also the tape of the reverse pass; the
-    ReLU masks are the next layer's inputs > 0. The direction v starts as
-    the query gradient at the adapted weights, query deltas against query
-    inputs. In exact mode each reverse step v <- v - beta * H_sup(omega_j) v
-    appends the rows ``-beta * [tdelta, delta]`` against ``[act, tact]``
-    (:func:`net.block_hvp_axpy`); first-order mode and ``g_tr = 0`` stop at
-    the query gradient. A block's gradient is one product of its stacked
-    factors per layer.
-    """
-    if mode not in (META_EXACT, META_FIRST_ORDER):
-        raise ValueError(f"unknown meta mode {mode!r}")
-    exact = mode == META_EXACT
-    if run is None:
-        results = (_meta_block(omega, block, g_tr, beta, exact) for block in blocks)
-    else:
-        results = ((loss, omega.like(grad))
-                   for loss, grad in run((blocks, g_tr, beta, exact), len(blocks)))
+def _meta_batch_eval(omega: NetParams, results) -> tuple[float, NetParams]:
+    """Summed query loss of a meta batch and its gradient wrt omega: the
+    sum of ``results``, the blocks' ``(loss, flat gradient)`` pairs of
+    :func:`_meta_block`, added in block order."""
     total_loss, count = 0.0, 0
     total_grad = net.zeros_like_params(omega)
     for count, (loss, grad) in enumerate(results, 1):
         total_loss += loss
-        params_axpy(1.0, grad, total_grad, out=total_grad)
+        params_axpy(1.0, omega.like(grad), total_grad, out=total_grad)
     if not count:
         raise ValueError("meta batch is empty")
     return total_loss, total_grad
 
 
 def _meta_block(omega: NetParams, block, g_tr: int, beta: float,
-                exact: bool) -> tuple[float, NetParams]:
-    """The summed query loss of one block of :func:`_meta_batch_eval`'s
-    tasks and the sum of their meta-gradients."""
+                exact: bool) -> tuple[float, np.ndarray]:
+    """The summed query loss of one block of tasks, support xs, ys and
+    query xs, ys, and the sum of their meta-gradients as a flat buffer in
+    omega's layout.
+
+    No task's weights are ever formed. After j inner steps a task's layer
+    weight is ``omega - beta * sum_{i<j} delta_i.T @ act_i``: factors whose
+    rows are the support deltas and layer inputs of the steps taken, with
+    the biases kept per task. Those rows are also the tape of the reverse
+    pass; the ReLU masks are the next layer's inputs > 0. The direction v
+    starts as the query gradient at the adapted weights, query deltas
+    against query inputs. In exact mode each reverse step
+    v <- v - beta * H_sup(omega_j) v appends the rows
+    ``-beta * [tdelta, delta]`` against ``[act, tact]``
+    (:func:`net.block_hvp_axpy`); first-order mode and ``g_tr = 0`` stop at
+    the query gradient. The block's gradient is one product of its stacked
+    factors per layer.
+    """
     sup_xs, sup_ys, que_xs, que_ys = block
     if sup_xs.shape[1] == 0 and g_tr > 0:
         raise ValueError("support set is empty but inner updates were requested")
@@ -433,7 +425,7 @@ def _meta_block(omega: NetParams, block, g_tr: int, beta: float,
         for j in reversed(range(g_tr)):
             acts, deltas = inner.tape(j * n_sup, (j + 1) * n_sup)
             net.block_hvp_axpy(-beta, omega, inner.head(j * n_sup), acts, deltas, v)
-    return float(np.sum(losses)), net.block_sum(omega, v)
+    return float(np.sum(losses)), net.block_sum(omega, v).flat
 
 
 def _support_query(env: Environment, cfg: TrainConfig, visit: int) -> tuple[TaskDataset, TaskDataset]:
@@ -468,8 +460,7 @@ def first_visits(envs: Sequence[Environment],
     shape = (len(envs), cfg.n_tr, 2 * cfg.gen.array.m)
     starts = range(0, len(envs), _TASK_BLOCK)
     count = channel.collection_lanes(len(envs) * cfg.n_tr * 2, len(starts), cfg.gen.noise)
-    empty = lanes.shared_empty if count > 1 else np.empty  # forked lanes write shared rows
-    xs, ys = empty(shape), empty(shape)
+    xs, ys = lanes.shared_empty(shape), lanes.shared_empty(shape)  # forked lanes write them
 
     def collect(j):
         b = starts[j]
@@ -542,12 +533,11 @@ def meta_train(source_envs: Sequence[Environment], cfg: TrainConfig,
     history: list[float] = []
 
     omega = params.like(lanes.shared_empty(params.flat.shape))  # each step's, read by every lane
+    exact = cfg.meta_mode == META_EXACT
 
-    def block(job, k):
-        blocks, g_tr, beta, exact = job
-        loss, grad = _meta_block(omega, _load_block(blocks[k], source_envs, cfg, first_visit),
-                                 g_tr, beta, exact)
-        return loss, grad.flat
+    def block(blocks, k):
+        return _meta_block(omega, _load_block(blocks[k], source_envs, cfg, first_visit),
+                           cfg.g_tr, cfg.beta, exact)
 
     with np.errstate(over="ignore", invalid="ignore"), \
             lanes.open_map(block, meta_lanes(cfg), omega.flat.size) as (run, _):
@@ -557,16 +547,15 @@ def meta_train(source_envs: Sequence[Environment], cfg: TrainConfig,
                       for b in range(0, cfg.k_b, _TASK_BLOCK)]
             visits[chosen] += not cfg.fixed_task_data  # fixed data: visit 0 throughout
             np.copyto(omega.flat, params.flat)
-            loss, grad = _meta_batch_eval(omega, blocks, cfg.g_tr, cfg.beta, cfg.meta_mode, run)
+            loss, grad = _meta_batch_eval(omega, run(blocks, len(blocks)))
             _check_finite("meta-training", step, loss)
             params, state = adam_step(state, params, grad, cfg.gamma)
             history.append(loss)
             if _converged(history):
                 break
-    exact = cfg.meta_mode == META_EXACT and cfg.g_tr > 0
     return TrainedModel(params=params, provenance=PROVENANCE_META,
                         config=cfg.snapshot(), loss_history=history if history else [0.0],
-                        derivative_order=cfg.g_tr + 1 if exact else 1)
+                        derivative_order=cfg.g_tr + 1 if exact and cfg.g_tr else 1)
 
 
 def init_network(cfg: TrainConfig) -> NetParams:

@@ -104,6 +104,27 @@ def test_traced_meta_train_counts_one_generation_per_task():
         assert name not in summary, name
 
 
+def test_traced_meta_step_holds_its_blocks_work(monkeypatch):
+    """``_meta_batch_eval`` iterates the map's results, which runs the
+    step's blocks, so the ``transfer.meta_step`` span times their work:
+    every ``channel.draw_combos`` span of a one-lane traced ``meta_train``
+    has a ``transfer.meta_step`` ancestor."""
+    monkeypatch.setattr(lanes, "usable_cpus", lambda: 1)
+    spans = load_spans()
+    gen = channel.GeneratorConfig(array=channel.ArrayConfig(m=4), users=4)
+    cfg = transfer.TrainConfig(k_s=6, k_b=3, n_tr=6, u=4, v=8, hidden=(8,), max_steps=4,
+                               gen=gen)
+    tracer = spans.Tracer()
+    with tracer:
+        transfer.meta_train(evaluate.source_environments(cfg), cfg, np.random.default_rng(5))
+    draws = [i for i, span in enumerate(tracer.spans) if span[0] == "channel.draw_combos"]
+    assert len(draws) == cfg.k_b * cfg.max_steps
+    for i in draws:
+        while i >= 0 and tracer.spans[i][0] != "transfer.meta_step":
+            i = tracer.spans[i][1]
+        assert i >= 0
+
+
 def test_traced_three_way_reaches_adam_and_every_adaption(monkeypatch):
     """The benchmark's reach check for ``three_way_m16``: the meta-learner's
     outer steps go through ``optim.adam_step``, and each target runs one

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from csitransfer import cli as cli_module
 from csitransfer import lanes, net, store, transfer
 from csitransfer.cli import _train_config, cli
 
@@ -335,6 +336,84 @@ def test_bad_option_value_one_line_error(tmp_path):
                   "--out", tmp_path / "m.ck")
     assert_one_line_error(res, "k_b=20 cannot exceed k_s=10")
     assert not os.path.exists(tmp_path / "m.ck")
+
+
+def assert_usage_error(res, fragment):
+    """Click's usage error: exit code 2, no traceback, and one error line,
+    after the usage lines, naming ``fragment``."""
+    assert res.exit_code == 2
+    assert "Traceback" not in res.output
+    errors = [line for line in res.output.splitlines() if "Error" in line]
+    assert errors == [res.output.strip().splitlines()[-1]], res.output
+    assert errors[0].startswith("Error: ") and fragment in errors[0], res.output
+
+
+def no_work(opts):
+    raise AssertionError("the command ran")
+
+
+@pytest.mark.parametrize("flag", ["--checkpoint", "--data"])
+def test_directory_as_an_input_file_is_a_usage_error(tmp_path, monkeypatch, flag):
+    """A directory where ``adapt`` or ``eval`` reads a file is a usage
+    error naming the flag, before the command runs."""
+    ck, te = _zero_checkpoint_and_test_set(tmp_path)
+    paths = {"--checkpoint": ck, "--data": te, flag: tmp_path}
+    for command in ("adapt", "eval"):
+        monkeypatch.setitem(cli_module._IMPLS, command, no_work)
+        res = run_cli(command, *(a for item in paths.items() for a in item),
+                      "--out", tmp_path / "out")
+        assert_usage_error(res, f"Invalid value for '{flag}': File '{tmp_path}' is a directory")
+        assert not os.path.exists(tmp_path / "out.manifest.json")
+
+
+def test_directory_in_sources_is_a_usage_error(tmp_path, monkeypatch):
+    monkeypatch.setitem(cli_module._IMPLS, "train", no_work)
+    res = run_cli("train", *TINY_GEN, *TINY_TRAIN, "--sources", tmp_path,
+                  "--out", tmp_path / "c.ck")
+    assert_usage_error(res, f"Invalid value for '--sources': File '{tmp_path}' is a directory")
+
+
+def test_rerun_of_a_directory_is_a_usage_error(tmp_path):
+    assert_usage_error(run_cli("rerun", tmp_path),
+                       f"Invalid value for 'MANIFEST': File '{tmp_path}' is a directory")
+
+
+@pytest.mark.parametrize("command", ["gen", "train"])
+def test_out_that_is_a_directory_is_a_usage_error(tmp_path, monkeypatch, command):
+    """An existing directory as ``--out`` is refused before the command
+    runs: nothing is written into it or beside it."""
+    monkeypatch.setitem(cli_module._IMPLS, command, no_work)
+    out = tmp_path / "out"
+    out.mkdir()
+    res = run_cli(command, *TINY_GEN, "--out", out)
+    assert_usage_error(res, f"Invalid value for '--out': File '{out}' is a directory")
+    assert os.listdir(tmp_path) == ["out"] and os.listdir(out) == []
+
+
+@pytest.mark.parametrize("command", ["gen", "train"])
+def test_out_in_a_missing_directory_one_line_error(tmp_path, monkeypatch, command):
+    """An ``--out`` whose directory does not exist is a one-line error
+    before the command runs, and nothing is written."""
+    monkeypatch.setitem(cli_module._IMPLS, command, no_work)
+    out = tmp_path / "missing" / "out"
+    assert_one_line_error(run_cli(command, *TINY_GEN, "--out", out),
+                          f"the directory of --out {out} does not exist")
+    assert os.listdir(tmp_path) == []
+
+
+def test_rerun_into_a_missing_directory_one_line_error(tmp_path, monkeypatch):
+    """``rerun`` refuses a recorded ``--out`` whose directory is gone, as
+    the command itself would, and writes nothing."""
+    out = str(tmp_path / "d.bin")
+    assert run_cli("gen", "--envs", 1, "--pairs", 4, *TINY_GEN, "--out", out).exit_code == 0
+    path = out + ".manifest.json"
+    manifest = json.load(open(path))
+    moved = str(tmp_path / "missing" / "d.bin")
+    manifest["config"]["out"] = moved
+    json.dump(manifest, open(path, "w"))
+    monkeypatch.setitem(cli_module._IMPLS, "gen", no_work)
+    assert_one_line_error(run_cli("rerun", path), f"the directory of --out {moved} does not exist")
+    assert not os.path.exists(tmp_path / "missing")
 
 
 def test_sweep_g_ad_emits_three_rows_per_point(tmp_path):

@@ -13,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 from csitransfer import channel as ch
-from csitransfer import evaluate, lanes, transfer
+from csitransfer import evaluate, lanes, store, transfer
 from csitransfer.cli import cli
 from csitransfer.seeding import STREAM_BATCH, stream
 from csitransfer.transfer import TrainConfig
@@ -66,6 +66,34 @@ def test_stages_give_the_same_bits_on_every_lane_count(monkeypatch, tmp_path):
         runs[cpus], ran = stage_outputs(tmp_path, f"gen{cpus}.bin")
         assert ran == (cpus, cpus)  # 9 sources make 3 blocks; 5 environments
     assert runs[2] == runs[1] and runs[3] == runs[1]
+
+
+@pytest.mark.parametrize("noise", ["clean", "lmmse"])
+def test_gen_keeps_its_bytes_and_one_clean_label_array_on_every_lane_count(
+        monkeypatch, tmp_path, noise):
+    """With every collection forking, ``gen`` writes the same bytes on 1
+    and 2 lanes, and under clean noise every dataset it writes keeps one
+    label array, ``ys is y_clean``, as ``TaskDataset`` promises."""
+    monkeypatch.setattr(ch, "_LANE_MIN_RAY_SUMS", 0)
+    write_dataset, written = store.write_dataset, []
+    monkeypatch.setattr(store, "write_dataset",
+                        lambda path, datasets, *a: written.append(datasets)
+                        or write_dataset(path, datasets, *a))
+    files = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(lanes, "usable_cpus", lambda: cpus)
+        out = str(tmp_path / f"{noise}{cpus}.bin")
+        res = CliRunner().invoke(cli, [str(a) for a in (
+            "gen", "--envs", 3, "--pairs", 5, "--antennas", 4, "--users", 4,
+            "--noise-mode", noise, "--out", out)])
+        assert res.exit_code == 0, res.output
+        with open(out, "rb") as f, open(out + ".manifest.json") as manifest:
+            files.append(f.read())
+            assert json.load(manifest)["lanes"] == cpus
+    assert files[1] == files[0]
+    assert [len(datasets) for datasets in written] == [3, 3]
+    for d in (d for datasets in written for d in datasets):
+        assert (d.ys is d.y_clean) == (noise == "clean")
 
 
 def test_clean_collections_fork_from_1334_links(monkeypatch):

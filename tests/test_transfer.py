@@ -73,9 +73,17 @@ def task_blocks(tasks):
                    np.stack([q.xs for _, q in block]), np.stack([q.ys for _, q in block]))
 
 
+def meta_batch(omega, tasks, g_tr, beta, mode):
+    """The summed post-adaption query loss and its gradient wrt omega:
+    ``_meta_block`` summed over ``task_blocks``, as ``meta_train`` sums it."""
+    return transfer._meta_batch_eval(omega, (
+        transfer._meta_block(omega, block, g_tr, beta, mode == "exact")
+        for block in task_blocks(tasks)))
+
+
 def meta_gradient(omega, tasks, g_tr, beta, mode):
     """Gradient of the summed post-adaption query loss wrt omega."""
-    return transfer._meta_batch_eval(omega, task_blocks(tasks), g_tr, beta, mode)[1]
+    return meta_batch(omega, tasks, g_tr, beta, mode)[1]
 
 
 def norm(p):
@@ -682,7 +690,7 @@ def random_meta_problem(m, hidden, sizes, seed):
 
 
 def assert_matches_oracle(omega, tasks, g_tr, beta, mode, rtol=1e-10):
-    loss, grad = transfer._meta_batch_eval(omega, task_blocks(tasks), g_tr, beta, mode)
+    loss, grad = meta_batch(omega, tasks, g_tr, beta, mode)
     want_loss, want = per_task_meta_oracle(omega, tasks, g_tr, beta, mode)
     assert abs(loss - want_loss) <= rtol * abs(want_loss)
     scale = np.max(np.abs(want.flat))
@@ -714,16 +722,11 @@ def test_meta_batch_eval_blocks_split_on_task_sizes():
 def test_meta_batch_eval_rejects_bad_input():
     omega, tasks = random_meta_problem(2, (6,), [(4, 5)] * 2, seed=8)
     with pytest.raises(ValueError, match="empty"):
-        transfer._meta_batch_eval(omega, task_blocks([]), 1, 1e-2, "exact")
-    with pytest.raises(ValueError, match="mode"):
-        transfer._meta_batch_eval(omega, task_blocks(tasks), 1, 1e-2,
-                                  "second-order")
+        meta_batch(omega, [], 1, 1e-2, "exact")
     empty = Batch(np.empty((0, 4)), np.empty((0, 4)))
     with pytest.raises(ValueError, match="support"):
-        transfer._meta_batch_eval(
-            omega, task_blocks([tasks[0], (empty, tasks[1][1])]), 1, 1e-2, "exact")
-    loss, _ = transfer._meta_batch_eval(omega, task_blocks([(empty, tasks[1][1])]),
-                                        0, 1e-2, "exact")
+        meta_batch(omega, [tasks[0], (empty, tasks[1][1])], 1, 1e-2, "exact")
+    loss, _ = meta_batch(omega, [(empty, tasks[1][1])], 0, 1e-2, "exact")
     assert loss == pytest.approx(net.mse_loss(omega, tasks[1][1]), rel=1e-12)
 
 
@@ -768,7 +771,7 @@ def test_meta_train_degenerate_is_query_adam():
 def per_task_meta_train(envs, cfg, rng):
     """``meta_train`` written out task by task: every task's sets from
     ``_support_query`` (visit 0 throughout under fixed task data), the batch
-    through ``task_blocks``, then the outer ``adam_step``."""
+    through ``meta_batch``, then the outer ``adam_step``."""
     params = transfer.init_network(cfg)
     state = optim.AdamState.init(params)
     visits, history = {}, []
@@ -778,8 +781,7 @@ def per_task_meta_train(envs, cfg, rng):
             visit = 0 if cfg.fixed_task_data else visits.get(i, 0)
             visits[i] = visit + 1
             tasks.append(transfer._support_query(envs[i], cfg, visit))
-        loss, grad = transfer._meta_batch_eval(params, task_blocks(tasks), cfg.g_tr,
-                                               cfg.beta, cfg.meta_mode)
+        loss, grad = meta_batch(params, tasks, cfg.g_tr, cfg.beta, cfg.meta_mode)
         params, state = optim.adam_step(state, params, grad, cfg.gamma)
         history.append(loss)
     return params, history
