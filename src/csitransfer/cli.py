@@ -30,8 +30,10 @@ Exit codes: 0 success, 1 runtime or verification failure, 2 usage error. A
 path that names a directory is a usage error, and an ``--out`` whose
 directory does not exist is refused before the command runs.
 
-Heavy imports happen inside the commands so that ``--threads`` can cap the
-linear-algebra thread pools before they are initialised.
+Each lane takes one CPU, so before any command imports numpy the group
+sets every linear-algebra thread pool to one thread (``BLAS_THREAD_VARS``),
+unless the variable is already set, and every manifest records the five
+values it ran with (``blas_threads``). Results do not depend on them.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ import click
 ROLE_CHOICES = ("train-support", "train-query", "adaption", "test")
 NOISE_CHOICES = ("clean", "awgn", "lmmse")
 SWEEP_CHOICES = ("g-ad", "n-ad", "delta-f", "m", "snr-db", "none")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
 def _utcnow() -> str:
@@ -78,6 +82,7 @@ def _write_manifest(subcommand: str, opts: dict, outputs: list[str], record: dic
         # Linux reports ru_maxrss in KiB. Children are read before git runs as one.
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "peak_rss_children_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0,
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         "build": _build_info(),
         "started_at": started,
         "finished_at": _utcnow(),
@@ -381,7 +386,7 @@ def _impl_gradcheck(opts: dict) -> tuple[list[str], dict]:
                                      probes // 5 + 1, 1e-4))
     report("backward-vs-finite-differences", worst, 1e-6)
 
-    # Hessian symmetry through the forward-over-reverse product.
+    # Hessian symmetry of the meta step's product, through its one-task case.
     worst = 0.0
     for s in range(5):
         rng = stream(seed, STREAM_GRADCHECK_HVP, s)
@@ -457,15 +462,11 @@ def _execute(subcommand: str, opts: dict):
 
 
 @click.group()
-@click.option("--threads", type=int, default=0, show_default=True,
-              help="Cap linear-algebra thread pools (0 keeps library defaults). "
-                   "Results do not depend on this value.")
-def cli(threads: int):
+def cli():
     """Downlink-channel prediction experiments: generate, train, adapt,
     evaluate, sweep, verify."""
-    if threads > 0:
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
+    for var in BLAS_THREAD_VARS:
+        os.environ.setdefault(var, "1")
 
 
 def _option_set(*options):

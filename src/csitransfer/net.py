@@ -6,7 +6,9 @@ squared errors averaged over the batch. Besides plain reverse-mode
 gradients the module provides the directional derivative of the gradient
 map (a Hessian-vector product, computed forward-over-reverse), which is
 what lets the meta-learner differentiate exactly through its own
-gradient-descent steps.
+gradient-descent steps. There is one such kernel, the meta step's
+:func:`block_hvp_axpy`; :func:`forward_param_jvp`, its one-task case on
+dense parameters, is what ``csitransfer gradcheck`` checks.
 
 Parameters, gradients and Hessian-vector products are :class:`NetParams`:
 one contiguous float64 buffer with per-layer weight and bias views, which
@@ -18,7 +20,7 @@ delta and gradient buffers, sized from the layer shapes and the row count,
 and reads the parameters afresh at each call, so a loop that steps them in
 place allocates nothing per step. The functional :func:`forward_batch`,
 :func:`mse_loss` and :func:`loss_and_grad` run the same code on a fresh
-workspace. The meta step's Hessian-vector and block kernels are separate.
+workspace. The meta step's block kernels are separate.
 
 All math is 64-bit. ReLU's subgradient at zero is fixed to zero so results
 are bit-reproducible.
@@ -306,55 +308,6 @@ def loss_and_grad(params: NetParams, batch: Batch) -> tuple[float, NetParams]:
     return ws.loss_and_grad(), ws.grads
 
 
-def forward_param_jvp(params: NetParams, direction: NetParams, batch: Batch) -> NetParams:
-    """Directional derivative of the gradient map along ``direction``.
-
-    Equivalently the Hessian-vector product of the batch loss. Tangents are
-    pushed through the forward pass and then through the reverse sweep, so
-    the result is exact up to rounding (the ReLU masks are constants of the
-    linearisation, matching the zero subgradient convention).
-    """
-    _check_same_shape(params, direction)
-    if len(batch) == 0:
-        raise ValueError("batch must be nonempty")
-    v = len(batch)
-    n_layers = len(params.weights)
-
-    # Forward sweep with tangents.
-    acts = [batch.xs]
-    tacts = [np.zeros_like(batch.xs)]
-    masks = []
-    a, ta = batch.xs, np.zeros_like(batch.xs)
-    for l in range(n_layers):
-        z = a @ params.weights[l].T + params.biases[l]
-        tz = ta @ params.weights[l].T + a @ direction.weights[l].T + direction.biases[l]
-        if l < n_layers - 1:
-            mask = z > 0
-            a, ta = z * mask, tz * mask
-        else:
-            mask = None
-            a, ta = z, tz
-        masks.append(mask)
-        acts.append(a)
-        tacts.append(ta)
-
-    # Reverse sweep carrying (value, tangent) of each delta.
-    out = params.like(np.empty_like(params.flat))
-    delta = 2.0 / v * (acts[-1] - batch.ys)
-    tdelta = 2.0 / v * tacts[-1]
-    for l in range(n_layers - 1, -1, -1):
-        hw = out.weights[l]
-        np.matmul(tdelta.T, acts[l], out=hw)
-        hw += delta.T @ tacts[l]
-        tdelta.sum(axis=0, out=out.biases[l])
-        if l > 0:
-            g = delta @ params.weights[l]
-            tg = tdelta @ params.weights[l] + delta @ direction.weights[l]
-            delta = g * masks[l - 1]
-            tdelta = tg * masks[l - 1]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Block kernels of the meta step.
 #
@@ -499,11 +452,13 @@ def block_hvp_axpy(alpha: float, omega: NetParams, terms: BlockTerms,
     Hessian of each task's loss at ``omega + terms``.
 
     ``acts`` and ``deltas`` are the tape of :func:`block_loss_and_grad_terms`
-    at that point. This is :func:`forward_param_jvp` with every weight kept
-    as factors: the product's layer l appends rows ``alpha * [tdelta,
-    delta]`` against ``[act, tact]`` to the direction (only ``alpha *
-    tdelta`` against the input for the first layer, whose input has no
-    tangent).
+    at that point. Tangents are pushed through the forward pass and then
+    through the reverse sweep, with every weight kept as factors, so the
+    product is exact up to rounding (the ReLU masks are constants of the
+    linearisation, matching the zero subgradient convention). The
+    product's layer l appends rows ``alpha * [tdelta, delta]`` against
+    ``[act, tact]`` to the direction (only ``alpha * tdelta`` against the
+    input for the first layer, whose input has no tangent).
     """
     n_layers = len(omega.weights)
     n = acts[0].shape[1]
@@ -531,6 +486,34 @@ def block_hvp_axpy(alpha: float, omega: NetParams, terms: BlockTerms,
         direction.append(l, tdelta, acts[l], alpha)
         direction.append(l, deltas[l], tacts[l], alpha)
         tdelta = tg * (acts[l] > 0)
+
+
+def forward_param_jvp(params: NetParams, direction: NetParams, batch: Batch) -> NetParams:
+    """Directional derivative of the gradient map along ``direction``.
+
+    Equivalently the Hessian-vector product of the batch loss, exact up to
+    rounding. This is the one-task case of the meta step's kernel,
+    :func:`block_hvp_axpy`: each weight of ``direction`` enters as identity
+    rows against that weight, and the product is read back from the rows
+    the kernel appends and from the change it makes to the biases.
+    """
+    _check_same_shape(params, direction)
+    if len(batch) == 0:
+        raise ValueError("batch must be nonempty")
+    n, widths = len(batch), [w.shape[0] for w in params.weights]
+    terms = BlockTerms.empty(params, 1, [0] * len(widths))
+    _, acts, deltas = block_loss_and_grad_terms(params, terms, batch.xs[None], batch.ys[None])
+    v = BlockTerms.empty(params, 1, [k + (n if l == 0 else 2 * n) for l, k in enumerate(widths)])
+    for l, (w, b) in enumerate(zip(direction.weights, direction.biases)):
+        v.append(l, np.eye(len(b))[None], w[None])
+        v.biases[l][0] = b
+    block_hvp_axpy(1.0, params, terms, acts, deltas, v)
+    out = params.like(np.empty_like(params.flat))
+    for l, k in enumerate(widths):
+        p, q = v.live(l)
+        np.matmul(p[0, k:].T, q[0, k:], out=out.weights[l])
+        np.subtract(v.biases[l][0], direction.biases[l], out=out.biases[l])
+    return out
 
 
 def block_sum(omega: NetParams, direction: BlockTerms) -> NetParams:

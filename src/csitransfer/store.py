@@ -226,6 +226,8 @@ def read_dataset(path: str) -> DatasetFile:
         raise FormatError(f"{path}: unknown noise mode code {mode_code}")
     if not 1 <= m <= _MAX_ANTENNAS:
         raise FormatError(f"{path}: implausible antenna count {m}")
+    if n_datasets == 0:
+        raise FormatError(f"{path}: the file declares no datasets")
     noise = NoiseSpec(snr_db=snr_db, pilot_len=pilot_len, mode=NOISE_MODES[mode_code])
     dtype = _pair_dtype(m, bool(stored_clean))
     datasets = []

@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -220,6 +221,24 @@ def test_eval_bad_magic_one_line_error(tmp_path):
     open(te, "wb").write(b"XXXX" + data[4:])
     res = run_cli("eval", "--checkpoint", ck, "--data", te, "--out", tmp_path / "n.csv")
     assert_one_line_error(res, "bad magic")
+
+
+@pytest.mark.parametrize("command", ["adapt", "eval", "train"])
+def test_dataset_file_of_no_datasets_one_line_error(tmp_path, command):
+    """A dataset file whose header declares no datasets is malformed: each
+    command that reads one says so in one line naming the file."""
+    ck, _ = _zero_checkpoint_and_test_set(tmp_path)
+    empty = str(tmp_path / "empty.bin")
+    # magic, version, m, n_datasets, delta_f, snr_db, pilot_len, mode, stored_clean
+    with open(empty, "wb") as f:
+        f.write(struct.pack("<4sIIIddIBB", store.DATASET_MAGIC, store.FORMAT_VERSION,
+                            4, 0, 120e6, 20.0, 64, 0, 0))
+    args = {"adapt": ["--checkpoint", ck, "--data", empty],
+            "eval": ["--checkpoint", ck, "--data", empty],
+            "train": [*TINY_GEN, *TINY_TRAIN, "--sources", empty]}[command]
+    res = run_cli(command, *args, "--out", tmp_path / "o")
+    assert_one_line_error(res, f"{empty}: the file declares no datasets")
+    assert not os.path.exists(tmp_path / "o")
 
 
 def test_rerun_incomplete_manifest_one_line_error(tmp_path):
@@ -585,6 +604,31 @@ def test_gradcheck_passes_at_its_defaults():
     assert res.output.count(" pass") == 3
 
 
+def test_gradcheck_catches_a_broken_hvp_kernel(monkeypatch):
+    """The hvp-symmetry line checks the meta step's kernel: with the append
+    of ``deltas[1]`` against ``tacts[1]`` dropped from ``block_hvp_axpy``,
+    that line fails."""
+    kernel = net.block_hvp_axpy
+
+    def broken(alpha, omega, terms, acts, deltas, direction):
+        append = direction.append
+
+        def skip_one(l, p_rows, q_rows, p_scale=1.0):
+            if not (l == 1 and p_rows is deltas[1]):
+                append(l, p_rows, q_rows, p_scale)
+
+        direction.append = skip_one
+        kernel(alpha, omega, terms, acts, deltas, direction)
+        del direction.append
+
+    monkeypatch.setattr(net, "block_hvp_axpy", broken)
+    res = run_cli("gradcheck", "--probe-count", 20, "--antennas", 4, "--hidden", "8,8",
+                  "--seed", 5)
+    assert res.exit_code == 1
+    hvp = [line for line in res.output.splitlines() if line.startswith("hvp-symmetry")]
+    assert len(hvp) == 1 and hvp[0].endswith(" FAIL"), res.output
+
+
 def test_gradcheck_zero_probes_usage_error():
     res = RUNNER.invoke(cli, ["gradcheck", "--probe-count", "0"])
     assert res.exit_code == 2
@@ -606,6 +650,29 @@ def test_thread_count_does_not_change_results(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append(open(out, "rb").read())
     assert outputs[0] == outputs[1]
+
+
+def test_cli_runs_one_blas_thread_unless_one_is_exported(tmp_path):
+    """Importing the CLI loads no numpy, so the group's thread settings come
+    first; each unset variable reads 1, an exported one keeps its value, and
+    the manifest records all five."""
+    env = {k: v for k, v in os.environ.items() if k not in cli_module.BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    probe = "import sys, csitransfer.cli; assert 'numpy' not in sys.modules"
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+    for exported in ({}, {"OPENBLAS_NUM_THREADS": "3"}):
+        out = str(tmp_path / f"d{len(exported)}.bin")
+        cmd = [sys.executable, "-m", "csitransfer.cli", "gen", "--pairs", "3",
+               *map(str, TINY_GEN), "--out", out]
+        proc = subprocess.run(cmd, env={**env, **exported}, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        recorded = json.load(open(out + ".manifest.json"))["blas_threads"]
+        assert recorded == {var: exported.get(var, "1") for var in cli_module.BLAS_THREAD_VARS}
+
+
+def test_threads_option_is_gone():
+    res = RUNNER.invoke(cli, ["--threads", "2", "gradcheck", "--probe-count", "1"])
+    assert_usage_error(res, "No such option '--threads'")
 
 
 def test_env_var_override(tmp_path):

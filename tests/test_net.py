@@ -274,6 +274,53 @@ def test_backward_affine_in_labels_for_linear_net():
 # forward_param_jvp (Hessian-vector products)
 
 
+def dense_hvp(params, direction, batch):
+    """The Hessian-vector product of the batch loss by a dense
+    forward-over-reverse sweep: tangents are pushed through the forward
+    pass and then through the reverse sweep, with the ReLU masks held as
+    constants of the linearisation."""
+    v = len(batch)
+    n_layers = len(params.weights)
+    acts, tacts, masks = [batch.xs], [np.zeros_like(batch.xs)], []
+    a, ta = batch.xs, np.zeros_like(batch.xs)
+    for l in range(n_layers):
+        z = a @ params.weights[l].T + params.biases[l]
+        tz = ta @ params.weights[l].T + a @ direction.weights[l].T + direction.biases[l]
+        if l < n_layers - 1:
+            mask = z > 0
+            a, ta = z * mask, tz * mask
+            masks.append(mask)
+        else:
+            a, ta = z, tz
+        acts.append(a)
+        tacts.append(ta)
+    out = net.zeros_like_params(params)
+    delta = 2.0 / v * (acts[-1] - batch.ys)
+    tdelta = 2.0 / v * tacts[-1]
+    for l in range(n_layers - 1, -1, -1):
+        out.weights[l][...] = tdelta.T @ acts[l] + delta.T @ tacts[l]
+        out.biases[l][...] = tdelta.sum(axis=0)
+        if l > 0:
+            tg = tdelta @ params.weights[l] + delta @ direction.weights[l]
+            delta = (delta @ params.weights[l]) * masks[l - 1]
+            tdelta = tg * masks[l - 1]
+    return out
+
+
+@pytest.mark.parametrize("m, hidden, n", [(2, (6,), 5), (4, (8, 8), 7), (3, (5, 4, 6), 1),
+                                          (16, (128, 128), 20)])
+def test_jvp_matches_dense_oracle(m, hidden, n):
+    """The block kernel's one-task case against the dense sweep, with
+    nonzero biases in the parameters and the direction."""
+    spec = net.LayerSpec.fnn(m, hidden)
+    params = random_params(spec, seed=m + n, scale=0.6)
+    batch = random_batch(spec, n, seed=m + n + 1)
+    d = params.like(RNG(m + n + 2).normal(size=params.flat.shape))
+    want = dense_hvp(params, d, batch).flat
+    got = net.forward_param_jvp(params, d, batch).flat
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_jvp_zero_direction():
     spec = net.LayerSpec.fnn(2, (6,))
     params = random_params(spec, seed=20)

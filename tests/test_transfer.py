@@ -16,6 +16,7 @@ from csitransfer import lanes, net, optim, transfer
 from csitransfer.net import Batch
 from csitransfer.seeding import STREAM_BATCH, stream
 from csitransfer.transfer import TrainConfig
+from test_net import dense_hvp
 
 RNG = np.random.default_rng
 
@@ -663,7 +664,8 @@ def test_first_order_approaches_exact_as_beta_vanishes():
 
 def per_task_meta_oracle(omega, tasks, g_tr, beta, mode):
     """The meta step as a loop over tasks with dense weights: ``inner_adapt``,
-    the query ``loss_and_grad``, then reverse ``forward_param_jvp`` steps."""
+    the query ``loss_and_grad``, then reverse steps of the dense
+    Hessian-vector product ``dense_hvp``."""
     total_loss = 0.0
     total_grad = net.zeros_like_params(omega)
     for sup, que in tasks:
@@ -672,7 +674,7 @@ def per_task_meta_oracle(omega, tasks, g_tr, beta, mode):
         total_loss += loss
         if mode == "exact":
             for iterate in reversed(iterates):
-                v = net.params_axpy(-beta, net.forward_param_jvp(iterate, v, sup), v)
+                v = net.params_axpy(-beta, dense_hvp(iterate, v, sup), v)
         total_grad = net.params_axpy(1.0, v, total_grad)
     return total_loss, total_grad
 
