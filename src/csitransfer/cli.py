@@ -30,10 +30,13 @@ Exit codes: 0 success, 1 runtime or verification failure, 2 usage error. A
 path that names a directory is a usage error, and an ``--out`` whose
 directory does not exist is refused before the command runs.
 
-Each lane takes one CPU, so before any command imports numpy the group
-sets every linear-algebra thread pool to one thread (``BLAS_THREAD_VARS``),
-unless the variable is already set, and every manifest records the five
-values it ran with (``blas_threads``). Results do not depend on them.
+Before any command imports numpy the group sets every linear-algebra
+thread pool to one thread (``BLAS_THREAD_VARS``), unless the variable is
+already set, and every manifest records the five values it ran with
+(``blas_threads``). A forked lane takes one CPU, so more threads would
+oversubscribe the CPUs, and the commands that fork no lanes multiply
+matrices too small for a second thread to pay. Results do not depend on
+the values.
 """
 
 from __future__ import annotations

@@ -495,7 +495,9 @@ def forward_param_jvp(params: NetParams, direction: NetParams, batch: Batch) -> 
     rounding. This is the one-task case of the meta step's kernel,
     :func:`block_hvp_axpy`: each weight of ``direction`` enters as identity
     rows against that weight, and the product is read back from the rows
-    the kernel appends and from the change it makes to the biases.
+    the kernel appends: the weight of layer l from all of them, its bias
+    from the column sums of the first ``len(batch)`` (the tangent deltas,
+    which the kernel also sums into the direction's biases).
     """
     _check_same_shape(params, direction)
     if len(batch) == 0:
@@ -512,7 +514,7 @@ def forward_param_jvp(params: NetParams, direction: NetParams, batch: Batch) -> 
     for l, k in enumerate(widths):
         p, q = v.live(l)
         np.matmul(p[0, k:].T, q[0, k:], out=out.weights[l])
-        np.subtract(v.biases[l][0], direction.biases[l], out=out.biases[l])
+        p[0, k:k + n].sum(axis=0, out=out.biases[l])  # the kernel's tdelta rows
     return out
 
 

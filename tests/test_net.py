@@ -321,6 +321,22 @@ def test_jvp_matches_dense_oracle(m, hidden, n):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def test_jvp_bias_keeps_its_digits_under_a_large_direction():
+    """With small weights the hidden biases' products are about 1e-8 of the
+    direction's biases; each layer's bias product still matches the dense
+    sweep to 1e-12 of its own largest entry, so it is not read back as a
+    difference of the direction's biases."""
+    spec = net.LayerSpec.fnn(4, (8, 8))
+    params = random_params(spec, seed=7, scale=1e-4)
+    batch = random_batch(spec, 6, seed=8)
+    d = net.zeros_like_params(params)
+    for b in d.biases:
+        b[...] = RNG(9).normal(scale=1e3, size=b.shape)
+    want, got = dense_hvp(params, d, batch), net.forward_param_jvp(params, d, batch)
+    for w, g in zip(want.biases, got.biases):
+        assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+
 def test_jvp_zero_direction():
     spec = net.LayerSpec.fnn(2, (6,))
     params = random_params(spec, seed=20)
