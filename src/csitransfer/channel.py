@@ -28,8 +28,9 @@ Users are drawn the same way, stacked: :func:`_draw_users` fills one
 the order that drawing the users one by one would take, and a role's links
 gather their rays from it by index. A :class:`TaskDataset` is a struct of
 arrays, one row per sample pair, that every layer reads as it is: it goes
-wherever a ``net.Batch`` goes, and testing scores against its own clean
-labels. :class:`SamplePair` survives as a row view.
+wherever a ``net.Batch`` goes, testing scores against its own clean labels,
+and it keeps a pair's uplink frequency only, as the duplex offset fixes the
+downlink's. :class:`SamplePair` survives as a row view.
 
 Noisy data collection is modelled as an additive complex Gaussian
 observation (pilot processing gain folded into the noise variance) followed
@@ -134,9 +135,9 @@ class Environment:
 @dataclass(frozen=True)
 class UserRays:
     """Discretized propagation state of one user (``(P,)`` ray arrays) or of
-    several users of one environment (``(users, P)`` arrays, one row each)."""
+    several users (``(users, P)`` arrays, one row each): per ray its
+    direction of arrival, amplitude, phase and delay."""
 
-    env_id: int
     doas: np.ndarray
     amplitudes: np.ndarray
     phases: np.ndarray
@@ -157,6 +158,8 @@ class NoiseSpec:
     mode: str = NOISE_LMMSE
 
     def __post_init__(self):
+        if not self.snr_db > -math.inf:  # NaN or -inf; +inf is the noiseless limit
+            raise ValueError(f"snr_db must not be NaN or -inf, got {self.snr_db}")
         if self.pilot_len < 1:
             raise ValueError(f"pilot length must be >= 1, got {self.pilot_len}")
         if self.mode not in NOISE_MODES:
@@ -168,7 +171,8 @@ CLEAN_SPEC = NoiseSpec(mode=NOISE_CLEAN)
 
 @dataclass(frozen=True)
 class SamplePair:
-    """One (uplink, downlink) training pair in real-stacked form.
+    """One (uplink, downlink) training pair in real-stacked form, at ``f_up``
+    and at ``f_up`` plus the duplex offset it was collected under.
 
     ``y_clean`` keeps the noiseless downlink label so that prediction error
     can always be measured against ground truth, whatever the collection
@@ -179,7 +183,6 @@ class SamplePair:
     x: np.ndarray
     y: np.ndarray
     f_up: float
-    f_down: float
     y_clean: np.ndarray
     user_index: int
 
@@ -188,10 +191,10 @@ class TaskDataset:
     """Sample pairs of one environment under one role tag, as arrays.
 
     Row i of ``xs``, ``ys`` and ``y_clean`` (each ``(N, 2M)`` real-stacked)
-    and entry i of ``f_up``, ``f_down`` and ``user_index`` (each ``(N,)``)
-    describe pair i. Every array is a plain attribute, so the dataset goes
-    wherever a ``net.Batch`` goes; :attr:`pairs` views the rows as
-    :class:`SamplePair`.
+    and entry i of ``f_up`` and ``user_index`` (each ``(N,)``) describe pair
+    i, whose downlink is at ``f_up`` plus the collection's duplex offset.
+    Every array is a plain attribute, so the dataset goes wherever a
+    ``net.Batch`` goes; :attr:`pairs` views the rows as :class:`SamplePair`.
 
     A dataset collected or read under clean noise keeps one label array:
     ``ys`` and ``y_clean`` are the same object. The arrays are read-only
@@ -199,14 +202,13 @@ class TaskDataset:
     """
 
     def __init__(self, env_id: int, role: str, xs: np.ndarray, ys: np.ndarray,
-                 y_clean: np.ndarray, f_up: np.ndarray, f_down: np.ndarray,
-                 user_index: np.ndarray):
+                 y_clean: np.ndarray, f_up: np.ndarray, user_index: np.ndarray):
         if role not in ROLES:
             raise ValueError(f"unknown role {role!r}, expected one of {ROLES}")
         self.env_id = env_id
         self.role = role
-        self.xs, self.ys, self.y_clean, self.f_up, self.f_down = (
-            np.asarray(a, dtype=np.float64) for a in (xs, ys, y_clean, f_up, f_down))
+        self.xs, self.ys, self.y_clean, self.f_up = (
+            np.asarray(a, dtype=np.float64) for a in (xs, ys, y_clean, f_up))
         self.user_index = np.asarray(user_index, dtype=np.int64)
         if self.xs.ndim != 2:
             raise ValueError(f"xs must be an (N, 2M) array, got shape {self.xs.shape}")
@@ -216,8 +218,7 @@ class TaskDataset:
                              f"got {width}")
         for name, a, shape in (("ys", self.ys, (n, width)),
                                ("y_clean", self.y_clean, (n, width)),
-                               ("f_up", self.f_up, (n,)), ("f_down", self.f_down, (n,)),
-                               ("user_index", self.user_index, (n,))):
+                               ("f_up", self.f_up, (n,)), ("user_index", self.user_index, (n,))):
             if a.shape != shape:
                 raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
 
@@ -228,11 +229,9 @@ class TaskDataset:
     def pairs(self) -> tuple[SamplePair, ...]:
         """The pairs as :class:`SamplePair` objects whose arrays are views of
         this dataset's rows."""
-        return tuple(SamplePair(x=x, y=y, f_up=f_up, f_down=f_down, y_clean=yc,
-                                user_index=uid)
-                     for x, y, yc, f_up, f_down, uid in zip(
-                         self.xs, self.ys, self.y_clean, self.f_up.tolist(),
-                         self.f_down.tolist(), self.user_index.tolist()))
+        return tuple(SamplePair(x=x, y=y, f_up=f_up, y_clean=yc, user_index=uid)
+                     for x, y, yc, f_up, uid in zip(self.xs, self.ys, self.y_clean,
+                                                    self.f_up.tolist(), self.user_index.tolist()))
 
     def clean_downlinks(self) -> np.ndarray:
         """Complex clean downlinks, one row per pair."""
@@ -255,6 +254,9 @@ class GeneratorConfig:
     noise: NoiseSpec = CLEAN_SPEC
 
     def __post_init__(self):
+        for name in ("f_min", "f_max", "delta_f"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (0 < self.f_min <= self.f_max):
             raise ValueError("frequency range must satisfy 0 < f_min <= f_max")
         if self.f_min + self.delta_f <= 0:
@@ -317,7 +319,7 @@ def _draw_users(env: Environment, rng: np.random.Generator, u: int,
         rng.random(out=phase_delay[i])
     doas *= env.as_upper - env.as_lower
     doas += env.as_lower
-    return UserRays(env_id=env.id, doas=doas,
+    return UserRays(doas=doas,
                     amplitudes=env.amplitude_scale * np.sqrt(2.0 * expo),
                     phases=(2.0 * math.pi) * phase_delay[:, :p],
                     delays=delay_max * phase_delay[:, p:])
@@ -516,8 +518,7 @@ class EnvCovariance:
         for i in range(0, n, _POOL_BLOCK):
             block = slice(i, i + _POOL_BLOCK)
             z = np.exp(-1j * varpi * self._sin_doas[block])
-            gains = _ray_gains(UserRays(-1, *(getattr(self._rays, a)[block]
-                                              for a in _RAY_FIELDS)), f)
+            gains = _ray_gains(UserRays(*(getattr(self._rays, a)[block] for a in _RAY_FIELDS)), f)
             for k, rk in enumerate(r):
                 if k:  # the downlink's rays, from the uplink's
                     z *= self._duplex[1, block]
@@ -543,12 +544,12 @@ def make_sample_pair(user: UserRays, f_up: float, delta_f: float, cfg: ArrayConf
     """
     if noise.mode == NOISE_LMMSE and (cov is None or (cov.cfg, cov.delta_f) != (cfg, delta_f)):
         raise ValueError("LMMSE noise mode requires the covariance of this array and delta_f")
-    rays = UserRays(user.env_id, *(getattr(user, a)[None] for a in _RAY_FIELDS))
+    rays = UserRays(*(getattr(user, a)[None] for a in _RAY_FIELDS))
     # No environment: the covariance, the only thing drawn from it, is given.
     combo_set = ComboSet(env=None, users=rays, by_role={ROLE_TEST: [(0, f_up)]}, cov=cov)
     arrays = collect_sets([combo_set], [ROLE_TEST], delta_f, cfg, noise, [rng])
-    x, y, y_clean, up, down, _ = (a[0] for a in arrays)
-    return SamplePair(x, y, float(up), float(down), y_clean, user_index)
+    x, y, y_clean, up, _ = (a[0] for a in arrays)
+    return SamplePair(x, y, float(up), y_clean, user_index)
 
 
 @dataclass
@@ -653,9 +654,10 @@ def collect_sets(combo_sets: Sequence[ComboSet], roles: Sequence[str], delta_f: 
     (:func:`collection_lanes`), whose two covariances
     :meth:`EnvCovariance.at` builds in one pass.
 
-    Returns the arrays of :class:`TaskDataset`, ``xs`` to ``user_index``:
-    rows ``(S*n, 2M)`` and columns ``(S*n,)``, set by set and within a set
-    role by role. Under clean noise ``y_clean`` is ``ys`` itself.
+    Returns the five arrays of :class:`TaskDataset`: rows ``xs``, ``ys`` and
+    ``y_clean`` ``(S*n, 2M)`` and columns ``f_up`` and ``user_index`` ``(S*n,)``,
+    set by set and within a set role by role. Under clean noise ``y_clean``
+    is ``ys`` itself.
     """
     keys = np.concatenate([np.array([cs.by_role[role][:limit] for cs in combo_sets],
                                     dtype=float).reshape(len(combo_sets), -1, 2)
@@ -667,9 +669,8 @@ def collect_sets(combo_sets: Sequence[ComboSet], roles: Sequence[str], delta_f: 
         raise ValueError("frequencies must be positive, got f_up={}, f_down={}".format(*f[bad][0]))
     # Row 2i + link of set s holds the rays of its pair i's user.
     rows = np.repeat(uids, 2, axis=1)
-    links = UserRays(-1, *(np.concatenate([getattr(cs.users, a)[r]
-                                           for cs, r in zip(combo_sets, rows)])
-                           for a in _RAY_FIELDS))
+    links = UserRays(*(np.concatenate([getattr(cs.users, a)[r] for cs, r in zip(combo_sets, rows)])
+                       for a in _RAY_FIELDS))
     f_links = f.reshape(-1, 1)
     h = _ray_sum(np.sin(links.doas), _ray_gains(links, f_links), f_links,
                  cfg).reshape(f.shape + (cfg.m,))
@@ -691,9 +692,8 @@ def collect_sets(combo_sets: Sequence[ComboSet], roles: Sequence[str], delta_f: 
 
         lanes.fork_map(estimate, len(pairs), collection_lanes(2 * len(pairs), len(pairs), noise))
     xs, ys = (complex_to_real(est[:, :, link].reshape(-1, cfg.m)) for link in (0, 1))
-    f = f.reshape(-1, 2)
     return (xs, ys, ys if noise.mode == NOISE_CLEAN else
-            complex_to_real(h[:, :, 1].reshape(-1, cfg.m)), f[:, 0], f[:, 1], uids.reshape(-1))
+            complex_to_real(h[:, :, 1].reshape(-1, cfg.m)), f[..., 0].reshape(-1), uids.reshape(-1))
 
 
 def collection_lanes(links: int, items: int, noise: NoiseSpec) -> int:

@@ -105,6 +105,13 @@ def _write_csv(path: str, header: list[str], rows: list[list]):
         w.writerows(rows)
 
 
+def _write_results(path: str, results: list, seed: int):
+    """The results CSV, a row per ``(sweep value or None, NmseResult)``."""
+    _write_csv(path, ["sweep_value", "algorithm", "nmse_linear", "nmse_db", "k_targets", "seed"],
+               [["" if value is None else value, r.algorithm, repr(r.mean_linear),
+                 repr(r.mean_db), len(r.per_target), seed] for value, r in results])
+
+
 def _parse_hidden(text: str) -> tuple[int, ...]:
     try:
         widths = tuple(int(t) for t in text.split(",") if t.strip())
@@ -282,26 +289,9 @@ def _impl_eval(opts: dict) -> tuple[list[str], dict]:
         raise click.ClickException(
             f"{opts['data']} stores no clean labels; NMSE is measured against "
             f"the clean downlink channel")
-    per_target = [test_model(model, d) for d in blob.datasets]
-    result = NmseResult(model.provenance, per_target)
-    _write_csv(opts["out"],
-               ["sweep_value", "algorithm", "nmse_linear", "nmse_db",
-                "k_targets", "seed"],
-               [["", result.algorithm, repr(result.mean_linear),
-                 repr(result.mean_db), len(per_target), opts["seed"]]])
+    result = NmseResult(model.provenance, [test_model(model, d) for d in blob.datasets])
+    _write_results(opts["out"], [(None, result)], opts["seed"])
     return [opts["out"]], {}
-
-
-def sweep_report_rows(report, seed: int) -> list[list]:
-    """Flatten a sweep report into the standard CSV rows."""
-    rows = []
-    for point in report.points:
-        value = "" if point.value is None else point.value
-        for algo in ("no-transfer", "direct-transfer", "meta-learning"):
-            r = point.results[algo]
-            rows.append([value, algo, repr(r.mean_linear), repr(r.mean_db),
-                         len(r.per_target), seed])
-    return rows
 
 
 def sweep_report_record(report) -> dict:
@@ -330,10 +320,8 @@ def _impl_sweep(opts: dict) -> tuple[list[str], dict]:
     grid = _parse_grid(opts["grid"], opts["variable"])
     sweep = None if variable == "none" else (variable, grid)
     report = run_three_way(cfg, sweep)
-    _write_csv(opts["out"],
-               ["sweep_value", "algorithm", "nmse_linear", "nmse_db",
-                "k_targets", "seed"],
-               sweep_report_rows(report, opts["seed"]))
+    _write_results(opts["out"], [(point.value, r) for point in report.points
+                                 for r in point.results.values()], opts["seed"])
     report_path = opts["out"] + ".report.json"
     with open(report_path, "w") as f:
         json.dump(sweep_report_record(report), f, indent=2, sort_keys=True)
@@ -493,7 +481,7 @@ _gen_options = _option_set(
     click.option("--pilot-len", type=click.IntRange(min=1), default=64, show_default=True),
     click.option("--noise-mode", type=click.Choice(NOISE_CHOICES), default="lmmse",
                  show_default=True),
-    click.option("--seed", type=int, default=0, show_default=True),
+    click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True),
 )
 
 _train_options = _option_set(
@@ -529,7 +517,7 @@ SWEEP_DESK_DEFAULTS = {"users": 10, "antennas": 16, "noise_mode": "clean", "k_s"
 
 @cli.command()
 @click.option("--envs", type=click.IntRange(min=1), default=1, show_default=True)
-@click.option("--first-env-id", type=int, default=0, show_default=True)
+@click.option("--first-env-id", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--role", type=click.Choice(ROLE_CHOICES), default="test",
               show_default=True)
 @click.option("--pairs", type=click.IntRange(min=1), default=20, show_default=True)
@@ -614,7 +602,7 @@ def sweep(**opts):
 @cli.command()
 @click.option("--probe-count", type=click.IntRange(min=1), default=100,
               show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--antennas", type=click.IntRange(min=1), default=16, show_default=True)
 @click.option("--hidden", type=str, default="128,128", show_default=True)
 def gradcheck(**opts):

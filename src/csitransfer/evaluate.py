@@ -120,22 +120,16 @@ class SweepPoint:
 
 @dataclass
 class SweepReport:
-    """A sweep's points and stage times in seconds: ``training`` in the
-    caller, on ``meta_lanes`` lanes for the meta step
-    (:func:`transfer.meta_lanes`), and ``adaption`` and ``testing`` per
-    target, summed across the ``workers`` lanes that ran the targets."""
+    """A sweep's points, each holding its grid value, in grid order, and stage
+    times in seconds: ``training`` in the caller, on ``meta_lanes`` lanes for
+    the meta step (:func:`transfer.meta_lanes`), and ``adaption`` and
+    ``testing`` per target, summed across the ``workers`` lanes that ran them."""
 
     variable: str
-    grid: list
     points: list[SweepPoint]
-    config: dict
     wall_clock: dict[str, float] = field(default_factory=dict)
     workers: int = 1
     meta_lanes: int = 1
-
-    def __post_init__(self):
-        if len(self.points) != len(self.grid):
-            raise ValueError("one result point per grid value required")
 
 
 def _apply_variable(cfg: TrainConfig, variable: str, value) -> TrainConfig:
@@ -203,6 +197,9 @@ def run_three_way(cfg: TrainConfig, sweep: tuple[str, Sequence] | None = None) -
         raise ValueError("adaption sample counts must be positive")
     if variable == "g_ad" and min(grid) < 0:
         raise ValueError("adaption step counts must be nonnegative")
+    if variable == "snr_db":  # NoiseSpec refuses a NaN or -inf SNR before anything trains
+        for v in grid:
+            NoiseSpec(snr_db=float(v))
     clock = {"training": 0.0, "adaption": 0.0, "testing": 0.0}
     meta_lanes = transfer.meta_lanes(cfg)
 
@@ -219,8 +216,7 @@ def run_three_way(cfg: TrainConfig, sweep: tuple[str, Sequence] | None = None) -
         points += run_points
     points = [replace(point, value=value) for point, value in zip(points, grid)]
 
-    return SweepReport(variable=variable, grid=grid, points=points,
-                       config=cfg.snapshot(), wall_clock=clock, workers=workers,
+    return SweepReport(variable=variable, points=points, wall_clock=clock, workers=workers,
                        meta_lanes=meta_lanes)
 
 

@@ -238,12 +238,10 @@ def read_dataset(path: str) -> DatasetFile:
                               f"at byte {r.pos - 5}")
         records = r.take_records(dtype, n_pairs)
         ys = records["y"].copy()
-        f_up = records["f_up"].copy()
         datasets.append(TaskDataset(
             env_id, ROLES[role_code], xs=records["x"].copy(), ys=ys,
             y_clean=records["y_clean"].copy() if stored_clean else ys,
-            f_up=f_up, f_down=f_up + delta_f,
-            user_index=records["user_index"].astype(np.int64)))
+            f_up=records["f_up"].copy(), user_index=records["user_index"].astype(np.int64)))
     r.expect_end()
     return DatasetFile(datasets=datasets, m=m, delta_f=delta_f, noise=noise,
                        has_clean=bool(stored_clean) or noise.mode == NOISE_CLEAN)

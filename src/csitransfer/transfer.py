@@ -129,9 +129,9 @@ class TrainConfig:
     fixed_task_data: bool = False
 
     def __post_init__(self):
-        for name in ("v", "k_s", "k_t", "k_b", "n_ad", "n_te", "u"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("gamma", "beta", "v", "k_s", "k_t", "k_b", "n_ad", "n_te", "u"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
         if self.n_tr < 2:
             raise ValueError(f"n_tr must be >= 2 to split each source task into support "
                              f"and query samples, got {self.n_tr}")
@@ -140,8 +140,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if self.k_b > self.k_s:
             raise ValueError(f"meta batch k_b={self.k_b} cannot exceed k_s={self.k_s}")
-        if self.gamma <= 0 or self.beta <= 0:
-            raise ValueError("learning rates must be positive")
         if self.meta_mode not in (META_EXACT, META_FIRST_ORDER):
             raise ValueError(f"unknown meta mode {self.meta_mode!r}")
 

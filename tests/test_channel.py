@@ -43,7 +43,7 @@ def array_manifold(theta, f, cfg):
 def unit_ray(theta):
     """One ray of unit amplitude, zero phase and zero delay toward
     ``theta``, whose channel is the array manifold."""
-    return ch.UserRays(env_id=0, doas=np.array([theta]), amplitudes=np.array([1.0]),
+    return ch.UserRays(doas=np.array([theta]), amplitudes=np.array([1.0]),
                        phases=np.array([0.0]), delays=np.array([0.0]))
 
 
@@ -171,7 +171,7 @@ def test_single_unit_ray_equals_manifold():
 
 def test_opposite_phases_cancel():
     cfg = ch.ArrayConfig(m=4)
-    user = ch.UserRays(env_id=0, doas=np.array([0.2, 0.2]),
+    user = ch.UserRays(doas=np.array([0.2, 0.2]),
                        amplitudes=np.array([1.0, 1.0]),
                        phases=np.array([0.0, math.pi]),
                        delays=np.array([1e-9, 1e-9]))
@@ -198,7 +198,7 @@ def test_response_matches_double_loop_oracle():
 def test_response_homogeneous_in_amplitudes():
     cfg = ch.ArrayConfig(m=8)
     user = sample_user(make_env(), RNG(4))
-    scaled = ch.UserRays(env_id=0, doas=user.doas, amplitudes=2.5 * user.amplitudes,
+    scaled = ch.UserRays(doas=user.doas, amplitudes=2.5 * user.amplitudes,
                          phases=user.phases, delays=user.delays)
     h1 = ch.channel_response(user, 1.3e9, cfg)
     h2 = ch.channel_response(scaled, 1.3e9, cfg)
@@ -268,6 +268,25 @@ def test_awgn_vanishes_at_high_snr():
     h = ch.channel_response(sample_user(make_env(), RNG(5)), 2e9, ch.ArrayConfig(m=8))
     out = ch.add_awgn(h, 300.0, 64, RNG(6))
     assert np.max(np.abs(out - h)) / np.max(np.abs(h)) < 1e-10
+
+
+@pytest.mark.parametrize("mode", [ch.NOISE_AWGN, ch.NOISE_LMMSE])
+def test_infinite_snr_collects_the_noiseless_limit(mode):
+    """At snr_db=+inf the noise variance is 0, so noisy collection gives the
+    clean channels: labels bit-equal to the clean labels, and inputs
+    bit-equal to those of a clean collection of the same draws."""
+    gen = _default_gen(m=4, users=5)
+    env = ch.sample_environment(3, gen, 11)
+    roles = [(ch.ROLE_ADAPTION, 6), (ch.ROLE_TEST, 5)]
+
+    def collect(noise):
+        return ch.generate_task_datasets(env, roles, gen.users, (gen.f_min, gen.f_max),
+                                         gen.delta_f, gen.array, noise, RNG(12))
+
+    clean = collect(ch.NoiseSpec(mode=ch.NOISE_CLEAN))
+    for got, want in zip(collect(ch.NoiseSpec(snr_db=math.inf, mode=mode)), clean):
+        assert got.ys.tobytes() == got.y_clean.tobytes() == want.ys.tobytes()
+        assert got.xs.tobytes() == want.xs.tobytes()
 
 
 def test_awgn_empirical_snr():
@@ -426,7 +445,7 @@ def test_lmmse_collection_builds_one_covariance_pass_per_pair(monkeypatch):
         datasets = ch.generate_task_datasets(env, role_counts, gen.users, (gen.f_min, gen.f_max),
                                              gen.delta_f, gen.array, gen.noise, RNG(6))
         return [[float(v).hex() for v in a.ravel()] for d in datasets
-                for a in (d.xs, d.ys, d.y_clean, d.f_up, d.f_down)]
+                for a in (d.xs, d.ys, d.y_clean, d.f_up)]
 
     calls = []
     at = ch.EnvCovariance.at
@@ -454,7 +473,7 @@ def test_sample_pair_clean_matches_exact_channels():
     assert np.array_equal(pair.x, ch.complex_to_real(ch.channel_response(user, 1.5e9, cfg)))
     assert np.array_equal(pair.y, ch.complex_to_real(ch.channel_response(user, 1.62e9, cfg)))
     assert np.array_equal(pair.y, pair.y_clean)
-    assert pair.f_down == 1.5e9 + 120e6
+    assert pair.f_up == 1.5e9
 
 
 def test_sample_pair_zero_offset_clean_x_equals_y():
@@ -603,7 +622,7 @@ def test_generation_in_one_call_matches_per_role_collection(mode):
     want = [ch.collect(combos, role, gcfg.delta_f, gcfg.array, noise, rng) for role, _ in roles]
     assert [(d.env_id, d.role, len(d)) for d in got] == [(d.env_id, d.role, len(d)) for d in want]
     for g, w in zip(got, want):
-        for column in ("xs", "ys", "y_clean", "f_up", "f_down", "user_index"):
+        for column in ("xs", "ys", "y_clean", "f_up", "user_index"):
             assert [float(x).hex() for x in np.ravel(getattr(g, column))] == \
                 [float(x).hex() for x in np.ravel(getattr(w, column))], (g.role, column)
 
@@ -624,7 +643,7 @@ def _dataset(role="test", **overrides):
     rng = RNG(0)
     columns = dict(xs=rng.normal(size=(3, 8)), ys=rng.normal(size=(3, 8)),
                    y_clean=rng.normal(size=(3, 8)), f_up=np.full(3, 2e9),
-                   f_down=np.full(3, 2.12e9), user_index=np.arange(3))
+                   user_index=np.arange(3))
     columns.update(overrides)
     return ch.TaskDataset(0, role, **columns)
 
@@ -635,7 +654,7 @@ def test_task_dataset_holds_arrays_without_copying():
     assert d.xs is xs and len(d) == 3
     assert d.keys() == {(0, 2e9), (1, 2e9), (2, 2e9)}
     p = d.pairs[1]
-    assert (p.user_index, p.f_up) == (1, 2e9) and p.f_down == 2.12e9
+    assert (p.user_index, p.f_up) == (1, 2e9)
     assert isinstance(p.user_index, int) and isinstance(p.f_up, float)
     p.y[0] = 7.0  # pairs are views of the rows
     assert d.ys[1, 0] == 7.0
@@ -681,8 +700,7 @@ def _oracle_covariance(pool, f, cfg, ridge=1e-6):
 def _oracle_users(env, rng, u, delay_max=ch.DEFAULT_DELAY_MAX):
     """``u`` users drawn one at a time, four generator calls each."""
     p = env.ray_count
-    return [ch.UserRays(env_id=env.id,
-                        doas=rng.uniform(env.as_lower, env.as_upper, size=p),
+    return [ch.UserRays(doas=rng.uniform(env.as_lower, env.as_upper, size=p),
                         amplitudes=env.amplitude_scale * rng.rayleigh(1.0, size=p),
                         phases=rng.uniform(0.0, 2.0 * math.pi, size=p),
                         delays=rng.uniform(0.0, delay_max, size=p))
@@ -791,9 +809,7 @@ def test_generation_matches_per_pair_oracle(m, mode, rtol, monkeypatch):
             [(uid, f_up) for uid, f_up, *_ in pairs]
         assert np.array_equal(ds.user_index, [uid for uid, *_ in pairs])
         assert np.array_equal(ds.f_up, [f_up for _, f_up, *_ in pairs])
-        assert np.array_equal(ds.f_down, ds.f_up + gcfg.delta_f)
-        for p, (_, f_up, x, y, y_clean) in zip(ds.pairs, pairs):
-            assert p.f_down == f_up + gcfg.delta_f
+        for p, (_, _, x, y, y_clean) in zip(ds.pairs, pairs):
             for a, b in ((p.x, x), (p.y, y), (p.y_clean, y_clean)):
                 assert np.max(np.abs(a - b)) <= rtol * np.max(np.abs(b))
 
@@ -817,7 +833,7 @@ def test_collect_sets_joins_rows_set_by_set_then_role_by_role(mode):
         rng = stream(9, STREAM_TASK_DATA, s)
         expected += [ch.collect(combos, role, gen.delta_f, gen.array, noise, rng)
                      for role, _ in roles]
-    names = ("xs", "ys", "y_clean", "f_up", "f_down", "user_index")
+    names = ("xs", "ys", "y_clean", "f_up", "user_index")
     assert len(got) == len(names)
     for name, column in zip(names, got):
         assert len(column) == 3 * 7, name
@@ -848,7 +864,7 @@ def test_support_query_matches_per_user_oracle(mode, monkeypatch):
                                      rng, cov, uid) for uid, f_up in by_role[role]]
         assert ds.role == role and ds.env_id == env.id
         columns = {"x": ds.xs, "y": ds.ys, "y_clean": ds.y_clean, "f_up": ds.f_up,
-                   "f_down": ds.f_down, "user_index": ds.user_index}
+                   "user_index": ds.user_index}
         for name, column in columns.items():
             assert np.array_equal(column, [getattr(p, name) for p in pairs]), name
         # A clean dataset keeps its label once.

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from csitransfer import cli as cli_module
-from csitransfer import lanes, net, store, transfer
+from csitransfer import evaluate, lanes, net, store, transfer
 from csitransfer.cli import _train_config, cli
 
 RUNNER = CliRunner()
@@ -355,6 +355,42 @@ def test_bad_option_value_one_line_error(tmp_path):
                   "--out", tmp_path / "m.ck")
     assert_one_line_error(res, "k_b=20 cannot exceed k_s=10")
     assert not os.path.exists(tmp_path / "m.ck")
+
+
+@pytest.mark.parametrize("command, args, message", [
+    ("gen", ["--snr-db", "nan"], "snr_db must not be NaN or -inf, got nan"),
+    ("gen", ["--snr-db", "-inf"], "snr_db must not be NaN or -inf, got -inf"),
+    ("gen", ["--f-max-hz", "inf"], "f_max must be finite, got inf"),
+    ("gen", ["--f-min-hz", "nan"], "f_min must be finite, got nan"),
+    ("gen", ["--delta-f-hz", "nan"], "delta_f must be finite, got nan"),
+    ("train", ["--gamma", "nan"], "gamma must be finite and positive, got nan"),
+    ("meta-train", ["--beta", "nan"], "beta must be finite and positive, got nan"),
+    ("meta-train", ["--gamma", "inf"], "gamma must be finite and positive, got inf"),
+    ("adapt", ["--beta", "nan"], "beta must be finite and positive, got nan"),
+    ("sweep", ["--variable", "snr-db", "--grid", "10,nan"],
+     "snr_db must not be NaN or -inf, got nan"),
+])
+def test_non_finite_setting_is_refused_where_the_config_is_built(tmp_path, monkeypatch,
+                                                                 command, args, message):
+    """A NaN or infinite setting (an infinite SNR aside) is a one-line error
+    naming its field, before any work and with no file written."""
+    monkeypatch.setattr(evaluate, "train_pair", no_work)  # a sweep refuses it untrained
+    inputs = ["--antennas", 4]
+    if command == "adapt":
+        ck, data = _zero_checkpoint_and_test_set(tmp_path)
+        inputs = ["--checkpoint", ck, "--data", data]
+    out = tmp_path / "out"
+    assert_one_line_error(run_cli(command, *inputs, *args, "--out", out), message)
+    assert not os.path.exists(out) and not os.path.exists(f"{out}.manifest.json")
+
+
+@pytest.mark.parametrize("command, flag", [("gen", "--seed"), ("gen", "--first-env-id"),
+                                           ("train", "--seed"), ("gradcheck", "--seed")])
+def test_negative_seed_or_environment_id_is_a_usage_error_naming_it(tmp_path, command, flag):
+    out = [] if command == "gradcheck" else ["--out", tmp_path / "x"]
+    res = RUNNER.invoke(cli, [command, flag, "-1", *map(str, out)])
+    assert_usage_error(res, f"'{flag}'")
+    assert not os.path.exists(tmp_path / "x")
 
 
 def assert_usage_error(res, fragment):

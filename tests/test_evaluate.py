@@ -143,7 +143,7 @@ def test_mean_equals_mean_of_parts():
 def test_three_way_single_point():
     cfg = tiny_cfg()
     report = evaluate.run_three_way(cfg)
-    assert report.variable == "none" and report.grid == [None]
+    assert report.variable == "none" and [p.value for p in report.points] == [None]
     point = report.points[0]
     assert set(point.results) == set(evaluate.ALGORITHMS)
     for result in point.results.values():
@@ -168,7 +168,9 @@ def test_three_way_rejects_repeated_grid_value(sweep):
 
 @pytest.mark.parametrize("sweep, message", [
     (("n_ad", [0, 5]), "adaption sample counts must be positive"),
-    (("g_ad", [-1, 5]), "adaption step counts must be nonnegative")])
+    (("g_ad", [-1, 5]), "adaption step counts must be nonnegative"),
+    (("snr_db", [10.0, float("nan")]), "snr_db must not be NaN or -inf, got nan"),
+    (("snr_db", [-float("inf")]), "snr_db must not be NaN or -inf, got -inf")])
 def test_three_way_rejects_bad_adaption_grid_before_training(sweep, message, monkeypatch):
     """A grid value that no target can adapt with is reported before either
     network trains, not after."""

@@ -11,7 +11,7 @@ from csitransfer import net, store, transfer
 RNG = np.random.default_rng
 
 
-def random_datasets(seed=0, m=6, n_envs=2, n_pairs=7, clean=False, delta_f=120e6):
+def random_datasets(seed=0, m=6, n_envs=2, n_pairs=7, clean=False):
     """Random datasets; with ``clean`` their clean labels are their labels,
     as clean collection makes them."""
     rng = RNG(seed)
@@ -24,10 +24,10 @@ def random_datasets(seed=0, m=6, n_envs=2, n_pairs=7, clean=False, delta_f=120e6
             y.append(rng.normal(size=2 * m))
             y_clean.append(rng.normal(size=2 * m))
             user_index.append(int(rng.integers(0, 25)))
-        f_up, ys = np.array(f_up), np.array(y)
+        ys = np.array(y)
         datasets.append(ch.TaskDataset(
             e, "adaption", xs=np.array(x), ys=ys, y_clean=ys if clean else np.array(y_clean),
-            f_up=f_up, f_down=f_up + delta_f, user_index=np.array(user_index)))
+            f_up=np.array(f_up), user_index=np.array(user_index)))
     return datasets
 
 
@@ -45,11 +45,11 @@ def random_model(seed=0, provenance="meta"):
 
 
 def test_dataset_roundtrip_bit_identical(tmp_path):
-    """The file records the Δf it is given, which restores every downlink
-    frequency (at 123.456789 MHz, ``f_down - f_up`` rounds away from it)."""
+    """The file records the Δf it is given, bit for bit, and every pair's
+    columns and rows."""
     path = str(tmp_path / "d.bin")
     for delta_f in (120e6, 123.456789e6):
-        datasets = random_datasets(n_pairs=20, delta_f=delta_f)
+        datasets = random_datasets(n_pairs=20)
         noise = ch.NoiseSpec(snr_db=20.0, pilot_len=64, mode="lmmse")
         store.write_dataset(path, datasets, noise, delta_f)
         blob = store.read_dataset(path)
@@ -57,7 +57,6 @@ def test_dataset_roundtrip_bit_identical(tmp_path):
         assert len(blob.datasets) == 2
         for orig, back in zip(datasets, blob.datasets):
             assert back.env_id == orig.env_id and back.role == orig.role
-            assert back.f_down.tobytes() == orig.f_down.tobytes()
             for po, pb in zip(orig.pairs, back.pairs):
                 assert po.f_up == pb.f_up
                 assert po.user_index == pb.user_index
@@ -143,7 +142,7 @@ def test_dataset_file_matches_per_pair_packing(tmp_path, mode):
     reader restores every column bit for bit."""
     path = str(tmp_path / "r.bin")
     empty = ch.TaskDataset(9, "test", xs=np.empty((0, 12)), ys=np.empty((0, 12)),
-                           y_clean=np.empty((0, 12)), f_up=np.empty(0), f_down=np.empty(0),
+                           y_clean=np.empty((0, 12)), f_up=np.empty(0),
                            user_index=np.empty(0, dtype=int))
     has_clean = mode != "clean"
     datasets = random_datasets(seed=4, clean=not has_clean) + [empty]
@@ -160,7 +159,6 @@ def test_dataset_file_matches_per_pair_packing(tmp_path, mode):
         assert got.y_clean.tobytes() == orig.y_clean.tobytes()
         assert (got.y_clean is got.ys) == (not has_clean)
         assert got.f_up.tobytes() == orig.f_up.tobytes()
-        assert np.array_equal(got.f_down, orig.f_up + 120e6)
         assert np.array_equal(got.user_index, orig.user_index)
         got.xs[:1] += 1.0  # read datasets own writable arrays
 

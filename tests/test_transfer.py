@@ -36,8 +36,7 @@ def identity_sources(m=2, n=64, seed=0):
     rng = RNG(seed)
     xs = rng.normal(size=(n, 2 * m))
     return [ch.TaskDataset(0, "train-support", xs=xs, ys=xs.copy(), y_clean=xs.copy(),
-                           f_up=np.full(n, 1e9), f_down=np.full(n, 1e9),
-                           user_index=np.zeros(n, dtype=int))]
+                           f_up=np.full(n, 1e9), user_index=np.zeros(n, dtype=int))]
 
 
 def pooled(sources):
