@@ -75,9 +75,11 @@ DEFAULT_DELAY_MAX = 2.0e-9
 # number while Adam's effective step does not depend on it).
 DEFAULT_ENTRY_AMPLITUDE = 30.0
 
-# Rays per user, and the range of an environment's angle-spread width in
-# radians.
+# Rays per user, their Rayleigh scale sigma = A/sqrt(2P) (see
+# sample_environment), and the range of an environment's angle-spread width
+# in radians.
 RAY_COUNT = 25
+RAY_SCALE = DEFAULT_ENTRY_AMPLITUDE / math.sqrt(2.0 * RAY_COUNT)
 AS_WIDTH_MIN = 0.05
 AS_WIDTH_MAX = 0.2
 
@@ -112,13 +114,12 @@ class ArrayConfig:
 
 @dataclass(frozen=True)
 class Environment:
-    """One propagation region: a bounded angle-spread interval plus ray statistics."""
+    """One propagation region: a bounded angle-spread interval. Every
+    region has RAY_COUNT rays per user, of Rayleigh scale RAY_SCALE."""
 
     id: int
     as_lower: float
     as_upper: float
-    ray_count: int
-    amplitude_scale: float
     seed: int
 
     def __post_init__(self):
@@ -126,10 +127,6 @@ class Environment:
             raise ValueError(
                 f"angle spread bounds must satisfy -pi/2 <= lower < upper <= pi/2, "
                 f"got [{self.as_lower}, {self.as_upper}]")
-        if self.ray_count < 1:
-            raise ValueError(f"ray count must be >= 1, got {self.ray_count}")
-        if self.amplitude_scale < 0:
-            raise ValueError("amplitude scale must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -279,21 +276,15 @@ def sample_environment(env_id: int, gcfg: GeneratorConfig, master_seed: int) -> 
     interval centre is uniform over the positions where the interval still
     fits inside [-pi/2, pi/2]. With P = RAY_COUNT rays of Rayleigh(sigma)
     amplitude and uniform phase, an entry's expected squared magnitude is
-    2*sigma^2*P, so sigma = A/sqrt(2P) gives per-entry RMS amplitude
-    A = DEFAULT_ENTRY_AMPLITUDE. No field of ``gcfg`` changes the result.
+    2*sigma^2*P, so sigma = RAY_SCALE = A/sqrt(2P) gives per-entry RMS
+    amplitude A = DEFAULT_ENTRY_AMPLITUDE. No field of ``gcfg`` changes the
+    result.
     """
     rng, seed = stream_and_seed(master_seed, STREAM_ENV, env_id)
     width = rng.uniform(AS_WIDTH_MIN, AS_WIDTH_MAX)
     half = width / 2.0
     center = rng.uniform(-math.pi / 2 + half, math.pi / 2 - half)
-    return Environment(
-        id=env_id,
-        as_lower=center - half,
-        as_upper=center + half,
-        ray_count=RAY_COUNT,
-        amplitude_scale=DEFAULT_ENTRY_AMPLITUDE / math.sqrt(2.0 * RAY_COUNT),
-        seed=seed,
-    )
+    return Environment(id=env_id, as_lower=center - half, as_upper=center + half, seed=seed)
 
 
 def _draw_users(env: Environment, rng: np.random.Generator, u: int,
@@ -301,8 +292,8 @@ def _draw_users(env: Environment, rng: np.random.Generator, u: int,
     """Draw ``u`` users' rays inside the environment's angle spread, stacked
     as ``(u, P)`` arrays.
 
-    Directions are uniform over the spread, amplitudes Rayleigh with the
-    environment's scale, phases uniform on [0, 2 pi), delays uniform on
+    Directions are uniform over the spread, amplitudes Rayleigh of scale
+    RAY_SCALE, phases uniform on [0, 2 pi), delays uniform on
     [0, delay_max]. The generator is consumed user by user exactly as by
     ``rng.uniform``, ``rng.rayleigh``, ``rng.uniform``, ``rng.uniform``
     (P draws each) per user, in three calls: P doubles for the directions,
@@ -311,7 +302,7 @@ def _draw_users(env: Environment, rng: np.random.Generator, u: int,
     variate as sqrt(2 E), and the same operations on the stacked draws give
     the same bits.
     """
-    p = env.ray_count
+    p = RAY_COUNT
     doas, expo, phase_delay = np.empty((u, p)), np.empty((u, p)), np.empty((u, 2 * p))
     for i in range(u):
         rng.random(out=doas[i])
@@ -320,7 +311,7 @@ def _draw_users(env: Environment, rng: np.random.Generator, u: int,
     doas *= env.as_upper - env.as_lower
     doas += env.as_lower
     return UserRays(doas=doas,
-                    amplitudes=env.amplitude_scale * np.sqrt(2.0 * expo),
+                    amplitudes=RAY_SCALE * np.sqrt(2.0 * expo),
                     phases=(2.0 * math.pi) * phase_delay[:, :p],
                     delays=delay_max * phase_delay[:, p:])
 
@@ -648,9 +639,9 @@ def collect_sets(combo_sets: Sequence[ComboSet], roles: Sequence[str], delta_f: 
     and ``f_up + delta_f``. All links go through one batched ray sum. Set s
     draws its noise from ``rngs[s]`` as one AWGN block (pairs, 2 links, 2
     parts, M), roles in the order given, as pair-by-pair collection would,
-    into a shared array; LMMSE overwrites each link there with its estimate
-    against the set's :meth:`ComboSet.covariance` for ``cfg`` and
-    ``delta_f``, a pair per item of :func:`lanes.fork_map`
+    into a shared array; LMMSE below +inf SNR overwrites each link there
+    with its estimate against the set's :meth:`ComboSet.covariance` for
+    ``cfg`` and ``delta_f``, a pair per item of :func:`lanes.fork_map`
     (:func:`collection_lanes`), whose two covariances
     :meth:`EnvCovariance.at` builds in one pass.
 
@@ -680,7 +671,7 @@ def collect_sets(combo_sets: Sequence[ComboSet], roles: Sequence[str], delta_f: 
         est = lanes.shared_empty(h.shape, complex)
         for est_s, h_s, rng in zip(est, h, rngs):
             est_s[...] = add_awgn(h_s, noise.snr_db, noise.pilot_len, rng)
-    if noise.mode == NOISE_LMMSE:
+    if noise.mode == NOISE_LMMSE and noise.snr_db < math.inf:  # else estimates are observations
         sigma2 = noise_variance(h, noise.snr_db, noise.pilot_len)
         covs = [cs.covariance(cfg, delta_f) for cs in combo_sets]  # whole before the fork
         pairs = list(np.ndindex(f.shape[:2]))

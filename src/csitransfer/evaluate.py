@@ -152,9 +152,11 @@ def train_pair(cfg: TrainConfig) -> tuple[TrainedModel, TrainedModel]:
     """Train the classical and the meta networks on the same sources.
 
     The pooled training data is each source task's support and query pairs
-    (first visit), so both algorithms see the same sample budget: pooled
-    training reads :func:`transfer.first_visits` as rows, and the
-    meta-learner reads its tasks there instead of generating them again.
+    at its first visit (:func:`transfer.first_visits`), where the
+    meta-learner also reads a task's first visit. The sample budgets match
+    only under ``fixed_task_data``: otherwise (the default) the
+    meta-learner regenerates a task at each later visit, and so sees more
+    samples than pooled training.
     """
     envs = source_environments(cfg)
     xs, ys = transfer.first_visits(envs, cfg)

@@ -1,8 +1,9 @@
 """Forked lanes: the one way the program runs a stage's items in parallel.
 
 :func:`open_map` opens a map that runs item k of each job it is given on
-lane k mod L (:func:`lane_count`); :func:`fork_map` is a map of one job,
-whose forked lanes exit after their last item.
+lane k mod L, with L the lanes that forked (at most :func:`lane_count`);
+:func:`fork_map` is a map of one job, whose forked lanes exit after their
+last item.
 Lane 0 is the caller; the others are processes forked once per map, which
 inherit what the caller built. A forked lane's result comes back one of
 three ways: a value, pickled through its pipe; an array, through two ring
@@ -85,15 +86,16 @@ def _receive(reader, what: str):
     return value
 
 
-def _serve(fn, lane: int, lanes: int, down, up, ring):
+def _serve(fn, lane: int, down, up, ring):
     """A forked lane's loop: each job's items k = lane mod ``lanes`` in
-    order, with ``ring`` the j-th item's array into slot j % 2 once the
-    caller has freed it. It ends after the items of a job sent as the last,
-    when the caller closes the pipe, or raises an item's error."""
+    order, ``lanes`` the count sent with the job, with ``ring`` the j-th
+    item's array into slot j % 2 once the caller has freed it. It ends
+    after the items of a job sent as the last, when the caller closes the
+    pipe, or raises an item's error."""
     last = False
     while not last:
         try:
-            job, n, last = pickle.load(down)
+            job, n, lanes, last = pickle.load(down)
         except EOFError:
             return
         for j, k in enumerate(range(lane, n, lanes)):
@@ -109,16 +111,16 @@ def _serve(fn, lane: int, lanes: int, down, up, ring):
 @contextlib.contextmanager
 def open_map(fn, lanes: int, slot_size: int = 0):
     """A map of ``fn(job, k)`` on ``lanes`` lanes, open for the block. It
-    gives ``(run, ran)``: ``run(job, n)`` yields ``fn(job, k)`` for k < n
-    in item order, item k on lane k mod ``lanes``, and ``ran`` counts the
-    lanes that forked, the caller included; ``run(job, n, last=True)``
-    sends the last job, after whose items the forked lanes exit. A job
-    started before the last one's items were all read raises
-    ``RuntimeError``, as the lanes would still be on the old job. A fork
-    that fails with ``OSError`` ends the forking and leaves the other
-    lanes' items to the caller. With ``slot_size``, results are pairs
-    ``(value, array)`` of that many floats, and a forked lane's array comes
-    as a view of its ring slot, valid until the next result is asked for.
+    gives ``(run, ran)``: ``ran`` counts the lanes that forked, the caller
+    included, and ``run(job, n)`` yields ``fn(job, k)`` for k < n in item
+    order, item k on lane k mod ``ran``; ``run(job, n, last=True)`` sends
+    the last job, after whose items the forked lanes exit. A job started
+    before the last one's items were all read raises ``RuntimeError``, as
+    the lanes would still be on the old job. A fork that fails with
+    ``OSError`` ends the forking, and the map runs on the lanes that
+    forked. With ``slot_size``, results are pairs ``(value, array)`` of
+    that many floats, and a forked lane's array comes as a view of its ring
+    slot, valid until the next result is asked for.
     A forked lane ignores SIGINT and holds no other lane's pipe ends; its
     error, raised by ``fn`` or on the way to the caller, is raised at its
     next item. An error ends the map: leaving the block joins every lane,
@@ -143,7 +145,7 @@ def open_map(fn, lanes: int, slot_size: int = 0):
                     for f in [f for pair in ends for f in pair] + [down_w, up_r]:
                         f.close()
                     ring = None if rings is None else rings[lane - 1]
-                    _serve(fn, lane, lanes, down_r, up_w, ring)
+                    _serve(fn, lane, down_r, up_w, ring)
                 except Exception as exc:  # also from outside fn, such as a result that does not pickle
                     _send_error(up_w, exc)  # the caller raises it at the lane's next item
                     down_r.read()  # until the caller closes the pipe, which may free a slot first
@@ -153,8 +155,8 @@ def open_map(fn, lanes: int, slot_size: int = 0):
             down_r.close()
             up_w.close()
             ends.append((down_w, up_r))
-        ran = 1 + len(ends)
-        peak_lanes = max(peak_lanes, ran)
+        lanes = 1 + len(ends)  # from here on the lanes that forked, the caller included
+        peak_lanes = max(peak_lanes, lanes)
         unread = 0  # items of the last job not yet yielded
 
         def own(job, k):
@@ -169,7 +171,7 @@ def open_map(fn, lanes: int, slot_size: int = 0):
                 raise RuntimeError(f"a job was run with {unread} items of the last one unread")
             unread = n
             for down, _ in ends:
-                _send(down, (job, n, last))
+                _send(down, (job, n, lanes, last))
             ahead = own(job, 0) if n else None
             for k in range(0, n, lanes):
                 ok, value = ahead
@@ -180,16 +182,13 @@ def open_map(fn, lanes: int, slot_size: int = 0):
                 ahead = own(job, k + lanes) if k + lanes < n else None
                 for lane in range(1, min(lanes, n - k)):
                     unread -= 1
-                    if lane >= ran:
-                        yield fn(job, k + lane)
-                        continue
                     down, up = ends[lane - 1]
                     value = _receive(up, f"item {k + lane}")
                     yield value if rings is None else (value, rings[lane - 1][k // lanes % 2])
                     if rings is not None and k + lane + 2 * lanes < n:
                         _send(down, None)  # the slot is free again
 
-        yield run, ran
+        yield run, lanes
         failed = False
     finally:
         _busy = busy

@@ -39,37 +39,31 @@ LINEAR = "linear"
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """Layer widths and activation tags; hidden layers ReLU, output linear."""
+    """Layer widths; hidden layers ReLU, output linear."""
 
     sizes: tuple[int, ...]
-    activations: tuple[str, ...]
 
     def __post_init__(self):
         if len(self.sizes) < 2:
             raise ValueError("a network needs at least an input and an output layer")
         if any(n < 1 for n in self.sizes):
             raise ValueError(f"layer widths must be positive, got {self.sizes}")
-        if len(self.activations) != len(self.sizes) - 1:
-            raise ValueError("need one activation tag per non-input layer")
         if self.sizes[0] != self.sizes[-1]:
             raise ValueError("input and output widths must match (both are 2M)")
-        for act in self.activations[:-1]:
-            if act != RELU:
-                raise ValueError(f"hidden activations must be {RELU!r}, got {act!r}")
-        if self.activations[-1] != LINEAR:
-            raise ValueError(f"output activation must be {LINEAR!r}")
 
     @classmethod
     def fnn(cls, m: int, hidden: Iterable[int] = (128, 128)) -> "LayerSpec":
         """Standard prediction network: 2M -> hidden... -> 2M."""
-        hidden = tuple(hidden)
-        sizes = (2 * m, *hidden, 2 * m)
-        activations = (RELU,) * len(hidden) + (LINEAR,)
-        return cls(sizes=sizes, activations=activations)
+        return cls(sizes=(2 * m, *hidden, 2 * m))
 
     @property
     def n_layers(self) -> int:
         return len(self.sizes) - 1
+
+    @property
+    def activations(self) -> tuple[str, ...]:
+        """One tag per non-input layer: ReLU for each hidden layer, then linear."""
+        return (RELU,) * (self.n_layers - 1) + (LINEAR,)
 
 
 class NetParams:
@@ -133,7 +127,7 @@ class NetParams:
 
     def layer_spec(self) -> LayerSpec:
         sizes = (self.weights[0].shape[1],) + tuple(w.shape[0] for w in self.weights)
-        return LayerSpec(sizes=sizes, activations=(RELU,) * (len(sizes) - 2) + (LINEAR,))
+        return LayerSpec(sizes=sizes)
 
     def copy(self) -> "NetParams":
         return self.like(self.flat.copy())

@@ -228,7 +228,10 @@ def read_dataset(path: str) -> DatasetFile:
         raise FormatError(f"{path}: implausible antenna count {m}")
     if n_datasets == 0:
         raise FormatError(f"{path}: the file declares no datasets")
-    noise = NoiseSpec(snr_db=snr_db, pilot_len=pilot_len, mode=NOISE_MODES[mode_code])
+    try:
+        noise = NoiseSpec(snr_db=snr_db, pilot_len=pilot_len, mode=NOISE_MODES[mode_code])
+    except ValueError as e:
+        raise FormatError(f"{path}: noise header at byte 24: {e}") from None
     dtype = _pair_dtype(m, bool(stored_clean))
     datasets = []
     for _ in range(n_datasets):
@@ -296,11 +299,15 @@ def read_checkpoint(path: str) -> TrainedModel:
     if n_layers < 1 or n_layers > 10_000:
         raise FormatError(f"{path}: implausible layer count {n_layers}")
     sizes = r.take(f"<{n_layers + 1}I")
+    try:
+        spec = LayerSpec(sizes=tuple(sizes))
+    except ValueError as e:
+        raise FormatError(f"{path}: layer widths {list(sizes)}: {e}") from None
     act_codes = r.take(f"<{n_layers}B")
-    for code in act_codes:
-        if code >= len(_ACTIVATIONS):
-            raise FormatError(f"{path}: unknown activation code {code}")
-    activations = tuple(_ACTIVATIONS[c] for c in act_codes)
+    want = [_ACTIVATIONS.index(a) for a in spec.activations]
+    if list(act_codes) != want:
+        raise FormatError(f"{path}: activation codes {list(act_codes)} at byte "
+                          f"{r.pos - n_layers}, expected {want} (relu hidden, linear output)")
     digest = bytes(r.take("<32s")[0])
     weights, biases = [], []
     for l in range(n_layers):
@@ -308,7 +315,6 @@ def read_checkpoint(path: str) -> TrainedModel:
         weights.append(r.take_floats(n_out * n_in).reshape(n_out, n_in))
         biases.append(r.take_floats(n_out))
     r.expect_end()
-    LayerSpec(sizes=tuple(sizes), activations=activations)  # validates shape chain
 
     config = None
     sidecar = _sidecar_path(path)

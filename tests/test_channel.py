@@ -11,17 +11,14 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from csitransfer import channel as ch
-from csitransfer import transfer
+from csitransfer import lanes, transfer
 from csitransfer.seeding import STREAM_COVARIANCE, STREAM_ENV, STREAM_TASK_DATA, stream
 
 RNG = np.random.default_rng
 
 
-def make_env(as_lower=-0.1, as_upper=0.1, ray_count=25, amplitude_scale=1.0,
-             env_id=0, seed=123):
-    return ch.Environment(id=env_id, as_lower=as_lower, as_upper=as_upper,
-                          ray_count=ray_count, amplitude_scale=amplitude_scale,
-                          seed=seed)
+def make_env(as_lower=-0.1, as_upper=0.1, env_id=0, seed=123):
+    return ch.Environment(id=env_id, as_lower=as_lower, as_upper=as_upper, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +106,6 @@ def test_environment_equals_two_sequence_oracle(master_seed):
         center = rng.uniform(-math.pi / 2 + width / 2, math.pi / 2 - width / 2)
         want = ch.Environment(
             id=env_id, as_lower=center - width / 2, as_upper=center + width / 2,
-            ray_count=25, amplitude_scale=30.0 / math.sqrt(50.0),
             seed=int(np.random.SeedSequence(**key).generate_state(1, np.uint64)[0]))
         assert ch.sample_environment(env_id, gcfg, master_seed) == want
 
@@ -134,8 +130,8 @@ def test_user_degenerate_angle_spread():
 
 
 def test_user_zero_amplitude_gives_zero_channel():
-    env = make_env(ray_count=1, amplitude_scale=0.0)
-    user = sample_user(env, RNG(0))
+    user = ch.UserRays(doas=np.array([0.05]), amplitudes=np.array([0.0]),
+                       phases=np.array([1.0]), delays=np.array([1e-9]))
     for f in (1e9, 2.2e9):
         h = ch.channel_response(user, f, ch.ArrayConfig(m=6))
         assert np.all(h == 0)
@@ -181,8 +177,7 @@ def test_opposite_phases_cancel():
 
 def test_response_matches_double_loop_oracle():
     cfg = ch.ArrayConfig(m=16)
-    env = make_env(ray_count=25)
-    user = sample_user(env, RNG(3))
+    user = sample_user(make_env(), RNG(3))
     f = 2.4e9
     got = ch.channel_response(user, f, cfg)
     varpi = 2 * math.pi * cfg.d * f / cfg.c
@@ -271,10 +266,15 @@ def test_awgn_vanishes_at_high_snr():
 
 
 @pytest.mark.parametrize("mode", [ch.NOISE_AWGN, ch.NOISE_LMMSE])
-def test_infinite_snr_collects_the_noiseless_limit(mode):
+def test_infinite_snr_collects_the_noiseless_limit(mode, monkeypatch):
     """At snr_db=+inf the noise variance is 0, so noisy collection gives the
     clean channels: labels bit-equal to the clean labels, and inputs
-    bit-equal to those of a clean collection of the same draws."""
+    bit-equal to those of a clean collection of the same draws. LMMSE
+    builds no covariance for it, as each estimate is its observation."""
+    monkeypatch.setattr(lanes, "usable_cpus", lambda: 1)  # every estimate in the caller
+    at, calls = ch.EnvCovariance.at, []
+    monkeypatch.setattr(ch.EnvCovariance, "at",
+                        lambda self, f: calls.append(f) or at(self, f))
     gen = _default_gen(m=4, users=5)
     env = ch.sample_environment(3, gen, 11)
     roles = [(ch.ROLE_ADAPTION, 6), (ch.ROLE_TEST, 5)]
@@ -287,6 +287,7 @@ def test_infinite_snr_collects_the_noiseless_limit(mode):
     for got, want in zip(collect(ch.NoiseSpec(snr_db=math.inf, mode=mode)), clean):
         assert got.ys.tobytes() == got.y_clean.tobytes() == want.ys.tobytes()
         assert got.xs.tobytes() == want.xs.tobytes()
+    assert calls == []
 
 
 def test_awgn_empirical_snr():
@@ -698,10 +699,11 @@ def _oracle_covariance(pool, f, cfg, ridge=1e-6):
 
 
 def _oracle_users(env, rng, u, delay_max=ch.DEFAULT_DELAY_MAX):
-    """``u`` users drawn one at a time, four generator calls each."""
-    p = env.ray_count
+    """``u`` users drawn one at a time, four generator calls each: 25 rays
+    of Rayleigh scale 30 / sqrt(2 * 25), per-entry RMS amplitude 30."""
+    p = 25
     return [ch.UserRays(doas=rng.uniform(env.as_lower, env.as_upper, size=p),
-                        amplitudes=env.amplitude_scale * rng.rayleigh(1.0, size=p),
+                        amplitudes=30.0 / math.sqrt(50.0) * rng.rayleigh(1.0, size=p),
                         phases=rng.uniform(0.0, 2.0 * math.pi, size=p),
                         delays=rng.uniform(0.0, delay_max, size=p))
             for _ in range(u)]

@@ -241,6 +241,35 @@ def test_dataset_file_of_no_datasets_one_line_error(tmp_path, command):
     assert not os.path.exists(tmp_path / "o")
 
 
+def test_sources_with_a_bad_noise_header_one_line_error(tmp_path):
+    """``train --sources`` on a dataset whose header declares pilot length 0
+    exits 1 with one line naming the file."""
+    bad = str(tmp_path / "bad.bin")
+    assert run_cli("gen", "--envs", 1, "--pairs", 8, *TINY_GEN, "--out", bad).exit_code == 0
+    with open(bad, "r+b") as f:
+        f.seek(32)  # pilot_len
+        f.write(struct.pack("<I", 0))
+    res = run_cli("train", *TINY_GEN, *TINY_TRAIN, "--sources", bad, "--out", tmp_path / "o")
+    assert_one_line_error(res, f"{bad}: noise header at byte 24: pilot length must be >= 1")
+
+
+# The zero checkpoint's header: 4s I B I | I | sizes (3 u32) at 17 | activations (2 u8) at 29
+@pytest.mark.parametrize("offset, value, fragment", [
+    (29, 1, "activation codes [1, 1] at byte 29"),  # a linear hidden layer
+    (25, 6, "input and output widths must match"),  # output width 6 against input 8
+], ids=["hidden-linear", "output-width-6"])
+def test_checkpoint_no_network_has_one_line_error(tmp_path, offset, value, fragment):
+    """A checkpoint whose activations or widths no network has makes
+    ``eval`` exit 1 with one line naming the file."""
+    ck, te = _zero_checkpoint_and_test_set(tmp_path)
+    with open(ck, "r+b") as f:
+        f.seek(offset)
+        f.write(bytes([value]))
+    res = run_cli("eval", "--checkpoint", ck, "--data", te, "--out", tmp_path / "n.csv")
+    assert_one_line_error(res, f"{ck}: ")
+    assert fragment in res.output
+
+
 def test_rerun_incomplete_manifest_one_line_error(tmp_path):
     out = str(tmp_path / "d.bin")
     assert run_cli("gen", "--envs", 1, "--pairs", 4, *TINY_GEN, "--out", out).exit_code == 0

@@ -11,7 +11,7 @@ import inspect
 import pytest
 
 from csitransfer import channel as ch
-from csitransfer import evaluate, transfer
+from csitransfer import evaluate, net, transfer
 
 REQUIRED = object()  # a field without a default
 
@@ -32,6 +32,9 @@ FIELDS = {
                     "user_index": REQUIRED},
     ch.UserRays: {"doas": REQUIRED, "amplitudes": REQUIRED, "phases": REQUIRED,
                   "delays": REQUIRED},
+    ch.Environment: {"id": REQUIRED, "as_lower": REQUIRED, "as_upper": REQUIRED,
+                     "seed": REQUIRED},
+    net.LayerSpec: {"sizes": REQUIRED},
 }
 
 TASK_DATASET_PARAMETERS = ("env_id", "role", "xs", "ys", "y_clean", "f_up", "user_index")

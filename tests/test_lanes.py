@@ -11,6 +11,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csitransfer import channel as ch
 from csitransfer import evaluate, lanes, store, transfer
@@ -120,18 +122,24 @@ def test_failed_fork_leaves_the_items_to_the_caller(monkeypatch, tmp_path):
     assert got == want and ran == (1, 1)
 
 
-def test_fork_failing_after_one_lane_runs_on_the_lanes_that_forked(monkeypatch):
-    """Planned 3 lanes, of which the second fork fails: items of lanes 0
-    and 2 run in the caller, those of lane 1 in the one forked lane."""
+def fork_failing_at(count):
+    """``os.fork`` whose ``count``-th call raises ``OSError``."""
     fork, calls = os.fork, []
 
-    def second_fails():
+    def drawn_fork():
         calls.append(None)
-        if len(calls) == 2:
+        if len(calls) == count:
             raise OSError("no more processes")
         return fork()
 
-    monkeypatch.setattr(os, "fork", second_fails)
+    return drawn_fork
+
+
+def test_fork_failing_after_one_lane_runs_on_the_lanes_that_forked(monkeypatch):
+    """Planned 3 lanes, of which the second fork fails: the map runs on the
+    2 lanes that forked, item k on lane k mod 2, so the odd items run in
+    the one forked lane."""
+    monkeypatch.setattr(os, "fork", fork_failing_at(2))
     out = lanes.shared_empty((7,), np.int64)
 
     def item(k):
@@ -141,7 +149,54 @@ def test_fork_failing_after_one_lane_runs_on_the_lanes_that_forked(monkeypatch):
     results, ran = lanes.fork_map(item, 7, 3)
     assert results == [k * k for k in range(7)] and ran == 2
     forked = {k for k in range(7) if out[k] != os.getpid()}
-    assert forked == {1, 4}
+    assert forked == {1, 3, 5}
+
+
+def test_ring_of_a_map_whose_fork_failed(monkeypatch):
+    """Planned 3 lanes with ring slots, of which the second fork fails: job
+    after job, the forked lane's arrays come back through its two slots
+    in turn, as the values it made."""
+    def item(job, k):
+        return k, np.full(2, job * 100.0 + k)
+
+    monkeypatch.setattr(os, "fork", fork_failing_at(2))
+    with lanes.open_map(item, 3, 2) as (run, ran):
+        assert ran == 2
+        for job in range(3):
+            assert [(k, a.tolist()) for k, a in run(job, 7)] == \
+                [(k, [job * 100.0 + k] * 2) for k in range(7)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(planned=st.integers(1, 3), count=st.integers(0, 9),
+       failing=st.sets(st.integers(0, 8), max_size=3), fork_fails_at=st.integers(1, 3))
+def test_fork_map_equals_the_serial_loop(planned, count, failing, fork_fails_at):
+    """``fork_map`` gives what ``[fn(k) for k in range(count)]`` gives: the
+    results and the lanes that forked, or the first failing item's error
+    with its type and message, whichever lane ran it, also when the fork
+    of a drawn lane fails. No child is left after any example."""
+    def fn(k):
+        if k in failing:
+            raise (KeyError if k % 2 else ValueError)(f"item {k}")
+        return k * k - 3
+
+    try:
+        want = [fn(k) for k in range(count)]
+    except Exception as exc:
+        want = exc
+    fork, os.fork = os.fork, fork_failing_at(fork_fails_at)
+    try:
+        got = lanes.fork_map(fn, count, planned)
+    except Exception as exc:
+        got = exc
+    finally:
+        os.fork = fork
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        assert got == (want, min(planned, fork_fails_at))
+    with pytest.raises(ChildProcessError):  # no child, live or unreaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("count", [1, 2, 3])

@@ -60,16 +60,16 @@ def probe_value(tree, probe):
 
 def test_layer_spec_validation():
     with pytest.raises(ValueError):
-        net.LayerSpec(sizes=(4,), activations=())
+        net.LayerSpec(sizes=(4,))
     with pytest.raises(ValueError):
-        net.LayerSpec(sizes=(4, 8, 6), activations=("relu", "linear"))  # in != out
+        net.LayerSpec(sizes=(4, 8, 6))  # in != out
     with pytest.raises(ValueError):
-        net.LayerSpec(sizes=(4, 8, 4), activations=("linear", "linear"))
-    with pytest.raises(ValueError):
-        net.LayerSpec(sizes=(4, 8, 4), activations=("relu", "relu"))
+        net.LayerSpec(sizes=(4, 0, 4))
     spec = net.LayerSpec.fnn(2, (8,))
     assert spec.sizes == (4, 8, 4)
     assert spec.activations == ("relu", "linear")
+    assert net.LayerSpec(sizes=(4, 4)).activations == ("linear",)
+    assert net.LayerSpec.fnn(2, (8, 6, 5)).activations == ("relu", "relu", "relu", "linear")
 
 
 def test_init_truncated_normal_variance():
@@ -77,7 +77,7 @@ def test_init_truncated_normal_variance():
     # 0.7737... (its square root is the often-quoted ~0.88 std factor).
     trunc_var = stats.truncnorm(-2, 2).var()
     assert trunc_var == pytest.approx(0.7737, abs=1e-4)
-    spec = net.LayerSpec(sizes=(10000, 4, 10000), activations=("relu", "linear"))
+    spec = net.LayerSpec(sizes=(10000, 4, 10000))
     params = net.init_params(spec, RNG(5))
     w = params.weights[0]  # fan-in 10000 -> sigma^2 = 1e-4
     assert w.shape == (4, 10000)
@@ -87,7 +87,7 @@ def test_init_truncated_normal_variance():
 
 
 def test_init_respects_truncation_bound():
-    spec = net.LayerSpec(sizes=(100, 50, 100), activations=("relu", "linear"))
+    spec = net.LayerSpec(sizes=(100, 50, 100))
     params = net.init_params(spec, RNG(6))
     for l, w in enumerate(params.weights):
         sigma = 1.0 / np.sqrt(w.shape[1])

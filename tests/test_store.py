@@ -286,3 +286,58 @@ def test_corrupt_activation_code(tmp_path):
     open(path, "wb").write(bytes(data))
     with pytest.raises(store.FormatError, match="activation"):
         store.read_checkpoint(path)
+
+
+# header: 4s I B I | I | sizes (4 u32) | activations (3 u8) of random_model
+_SIZES_OFFSET = 4 + 4 + 1 + 4 + 4
+_ACTIVATIONS_OFFSET = _SIZES_OFFSET + 4 * 4
+
+
+@pytest.mark.parametrize("layer, code", [(0, 1), (1, 1), (2, 0)],
+                         ids=["first-hidden-linear", "second-hidden-linear", "output-relu"])
+def test_checkpoint_refuses_activations_but_relu_then_linear(tmp_path, layer, code):
+    """Every network is ReLU hidden layers and a linear output: another
+    known activation code at any layer is a malformed file, named."""
+    path = str(tmp_path / "a.ck")
+    store.write_checkpoint(path, random_model())
+    with open(path, "r+b") as f:
+        f.seek(_ACTIVATIONS_OFFSET + layer)
+        f.write(bytes([code]))
+    with pytest.raises(store.FormatError,
+                       match=f"^{path}: activation codes .* at byte {_ACTIVATIONS_OFFSET}, "
+                             r"expected \[0, 0, 1\]"):
+        store.read_checkpoint(path)
+
+
+@pytest.mark.parametrize("layer, width, message", [
+    (3, 5, "input and output widths must match"),
+    (1, 0, "layer widths must be positive"),
+], ids=["output-width-5", "hidden-width-0"])
+def test_checkpoint_refuses_widths_no_network_has(tmp_path, layer, width, message):
+    """Input and output widths that differ, or a zero width, make a
+    malformed file, named, before its payload is read."""
+    path = str(tmp_path / "w.ck")
+    store.write_checkpoint(path, random_model())
+    with open(path, "r+b") as f:
+        f.seek(_SIZES_OFFSET + 4 * layer)
+        f.write(struct.pack("<I", width))
+    with pytest.raises(store.FormatError, match=f"^{path}: layer widths .*: {message}"):
+        store.read_checkpoint(path)
+
+
+@pytest.mark.parametrize("fmt, offset, value, message", [
+    ("<I", 32, 0, "pilot length must be >= 1, got 0"),
+    ("<d", 24, float("nan"), "snr_db must not be NaN or -inf, got nan"),
+    ("<d", 24, float("-inf"), "snr_db must not be NaN or -inf, got -inf"),
+], ids=["pilot-len-0", "snr-nan", "snr-minus-inf"])
+def test_dataset_refuses_a_noise_header_no_collection_has(tmp_path, fmt, offset, value,
+                                                          message):
+    """A header whose SNR or pilot length no collection has is a malformed
+    file, named with the header's offset."""
+    path = str(tmp_path / "d.bin")
+    store.write_dataset(path, random_datasets(), ch.NoiseSpec(), 120e6)
+    with open(path, "r+b") as f:
+        f.seek(offset)
+        f.write(struct.pack(fmt, value))
+    with pytest.raises(store.FormatError, match=f"^{path}: noise header at byte 24: {message}$"):
+        store.read_dataset(path)
