@@ -59,7 +59,7 @@ SPEED_OF_LIGHT = 299_792_458.0
 
 # Half wavelength at 2 GHz; the physical array spacing is fixed across
 # carrier frequencies.
-DEFAULT_SPACING = SPEED_OF_LIGHT / (2 * 2.0e9)
+ANTENNA_SPACING = SPEED_OF_LIGHT / (2 * 2.0e9)
 
 # Largest excess path delay in seconds. Small enough that the per-ray
 # downlink rotation 2*pi*delta_f*tau stays below one cycle at the default
@@ -99,17 +99,13 @@ NOISE_MODES = (NOISE_CLEAN, NOISE_AWGN, NOISE_LMMSE)
 
 @dataclass(frozen=True)
 class ArrayConfig:
-    """Uniform linear array at the base station."""
+    """The base station's uniform linear array: ``m`` antennas, ANTENNA_SPACING apart."""
 
     m: int = 64
-    d: float = DEFAULT_SPACING
-    c: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"antenna count must be >= 1, got {self.m}")
-        if not (self.d > 0 and math.isfinite(self.d)):
-            raise ValueError(f"antenna spacing must be positive, got {self.d}")
 
 
 @dataclass(frozen=True)
@@ -331,7 +327,7 @@ def _ray_sum(sin_doas: np.ndarray, gains: np.ndarray, f, cfg: ArrayConfig) -> np
     Each ray needs one complex exponential, z_p = exp(-j varpi sin theta_p);
     :func:`_steered_sum` does the rest.
     """
-    varpi = 2.0 * math.pi * cfg.d * f / cfg.c
+    varpi = 2.0 * math.pi * ANTENNA_SPACING * f / SPEED_OF_LIGHT
     return _steered_sum(np.exp(-1j * varpi * sin_doas), gains, cfg.m)
 
 
@@ -496,7 +492,8 @@ class EnvCovariance:
         self._duplex = np.zeros((2,) + self._sin_doas.shape, complex)  # (2, users, P)
         turn = -2.0 * math.pi * delta_f  # the phases into the imaginary parts, then exp in place
         np.multiply(self._rays.delays, turn, out=self._duplex[0].imag)
-        np.multiply(self._sin_doas, turn * cfg.d / cfg.c, out=self._duplex[1].imag)
+        np.multiply(self._sin_doas, turn * ANTENNA_SPACING / SPEED_OF_LIGHT,
+                    out=self._duplex[1].imag)
         np.exp(self._duplex, out=self._duplex)
 
     def at(self, f: float) -> np.ndarray:
@@ -504,7 +501,7 @@ class EnvCovariance:
         as one ``(2, M, M)`` array."""
         _check_carrier(f)
         m, n = self.cfg.m, len(self._sin_doas)
-        varpi = 2.0 * math.pi * self.cfg.d * f / self.cfg.c
+        varpi = 2.0 * math.pi * ANTENNA_SPACING * f / SPEED_OF_LIGHT
         r = np.zeros((2, m, m), dtype=complex)
         for i in range(0, n, _POOL_BLOCK):
             block = slice(i, i + _POOL_BLOCK)

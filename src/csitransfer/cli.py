@@ -2,30 +2,29 @@
 
 Every subcommand resolves its flags into a plain config dictionary, runs,
 and writes a JSON manifest next to its primary output recording the
-subcommand, the resolved config, the master seed, build information,
-timestamps, the process's peak resident memory (``peak_rss_mb``, in MiB),
-that of its largest finished child process (``peak_rss_children_mb``: the
-forked lanes of :mod:`csitransfer.lanes`, 0 when none ran) and the produced
-files. Every manifest also records ``lanes``, the most lanes that any
+subcommand, the resolved config, build information, timestamps, the
+process's peak resident memory (``peak_rss_mb``, in MiB), that of its
+largest finished child process (``peak_rss_children_mb``: the forked lanes
+of :mod:`csitransfer.lanes`, 0 when none ran) and the produced files.
+Every manifest also records ``lanes``, the most lanes that any
 :func:`lanes.open_map` map of the command ran, the caller included (1
 when nothing forked, as in ``train --sources``): ``gen``'s map over
 environments, whose items return their datasets, first visits, meta
 steps, or the LMMSE estimates of a collection in the caller. A
-``meta-train`` manifest also records ``meta_lanes``, the lanes its meta
-steps ran on (:func:`transfer.meta_lanes`).
+``meta-train`` manifest also records ``meta_lanes``, the lanes planned
+for its meta steps (:func:`transfer.meta_lanes`).
 ``rerun MANIFEST`` re-executes the recorded subcommand with the recorded
 config and ignores every other field; all outputs are then byte-identical
 (timestamps and peak memory live only in the manifest), except the stage
 wall-clock times in a sweep's ``.report.json``. That record also holds
 ``workers``, the lanes the sweep's targets ran on, and ``meta_lanes``,
-those its meta steps ran on; its adaption and testing times are per-target
-times summed across the targets. The recorded values go through the
-subcommand's own option declarations, so a malformed one is a one-line
-error, and no environment variable overrides them.
+those planned for its meta steps; its adaption and testing times are
+per-target times summed across the targets. The recorded values go through
+the subcommand's own option declarations, so a malformed one is a one-line
+error.
 
-Flags can be overridden through environment variables with the ``CSIT_``
-prefix. ``sweep`` shares its options with ``gen``, ``train`` and
-``meta-train`` but defaults to the desk profile (``SWEEP_DESK_DEFAULTS``).
+``sweep`` shares its options with ``gen``, ``train`` and ``meta-train``
+but defaults to the desk profile (``SWEEP_DESK_DEFAULTS``).
 Exit codes: 0 success, 1 runtime or verification failure, 2 usage error. A
 path that names a directory is a usage error, and an ``--out`` whose
 directory does not exist is refused before the command runs.
@@ -81,7 +80,6 @@ def _write_manifest(subcommand: str, opts: dict, outputs: list[str], record: dic
     manifest = {
         "subcommand": subcommand,
         "config": opts,
-        "master_seed": opts.get("seed"),
         # Linux reports ru_maxrss in KiB. Children are read before git runs as one.
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "peak_rss_children_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0,
@@ -227,6 +225,10 @@ def _impl_train(opts: dict) -> tuple[list[str], dict]:
             if blob.m != m:
                 raise click.ClickException(
                     f"{path} carries {blob.m} antennas but --antennas is {m}")
+            if blob.delta_f != cfg.gen.delta_f:
+                raise click.ClickException(
+                    f"{path} was collected at a duplex offset of {blob.delta_f!r} Hz "
+                    f"but --delta-f-hz is {cfg.gen.delta_f!r}")
             pool.extend(blob.datasets)
         xs, ys = (np.concatenate([getattr(d, a) for d in pool]) for a in ("xs", "ys"))
     else:
@@ -646,8 +648,7 @@ def rerun(manifest):
     missing = [p.name for p in cmd.params if p.name not in config]
     if missing:
         raise click.ClickException(f"{manifest} config lacks {', '.join(missing)}")
-    # The subcommand's own declarations check every recorded value. The
-    # context has no parent, so no CSIT_* variable overrides one.
+    # The subcommand's own declarations check every recorded value.
     try:
         ctx = cmd.make_context(sub, _recorded_command_line(cmd, config))
     except click.UsageError as exc:
@@ -662,9 +663,5 @@ def rerun(manifest):
         cmd.invoke(ctx)
 
 
-def main():
-    cli(auto_envvar_prefix="CSIT")
-
-
 if __name__ == "__main__":
-    main()
+    cli()

@@ -121,8 +121,8 @@ class SweepPoint:
 @dataclass
 class SweepReport:
     """A sweep's points, each holding its grid value, in grid order, and stage
-    times in seconds: ``training`` in the caller, on ``meta_lanes`` lanes for
-    the meta step (:func:`transfer.meta_lanes`), and ``adaption`` and
+    times in seconds: ``training`` in the caller, on the ``meta_lanes`` lanes
+    planned for the meta step (:func:`transfer.meta_lanes`), and ``adaption`` and
     ``testing`` per target, summed across the ``workers`` lanes that ran them."""
 
     variable: str

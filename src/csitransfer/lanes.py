@@ -26,7 +26,6 @@ import mmap
 import os
 import pickle
 import signal
-import sys
 
 import numpy as np
 
@@ -36,10 +35,7 @@ peak_lanes = 1  # the most lanes an open_map call ran, the caller included, sinc
 
 def usable_cpus() -> int:
     """CPUs this process may run lanes on: 1 where ``os.sched_getaffinity``
-    is missing and in a daemonic ``multiprocessing`` process."""
-    mp = sys.modules.get("multiprocessing")  # a process that never imported it is no daemon
-    if mp is not None and mp.current_process().daemon:
-        return 1
+    is missing."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 

@@ -159,13 +159,10 @@ def zeros_like_params(p: NetParams) -> NetParams:
     return p.like(np.zeros_like(p.flat))
 
 
-def params_axpy(alpha: float, x: NetParams, y: NetParams,
-                out: NetParams | None = None) -> NetParams:
-    """y + alpha * x, elementwise, as a new tree or written into ``out``.
-    At alpha 1.0 it adds x itself, which has the bits of 1.0 * x."""
+def params_axpy(alpha: float, x: NetParams, y: NetParams, out: NetParams) -> NetParams:
+    """y + alpha * x, elementwise, written into ``out`` and returned. At
+    alpha 1.0 it adds x itself, which has the bits of 1.0 * x."""
     ax = x.flat if alpha == 1.0 else alpha * x.flat
-    if out is None:
-        return y.like(y.flat + ax)
     np.add(y.flat, ax, out=out.flat)
     return out
 

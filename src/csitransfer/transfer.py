@@ -488,9 +488,9 @@ def _load_block(block, envs: Sequence[Environment], cfg: TrainConfig, rows):
 
 
 def meta_lanes(cfg: TrainConfig) -> int:
-    """The lanes :func:`meta_train` runs ``cfg``'s meta steps on: one per
-    usable CPU, at most one per block of a step, and one for a run of no
-    step."""
+    """The lanes planned for ``cfg``'s meta steps (a failed fork leaves
+    fewer): one per usable CPU, at most one per block of a step, and one
+    for a run of no step."""
     return lanes.lane_count(-(-cfg.k_b // _TASK_BLOCK), cfg.max_steps > 0)
 
 

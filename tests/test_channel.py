@@ -30,11 +30,16 @@ def sample_user(env, rng, delay_max=ch.DEFAULT_DELAY_MAX):
     return _oracle_users(env, rng, 1, delay_max)[0]
 
 
+def oracle_varpi(f):
+    """2 pi d f / c at carrier ``f``, for the spacing d = c / 4e9 (half a
+    wavelength at 2 GHz) and c = 299,792,458 m/s."""
+    return 2.0 * math.pi * (299_792_458.0 / 4.0e9) * f / 299_792_458.0
+
+
 def array_manifold(theta, f, cfg):
     """Steering vector of the array toward ``theta`` at carrier ``f``: entry
     m is exp(-j (2 pi d f / c) m sin theta)."""
-    varpi = 2.0 * math.pi * cfg.d * f / cfg.c
-    return np.exp(-1j * varpi * np.arange(cfg.m) * math.sin(theta))
+    return np.exp(-1j * oracle_varpi(f) * np.arange(cfg.m) * math.sin(theta))
 
 
 def unit_ray(theta):
@@ -55,16 +60,16 @@ def test_manifold_broadside_is_all_ones():
 
 def test_manifold_endfire_half_wavelength():
     f = 2e9
-    cfg = ch.ArrayConfig(m=2, d=ch.SPEED_OF_LIGHT / (2 * f))
+    cfg = ch.ArrayConfig(m=2)  # half a wavelength apart at f
     v = ch.channel_response(unit_ray(math.pi / 2), f, cfg)
     assert np.allclose(v, [1.0, -1.0], atol=1e-12)
 
 
 def test_manifold_matches_scalar_oracle():
     theta, f = 0.3, 2e9
-    cfg = ch.ArrayConfig(m=8, d=0.05)
+    cfg = ch.ArrayConfig(m=8)
     got = ch.channel_response(unit_ray(theta), f, cfg)
-    varpi = 2 * math.pi * cfg.d * f / cfg.c
+    varpi = oracle_varpi(f)
     for m in range(8):
         expected = complex(math.cos(-varpi * m * math.sin(theta)),
                            math.sin(-varpi * m * math.sin(theta)))
@@ -180,7 +185,7 @@ def test_response_matches_double_loop_oracle():
     user = sample_user(make_env(), RNG(3))
     f = 2.4e9
     got = ch.channel_response(user, f, cfg)
-    varpi = 2 * math.pi * cfg.d * f / cfg.c
+    varpi = oracle_varpi(f)
     expected = np.zeros(cfg.m, dtype=complex)
     for p in range(25):
         gain = user.amplitudes[p] * np.exp(
@@ -686,8 +691,7 @@ def test_task_dataset_rejects_bad_shapes(overrides, match):
 def _oracle_response(user, f, cfg):
     """One user's ray sum over the full (P, M) np.exp manifold."""
     gains = user.amplitudes * np.exp(1j * (user.phases - 2.0 * math.pi * f * user.delays))
-    varpi = 2.0 * math.pi * cfg.d * f / cfg.c
-    manifold = np.exp(-1j * varpi * np.outer(np.sin(user.doas), np.arange(cfg.m)))
+    manifold = np.exp(-1j * oracle_varpi(f) * np.outer(np.sin(user.doas), np.arange(cfg.m)))
     return gains @ manifold
 
 

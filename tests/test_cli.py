@@ -188,6 +188,22 @@ def test_train_sources_antenna_mismatch_names_the_file(tmp_path):
     assert not os.path.exists(out)
 
 
+def test_train_sources_delta_f_mismatch_names_the_file(tmp_path):
+    """A ``--sources`` file collected at another duplex offset than
+    ``--delta-f-hz`` is a one-line error naming the file and both offsets."""
+    source = str(tmp_path / "s.bin")
+    assert run_cli("gen", "--envs", 2, "--role", "train-support", "--pairs", 10,
+                   "--delta-f-hz", 60e6, *TINY_GEN, "--out", source).exit_code == 0
+    out = str(tmp_path / "c.ck")
+    res = run_cli("train", *TINY_GEN, *TINY_TRAIN, "--sources", source, "--out", out)
+    assert_one_line_error(res, f"{source} was collected at a duplex offset of 60000000.0 Hz "
+                               f"but --delta-f-hz is 120000000.0")
+    assert not os.path.exists(out)
+    res = run_cli("train", *TINY_GEN, *TINY_TRAIN, "--delta-f-hz", 60e6, "--sources", source,
+                  "--out", out)
+    assert res.exit_code == 0, res.output
+
+
 def assert_one_line_error(res, fragment):
     assert res.exit_code == 1
     assert "Traceback" not in res.output
@@ -317,20 +333,6 @@ def test_rerun_restores_flags_and_repeated_options(tmp_path):
         assert run_cli("rerun", out + ".manifest.json").exit_code == 0
         assert open(out, "rb").read() == original
         assert json.load(open(out + ".manifest.json"))["config"][field] == recorded
-
-
-def test_rerun_ignores_environment_overrides(tmp_path):
-    out = str(tmp_path / "d.bin")
-    assert run_cli("gen", "--envs", 1, "--pairs", 4, "--seed", 3, *TINY_GEN,
-                   "--out", out).exit_code == 0
-    original = open(out, "rb").read()
-    os.unlink(out)
-    res = RUNNER.invoke(cli, ["rerun", out + ".manifest.json"],
-                        env={"CSIT_GEN_SEED": "123", "CSIT_GEN_PAIRS": "9"},
-                        auto_envvar_prefix="CSIT", catch_exceptions=False)
-    assert res.exit_code == 0
-    assert open(out, "rb").read() == original
-    assert json.load(open(out + ".manifest.json"))["config"]["seed"] == 3
 
 
 def test_eval_refuses_noisy_file_without_clean_labels(tmp_path):
@@ -740,16 +742,39 @@ def test_threads_option_is_gone():
     assert_usage_error(res, "No such option '--threads'")
 
 
-def test_env_var_override(tmp_path):
-    out = str(tmp_path / "env.bin")
-    res = RUNNER.invoke(cli, ["gen", "--envs", "1", "--pairs", "3",
-                              "--antennas", "4", "--users", "4",
-                              "--noise-mode", "clean", "--out", out],
-                        env={"CSIT_GEN_SEED": "123"},
-                        auto_envvar_prefix="CSIT", catch_exceptions=False)
-    assert res.exit_code == 0
-    manifest = json.load(open(out + ".manifest.json"))
-    assert manifest["config"]["seed"] == 123
+def test_environment_variables_set_no_option(tmp_path):
+    """Flags are the entry point's only input: ``gen`` and a ``rerun`` of
+    its manifest, both with ``CSIT_GEN_SEED`` set, record seed 0 and write
+    the bytes of ``gen`` run without it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    outs = [str(tmp_path / f"{name}.bin") for name in ("plain", "env")]
+
+    def main(*args, **extra):
+        proc = subprocess.run([sys.executable, "-m", "csitransfer.cli", *args],
+                              env={**env, **extra}, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    for out, extra in zip(outs, ({}, {"CSIT_GEN_SEED": "123"})):
+        main("gen", "--pairs", "3", *map(str, TINY_GEN), "--out", out, **extra)
+    plain = open(outs[0], "rb").read()
+    assert open(outs[1], "rb").read() == plain
+    assert json.load(open(outs[1] + ".manifest.json"))["config"]["seed"] == 0
+    os.unlink(outs[1])
+    main("rerun", outs[1] + ".manifest.json", CSIT_GEN_SEED="123")
+    assert open(outs[1], "rb").read() == plain
+    assert json.load(open(outs[1] + ".manifest.json"))["config"]["seed"] == 0
+
+
+def test_choice_lists_equal_the_lists_they_copy():
+    """``cli`` imports no numpy before its thread settings, so it restates
+    three lists that other modules own; each equals its owner's, in order."""
+    from csitransfer import channel
+
+    assert cli_module.ROLE_CHOICES == channel.ROLES
+    assert cli_module.NOISE_CHOICES == channel.NOISE_MODES
+    assert cli_module.SWEEP_CHOICES == tuple(v.replace("_", "-")
+                                             for v in evaluate.SWEEP_VARIABLES)
 
 
 # ---------------------------------------------------------------------------
@@ -793,10 +818,9 @@ def test_subcommand_keeps_its_parameters_and_defaults(name):
             assert resolved[k] == v and type(resolved[k]) is type(v), k
 
 
-def test_sweep_defaults_are_the_desk_profile(monkeypatch):
+def test_sweep_defaults_are_the_desk_profile():
     """Flags unset, `sweep` runs TrainConfig.desk_profile() with clean
-    collection; its help shows those defaults, and CSIT_* variables still
-    override them."""
+    collection, and its help shows those defaults."""
     resolved = cli.commands["sweep"].make_context("sweep", ["--out=x"]).params
     desk = transfer.TrainConfig.desk_profile()
     assert desk.gen.noise.mode == "clean"
@@ -806,10 +830,6 @@ def test_sweep_defaults_are_the_desk_profile(monkeypatch):
     for flag, shown in (("antennas", "16"), ("users", "10"), ("k-s", "200"),
                         ("noise-mode", "clean")):
         assert f"[default: {shown}" in entries[flag], entries[flag]
-    monkeypatch.setenv("CSIT_SWEEP_ANTENNAS", "8")
-    ctx = cli.commands["sweep"].make_context("sweep", ["--out=x"],
-                                             auto_envvar_prefix="CSIT_SWEEP")
-    assert ctx.params["antennas"] == 8
 
 
 def test_rerun_of_a_sweep_manifest_reproduces_the_csv(tmp_path):

@@ -16,7 +16,7 @@ from csitransfer import evaluate, net, transfer
 REQUIRED = object()  # a field without a default
 
 FIELDS = {
-    ch.ArrayConfig: {"m": 64, "d": ch.SPEED_OF_LIGHT / 4.0e9, "c": 299_792_458.0},
+    ch.ArrayConfig: {"m": 64},
     ch.GeneratorConfig: {"array": ch.ArrayConfig(), "delay_max": 2.0e-9, "f_min": 1.0e9,
                          "f_max": 3.0e9, "delta_f": 120.0e6, "users": 25,
                          "noise": ch.NoiseSpec(mode="clean")},

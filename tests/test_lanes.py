@@ -4,6 +4,7 @@ errors in item order, failed forks, and no lane inside a lane."""
 import ast
 import contextlib
 import json
+import multiprocessing
 import os
 import time
 from dataclasses import replace
@@ -197,6 +198,101 @@ def test_fork_map_equals_the_serial_loop(planned, count, failing, fork_fails_at)
         assert got == (want, min(planned, fork_fails_at))
     with pytest.raises(ChildProcessError):  # no child, live or unreaped
         os.waitpid(-1, os.WNOHANG)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(planned=st.integers(1, 3), ring=st.booleans(),
+       jobs=st.lists(st.tuples(st.integers(0, 9), st.sets(st.integers(0, 8), max_size=2)),
+                     min_size=1, max_size=4),
+       abandon=st.none() | st.tuples(st.integers(0, 3), st.integers(0, 8)))
+def test_open_map_equals_the_serial_model(planned, ring, jobs, abandon):
+    """One ``open_map`` runs its jobs as a serial loop over each job's
+    items would: the values, and with ``slot_size`` the arrays, in item
+    order; or the first failing item's error with its type and message,
+    an error that does not pickle coming from a forked lane as a
+    ``RuntimeError`` naming it; or, for a job run while the last one has
+    unread items, the one-line ``RuntimeError`` that refuses it. A job
+    none of whose items was asked for never ran, and the next one runs.
+    Every lane is joined after every example."""
+    class Local(Exception):  # a local class does not pickle
+        pass
+
+    def fn(job, k):
+        if job < len(jobs) and k in jobs[job][1]:
+            raise (Local if k % 2 else KeyError)(f"item {k}")
+        value = job * 100 + k
+        return (value, np.full(3, float(value))) if ring else value
+
+    def reads(job):  # the items of ``job`` that the caller reads
+        n = jobs[job][0]
+        return min(abandon[1], n) if abandon and abandon[0] % len(jobs) == job else n
+
+    seen, want = [], None  # the serial model: what the caller reads, and how it ends
+    for job, (n, failing) in enumerate(jobs):
+        k = min([k for k in failing if k < reads(job)], default=None)
+        seen += [job * 100 + i for i in range(reads(job) if k is None else k)]
+        if k is not None:
+            forked = k % planned and k % 2
+            want = (RuntimeError, f"Local: item {k}") if forked else \
+                (Local if k % 2 else KeyError, f"item {k}" if k % 2 else f"'item {k}'")
+            break
+        if 0 < reads(job) < n:
+            want = (RuntimeError, f"a job was run with {n - reads(job)} items of the last one unread")
+            break
+        if reads(job) < n:  # then a new job of one item
+            seen.append(len(jobs) * 100)
+            break
+
+    def read(items):
+        result = next(items)
+        if ring:  # the array is valid until the next result is asked for
+            assert result[1].tolist() == [float(result[0])] * 3
+            return result[0]
+        return result
+
+    got = []
+    try:
+        with lanes.open_map(fn, planned, 3 if ring else 0) as (run, ran):
+            assert ran == planned
+            for job, (n, _) in enumerate(jobs):
+                items = run(job, n, last=job == len(jobs) - 1 and reads(job) == n)
+                for _ in range(reads(job)):
+                    got.append(read(items))
+                if reads(job) < n:
+                    got.append(read(run(len(jobs), 1)))
+                    break
+    except Exception as exc:
+        assert want is not None and (type(exc), str(exc)) == want
+    else:
+        assert want is None
+    assert got == seen
+    with pytest.raises(ChildProcessError):  # no child, live or unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_daemonic_process_forks_its_lanes(monkeypatch):
+    """A daemonic ``multiprocessing`` process may fork: a map there runs
+    on its lanes, returns in item order and leaves no child."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    ctx = multiprocessing.get_context("fork")
+    reader, writer = ctx.Pipe(duplex=False)
+
+    def body():
+        results, ran = lanes.fork_map(lambda k: (k, os.getpid()), 4, lanes.lane_count(4))
+        try:
+            left = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            left = None
+        writer.send((results, ran, left))
+
+    process = ctx.Process(target=body, daemon=True)
+    process.start()
+    assert reader.poll(30), "the daemonic process sent nothing"
+    results, ran, left = reader.recv()
+    process.join(30)
+    assert not process.is_alive() and process.exitcode == 0
+    assert ran == 2 and left is None
+    assert [k for k, _ in results] == [0, 1, 2, 3] and len({pid for _, pid in results}) == 2
 
 
 @pytest.mark.parametrize("count", [1, 2, 3])

@@ -354,7 +354,7 @@ def test_jvp_constant_for_quadratic_loss():
     d = net.NetParams([rng.normal(size=(3, 3))], [rng.normal(size=3)])
     shift = net.NetParams([rng.normal(size=(3, 3))], [rng.normal(size=3)])
     h1 = net.forward_param_jvp(params, d, batch)
-    h2 = net.forward_param_jvp(net.params_axpy(1.0, shift, params), d, batch)
+    h2 = net.forward_param_jvp(params.like(params.flat + shift.flat), d, batch)
     assert np.allclose(h1.weights[0], h2.weights[0], atol=1e-10)
     assert np.allclose(h1.biases[0], h2.biases[0], atol=1e-10)
 
@@ -367,8 +367,8 @@ def test_jvp_matches_finite_difference_of_gradients():
     d = params.like(rng.normal(size=params.flat.shape))
     hvp = net.forward_param_jvp(params, d, batch)
     eps = 1e-4
-    gp = gradient(net.params_axpy(eps, d, params), batch)
-    gm = gradient(net.params_axpy(-eps, d, params), batch)
+    gp = gradient(params.like(params.flat + eps * d.flat), batch)
+    gm = gradient(params.like(params.flat + -eps * d.flat), batch)
     fd = gp.like((gp.flat - gm.flat) / (2 * eps))
     num = float(np.linalg.norm(hvp.flat - fd.flat))
     assert num / norm(fd) < 1e-5
@@ -497,13 +497,15 @@ def test_ravel_order_is_weights_then_biases():
 
 @pytest.mark.parametrize("alpha", [1.0, -0.3, 2.0, 0.0])
 def test_params_axpy_bit_equal_to_flat_formula(alpha):
-    """``params_axpy`` has the bits of ``y.flat + alpha * x.flat``, into a
-    new tree or into ``out``; at alpha 1.0 it adds x without scaling it."""
+    """``params_axpy`` writes the bits of ``y.flat + alpha * x.flat`` into
+    ``out``, which may be y; at alpha 1.0 it adds x without scaling it."""
     spec = net.LayerSpec.fnn(3, (7, 5))
     x, y = random_params(spec, seed=67), random_params(spec, seed=68)
     x.flat[:3] = (-0.0, 1e-310, np.nan)
     want = (y.flat + alpha * x.flat).tobytes()
-    assert net.params_axpy(alpha, x, y).flat.tobytes() == want
+    out = net.zeros_like_params(y)
+    assert net.params_axpy(alpha, x, y, out) is out
+    assert out.flat.tobytes() == want
     into = y.copy()
     assert net.params_axpy(alpha, x, into, out=into) is into
     assert into.flat.tobytes() == want
@@ -513,7 +515,7 @@ def test_vector_ops_bit_equal_to_per_array_formulas():
     spec = net.LayerSpec.fnn(3, (7, 5))
     a, b = random_params(spec, seed=65), random_params(spec, seed=66)
     pairs = list(zip(a.weights + a.biases, b.weights + b.biases))
-    axpy = net.params_axpy(-0.3, a, b)
+    axpy = net.params_axpy(-0.3, a, b, net.zeros_like_params(b))
     assert all(np.array_equal(got, y + -0.3 * x)
                for got, (x, y) in zip(axpy.weights + axpy.biases, pairs))
     into = b.copy()

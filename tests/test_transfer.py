@@ -590,7 +590,7 @@ def test_meta_gradient_no_inner_steps_is_query_gradient_sum():
              for _ in range(3)]
     expected = net.zeros_like_params(omega)
     for _, que in tasks:
-        expected = net.params_axpy(1.0, gradient(omega, que), expected)
+        net.params_axpy(1.0, gradient(omega, que), expected, expected)
     for mode in ("exact", "first-order"):
         got = meta_gradient(omega, tasks, 0, 1e-3, mode)
         assert np.allclose(got.weights[0], expected.weights[0], atol=0)
@@ -673,8 +673,8 @@ def per_task_meta_oracle(omega, tasks, g_tr, beta, mode):
         total_loss += loss
         if mode == "exact":
             for iterate in reversed(iterates):
-                v = net.params_axpy(-beta, dense_hvp(iterate, v, sup), v)
-        total_grad = net.params_axpy(1.0, v, total_grad)
+                v = v.like(v.flat + -beta * dense_hvp(iterate, v, sup).flat)
+        total_grad = total_grad.like(total_grad.flat + v.flat)
     return total_loss, total_grad
 
 
@@ -966,20 +966,6 @@ def test_meta_step_of_one_block_starts_no_process(monkeypatch):
     assert len(transfer.meta_train(envs, cfg, RNG(0)).loss_history) == cfg.max_steps
     assert transfer.meta_lanes(replace(cfg, k_b=9, max_steps=0)) == 1
     transfer.meta_train(envs, replace(cfg, k_b=9, max_steps=0), RNG(0))
-
-
-def test_daemonic_process_runs_one_lane(monkeypatch):
-    """A daemonic process may start no children, so its meta steps run on
-    one lane and fork nothing."""
-    def no_fork():
-        raise AssertionError("a process was forked")
-
-    monkeypatch.setitem(multiprocessing.current_process()._config, "daemon", True)
-    monkeypatch.setattr(os, "fork", no_fork)
-    cfg = lane_cfg()
-    envs = [ch.sample_environment(i, cfg.gen, cfg.seed) for i in range(cfg.k_s)]
-    assert lanes.usable_cpus() == 1 and transfer.meta_lanes(cfg) == 1
-    assert len(transfer.meta_train(envs, cfg, RNG(0)).loss_history) == cfg.max_steps
 
 
 def test_error_in_a_forked_lane_reaches_the_caller(monkeypatch):
