@@ -742,28 +742,37 @@ def test_threads_option_is_gone():
     assert_usage_error(res, "No such option '--threads'")
 
 
-def test_environment_variables_set_no_option(tmp_path):
-    """Flags are the entry point's only input: ``gen`` and a ``rerun`` of
-    its manifest, both with ``CSIT_GEN_SEED`` set, record seed 0 and write
-    the bytes of ``gen`` run without it."""
+def _run_entry_point(*args, **extra_env):
+    """Run ``python -m csitransfer.cli`` with ``extra_env`` added to the
+    environment and expect exit 0."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "csitransfer.cli", *map(str, args)],
+                          env={**env, **extra_env}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_environment_variables_set_no_option(tmp_path):
+    """Flags are the entry point's only input: ``gen`` with ``CSIT_GEN_SEED``
+    set records seed 0 and writes the bytes of ``gen`` run without it."""
     outs = [str(tmp_path / f"{name}.bin") for name in ("plain", "env")]
-
-    def main(*args, **extra):
-        proc = subprocess.run([sys.executable, "-m", "csitransfer.cli", *args],
-                              env={**env, **extra}, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-
     for out, extra in zip(outs, ({}, {"CSIT_GEN_SEED": "123"})):
-        main("gen", "--pairs", "3", *map(str, TINY_GEN), "--out", out, **extra)
-    plain = open(outs[0], "rb").read()
-    assert open(outs[1], "rb").read() == plain
+        _run_entry_point("gen", "--pairs", 3, *TINY_GEN, "--out", out, **extra)
+    assert open(outs[1], "rb").read() == open(outs[0], "rb").read()
     assert json.load(open(outs[1] + ".manifest.json"))["config"]["seed"] == 0
-    os.unlink(outs[1])
-    main("rerun", outs[1] + ".manifest.json", CSIT_GEN_SEED="123")
-    assert open(outs[1], "rb").read() == plain
-    assert json.load(open(outs[1] + ".manifest.json"))["config"]["seed"] == 0
+
+
+def test_rerun_ignores_environment_overrides(tmp_path):
+    """A ``rerun`` through the entry point with ``CSIT_GEN_*`` variables set
+    reproduces the manifest's run: its seed and bytes."""
+    out = str(tmp_path / "d.bin")
+    _run_entry_point("gen", "--envs", 1, "--pairs", 4, "--seed", 3, *TINY_GEN, "--out", out)
+    original = open(out, "rb").read()
+    os.unlink(out)
+    _run_entry_point("rerun", out + ".manifest.json",
+                     CSIT_GEN_SEED="123", CSIT_GEN_PAIRS="9")
+    assert open(out, "rb").read() == original
+    assert json.load(open(out + ".manifest.json"))["config"]["seed"] == 3
 
 
 def test_choice_lists_equal_the_lists_they_copy():
