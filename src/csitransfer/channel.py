@@ -32,16 +32,18 @@ wherever a ``net.Batch`` goes, testing scores against its own clean labels,
 and it keeps a pair's uplink frequency only, as the duplex offset fixes the
 downlink's. :class:`SamplePair` survives as a row view.
 
-Noisy data collection is modelled as an additive complex Gaussian
-observation (pilot processing gain folded into the noise variance) followed
-by an optional LMMSE estimate against the environment's channel covariance,
-which the collected :class:`ComboSet` builds once, for one array and one
-duplex offset, and owns. A set's noise is drawn as one block that consumes
-its generator in the same order as drawing it pair by pair, uplink before
-downlink. The LMMSE estimates (per pair, one pass for both links'
-covariances, then a solve per link) dominate an LMMSE collection, so
-:func:`collect_sets` runs them on forked lanes (:mod:`csitransfer.lanes`),
-a pair per item, once the covariances are built and the noise is drawn.
+A :class:`ComboSet` carries the :class:`GeneratorConfig` it was drawn
+under, so collecting it takes only the noise. Noisy data collection is
+modelled as an additive complex Gaussian observation (pilot processing gain
+folded into the noise variance) followed by an optional LMMSE estimate
+against the environment's channel covariance, which the set builds once,
+for its config's array and duplex offset, and owns. A set's noise is drawn
+as one block that consumes its generator in the same order as drawing it
+pair by pair, uplink before downlink. The LMMSE estimates (per pair, one
+pass for both links' covariances, then a solve per link) dominate an LMMSE
+collection, so :func:`collect_sets` runs them on forked lanes
+(:mod:`csitransfer.lanes`), a pair per item, once the covariances are built
+and the noise is drawn.
 """
 
 from __future__ import annotations
@@ -284,7 +286,7 @@ def sample_environment(env_id: int, gcfg: GeneratorConfig, master_seed: int) -> 
 
 
 def _draw_users(env: Environment, rng: np.random.Generator, u: int,
-                delay_max: float = DEFAULT_DELAY_MAX) -> UserRays:
+                delay_max: float) -> UserRays:
     """Draw ``u`` users' rays inside the environment's angle spread, stacked
     as ``(u, P)`` arrays.
 
@@ -467,8 +469,9 @@ _POOL_BLOCK = 50
 
 
 class EnvCovariance:
-    """Regularised sample covariances of clean channels for one environment,
-    one array ``cfg`` and one duplex offset ``delta_f``.
+    """Regularised sample covariances of clean channels for one environment
+    under ``gen``: its array (kept as ``cfg``), its duplex offset (kept as
+    ``delta_f``) and its delay bound.
 
     Built once per environment from a fixed pool of users drawn from the
     environment's own seed, so the LMMSE prior does not depend on which
@@ -483,14 +486,13 @@ class EnvCovariance:
     downlink's ray gains and phases the uplink's times those factors.
     """
 
-    def __init__(self, env: Environment, cfg: ArrayConfig, delta_f: float,
-                 delay_max: float = DEFAULT_DELAY_MAX):
+    def __init__(self, env: Environment, gen: GeneratorConfig):
         self._rays = _draw_users(env, stream(env.seed, STREAM_COVARIANCE), _POOL_USERS,
-                                 delay_max)
+                                 gen.delay_max)
         self._sin_doas = np.sin(self._rays.doas)
-        self.cfg, self.delta_f = cfg, delta_f
+        self.cfg, self.delta_f = gen.array, gen.delta_f
         self._duplex = np.zeros((2,) + self._sin_doas.shape, complex)  # (2, users, P)
-        turn = -2.0 * math.pi * delta_f  # the phases into the imaginary parts, then exp in place
+        turn = -2.0 * math.pi * gen.delta_f  # the phases into the imaginary parts, then exp in place
         np.multiply(self._rays.delays, turn, out=self._duplex[0].imag)
         np.multiply(self._sin_doas, turn * ANTENNA_SPACING / SPEED_OF_LIGHT,
                     out=self._duplex[1].imag)
@@ -533,49 +535,44 @@ def make_sample_pair(user: UserRays, f_up: float, delta_f: float, cfg: ArrayConf
     if noise.mode == NOISE_LMMSE and (cov is None or (cov.cfg, cov.delta_f) != (cfg, delta_f)):
         raise ValueError("LMMSE noise mode requires the covariance of this array and delta_f")
     rays = UserRays(*(getattr(user, a)[None] for a in _RAY_FIELDS))
+    gen = GeneratorConfig(array=cfg, f_min=f_up, f_max=f_up, delta_f=delta_f)
     # No environment: the covariance, the only thing drawn from it, is given.
-    combo_set = ComboSet(env=None, users=rays, by_role={ROLE_TEST: [(0, f_up)]}, cov=cov)
-    arrays = collect_sets([combo_set], [ROLE_TEST], delta_f, cfg, noise, [rng])
-    x, y, y_clean, up, _ = (a[0] for a in arrays)
+    combo_set = ComboSet(None, gen, rays, {ROLE_TEST: [(0, f_up)]}, cov)
+    x, y, y_clean, up, _ = (a[0] for a in collect_sets([combo_set], [ROLE_TEST], noise, [rng]))
     return SamplePair(x, y, float(up), y_clean, user_index)
 
 
 @dataclass
 class ComboSet:
-    """A user pool, per-role (user, uplink frequency) assignments, and the
-    environment's LMMSE prior.
+    """A user pool, per-role (user, uplink frequency) assignments, the
+    generator config ``gen`` they were drawn under, and the environment's
+    LMMSE prior.
 
     Drawing combinations is separated from collecting the samples so that
     the same combinations can be re-collected under different noise
     specifications (the SNR sweep does exactly that), keeping role
-    disjointness intact. ``cov`` is built by :meth:`covariance` on the
-    first LMMSE collection, for that collection's array and duplex offset
-    and with the users' ``delay_max``, and reused.
+    disjointness intact. Every collection of the set is at ``gen``'s array
+    and duplex offset, so ``cov``, built by :meth:`covariance` on the first
+    LMMSE collection, serves them all.
     """
 
     env: Environment
+    gen: GeneratorConfig
     users: UserRays  # (u, P) ray arrays, row ``uid`` for user ``uid``
     by_role: dict[str, list[tuple[int, float]]]
-    delay_max: float = DEFAULT_DELAY_MAX
     cov: EnvCovariance | None = None
 
-    def covariance(self, cfg: ArrayConfig, delta_f: float) -> EnvCovariance:
-        """The environment's covariance for array ``cfg`` and duplex offset
-        ``delta_f``, built on first use. One combination set serves one
-        array and one offset: asking for another is an error."""
+    def covariance(self) -> EnvCovariance:
+        """The environment's covariance under ``gen``, built on first use."""
         if self.cov is None:
-            self.cov = EnvCovariance(self.env, cfg, delta_f, self.delay_max)
-        elif (self.cov.cfg, self.cov.delta_f) != (cfg, delta_f):
-            raise ValueError(f"environment {self.env.id}: combinations collected under "
-                             f"{self.cov.cfg} at delta_f={self.cov.delta_f}, not {cfg} "
-                             f"at delta_f={delta_f}")
+            self.cov = EnvCovariance(self.env, self.gen)
         return self.cov
 
 
 def draw_combos(env: Environment, role_counts: Sequence[tuple[str, int]], u: int,
-                f_range: tuple[float, float], rng: np.random.Generator,
-                delay_max: float = DEFAULT_DELAY_MAX) -> ComboSet:
-    """Draw ``u`` users once, then disjoint per-role combination lists.
+                gen: GeneratorConfig, rng: np.random.Generator) -> ComboSet:
+    """Draw ``u`` users once, then disjoint per-role combination lists,
+    into a set that carries ``gen``, whose delay bound and band they use.
 
     A combination whose key is already taken by another role is redrawn;
     repeats within one role are allowed (they only occur for degenerate
@@ -594,12 +591,8 @@ def draw_combos(env: Environment, role_counts: Sequence[tuple[str, int]], u: int
         seen_roles.add(role)
         if n < 1:
             raise ValueError(f"pair count for role {role!r} must be >= 1, got {n}")
-    f_lo, f_hi = float(f_range[0]), float(f_range[1])
-    if not (0 < f_lo <= f_hi):
-        raise ValueError(f"invalid frequency range [{f_lo}, {f_hi}]")
-    f_span = f_hi - f_lo
-
-    users = _draw_users(env, rng, u, delay_max)
+    f_lo, f_span = gen.f_min, gen.f_max - gen.f_min
+    users = _draw_users(env, rng, u, gen.delay_max)
     total = sum(n for _, n in role_counts)
     max_attempts = 1000 * total
     attempts = 0
@@ -623,22 +616,23 @@ def draw_combos(env: Environment, role_counts: Sequence[tuple[str, int]], u: int
             combos.append(key)
         taken |= own
         by_role[role] = combos
-    return ComboSet(env=env, users=users, by_role=by_role, delay_max=delay_max)
+    return ComboSet(env, gen, users, by_role)
 
 
-def collect_sets(combo_sets: Sequence[ComboSet], roles: Sequence[str], delta_f: float,
-                 cfg: ArrayConfig, noise: NoiseSpec, rngs: Sequence[np.random.Generator],
+def collect_sets(combo_sets: Sequence[ComboSet], roles: Sequence[str], noise: NoiseSpec,
+                 rngs: Sequence[np.random.Generator],
                  limit: int | None = None) -> tuple[np.ndarray, ...]:
-    """Collect the same roles of several drawn combination sets at once.
+    """Collect the same roles of several combination sets drawn under one
+    generator config (others are refused) at once, under ``noise``.
 
     Each set gives the first ``limit`` combinations of each role (all when
     None), as many as every other set; a pair is user ``uid`` at ``f_up``
-    and ``f_up + delta_f``. All links go through one batched ray sum. Set s
-    draws its noise from ``rngs[s]`` as one AWGN block (pairs, 2 links, 2
-    parts, M), roles in the order given, as pair-by-pair collection would,
-    into a shared array; LMMSE below +inf SNR overwrites each link there
-    with its estimate against the set's :meth:`ComboSet.covariance` for
-    ``cfg`` and ``delta_f``, a pair per item of :func:`lanes.fork_map`
+    and ``f_up + delta_f``, on the config's array. All links go through one
+    batched ray sum. Set s draws its noise from ``rngs[s]`` as one AWGN
+    block (pairs, 2 links, 2 parts, M), roles in the order given, as
+    pair-by-pair collection would, into a shared array; LMMSE below +inf SNR
+    overwrites each link there with its estimate against the set's
+    :meth:`ComboSet.covariance`, a pair per item of :func:`lanes.fork_map`
     (:func:`collection_lanes`), whose two covariances
     :meth:`EnvCovariance.at` builds in one pass.
 
@@ -647,14 +641,15 @@ def collect_sets(combo_sets: Sequence[ComboSet], roles: Sequence[str], delta_f: 
     set by set and within a set role by role. Under clean noise ``y_clean``
     is ``ys`` itself.
     """
+    gen = combo_sets[0].gen
+    if any(cs.gen is not gen and cs.gen != gen for cs in combo_sets):
+        raise ValueError("combination sets drawn under different generator configs")
+    delta_f, cfg = gen.delta_f, gen.array
     keys = np.concatenate([np.array([cs.by_role[role][:limit] for cs in combo_sets],
                                     dtype=float).reshape(len(combo_sets), -1, 2)
                            for role in roles], axis=1)  # (S, n, [uid, f_up])
     uids = keys[..., 0].astype(np.int64)
     f = np.stack([keys[..., 1], keys[..., 1] + delta_f], axis=-1)  # (S, n, 2 links)
-    bad = ~((f > 0) & np.isfinite(f)).all(axis=-1)
-    if bad.any():
-        raise ValueError("frequencies must be positive, got f_up={}, f_down={}".format(*f[bad][0]))
     # Row 2i + link of set s holds the rays of its pair i's user.
     rows = np.repeat(uids, 2, axis=1)
     links = UserRays(*(np.concatenate([getattr(cs.users, a)[r] for cs, r in zip(combo_sets, rows)])
@@ -670,7 +665,7 @@ def collect_sets(combo_sets: Sequence[ComboSet], roles: Sequence[str], delta_f: 
             est_s[...] = add_awgn(h_s, noise.snr_db, noise.pilot_len, rng)
     if noise.mode == NOISE_LMMSE and noise.snr_db < math.inf:  # else estimates are observations
         sigma2 = noise_variance(h, noise.snr_db, noise.pilot_len)
-        covs = [cs.covariance(cfg, delta_f) for cs in combo_sets]  # whole before the fork
+        covs = [cs.covariance() for cs in combo_sets]  # whole before the fork
         pairs = list(np.ndindex(f.shape[:2]))
 
         def estimate(k):
@@ -691,10 +686,10 @@ def collection_lanes(links: int, items: int, noise: NoiseSpec) -> int:
     return lanes.lane_count(items, ray_sums >= _LANE_MIN_RAY_SUMS)
 
 
-def collect(combo_set: ComboSet, role: str, delta_f: float, cfg: ArrayConfig,
-            noise: NoiseSpec, rng: np.random.Generator,
+def collect(combo_set: ComboSet, role: str, noise: NoiseSpec, rng: np.random.Generator,
             limit: int | None = None) -> TaskDataset:
-    """Collect the sample pairs for one role of a drawn combination set.
+    """Collect the sample pairs for one role of a drawn combination set
+    under ``noise``, at the array and duplex offset of the set's config.
 
     LMMSE collection estimates against the combination set's own covariance
     (:meth:`ComboSet.covariance`). ``limit`` truncates to the first
@@ -702,7 +697,7 @@ def collect(combo_set: ComboSet, role: str, delta_f: float, cfg: ArrayConfig,
     sample-count sweeps paired). The one-set case of :func:`collect_sets`.
     """
     return TaskDataset(combo_set.env.id, role,
-                       *collect_sets([combo_set], [role], delta_f, cfg, noise, [rng], limit))
+                       *collect_sets([combo_set], [role], noise, [rng], limit))
 
 
 def generate_task_datasets(env: Environment, role_counts: Sequence[tuple[str, int]],
@@ -710,15 +705,17 @@ def generate_task_datasets(env: Environment, role_counts: Sequence[tuple[str, in
                            cfg: ArrayConfig, noise: NoiseSpec,
                            rng: np.random.Generator,
                            delay_max: float = DEFAULT_DELAY_MAX) -> list[TaskDataset]:
-    """Generate datasets for several roles of one environment at once.
+    """Generate datasets for several roles of one environment at once, under
+    the generator config that these arguments make.
 
     Roles drawn together are disjoint in their (user, uplink frequency)
     keys (see :func:`draw_combos`) and collected in one :func:`collect_sets`
     call, with one covariance and the bits of collecting them one by one.
     """
-    combo_set = draw_combos(env, role_counts, u, f_range, rng, delay_max)
-    arrays = collect_sets([combo_set], [role for role, _ in role_counts], delta_f, cfg, noise,
-                          [rng])
+    gen = GeneratorConfig(array=cfg, delay_max=delay_max, f_min=f_range[0], f_max=f_range[1],
+                          delta_f=delta_f)
+    combo_set = draw_combos(env, role_counts, u, gen, rng)
+    arrays = collect_sets([combo_set], [role for role, _ in role_counts], noise, [rng])
     out, lo = [], 0
     for role, n in role_counts:
         xs, ys, y_clean, *rest = (a[lo:lo + n] for a in arrays)

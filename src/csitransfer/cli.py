@@ -125,8 +125,6 @@ def _parse_grid(text: str, variable: str) -> list:
         values = [float(t) for t in text.split(",") if t.strip()]
     except ValueError:
         raise click.UsageError(f"--grid expects comma-separated numbers, got {text!r}")
-    if variable == "none":
-        return [None]
     if not values:
         raise click.UsageError("--grid must contain at least one value")
     if variable in ("g-ad", "n-ad", "m"):
@@ -179,21 +177,20 @@ def _train_config(opts: dict):
 
 def _impl_gen(opts: dict) -> tuple[list[str], dict]:
     from . import lanes, store
-    from .channel import collection_lanes, generate_task_datasets, sample_environment
+    from .channel import collect, collection_lanes, draw_combos, sample_environment
     from .seeding import STREAM_CLI_GEN, stream
 
     gcfg = _generator_config(opts)
     role, envs, pairs, first = opts["role"], opts["envs"], opts["pairs"], opts["first_env_id"]
     count = collection_lanes(envs * pairs * 2, envs, gcfg.noise)
 
-    def collect(k):  # environment first + k
+    def generate(k):  # environment first + k
         env = sample_environment(first + k, gcfg, opts["seed"])
-        return generate_task_datasets(
-            env, [(role, pairs)], gcfg.users, (gcfg.f_min, gcfg.f_max), gcfg.delta_f,
-            gcfg.array, gcfg.noise, stream(env.seed, STREAM_CLI_GEN, ROLE_CHOICES.index(role)),
-            gcfg.delay_max)[0]
+        rng = stream(env.seed, STREAM_CLI_GEN, ROLE_CHOICES.index(role))
+        combos = draw_combos(env, [(role, pairs)], gcfg.users, gcfg, rng)
+        return collect(combos, role, gcfg.noise, rng)
 
-    datasets, _ = lanes.fork_map(collect, envs, count)
+    datasets, _ = lanes.fork_map(generate, envs, count)
     store.write_dataset(opts["out"], datasets, gcfg.noise, gcfg.delta_f)
     return [opts["out"], opts["out"] + ".meta.json"], {}
 
@@ -252,8 +249,10 @@ def _load_adaption_set(opts: dict):
     from . import store
 
     blob = store.read_dataset(opts["data"])
-    candidates = [d for d in blob.datasets if d.role == "adaption"] or blob.datasets
-    return blob, candidates[0]
+    found = [d for d in blob.datasets if d.role == "adaption"]
+    if len(found) != 1:
+        raise click.ClickException(f"{opts['data']} holds {len(found)} adaption datasets, not 1")
+    return blob, found[0]
 
 
 def _check_m(model, file_m: int):
@@ -318,9 +317,9 @@ def _impl_sweep(opts: dict) -> tuple[list[str], dict]:
     from .evaluate import run_three_way
 
     cfg = _train_config(opts)
-    variable = opts["variable"].replace("-", "_")
-    grid = _parse_grid(opts["grid"], opts["variable"])
-    sweep = None if variable == "none" else (variable, grid)
+    variable = opts["variable"]
+    sweep = None if variable == "none" else (variable.replace("-", "_"),
+                                             _parse_grid(opts["grid"], variable))
     report = run_three_way(cfg, sweep)
     _write_results(opts["out"], [(point.value, r) for point in report.points
                                  for r in point.results.values()], opts["seed"])
@@ -596,8 +595,9 @@ def eval_cmd(**opts):
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def sweep(**opts):
     """Three-way comparison at desk scale, optionally sweeping one variable."""
-    if opts["variable"] != "none" and not opts["grid"]:
-        raise click.UsageError("--grid is required unless --variable none")
+    if (opts["variable"] == "none") == bool(opts["grid"]):
+        raise click.UsageError("--grid is required with a --variable other than none, "
+                               "and refused with none")
     _execute("sweep", opts)
 
 

@@ -170,18 +170,15 @@ def _target_data(env: Environment, cfg: TrainConfig,
                  n_ad_max: int) -> tuple[ComboSet, TaskDataset]:
     """Draw one target's users and disjoint adaption/test combinations, and
     collect the test set under the run's collection noise."""
-    gen = cfg.gen
-    combos = draw_combos(env, [(ROLE_ADAPTION, n_ad_max), (ROLE_TEST, cfg.n_te)],
-                         cfg.u, (gen.f_min, gen.f_max),
-                         stream(env.seed, STREAM_TARGET_DATA, 0), gen.delay_max)
-    test_set = collect(combos, ROLE_TEST, gen.delta_f, gen.array, gen.noise,
-                       stream(env.seed, STREAM_TARGET_DATA, 1))
+    combos = draw_combos(env, [(ROLE_ADAPTION, n_ad_max), (ROLE_TEST, cfg.n_te)], cfg.u,
+                         cfg.gen, stream(env.seed, STREAM_TARGET_DATA, 0))
+    test_set = collect(combos, ROLE_TEST, cfg.gen.noise, stream(env.seed, STREAM_TARGET_DATA, 1))
     return combos, test_set
 
 
-def _collect_adaption(combos: ComboSet, cfg: TrainConfig, noise: NoiseSpec,
-                      stream_tag: int, limit: int | None = None) -> TaskDataset:
-    return collect(combos, ROLE_ADAPTION, cfg.gen.delta_f, cfg.gen.array, noise,
+def _collect_adaption(combos: ComboSet, noise: NoiseSpec, stream_tag: int,
+                      limit: int | None = None) -> TaskDataset:
+    return collect(combos, ROLE_ADAPTION, noise,
                    stream(combos.env.seed, STREAM_TARGET_DATA, 2 + stream_tag), limit=limit)
 
 
@@ -258,7 +255,7 @@ def _run_target(env: Environment, cfg: TrainConfig, nt: TrainedModel, mt: Traine
     adaption_s = 0.0
     # (direct, meta) adapted networks, one pair per grid value.
     if variable == "g_ad":
-        d_ad = _collect_adaption(combos, cfg, cfg.gen.noise, 0)
+        d_ad = _collect_adaption(combos, cfg.gen.noise, 0)
         marks = [int(v) for v in grid]
         t0 = time.perf_counter()
         snaps_dt = transfer.adapt_snapshots(nt, d_ad, cfg, transfer.RULE_ADAM, marks)
@@ -270,10 +267,10 @@ def _run_target(env: Environment, cfg: TrainConfig, nt: TrainedModel, mt: Traine
         for i, v in enumerate(grid):
             if variable == "snr_db":
                 noise = replace(cfg.gen.noise, snr_db=float(v), mode=NOISE_LMMSE)
-                d_ad = _collect_adaption(combos, cfg, noise, i)
+                d_ad = _collect_adaption(combos, noise, i)
             else:
                 limit = int(v) if variable == "n_ad" else None
-                d_ad = _collect_adaption(combos, cfg, cfg.gen.noise, 0, limit=limit)
+                d_ad = _collect_adaption(combos, cfg.gen.noise, 0, limit=limit)
             t0 = time.perf_counter()
             adapted.append((transfer.direct_adapt(nt, d_ad, cfg),
                             transfer.meta_adapt(mt, d_ad, cfg)))

@@ -119,8 +119,9 @@ def open_map(fn, lanes: int, slot_size: int = 0):
     slot, valid until the next result is asked for.
     A forked lane ignores SIGINT and holds no other lane's pipe ends; its
     error, raised by ``fn`` or on the way to the caller, is raised at its
-    next item. An error ends the map: leaving the block joins every lane,
-    which an error stops first."""
+    next item, and a lane lost on the way (killed, say) is a ``RuntimeError``
+    at the item it owed. An error ends the map: leaving the block joins every
+    lane, which an error stops first."""
     global _busy, peak_lanes
     busy, _busy = _busy, _busy or lanes > 1
     rings = shared_empty((lanes - 1, 2, slot_size)) if slot_size and lanes > 1 else None
@@ -182,14 +183,16 @@ def open_map(fn, lanes: int, slot_size: int = 0):
                     value = _receive(up, f"item {k + lane}")
                     yield value if rings is None else (value, rings[lane - 1][k // lanes % 2])
                     if rings is not None and k + lane + 2 * lanes < n:
-                        _send(down, None)  # the slot is free again
+                        with contextlib.suppress(BrokenPipeError):  # a lost lane fails at its item
+                            _send(down, None)  # the slot is free again
 
         yield run, lanes
         failed = False
     finally:
         _busy = busy
         for f in (f for pair in ends for f in pair):
-            f.close()
+            with contextlib.suppress(BrokenPipeError):  # a lost lane's unsent message
+                f.close()
         for pid in pids:
             if failed:
                 os.kill(pid, signal.SIGTERM)

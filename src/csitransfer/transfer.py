@@ -442,10 +442,9 @@ def _regenerate(tasks, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
     task its support rows, then its query rows."""
     roles = [(ROLE_TRAIN_SUPPORT, cfg.n_support), (ROLE_TRAIN_QUERY, cfg.n_query)]
     rngs = [stream(env.seed, STREAM_TASK_DATA, visit) for env, visit in tasks]
-    sets = [channel.draw_combos(env, roles, cfg.u, (cfg.gen.f_min, cfg.gen.f_max), rng,
-                                cfg.gen.delay_max) for (env, _), rng in zip(tasks, rngs)]
-    xs, ys = channel.collect_sets(sets, [role for role, _ in roles], cfg.gen.delta_f,
-                                  cfg.gen.array, cfg.gen.noise, rngs)[:2]
+    sets = [channel.draw_combos(env, roles, cfg.u, cfg.gen, rng)
+            for (env, _), rng in zip(tasks, rngs)]
+    xs, ys = channel.collect_sets(sets, [role for role, _ in roles], cfg.gen.noise, rngs)[:2]
     return xs.reshape(len(sets), cfg.n_tr, -1), ys.reshape(len(sets), cfg.n_tr, -1)
 
 

@@ -48,10 +48,9 @@ def test_tracer_wraps_and_restores_every_hook():
             np.random.default_rng(2), gen.delay_max)
         # generate_task_datasets collects its roles in one collect_sets call,
         # so collect, a hook of its own, is called here.
-        combos = channel.draw_combos(env, [(channel.ROLE_TEST, 2)], gen.users,
-                                     (gen.f_min, gen.f_max), np.random.default_rng(3))
-        channel.collect(combos, channel.ROLE_TEST, gen.delta_f, gen.array, gen.noise,
-                        np.random.default_rng(4))
+        combos = channel.draw_combos(env, [(channel.ROLE_TEST, 2)], gen.users, gen,
+                                     np.random.default_rng(3))
+        channel.collect(combos, channel.ROLE_TEST, gen.noise, np.random.default_rng(4))
 
     assert all(getattr(owner, attr) is fn for owner, attr, fn in originals)
 

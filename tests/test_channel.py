@@ -350,8 +350,9 @@ def test_lmmse_rejects_non_hermitian():
 def test_lmmse_beats_raw_observation():
     """Estimator optimality: LMMSE MSE below raw-observation MSE on matched draws."""
     cfg = ch.ArrayConfig(m=8)
-    env = ch.sample_environment(3, ch.GeneratorConfig(array=cfg), 5)
-    cov = ch.EnvCovariance(env, cfg, 120e6)
+    gen = ch.GeneratorConfig(array=cfg, delta_f=120e6)
+    env = ch.sample_environment(3, gen, 5)
+    cov = ch.EnvCovariance(env, gen)
     rng = RNG(16)
     mse_raw, mse_lmmse = [], []
     for _ in range(1000):
@@ -369,7 +370,8 @@ def test_lmmse_beats_raw_observation():
 
 @pytest.mark.parametrize("f", [0.0, -1e9, float("nan")])
 def test_covariance_rejects_bad_carrier(f):
-    cov = ch.EnvCovariance(make_env(), ch.ArrayConfig(m=4), 120e6)
+    cov = ch.EnvCovariance(make_env(), ch.GeneratorConfig(array=ch.ArrayConfig(m=4),
+                                                          delta_f=120e6))
     with pytest.raises(ValueError, match="carrier"):
         cov.at(f)
 
@@ -398,7 +400,8 @@ def test_pair_covariances_match_single_carrier_ones(m):
     relative."""
     cfg = ch.ArrayConfig(m=m)
     env = ch.sample_environment(4, ch.GeneratorConfig(array=cfg), 9)
-    cov, other = ch.EnvCovariance(env, cfg, 120e6), ch.EnvCovariance(env, cfg, -35e6)
+    cov, other = (ch.EnvCovariance(env, ch.GeneratorConfig(array=cfg, delta_f=delta_f))
+                  for delta_f in (120e6, -35e6))
     for f in (1.0e9, 1.83e9, 2.97e9):
         up, down = cov.at(f)
         assert np.array_equal(up, _eye_covariance(cov, f))
@@ -410,9 +413,8 @@ def test_covariance_does_not_change_after_it_is_built():
     """Evaluating a covariance at two carriers leaves every attribute with
     the bytes that construction gave it, so a lane forked at any time
     inherits the same state."""
-    cfg = ch.ArrayConfig(m=8)
-    cov = ch.EnvCovariance(ch.sample_environment(2, ch.GeneratorConfig(array=cfg), 3), cfg,
-                           delta_f=120e6)
+    gen = ch.GeneratorConfig(array=ch.ArrayConfig(m=8), delta_f=120e6)
+    cov = ch.EnvCovariance(ch.sample_environment(2, gen, 3), gen)
     built = pickle.dumps(vars(cov))
     first = cov.at(1.4e9)
     assert not np.array_equal(cov.at(2.6e9), first)
@@ -423,9 +425,8 @@ def test_diagonal_loads_equal_the_eye_forms():
     """The ridge of :meth:`EnvCovariance.at` and the sigma^2 load of
     :func:`lmmse_estimate` go onto the diagonal in place, with the bits of
     adding ``c * np.eye(m)``."""
-    cfg = ch.ArrayConfig(m=16)
-    cov = ch.EnvCovariance(ch.sample_environment(2, ch.GeneratorConfig(array=cfg), 3), cfg,
-                           120e6)
+    gen = ch.GeneratorConfig(array=ch.ArrayConfig(m=16), delta_f=120e6)
+    cov = ch.EnvCovariance(ch.sample_environment(2, gen, 3), gen)
     for f in (1.2e9, 2.5e9):
         assert np.array_equal(cov.at(f)[0], _eye_covariance(cov, f))
     rng = RNG(19)
@@ -492,7 +493,8 @@ def test_sample_pair_zero_offset_clean_x_equals_y():
 def test_sample_pair_lmmse_needs_the_covariance_of_its_array():
     user = sample_user(make_env(), RNG(22))
     lmmse = ch.NoiseSpec(mode="lmmse")
-    cov = ch.EnvCovariance(make_env(), ch.ArrayConfig(m=8), 120e6)
+    cov = ch.EnvCovariance(make_env(), ch.GeneratorConfig(array=ch.ArrayConfig(m=8),
+                                                          delta_f=120e6))
     for given, m, delta_f in ((None, 8, 120e6), (cov, 4, 120e6), (cov, 8, 60e6)):
         with pytest.raises(ValueError, match="covariance of this array and delta_f"):
             ch.make_sample_pair(user, 2e9, delta_f, ch.ArrayConfig(m=m), lmmse, RNG(23), given)
@@ -503,8 +505,9 @@ def test_sample_pair_lmmse_needs_the_covariance_of_its_array():
 def test_sample_pair_lmmse_beats_awgn():
     """Per-sample estimate error under LMMSE stays below the raw noisy one."""
     cfg = ch.ArrayConfig(m=8)
-    env = ch.sample_environment(4, ch.GeneratorConfig(array=cfg), 6)
-    cov = ch.EnvCovariance(env, cfg, 120e6)
+    gen = ch.GeneratorConfig(array=cfg, delta_f=120e6)
+    env = ch.sample_environment(4, gen, 6)
+    cov = ch.EnvCovariance(env, gen)
     rng = RNG(21)
     err_awgn, err_lmmse = [], []
     spec_awgn = ch.NoiseSpec(snr_db=20.0, pilot_len=64, mode="awgn")
@@ -576,24 +579,36 @@ def test_stock_configuration_sizes():
 
 def test_combo_set_owns_one_covariance_per_array():
     """The first LMMSE collection builds the combination set's covariance,
-    later collections reuse it, and collecting under another array or
-    another duplex offset is an error that names both."""
+    for the array and duplex offset of the config the set was drawn under,
+    and later collections reuse it."""
     gcfg = _default_gen(m=4, users=4)
     env = ch.sample_environment(3, gcfg, 5)
-    combos = ch.draw_combos(env, [("adaption", 3), ("test", 3)], gcfg.users,
-                            (gcfg.f_min, gcfg.f_max), RNG(30), gcfg.delay_max)
+    combos = ch.draw_combos(env, [("adaption", 3), ("test", 3)], gcfg.users, gcfg, RNG(30))
     lmmse = ch.NoiseSpec(mode="lmmse")
     assert combos.cov is None
-    ch.collect(combos, "test", gcfg.delta_f, gcfg.array, lmmse, RNG(31))
+    ch.collect(combos, "test", lmmse, RNG(31))
     cov = combos.cov
     assert cov is not None and (cov.cfg, cov.delta_f) == (gcfg.array, gcfg.delta_f)
-    ch.collect(combos, "adaption", gcfg.delta_f, gcfg.array, lmmse, RNG(32))
+    ch.collect(combos, "adaption", lmmse, RNG(32))
     assert combos.cov is cov
-    with pytest.raises(ValueError, match="collected under"):
-        ch.collect(combos, "adaption", gcfg.delta_f, ch.ArrayConfig(m=8), lmmse, RNG(33))
-    with pytest.raises(ValueError, match=r"at delta_f=120000000\.0, not .* at delta_f=60000000"):
-        ch.collect(combos, "adaption", 60e6, gcfg.array, lmmse, RNG(33))
-    assert combos.cov is cov
+
+
+def test_collect_sets_refuses_sets_drawn_under_different_configs():
+    """Sets drawn under one config, the same object or an equal one, are
+    collected together; a set drawn at another duplex offset is refused in
+    one line before anything is collected."""
+    gen = _default_gen(m=4, users=4)
+    env = ch.sample_environment(3, gen, 5)
+    roles = [("test", 2)]
+    sets = [ch.draw_combos(env, roles, gen.users, g, RNG(30))
+            for g in (gen, gen, replace(gen), replace(gen, delta_f=60e6))]
+    xs = ch.collect_sets(sets[:3], ["test"], gen.noise, [RNG(31)] * 3)[0]
+    assert xs.shape == (6, 8)
+    rng = RNG(32)
+    with pytest.raises(ValueError, match="^combination sets drawn under different "
+                                         "generator configs$"):
+        ch.collect_sets(sets[2:], ["test"], gen.noise, [rng] * 2)
+    assert rng.bit_generator.state == RNG(32).bit_generator.state
 
 
 def test_generation_bit_identical():
@@ -624,8 +639,8 @@ def test_generation_in_one_call_matches_per_role_collection(mode):
     got = ch.generate_task_datasets(env, roles, gcfg.users, (gcfg.f_min, gcfg.f_max),
                                     gcfg.delta_f, gcfg.array, noise, RNG(8))
     rng = RNG(8)
-    combos = ch.draw_combos(env, roles, gcfg.users, (gcfg.f_min, gcfg.f_max), rng)
-    want = [ch.collect(combos, role, gcfg.delta_f, gcfg.array, noise, rng) for role, _ in roles]
+    combos = ch.draw_combos(env, roles, gcfg.users, gcfg, rng)
+    want = [ch.collect(combos, role, noise, rng) for role, _ in roles]
     assert [(d.env_id, d.role, len(d)) for d in got] == [(d.env_id, d.role, len(d)) for d in want]
     for g, w in zip(got, want):
         for column in ("xs", "ys", "y_clean", "f_up", "user_index"):
@@ -801,14 +816,14 @@ def test_generation_matches_per_pair_oracle(m, mode, rtol, monkeypatch):
     users, pool, expected = _oracle_generate(*args, oracle_rng)
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
-    combos = ch.draw_combos(env, role_counts, gcfg.users, f_range, RNG(41))
+    combos = ch.draw_combos(env, role_counts, gcfg.users, gcfg, RNG(41))
     _assert_rays_equal(combos.users, users)
     if mode == "lmmse":
         oracle_pool_rng = stream(env.seed, STREAM_COVARIANCE)
         _oracle_users(env, oracle_pool_rng, 200)
         assert [g.bit_generator.state for g in pool_streams] == \
             [oracle_pool_rng.bit_generator.state]
-    _assert_rays_equal(ch.EnvCovariance(env, gcfg.array, gcfg.delta_f)._rays, pool)
+    _assert_rays_equal(ch.EnvCovariance(env, gcfg)._rays, pool)
 
     for ds, pairs in zip(got, expected):
         assert [(p.user_index, p.f_up) for p in ds.pairs] == \
@@ -829,16 +844,15 @@ def test_collect_sets_joins_rows_set_by_set_then_role_by_role(mode):
     gen = _default_gen(m=8, users=5)
     noise = ch.NoiseSpec(snr_db=10.0, pilot_len=4, mode=mode)
     roles = [(ch.ROLE_TRAIN_SUPPORT, 3), (ch.ROLE_TRAIN_QUERY, 4)]
-    sets = [ch.draw_combos(ch.sample_environment(s, gen, 7), roles, gen.users,
-                           (gen.f_min, gen.f_max), stream(7, STREAM_TASK_DATA, s))
+    sets = [ch.draw_combos(ch.sample_environment(s, gen, 7), roles, gen.users, gen,
+                           stream(7, STREAM_TASK_DATA, s))
             for s in range(3)]
-    got = ch.collect_sets(sets, [role for role, _ in roles], gen.delta_f, gen.array, noise,
+    got = ch.collect_sets(sets, [role for role, _ in roles], noise,
                           [stream(9, STREAM_TASK_DATA, s) for s in range(3)])
     expected = []
     for s, combos in enumerate(sets):
         rng = stream(9, STREAM_TASK_DATA, s)
-        expected += [ch.collect(combos, role, gen.delta_f, gen.array, noise, rng)
-                     for role, _ in roles]
+        expected += [ch.collect(combos, role, noise, rng) for role, _ in roles]
     names = ("xs", "ys", "y_clean", "f_up", "user_index")
     assert len(got) == len(names)
     for name, column in zip(names, got):
@@ -864,7 +878,7 @@ def test_support_query_matches_per_user_oracle(mode, monkeypatch):
     role_counts = [(ch.ROLE_TRAIN_SUPPORT, cfg.n_support),
                    (ch.ROLE_TRAIN_QUERY, cfg.n_query)]
     by_role = _oracle_combos(role_counts, cfg.u, (gen.f_min, gen.f_max), rng)
-    cov = ch.EnvCovariance(env, gen.array, gen.delta_f) if mode == "lmmse" else None
+    cov = ch.EnvCovariance(env, gen) if mode == "lmmse" else None
     for ds, (role, _) in zip(got, role_counts):
         pairs = [ch.make_sample_pair(users[uid], f_up, gen.delta_f, gen.array, gen.noise,
                                      rng, cov, uid) for uid, f_up in by_role[role]]

@@ -132,8 +132,9 @@ def test_adapt_and_eval_roundtrip(tmp_path):
     assert ",2," in lines[1]  # two targets
 
 
-def _zero_checkpoint_and_test_set(tmp_path):
-    """Paths of a 4-antenna all-zero checkpoint and a 4-pair test dataset."""
+def _zero_checkpoint_and_test_set(tmp_path, role="test"):
+    """Paths of a 4-antenna all-zero checkpoint and a 4-pair dataset of
+    ``role``, a test dataset by default."""
     spec = net.LayerSpec.fnn(4, (8,))
     zero = transfer.TrainedModel(
         params=net.NetParams(
@@ -143,7 +144,7 @@ def _zero_checkpoint_and_test_set(tmp_path):
     ck = str(tmp_path / "zero.ck")
     store.write_checkpoint(ck, zero)
     te = str(tmp_path / "te.bin")
-    assert run_cli("gen", "--envs", 1, "--role", "test", "--pairs", 4,
+    assert run_cli("gen", "--envs", 1, "--role", role, "--pairs", 4,
                    *TINY_GEN, "--out", te).exit_code == 0
     return ck, te
 
@@ -167,6 +168,22 @@ def test_adapt_antenna_mismatch_names_both(tmp_path):
                               "--out", str(tmp_path / "x.ck")])
     assert res.exit_code == 1
     assert "4" in res.output and "8" in res.output
+
+
+@pytest.mark.parametrize("role, envs", [("adaption", 2), ("test", 1)])
+def test_adapt_needs_exactly_one_adaption_set(tmp_path, role, envs):
+    """``adapt --data`` adapts on the file's one adaption dataset: a file of
+    two adaption datasets, or of none, is a one-line error naming the file
+    and the count, and writes nothing."""
+    ck, _ = _zero_checkpoint_and_test_set(tmp_path)
+    data = str(tmp_path / f"{role}.bin")
+    assert run_cli("gen", "--envs", envs, "--role", role, "--pairs", 4, *TINY_GEN,
+                   "--out", data).exit_code == 0
+    res = run_cli("adapt", "--checkpoint", ck, "--data", data, "--g-ad", 2,
+                  "--out", tmp_path / "o.ck")
+    assert_one_line_error(res, f"{data} holds {envs if role == 'adaption' else 0} adaption "
+                               f"datasets, not 1")
+    assert not os.path.exists(tmp_path / "o.ck")
 
 
 def test_train_sources_antenna_mismatch_names_the_file(tmp_path):
@@ -408,7 +425,7 @@ def test_non_finite_setting_is_refused_where_the_config_is_built(tmp_path, monke
     monkeypatch.setattr(evaluate, "train_pair", no_work)  # a sweep refuses it untrained
     inputs = ["--antennas", 4]
     if command == "adapt":
-        ck, data = _zero_checkpoint_and_test_set(tmp_path)
+        ck, data = _zero_checkpoint_and_test_set(tmp_path, "adaption")
         inputs = ["--checkpoint", ck, "--data", data]
     out = tmp_path / "out"
     assert_one_line_error(run_cli(command, *inputs, *args, "--out", out), message)
@@ -635,6 +652,20 @@ def test_sweep_requires_grid(tmp_path):
     res = RUNNER.invoke(cli, ["sweep", "--variable", "g-ad",
                               "--out", str(tmp_path / "x.csv")])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("variable", [["--variable", "none"], []])
+def test_sweep_grid_without_variable_is_usage_error(tmp_path, variable):
+    """A grid without a variable to sweep is refused as a usage error, as a
+    variable without a grid is, and no CSV is written (the run would be
+    tiny)."""
+    res = RUNNER.invoke(cli, ["sweep", *variable, "--grid", "1,2,3", *TINY_GEN, "--k-s", "2",
+                              "--k-t", "1", "--k-b", "1", "--n-tr", "2", "--n-ad", "1",
+                              "--n-te", "1", "--g-ad", "1", "--max-steps", "1",
+                              "--v", "2", "--hidden", "4", "--out", str(tmp_path / "x.csv")])
+    assert res.exit_code == 2
+    assert "refused with none" in res.output
+    assert not os.path.exists(tmp_path / "x.csv")
 
 
 @pytest.mark.parametrize("variable", ["g-ad", "n-ad", "m"])

@@ -1,4 +1,5 @@
-"""A census of the settable fields of the records and configs.
+"""A census of the settable fields of the records and configs, and of the
+parameters of the functions that draw and collect datasets.
 
 This is a change detector by design, as the CLI's ``PARAMETERS`` table is
 for options: a change that adds, removes, renames or reorders a field, or
@@ -35,9 +36,28 @@ FIELDS = {
     ch.Environment: {"id": REQUIRED, "as_lower": REQUIRED, "as_upper": REQUIRED,
                      "seed": REQUIRED},
     net.LayerSpec: {"sizes": REQUIRED},
+    ch.ComboSet: {"env": REQUIRED, "gen": REQUIRED, "users": REQUIRED, "by_role": REQUIRED,
+                  "cov": None},
 }
 
 TASK_DATASET_PARAMETERS = ("env_id", "role", "xs", "ys", "y_clean", "f_up", "user_index")
+
+# The parameters of the functions that draw and collect, in order, with
+# their defaults.
+PARAMETERS = {
+    ch.draw_combos: {"env": REQUIRED, "role_counts": REQUIRED, "u": REQUIRED, "gen": REQUIRED,
+                     "rng": REQUIRED},
+    ch.collect: {"combo_set": REQUIRED, "role": REQUIRED, "noise": REQUIRED, "rng": REQUIRED,
+                 "limit": None},
+    ch.collect_sets: {"combo_sets": REQUIRED, "roles": REQUIRED, "noise": REQUIRED,
+                      "rngs": REQUIRED, "limit": None},
+    ch.EnvCovariance.__init__: {"self": REQUIRED, "env": REQUIRED, "gen": REQUIRED},
+    # bench/workloads.py calls it positionally with these nine arguments
+    # until ROADMAP item A, when it can take a GeneratorConfig.
+    ch.generate_task_datasets: {"env": REQUIRED, "role_counts": REQUIRED, "u": REQUIRED,
+                                "f_range": REQUIRED, "delta_f": REQUIRED, "cfg": REQUIRED,
+                                "noise": REQUIRED, "rng": REQUIRED, "delay_max": 2.0e-9},
+}
 
 
 def _fields(cls) -> dict:
@@ -58,6 +78,15 @@ def test_record_keeps_its_fields_and_defaults(cls):
     got, want = _fields(cls), FIELDS[cls]
     assert list(got) == list(want)
     for name, default in want.items():
+        assert got[name] == default and type(got[name]) is type(default), name
+
+
+@pytest.mark.parametrize("fn", list(PARAMETERS), ids=lambda fn: fn.__qualname__)
+def test_function_keeps_its_parameters(fn):
+    got = {p.name: REQUIRED if p.default is inspect.Parameter.empty else p.default
+           for p in inspect.signature(fn).parameters.values()}
+    assert list(got) == list(PARAMETERS[fn])
+    for name, default in PARAMETERS[fn].items():
         assert got[name] == default and type(got[name]) is type(default), name
 
 

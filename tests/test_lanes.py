@@ -6,13 +6,15 @@ import contextlib
 import json
 import multiprocessing
 import os
+import pickle
+import signal
 import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csitransfer import channel as ch
@@ -30,10 +32,10 @@ CFG = TrainConfig(k_s=9, k_t=2, k_b=9, n_tr=5, n_ad=4, n_te=3, u=5, v=8, g_tr=1,
 def collect_sets():
     """Three environments' adaption and test roles, 42 LMMSE links."""
     envs = [ch.sample_environment(i, GEN, 1) for i in range(3)]
-    sets = [ch.draw_combos(env, [(ch.ROLE_ADAPTION, 4), (ch.ROLE_TEST, 3)], 5, (1e9, 3e9),
+    sets = [ch.draw_combos(env, [(ch.ROLE_ADAPTION, 4), (ch.ROLE_TEST, 3)], 5, GEN,
                            np.random.default_rng(i)) for i, env in enumerate(envs)]
-    return ch.collect_sets(sets, [ch.ROLE_ADAPTION, ch.ROLE_TEST], GEN.delta_f, GEN.array,
-                           LMMSE, [np.random.default_rng(10 + i) for i in range(3)])
+    return ch.collect_sets(sets, [ch.ROLE_ADAPTION, ch.ROLE_TEST], LMMSE,
+                           [np.random.default_rng(10 + i) for i in range(3)])
 
 
 def gen_file(tmp_path, name):
@@ -265,6 +267,94 @@ def test_open_map_equals_the_serial_model(planned, ring, jobs, abandon):
         assert want is not None and (type(exc), str(exc)) == want
     else:
         assert want is None
+    assert got == seen
+    with pytest.raises(ChildProcessError):  # no child, live or unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def exited(pid, timeout=5.0):
+    """Wait until the child whose pid ``pid[0]`` holds once it is set has
+    exited, leaving it unreaped."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if pid[0] and os.waitid(os.P_PID, int(pid[0]), os.WEXITED | os.WNOHANG | os.WNOWAIT):
+            return
+        time.sleep(0.001)
+
+
+def unpicklable(value):
+    """A result that does not pickle (a local function) and gives ``value``."""
+    return lambda: value
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@example(planned=3, ring=True, fork_fails_at=3, jobs=[9], fault=(0, 4, "kill"))
+@example(planned=3, ring=True, fork_fails_at=2, jobs=[3, 9], fault=(1, 5, "unpicklable"))
+@given(planned=st.integers(1, 3), ring=st.booleans(), fork_fails_at=st.integers(1, 3),
+       jobs=st.lists(st.integers(0, 9), min_size=1, max_size=3),
+       fault=st.none() | st.tuples(st.integers(0, 2), st.integers(0, 8),
+                                   st.sampled_from(["unpicklable", "kill"])))
+def test_open_map_with_failed_forks_and_lost_lanes_equals_the_serial_model(
+        planned, ring, fork_fails_at, jobs, fault):
+    """One ``open_map``, with or without ring slots, whose fork of a drawn
+    lane fails, runs its jobs on the lanes that forked as a serial loop
+    would, up to a drawn item: one whose result does not pickle, or one
+    before which its forked lane kills itself with SIGKILL. From a forked
+    lane, the first is the pickling error at that item and the second a
+    one-line ``RuntimeError`` naming the item the lane owed, also when
+    the caller reads slowly enough that the lane is gone before it frees
+    the lane's slot; on lane 0, the caller, the result comes as it is and
+    nothing is killed. Every lane is joined after every example."""
+    caller, ran = os.getpid(), min(planned, fork_fails_at)
+    lost = lanes.shared_empty((1,), np.int64)  # the pid of the lane that kills itself
+
+    def fn(job, k):
+        value = job * 100 + k
+        if fault and fault[:2] == (job, k):
+            if fault[2] == "unpicklable":
+                value = unpicklable(value)
+            elif os.getpid() != caller:
+                lost[0] = os.getpid()
+                os.kill(os.getpid(), signal.SIGKILL)
+        return (value, np.full(3, float(job * 100 + k))) if ring else value
+
+    seen, want = [], None  # the serial model: what the caller reads, and how it ends
+    for job, n in enumerate(jobs):
+        for k in range(n):
+            if fault and fault[:2] == (job, k) and k % ran:
+                if fault[2] == "kill":
+                    want = (RuntimeError, f"a lane exited before item {k}")
+                else:
+                    try:
+                        pickle.dumps(unpicklable(0))
+                    except Exception as exc:
+                        want = (type(exc), str(exc))
+                break
+            seen.append(job * 100 + k)
+        if want:
+            break
+
+    got = []
+    fork, os.fork = os.fork, fork_failing_at(fork_fails_at)
+    try:
+        with lanes.open_map(fn, planned, 3 if ring else 0) as (run, forked):
+            assert forked == ran
+            for job, n in enumerate(jobs):
+                for result in run(job, n, last=job == len(jobs) - 1):
+                    value = result[0] if ring else result
+                    value = value() if callable(value) else value
+                    if ring:  # the array is valid until the next result is asked for
+                        assert result[1].tolist() == [float(value)] * 3
+                    got.append(value)
+                    if fault and fault[2] == "kill" and fault[1] % ran and \
+                            fault[:2] == (job, value % 100 + ran):
+                        exited(lost)  # the lane's item before the one it dies at
+    except Exception as exc:
+        assert want is not None and (type(exc), str(exc)) == want
+    else:
+        assert want is None
+    finally:
+        os.fork = fork
     assert got == seen
     with pytest.raises(ChildProcessError):  # no child, live or unreaped
         os.waitpid(-1, os.WNOHANG)
