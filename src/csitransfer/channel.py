@@ -32,18 +32,18 @@ wherever a ``net.Batch`` goes, testing scores against its own clean labels,
 and it keeps a pair's uplink frequency only, as the duplex offset fixes the
 downlink's. :class:`SamplePair` survives as a row view.
 
-A :class:`ComboSet` carries the :class:`GeneratorConfig` it was drawn
-under, so collecting it takes only the noise. Noisy data collection is
-modelled as an additive complex Gaussian observation (pilot processing gain
-folded into the noise variance) followed by an optional LMMSE estimate
-against the environment's channel covariance, which the set builds once,
-for its config's array and duplex offset, and owns. A set's noise is drawn
-as one block that consumes its generator in the same order as drawing it
-pair by pair, uplink before downlink. The LMMSE estimates (per pair, one
-pass for both links' covariances, then a solve per link) dominate an LMMSE
-collection, so :func:`collect_sets` runs them on forked lanes
-(:mod:`csitransfer.lanes`), a pair per item, once the covariances are built
-and the noise is drawn.
+A :class:`ComboSet` holds the ``users`` of the :class:`GeneratorConfig`
+it was drawn under and carries that config, so collecting it takes only
+the noise. Noisy data collection is modelled as an additive complex
+Gaussian observation (pilot processing gain folded into the noise
+variance) followed by an optional LMMSE estimate against the environment's
+channel covariance, which the set builds once, for its config's array and
+duplex offset, and owns. A set's noise is drawn as one block that consumes
+its generator in the same order as drawing it pair by pair, uplink before
+downlink. The LMMSE estimates (per pair, one pass for both links'
+covariances, then a solve per link) dominate an LMMSE collection, so
+:func:`collect_sets` runs them on forked lanes (:mod:`csitransfer.lanes`),
+a pair per item, once the covariances are built and the noise is drawn.
 """
 
 from __future__ import annotations
@@ -558,7 +558,7 @@ class ComboSet:
 
     env: Environment
     gen: GeneratorConfig
-    users: UserRays  # (u, P) ray arrays, row ``uid`` for user ``uid``
+    users: UserRays  # (gen.users, P) ray arrays, row ``uid`` for user ``uid``
     by_role: dict[str, list[tuple[int, float]]]
     cov: EnvCovariance | None = None
 
@@ -569,10 +569,10 @@ class ComboSet:
         return self.cov
 
 
-def draw_combos(env: Environment, role_counts: Sequence[tuple[str, int]], u: int,
+def draw_combos(env: Environment, role_counts: Sequence[tuple[str, int]],
                 gen: GeneratorConfig, rng: np.random.Generator) -> ComboSet:
-    """Draw ``u`` users once, then disjoint per-role combination lists,
-    into a set that carries ``gen``, whose delay bound and band they use.
+    """Draw ``gen.users`` users once, then disjoint per-role combination
+    lists, into a set carrying ``gen``, whose delay bound and band they use.
 
     A combination whose key is already taken by another role is redrawn;
     repeats within one role are allowed (they only occur for degenerate
@@ -580,8 +580,6 @@ def draw_combos(env: Environment, role_counts: Sequence[tuple[str, int]], u: int
     keys for the requested disjoint roles, this is an error rather than a
     silent overlap.
     """
-    if u < 1:
-        raise ValueError("user count must be >= 1")
     seen_roles = set()
     for role, n in role_counts:
         if role not in ROLES:
@@ -591,7 +589,7 @@ def draw_combos(env: Environment, role_counts: Sequence[tuple[str, int]], u: int
         seen_roles.add(role)
         if n < 1:
             raise ValueError(f"pair count for role {role!r} must be >= 1, got {n}")
-    f_lo, f_span = gen.f_min, gen.f_max - gen.f_min
+    u, f_lo, f_span = gen.users, gen.f_min, gen.f_max - gen.f_min
     users = _draw_users(env, rng, u, gen.delay_max)
     total = sum(n for _, n in role_counts)
     max_attempts = 1000 * total
@@ -713,8 +711,8 @@ def generate_task_datasets(env: Environment, role_counts: Sequence[tuple[str, in
     call, with one covariance and the bits of collecting them one by one.
     """
     gen = GeneratorConfig(array=cfg, delay_max=delay_max, f_min=f_range[0], f_max=f_range[1],
-                          delta_f=delta_f)
-    combo_set = draw_combos(env, role_counts, u, gen, rng)
+                          delta_f=delta_f, users=u)
+    combo_set = draw_combos(env, role_counts, gen, rng)
     arrays = collect_sets([combo_set], [role for role, _ in role_counts], noise, [rng])
     out, lo = [], 0
     for role, n in role_counts:

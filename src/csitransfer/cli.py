@@ -187,7 +187,7 @@ def _impl_gen(opts: dict) -> tuple[list[str], dict]:
     def generate(k):  # environment first + k
         env = sample_environment(first + k, gcfg, opts["seed"])
         rng = stream(env.seed, STREAM_CLI_GEN, ROLE_CHOICES.index(role))
-        combos = draw_combos(env, [(role, pairs)], gcfg.users, gcfg, rng)
+        combos = draw_combos(env, [(role, pairs)], gcfg, rng)
         return collect(combos, role, gcfg.noise, rng)
 
     datasets, _ = lanes.fork_map(generate, envs, count)
@@ -286,10 +286,6 @@ def _impl_eval(opts: dict) -> tuple[list[str], dict]:
     model = store.read_checkpoint(opts["checkpoint"])
     blob = store.read_dataset(opts["data"])
     _check_m(model, blob.m)
-    if not blob.has_clean:
-        raise click.ClickException(
-            f"{opts['data']} stores no clean labels; NMSE is measured against "
-            f"the clean downlink channel")
     result = NmseResult(model.provenance, [test_model(model, d) for d in blob.datasets])
     _write_results(opts["out"], [(None, result)], opts["seed"])
     return [opts["out"]], {}

@@ -170,8 +170,8 @@ def _target_data(env: Environment, cfg: TrainConfig,
                  n_ad_max: int) -> tuple[ComboSet, TaskDataset]:
     """Draw one target's users and disjoint adaption/test combinations, and
     collect the test set under the run's collection noise."""
-    combos = draw_combos(env, [(ROLE_ADAPTION, n_ad_max), (ROLE_TEST, cfg.n_te)], cfg.u,
-                         cfg.gen, stream(env.seed, STREAM_TARGET_DATA, 0))
+    combos = draw_combos(env, [(ROLE_ADAPTION, n_ad_max), (ROLE_TEST, cfg.n_te)], cfg.gen,
+                         stream(env.seed, STREAM_TARGET_DATA, 0))
     test_set = collect(combos, ROLE_TEST, cfg.gen.noise, stream(env.seed, STREAM_TARGET_DATA, 1))
     return combos, test_set
 

@@ -14,15 +14,14 @@ Dataset file (magic ``FMCD``, version 1)::
         then per pair: f_up:f64 user_index:u32 x[2m]:f64 y[2m]:f64
                        (y_clean[2m]:f64 when has_clean)
 
-The header's ``has_clean`` byte means "clean-label block stored". The
-writer sets it to 0 exactly when the noise mode is ``clean``: such a label
-already is the clean downlink, so it is stored once, and the writer refuses
-a clean-mode dataset whose ``y_clean`` differs from its labels. Reading a
-file without the block, the reader sets each dataset's ``y_clean`` to its
-label array itself, and it reports clean labels present only for a clean
-file: a file of another noise mode with ``has_clean`` 0 carries none. The
-``.meta.json`` sidecar's ``has_clean`` says what
-:attr:`DatasetFile.has_clean` reports: clean labels present.
+The header's ``has_clean`` byte (byte 37) means "clean-label block
+stored". The writer sets it to 0 exactly when the noise mode is ``clean``:
+such a label already is the clean downlink, so it is stored once, and the
+writer refuses a clean-mode dataset whose ``y_clean`` differs from its
+labels. Reading a clean file without the block, the reader sets each
+dataset's ``y_clean`` to its label array itself; a clean file that stores
+the block (as older writers did) reads back as stored. A file of another
+noise mode without the block has no clean labels and is malformed.
 
 A dataset's pairs are one packed record array (numpy structured dtype with
 exactly these fields), written with one ``tobytes`` and read with one
@@ -79,7 +78,6 @@ class DatasetFile:
     m: int
     delta_f: float
     noise: NoiseSpec
-    has_clean: bool = True  # clean labels present, stored or (clean noise) the labels
 
 
 def _atomic_write(path: str, payload: bytes):
@@ -209,7 +207,6 @@ def write_dataset(path: str, datasets: list[TaskDataset], noise: NoiseSpec, delt
         "delta_f": float(delta_f), "noise": {"snr_db": float(noise.snr_db),
                                              "pilot_len": int(noise.pilot_len),
                                              "mode": noise.mode},
-        "has_clean": True,  # stored, or (clean noise) the labels themselves
         "datasets": [{"env_id": int(d.env_id), "role": d.role, "n_pairs": len(d)}
                      for d in datasets],
     })
@@ -232,6 +229,8 @@ def read_dataset(path: str) -> DatasetFile:
         noise = NoiseSpec(snr_db=snr_db, pilot_len=pilot_len, mode=NOISE_MODES[mode_code])
     except ValueError as e:
         raise FormatError(f"{path}: noise header at byte 24: {e}") from None
+    if not stored_clean and noise.mode != NOISE_CLEAN:
+        raise FormatError(f"{path}: byte 37 is 0, but {noise.mode} files store clean labels")
     dtype = _pair_dtype(m, bool(stored_clean))
     datasets = []
     for _ in range(n_datasets):
@@ -246,8 +245,7 @@ def read_dataset(path: str) -> DatasetFile:
             y_clean=records["y_clean"].copy() if stored_clean else ys,
             f_up=records["f_up"].copy(), user_index=records["user_index"].astype(np.int64)))
     r.expect_end()
-    return DatasetFile(datasets=datasets, m=m, delta_f=delta_f, noise=noise,
-                       has_clean=bool(stored_clean) or noise.mode == NOISE_CLEAN)
+    return DatasetFile(datasets=datasets, m=m, delta_f=delta_f, noise=noise)
 
 
 def config_digest(config: dict | None) -> bytes:
@@ -288,7 +286,8 @@ def write_checkpoint(path: str, model: TrainedModel):
 
 def read_checkpoint(path: str) -> TrainedModel:
     """Decode a checkpoint; restores the config snapshot from the sidecar
-    when its digest matches the binary header."""
+    when its digest matches the binary header. A missing or unreadable
+    sidecar leaves the config ``None``."""
     with open(path, "rb") as f:
         r = _Reader(f.read(), path)
     _check_magic_version(r, CHECKPOINT_MAGIC, "checkpoint")
@@ -316,16 +315,13 @@ def read_checkpoint(path: str) -> TrainedModel:
         biases.append(r.take_floats(n_out))
     r.expect_end()
 
-    config = None
-    sidecar = _sidecar_path(path)
-    if os.path.exists(sidecar):
-        try:
-            with open(sidecar) as f:
-                meta = json.load(f)
-            if config_digest(meta.get("config")) == digest:
-                config = meta.get("config")
-        except (OSError, json.JSONDecodeError):
-            config = None
+    try:
+        with open(_sidecar_path(path), "rb") as f:
+            config = json.load(f)["config"]
+    except (OSError, ValueError, TypeError, KeyError):  # not JSON, or not an object
+        config = None
+    if config_digest(config) != digest:
+        config = None
     model = TrainedModel(params=NetParams(weights, biases),
                          provenance=_PROVENANCES[prov_code], config=config,
                          loss_history=[], derivative_order=derivative_order)

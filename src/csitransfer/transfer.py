@@ -103,8 +103,9 @@ class TrainConfig:
     the across-task/Adam rate, ``beta`` the inner-task/adaption rate,
     ``k_s``/``k_t``/``k_b`` the source/target/meta-batch task counts,
     ``g_tr``/``g_ad`` the inner-loop and adaption gradient-step counts,
-    ``n_tr``/``n_ad``/``n_te`` per-task sample counts, ``u`` users per
-    environment, ``v`` the training batch size.
+    ``n_tr``/``n_ad``/``n_te`` per-task sample counts, ``v`` the training
+    batch size. Every draw reads its users per environment from
+    ``gen.users``; ``u`` must equal it.
     """
 
     gamma: float = 1e-3
@@ -129,9 +130,11 @@ class TrainConfig:
     fixed_task_data: bool = False
 
     def __post_init__(self):
-        for name in ("gamma", "beta", "v", "k_s", "k_t", "k_b", "n_ad", "n_te", "u"):
+        for name in ("gamma", "beta", "v", "k_s", "k_t", "k_b", "n_ad", "n_te"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        if self.u != self.gen.users:
+            raise ValueError(f"u={self.u} must equal gen.users={self.gen.users}, the users drawn")
         if self.n_tr < 2:
             raise ValueError(f"n_tr must be >= 2 to split each source task into support "
                              f"and query samples, got {self.n_tr}")
@@ -431,7 +434,7 @@ def _support_query(env: Environment, cfg: TrainConfig, visit: int) -> tuple[Task
     sup, que = generate_task_datasets(
         env,
         [(ROLE_TRAIN_SUPPORT, cfg.n_support), (ROLE_TRAIN_QUERY, cfg.n_query)],
-        cfg.u, (cfg.gen.f_min, cfg.gen.f_max), cfg.gen.delta_f,
+        cfg.gen.users, (cfg.gen.f_min, cfg.gen.f_max), cfg.gen.delta_f,
         cfg.gen.array, cfg.gen.noise, rng, cfg.gen.delay_max)
     return sup, que
 
@@ -442,7 +445,7 @@ def _regenerate(tasks, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
     task its support rows, then its query rows."""
     roles = [(ROLE_TRAIN_SUPPORT, cfg.n_support), (ROLE_TRAIN_QUERY, cfg.n_query)]
     rngs = [stream(env.seed, STREAM_TASK_DATA, visit) for env, visit in tasks]
-    sets = [channel.draw_combos(env, roles, cfg.u, cfg.gen, rng)
+    sets = [channel.draw_combos(env, roles, cfg.gen, rng)
             for (env, _), rng in zip(tasks, rngs)]
     xs, ys = channel.collect_sets(sets, [role for role, _ in roles], cfg.gen.noise, rngs)[:2]
     return xs.reshape(len(sets), cfg.n_tr, -1), ys.reshape(len(sets), cfg.n_tr, -1)
@@ -551,7 +554,7 @@ def meta_train(source_envs: Sequence[Environment], cfg: TrainConfig,
             if _converged(history):
                 break
     return TrainedModel(params=params, provenance=PROVENANCE_META,
-                        config=cfg.snapshot(), loss_history=history if history else [0.0],
+                        config=cfg.snapshot(), loss_history=history,
                         derivative_order=cfg.g_tr + 1 if exact and cfg.g_tr else 1)
 
 

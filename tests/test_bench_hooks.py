@@ -48,7 +48,7 @@ def test_tracer_wraps_and_restores_every_hook():
             np.random.default_rng(2), gen.delay_max)
         # generate_task_datasets collects its roles in one collect_sets call,
         # so collect, a hook of its own, is called here.
-        combos = channel.draw_combos(env, [(channel.ROLE_TEST, 2)], gen.users, gen,
+        combos = channel.draw_combos(env, [(channel.ROLE_TEST, 2)], gen,
                                      np.random.default_rng(3))
         channel.collect(combos, channel.ROLE_TEST, gen.noise, np.random.default_rng(4))
 

@@ -577,13 +577,24 @@ def test_stock_configuration_sizes():
     assert all(0 <= p.user_index < 25 for p in ds.pairs)
 
 
+@pytest.mark.parametrize("users", [1, 3, 7])
+def test_combo_set_holds_the_users_of_its_config(users):
+    """``draw_combos`` draws ``gen.users`` users, a row of rays each, and
+    every combination names one of them."""
+    gen = _default_gen(m=4, users=users)
+    combos = ch.draw_combos(ch.sample_environment(2, gen, 5), [("adaption", 6), ("test", 4)],
+                            gen, RNG(users))
+    assert combos.users.doas.shape == (users, ch.RAY_COUNT)
+    assert {uid for keys in combos.by_role.values() for uid, _ in keys} <= set(range(users))
+
+
 def test_combo_set_owns_one_covariance_per_array():
     """The first LMMSE collection builds the combination set's covariance,
     for the array and duplex offset of the config the set was drawn under,
     and later collections reuse it."""
     gcfg = _default_gen(m=4, users=4)
     env = ch.sample_environment(3, gcfg, 5)
-    combos = ch.draw_combos(env, [("adaption", 3), ("test", 3)], gcfg.users, gcfg, RNG(30))
+    combos = ch.draw_combos(env, [("adaption", 3), ("test", 3)], gcfg, RNG(30))
     lmmse = ch.NoiseSpec(mode="lmmse")
     assert combos.cov is None
     ch.collect(combos, "test", lmmse, RNG(31))
@@ -600,7 +611,7 @@ def test_collect_sets_refuses_sets_drawn_under_different_configs():
     gen = _default_gen(m=4, users=4)
     env = ch.sample_environment(3, gen, 5)
     roles = [("test", 2)]
-    sets = [ch.draw_combos(env, roles, gen.users, g, RNG(30))
+    sets = [ch.draw_combos(env, roles, g, RNG(30))
             for g in (gen, gen, replace(gen), replace(gen, delta_f=60e6))]
     xs = ch.collect_sets(sets[:3], ["test"], gen.noise, [RNG(31)] * 3)[0]
     assert xs.shape == (6, 8)
@@ -639,7 +650,7 @@ def test_generation_in_one_call_matches_per_role_collection(mode):
     got = ch.generate_task_datasets(env, roles, gcfg.users, (gcfg.f_min, gcfg.f_max),
                                     gcfg.delta_f, gcfg.array, noise, RNG(8))
     rng = RNG(8)
-    combos = ch.draw_combos(env, roles, gcfg.users, gcfg, rng)
+    combos = ch.draw_combos(env, roles, gcfg, rng)
     want = [ch.collect(combos, role, noise, rng) for role, _ in roles]
     assert [(d.env_id, d.role, len(d)) for d in got] == [(d.env_id, d.role, len(d)) for d in want]
     for g, w in zip(got, want):
@@ -816,7 +827,7 @@ def test_generation_matches_per_pair_oracle(m, mode, rtol, monkeypatch):
     users, pool, expected = _oracle_generate(*args, oracle_rng)
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
-    combos = ch.draw_combos(env, role_counts, gcfg.users, gcfg, RNG(41))
+    combos = ch.draw_combos(env, role_counts, gcfg, RNG(41))
     _assert_rays_equal(combos.users, users)
     if mode == "lmmse":
         oracle_pool_rng = stream(env.seed, STREAM_COVARIANCE)
@@ -844,7 +855,7 @@ def test_collect_sets_joins_rows_set_by_set_then_role_by_role(mode):
     gen = _default_gen(m=8, users=5)
     noise = ch.NoiseSpec(snr_db=10.0, pilot_len=4, mode=mode)
     roles = [(ch.ROLE_TRAIN_SUPPORT, 3), (ch.ROLE_TRAIN_QUERY, 4)]
-    sets = [ch.draw_combos(ch.sample_environment(s, gen, 7), roles, gen.users, gen,
+    sets = [ch.draw_combos(ch.sample_environment(s, gen, 7), roles, gen,
                            stream(7, STREAM_TASK_DATA, s))
             for s in range(3)]
     got = ch.collect_sets(sets, [role for role, _ in roles], noise,

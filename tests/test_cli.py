@@ -39,7 +39,7 @@ def test_gen_writes_dataset_and_manifest(tmp_path):
     assert manifest["outputs"][0] == out
     assert manifest["peak_rss_mb"] > 0
     assert manifest["peak_rss_children_mb"] >= 0
-    assert json.load(open(out + ".meta.json"))["has_clean"] is True
+    assert "has_clean" not in json.load(open(out + ".meta.json"))
 
 
 def test_gen_zero_pairs_is_usage_error(tmp_path):
@@ -76,7 +76,7 @@ def test_train_zero_steps_equals_initialization(tmp_path):
     from csitransfer.channel import ArrayConfig, GeneratorConfig
 
     cfg = transfer.TrainConfig(
-        seed=4, hidden=(8,), k_s=8, k_t=1, k_b=1, n_tr=8, v=16, max_steps=0,
+        seed=4, hidden=(8,), k_s=8, k_t=1, k_b=1, n_tr=8, v=16, u=4, max_steps=0,
         gen=GeneratorConfig(array=ArrayConfig(m=4), users=4))
     init = transfer.init_network(cfg)
     for a, b in zip(model.params.weights, init.weights):
@@ -84,6 +84,16 @@ def test_train_zero_steps_equals_initialization(tmp_path):
     loss_csv = open(out + ".loss.csv").read().splitlines()
     assert loss_csv[0] == "step,loss"
     assert len(loss_csv) == 2  # header + initial loss
+
+
+def test_meta_train_zero_steps_records_no_loss(tmp_path):
+    """A meta-training of no step computes no loss: its loss CSV holds only
+    its header."""
+    out = str(tmp_path / "m.ck")
+    res = run_cli("meta-train", *TINY_GEN, *TINY_TRAIN, "--k-b", 2, "--max-steps", 0,
+                  "--out", out)
+    assert res.exit_code == 0
+    assert open(out + ".loss.csv").read().splitlines() == ["step,loss"]
 
 
 def test_meta_train_both_modes_record_mode(tmp_path):
@@ -354,7 +364,8 @@ def test_rerun_restores_flags_and_repeated_options(tmp_path):
 
 def test_eval_refuses_noisy_file_without_clean_labels(tmp_path):
     """A clean file is accepted (its labels are clean); a file of another
-    noise mode that stores no clean labels is refused."""
+    noise mode that stores no clean labels is malformed, and ``eval`` and
+    ``train --sources`` refuse it in one line naming the file and byte."""
     ck, te = _zero_checkpoint_and_test_set(tmp_path)
     out = tmp_path / "n.csv"
     assert run_cli("eval", "--checkpoint", ck, "--data", te, "--out", out).exit_code == 0
@@ -362,8 +373,12 @@ def test_eval_refuses_noisy_file_without_clean_labels(tmp_path):
     assert data[37] == 0  # clean: the labels are stored once
     data[36] = 1  # the header's noise mode byte: awgn
     open(te, "wb").write(bytes(data))
+    refusal = f"{te}: byte 37 is 0, but awgn files store clean labels"
     res = run_cli("eval", "--checkpoint", ck, "--data", te, "--out", out)
-    assert_one_line_error(res, "stores no clean labels")
+    assert_one_line_error(res, refusal)
+    res = run_cli("train", *TINY_GEN, *TINY_TRAIN, "--sources", te,
+                  "--out", tmp_path / "t.ck")
+    assert_one_line_error(res, refusal)
 
 
 def test_adapt_divergence_one_line_error(tmp_path):

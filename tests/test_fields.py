@@ -12,7 +12,7 @@ import inspect
 import pytest
 
 from csitransfer import channel as ch
-from csitransfer import evaluate, net, transfer
+from csitransfer import evaluate, net, store, transfer
 
 REQUIRED = object()  # a field without a default
 
@@ -22,6 +22,8 @@ FIELDS = {
                          "f_max": 3.0e9, "delta_f": 120.0e6, "users": 25,
                          "noise": ch.NoiseSpec(mode="clean")},
     ch.NoiseSpec: {"snr_db": 20.0, "pilot_len": 64, "mode": "lmmse"},
+    # u must equal gen.users, the count every draw reads, until ROADMAP item
+    # A deletes it (bench/workloads.py constructs TrainConfig(u=...)).
     transfer.TrainConfig: {"gamma": 1e-3, "beta": 1e-6, "v": 128, "k_s": 1500, "k_t": 800,
                            "k_b": 80, "g_tr": 3, "g_ad": 1000, "n_tr": 20, "n_ad": 20,
                            "n_te": 20, "u": 25, "max_steps": 20000, "meta_mode": "exact",
@@ -29,6 +31,12 @@ FIELDS = {
                            "fixed_task_data": False},
     evaluate.SweepReport: {"variable": REQUIRED, "points": REQUIRED, "wall_clock": {},
                            "workers": 1, "meta_lanes": 1},
+    evaluate.SweepPoint: {"value": REQUIRED, "results": REQUIRED, "baselines": REQUIRED},
+    evaluate.NmseResult: {"algorithm": REQUIRED, "per_target": REQUIRED},
+    transfer.TrainedModel: {"params": REQUIRED, "provenance": REQUIRED, "config": REQUIRED,
+                            "loss_history": REQUIRED, "derivative_order": 1},
+    store.DatasetFile: {"datasets": REQUIRED, "m": REQUIRED, "delta_f": REQUIRED,
+                        "noise": REQUIRED},
     ch.SamplePair: {"x": REQUIRED, "y": REQUIRED, "f_up": REQUIRED, "y_clean": REQUIRED,
                     "user_index": REQUIRED},
     ch.UserRays: {"doas": REQUIRED, "amplitudes": REQUIRED, "phases": REQUIRED,
@@ -45,7 +53,7 @@ TASK_DATASET_PARAMETERS = ("env_id", "role", "xs", "ys", "y_clean", "f_up", "use
 # The parameters of the functions that draw and collect, in order, with
 # their defaults.
 PARAMETERS = {
-    ch.draw_combos: {"env": REQUIRED, "role_counts": REQUIRED, "u": REQUIRED, "gen": REQUIRED,
+    ch.draw_combos: {"env": REQUIRED, "role_counts": REQUIRED, "gen": REQUIRED,
                      "rng": REQUIRED},
     ch.collect: {"combo_set": REQUIRED, "role": REQUIRED, "noise": REQUIRED, "rng": REQUIRED,
                  "limit": None},

@@ -32,7 +32,7 @@ CFG = TrainConfig(k_s=9, k_t=2, k_b=9, n_tr=5, n_ad=4, n_te=3, u=5, v=8, g_tr=1,
 def collect_sets():
     """Three environments' adaption and test roles, 42 LMMSE links."""
     envs = [ch.sample_environment(i, GEN, 1) for i in range(3)]
-    sets = [ch.draw_combos(env, [(ch.ROLE_ADAPTION, 4), (ch.ROLE_TEST, 3)], 5, GEN,
+    sets = [ch.draw_combos(env, [(ch.ROLE_ADAPTION, 4), (ch.ROLE_TEST, 3)], GEN,
                            np.random.default_rng(i)) for i, env in enumerate(envs)]
     return ch.collect_sets(sets, [ch.ROLE_ADAPTION, ch.ROLE_TEST], LMMSE,
                            [np.random.default_rng(10 + i) for i in range(3)])
@@ -202,24 +202,54 @@ def test_fork_map_equals_the_serial_loop(planned, count, failing, fork_fails_at)
         os.waitpid(-1, os.WNOHANG)
 
 
+class Hang(BaseException):
+    """An example ran past its deadline. Not an ``Exception``: no ``except``
+    in the map or the test takes it for an item's error, and Hypothesis
+    fails the test at once rather than shrink an example that hangs."""
+
+
+@contextlib.contextmanager
+def deadline(seconds=5.0):
+    """Raise :class:`Hang` in the caller once ``seconds`` have passed, so
+    that a map that hangs fails the example; leaving the map's block on it
+    still stops and joins every lane. Forked lanes inherit no timer."""
+    def expired(signum, frame):
+        raise Hang(f"the example ran past its {seconds} s deadline")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# Items that sleep, (job, k) to milliseconds, so that the lanes finish in
+# drawn orders.
+PAUSES = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 8)), st.integers(1, 5),
+                         max_size=3)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(planned=st.integers(1, 3), ring=st.booleans(),
        jobs=st.lists(st.tuples(st.integers(0, 9), st.sets(st.integers(0, 8), max_size=2)),
                      min_size=1, max_size=4),
-       abandon=st.none() | st.tuples(st.integers(0, 3), st.integers(0, 8)))
-def test_open_map_equals_the_serial_model(planned, ring, jobs, abandon):
+       abandon=st.none() | st.tuples(st.integers(0, 3), st.integers(0, 8)), pauses=PAUSES)
+def test_open_map_equals_the_serial_model(planned, ring, jobs, abandon, pauses):
     """One ``open_map`` runs its jobs as a serial loop over each job's
-    items would: the values, and with ``slot_size`` the arrays, in item
-    order; or the first failing item's error with its type and message,
-    an error that does not pickle coming from a forked lane as a
-    ``RuntimeError`` naming it; or, for a job run while the last one has
-    unread items, the one-line ``RuntimeError`` that refuses it. A job
-    none of whose items was asked for never ran, and the next one runs.
-    Every lane is joined after every example."""
+    items would, whichever items sleep: the values, and with ``slot_size``
+    the arrays, in item order; or the first failing item's error with its
+    type and message, an error that does not pickle coming from a forked
+    lane as a ``RuntimeError`` naming it; or, for a job run while the last
+    one has unread items, the one-line ``RuntimeError`` that refuses it. A
+    job none of whose items was asked for never ran, and the next one runs.
+    Every lane is joined after every example, which has a deadline."""
     class Local(Exception):  # a local class does not pickle
         pass
 
     def fn(job, k):
+        time.sleep(pauses.get((job, k), 0) / 1000)
         if job < len(jobs) and k in jobs[job][1]:
             raise (Local if k % 2 else KeyError)(f"item {k}")
         value = job * 100 + k
@@ -254,7 +284,7 @@ def test_open_map_equals_the_serial_model(planned, ring, jobs, abandon):
 
     got = []
     try:
-        with lanes.open_map(fn, planned, 3 if ring else 0) as (run, ran):
+        with deadline(), lanes.open_map(fn, planned, 3 if ring else 0) as (run, ran):
             assert ran == planned
             for job, (n, _) in enumerate(jobs):
                 items = run(job, n, last=job == len(jobs) - 1 and reads(job) == n)
@@ -272,13 +302,12 @@ def test_open_map_equals_the_serial_model(planned, ring, jobs, abandon):
         os.waitpid(-1, os.WNOHANG)
 
 
-def exited(pid, timeout=5.0):
+def exited(pid):
     """Wait until the child whose pid ``pid[0]`` holds once it is set has
-    exited, leaving it unreaped."""
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if pid[0] and os.waitid(os.P_PID, int(pid[0]), os.WEXITED | os.WNOHANG | os.WNOWAIT):
-            return
+    exited, leaving it unreaped; the example's deadline ends a wait for a
+    child that never exits."""
+    while not (pid[0] and os.waitid(os.P_PID, int(pid[0]),
+                                    os.WEXITED | os.WNOHANG | os.WNOWAIT)):
         time.sleep(0.001)
 
 
@@ -288,14 +317,15 @@ def unpicklable(value):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@example(planned=3, ring=True, fork_fails_at=3, jobs=[9], fault=(0, 4, "kill"))
-@example(planned=3, ring=True, fork_fails_at=2, jobs=[3, 9], fault=(1, 5, "unpicklable"))
+@example(planned=3, ring=True, fork_fails_at=3, jobs=[9], fault=(0, 4, "kill"), pauses={})
+@example(planned=3, ring=True, fork_fails_at=2, jobs=[3, 9], fault=(1, 5, "unpicklable"),
+         pauses={})
 @given(planned=st.integers(1, 3), ring=st.booleans(), fork_fails_at=st.integers(1, 3),
        jobs=st.lists(st.integers(0, 9), min_size=1, max_size=3),
        fault=st.none() | st.tuples(st.integers(0, 2), st.integers(0, 8),
-                                   st.sampled_from(["unpicklable", "kill"])))
+                                   st.sampled_from(["unpicklable", "kill"])), pauses=PAUSES)
 def test_open_map_with_failed_forks_and_lost_lanes_equals_the_serial_model(
-        planned, ring, fork_fails_at, jobs, fault):
+        planned, ring, fork_fails_at, jobs, fault, pauses):
     """One ``open_map``, with or without ring slots, whose fork of a drawn
     lane fails, runs its jobs on the lanes that forked as a serial loop
     would, up to a drawn item: one whose result does not pickle, or one
@@ -304,11 +334,13 @@ def test_open_map_with_failed_forks_and_lost_lanes_equals_the_serial_model(
     one-line ``RuntimeError`` naming the item the lane owed, also when
     the caller reads slowly enough that the lane is gone before it frees
     the lane's slot; on lane 0, the caller, the result comes as it is and
-    nothing is killed. Every lane is joined after every example."""
+    nothing is killed. Items sleep as drawn. Every lane is joined after
+    every example, which has a deadline."""
     caller, ran = os.getpid(), min(planned, fork_fails_at)
     lost = lanes.shared_empty((1,), np.int64)  # the pid of the lane that kills itself
 
     def fn(job, k):
+        time.sleep(pauses.get((job, k), 0) / 1000)
         value = job * 100 + k
         if fault and fault[:2] == (job, k):
             if fault[2] == "unpicklable":
@@ -337,7 +369,7 @@ def test_open_map_with_failed_forks_and_lost_lanes_equals_the_serial_model(
     got = []
     fork, os.fork = os.fork, fork_failing_at(fork_fails_at)
     try:
-        with lanes.open_map(fn, planned, 3 if ring else 0) as (run, forked):
+        with deadline(), lanes.open_map(fn, planned, 3 if ring else 0) as (run, forked):
             assert forked == ran
             for job, n in enumerate(jobs):
                 for result in run(job, n, last=job == len(jobs) - 1):
@@ -346,7 +378,7 @@ def test_open_map_with_failed_forks_and_lost_lanes_equals_the_serial_model(
                     if ring:  # the array is valid until the next result is asked for
                         assert result[1].tolist() == [float(value)] * 3
                     got.append(value)
-                    if fault and fault[2] == "kill" and fault[1] % ran and \
+                    if fault and fault[2] == "kill" and fault[1] % ran and fault[1] < n and \
                             fault[:2] == (job, value % 100 + ran):
                         exited(lost)  # the lane's item before the one it dies at
     except Exception as exc:

@@ -96,26 +96,25 @@ def test_dataset_future_version_rejected(tmp_path):
 def test_dataset_without_clean_block(tmp_path):
     """A clean file stores each label once, and its labels read back as its
     clean labels, one array for both; a file of another mode without the
-    block has none."""
+    block has no clean labels, and is refused, naming the file and byte."""
     path = str(tmp_path / "nc.bin")
     store.write_dataset(path, random_datasets(clean=True), ch.NoiseSpec(mode="clean"), 120e6)
     assert open(path, "rb").read()[37] == 0  # the header's has_clean byte
     blob = store.read_dataset(path)
-    assert blob.has_clean
     assert all(d.y_clean is d.ys for d in blob.datasets)
 
     datasets = random_datasets()
-    noisy = _per_pair_file(datasets, ch.NoiseSpec(mode="awgn"), 120e6, has_clean=False)
-    open(path, "wb").write(noisy)
-    blob = store.read_dataset(path)
-    assert not blob.has_clean
-    assert np.array_equal(blob.datasets[0].y_clean, datasets[0].ys)
+    for mode in ("awgn", "lmmse"):
+        noisy = _per_pair_file(datasets, ch.NoiseSpec(mode=mode), 120e6, has_clean=False)
+        open(path, "wb").write(noisy)
+        with pytest.raises(store.FormatError,
+                           match=f"^{path}: byte 37 is 0, but {mode} files store clean labels$"):
+            store.read_dataset(path)
 
     # Format v1 also lets a clean file store the block; it reads back as stored.
     open(path, "wb").write(_per_pair_file(datasets, ch.NoiseSpec(mode="clean"), 120e6,
                                           has_clean=True))
     blob = store.read_dataset(path)
-    assert blob.has_clean
     assert np.array_equal(blob.datasets[0].y_clean, datasets[0].y_clean)
 
 
@@ -191,8 +190,9 @@ def test_dataset_user_index_must_fit_its_field(tmp_path):
 
 
 def test_dataset_sidecar_written(tmp_path):
-    """The sidecar's ``has_clean`` says what the reader reports: clean
-    labels present, whether stored or (clean noise) the labels themselves."""
+    """The sidecar duplicates the header and the dataset counts. It has no
+    ``has_clean``: every readable file has clean labels, stored or (clean
+    noise) the labels themselves."""
     import json
 
     for mode in ("awgn", "clean"):
@@ -202,7 +202,8 @@ def test_dataset_sidecar_written(tmp_path):
         meta = json.load(open(path + ".meta.json"))
         assert meta["magic"] == "FMCD" and meta["noise"]["mode"] == mode
         assert meta["datasets"][0]["n_pairs"] == 7
-        assert meta["has_clean"] is store.read_dataset(path).has_clean is True
+        assert sorted(meta) == ["datasets", "delta_f", "format", "m", "magic", "n_datasets",
+                                "noise", "version"]
 
 
 def test_clean_write_refuses_differing_clean_labels(tmp_path):
@@ -274,6 +275,22 @@ def test_checkpoint_digest_mismatch_drops_config(tmp_path):
     json.dump(meta, open(path + ".meta.json", "w"))
     back = store.read_checkpoint(path)
     assert back.config is None
+
+
+@pytest.mark.parametrize("sidecar", [b"{not json", b"[1, 2]", b"\xff{}"],
+                         ids=["invalid-json", "not-an-object", "not-utf-8"])
+def test_unreadable_sidecar_leaves_no_config(tmp_path, sidecar):
+    """A sidecar that is not JSON, not a JSON object or not UTF-8 is
+    ignored as a missing one is: the config is ``None`` and the binary
+    header stands."""
+    path = str(tmp_path / "s.ck")
+    model = random_model()
+    store.write_checkpoint(path, model)
+    open(path + ".meta.json", "wb").write(sidecar)
+    back = store.read_checkpoint(path)
+    assert back.config is None
+    assert (back.provenance, back.derivative_order) == (model.provenance, 4)
+    assert back.params.flat.tobytes() == model.params.flat.tobytes()
 
 
 def test_corrupt_activation_code(tmp_path):

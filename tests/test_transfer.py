@@ -105,6 +105,18 @@ def test_config_validation():
     assert cfg.n_support == 4 and cfg.n_query == 5
 
 
+@pytest.mark.parametrize("overrides, u, users", [
+    ({"u": 5}, 5, 3), ({}, 25, 3), ({"u": 0}, 0, 3),
+], ids=["u-5", "default-u", "u-0"])
+def test_config_refuses_a_user_count_its_draws_do_not_read(overrides, u, users):
+    """Every draw reads its users from ``gen.users``, so a ``u`` that says
+    otherwise is refused in one line naming both counts."""
+    with pytest.raises(ValueError, match=f"^u={u} must equal gen.users={users}, "
+                                         f"the users drawn$"):
+        TrainConfig(gen=ch.GeneratorConfig(users=users), **overrides)
+    assert TrainConfig(u=users, gen=ch.GeneratorConfig(users=users)).u == users
+
+
 @pytest.mark.parametrize("n_tr", [0, 1])
 def test_config_needs_a_support_and_a_query_sample(n_tr):
     with pytest.raises(ValueError, match=f"n_tr must be >= 2 to split each source task "
@@ -118,7 +130,8 @@ def test_gradient_order_accounting():
     """Exact meta-training records order g_tr + 1; first-order meta-training,
     meta-training without inner steps, pooled training and both adaption
     rules record order 1."""
-    cfg = tiny_cfg(g_tr=3, max_steps=1, gen=ch.GeneratorConfig(array=ch.ArrayConfig(m=2)))
+    cfg = tiny_cfg(g_tr=3, max_steps=1,
+                   gen=ch.GeneratorConfig(array=ch.ArrayConfig(m=2), users=5))
     envs = [ch.sample_environment(i, cfg.gen, cfg.seed) for i in range(cfg.k_s)]
 
     def meta_order(**overrides):
@@ -965,7 +978,8 @@ def test_meta_step_of_one_block_starts_no_process(monkeypatch):
     assert transfer.meta_lanes(cfg) == 1
     assert len(transfer.meta_train(envs, cfg, RNG(0)).loss_history) == cfg.max_steps
     assert transfer.meta_lanes(replace(cfg, k_b=9, max_steps=0)) == 1
-    transfer.meta_train(envs, replace(cfg, k_b=9, max_steps=0), RNG(0))
+    assert len(transfer.meta_train(envs, replace(cfg, k_b=9, max_steps=0),
+                                   RNG(0)).loss_history) == 0  # no step, no loss
 
 
 def test_error_in_a_forked_lane_reaches_the_caller(monkeypatch):
